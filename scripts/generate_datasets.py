@@ -76,10 +76,8 @@ def _write(path: Path, rows, columns):
 
 
 def _grid_field(rows, spec, name):
-    field = np.full((spec.y_steps, spec.x_steps), np.nan)
-    for r in rows:
-        field[r["y_index"], r["x_index"]] = r[name]
-    return field
+    # grid rows are row-major with y outermost
+    return rows[name].reshape(spec.y_steps, spec.x_steps)
 
 
 def _contour_rows(xs, ys, field_name, field, levels):
@@ -143,8 +141,7 @@ def boundary_datasets(outdir: Path):
                  "tms_gp12_abs", "tms_resonance", "f1", "f2", "tms_error"),
     )
     rows = run_sweep(BOUNDARY, spec)
-    for row in rows:
-        row["w_sum"] = row["tms_w1"] + row["tms_w2"]
+    rows["w_sum"] = rows["tms_w1"] + rows["tms_w2"]
     _write(outdir / "boundary_resonance.csv", sweep_csv_rows(rows, spec),
            sweep_columns(spec) + ["w_sum"])
 
@@ -156,7 +153,7 @@ def laser_datasets(outdir: Path):
 
     # stimulated phonon number vs pump density at selected working points
     projected = laser_rows(rows)
-    pth = [r["p_threshold"] for r in projected]
+    pth = projected["p_threshold"].tolist()
     dips = [
         i for i in range(1, len(pth) - 1) if pth[i] < pth[i - 1] and pth[i] < pth[i + 1]
     ]

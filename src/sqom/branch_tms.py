@@ -14,7 +14,8 @@ with it.
 
 The stage exists only for S > |J'|; S <= 0 is rejected rather than
 analytically continued (the log form would give r < 0 there, a regime with
-no physical anchor in this model).
+no physical anchor in this model). On arrays a refused point is not raised
+but comes back with r = NaN, and NaN in every coupling derived from r.
 """
 from __future__ import annotations
 
@@ -24,15 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .elementwise import ops
 from .errors import TmsUnstable
 from .params import ValidatedParams
 from .stage1 import Stage1Result
-from .validity import (
-    RESONANCE_FLOOR_DEFAULT,
-    SMALLNESS_DEFAULT,
-    ValidityReport,
-    build_report,
-)
+from .validity import rwa_validity as rwa_validity_tms  # noqa: F401 (public name)
 
 
 @dataclass(frozen=True)
@@ -72,32 +69,32 @@ def tms_couplings(s: Stage1Result, p: ValidatedParams) -> TmsCouplings:
         when omega_s1 + omega_s2 <= |J'| (which includes every case with
         omega_s1 + omega_s2 <= 0).
     """
-    j_prime = 2.0 * p.j_hop * s.lam2
-    jp = abs(j_prime)
+    xp = ops(p.j_hop)
+    j_prime = xp.rmul(2.0 * p.j_hop, s.lam2)
+    jp = xp.cabs(j_prime)
     s_sum = s.omega_sum
-    if not s_sum > jp:
-        raise TmsUnstable(s_sum, jp)
+    refused = xp.refuse(xp.not_(s_sum > jp), TmsUnstable, s_sum, jp)
 
-    phi = cmath.phase(j_prime)
-    r = 0.25 * math.log((s_sum + jp) / (s_sum - jp))
-    ch, sh = math.cosh(r), math.sinh(r)
+    phi = xp.phase(j_prime)
+    r = 0.25 * xp.log(xp.div(s_sum + jp, s_sum - jp, refused, math.nan))
+    ch, sh = xp.cosh(r), xp.sinh(r)
     half_sh2 = sh * ch  # sinh(2r)/2
 
     w1 = s.omega_s1 * ch * ch + s.omega_s2 * sh * sh - jp * half_sh2
     w2 = s.omega_s2 * ch * ch + s.omega_s1 * sh * sh - jp * half_sh2
 
-    ch2rd2 = math.cosh(2.0 * s.r_d2)
-    sh2rd2 = math.sinh(2.0 * s.r_d2)
+    ch2rd2 = xp.cosh(2.0 * s.r_d2)
+    sh2rd2 = xp.sinh(2.0 * s.r_d2)
     g0 = p.g0
 
     g1 = g0 * ch2rd2 * sh * sh
     g2 = g0 * ch2rd2 * ch * ch
     # The signs of g12 and gp12 carry the arg(-J') fold of the rotation;
     # their magnitudes satisfy |g12|^2 = g1*g2 and |gp12| = |tanh(2 r_d2)|*|g12|.
-    g12 = -g0 * ch2rd2 * sh * ch * cmath.exp(1j * phi)
-    g11 = g0 * sh2rd2 * sh * sh * 0.5 * cmath.exp(1j * (2.0 * phi - p.phi_d2))
-    g22 = g0 * sh2rd2 * ch * ch * 0.5 * cmath.exp(1j * p.phi_d2)
-    gp12 = -g0 * sh2rd2 * sh * ch * cmath.exp(1j * (p.phi_d2 - phi))
+    g12 = xp.rmul(-g0 * ch2rd2 * sh * ch, xp.cis(phi))
+    g11 = xp.rmul(g0 * sh2rd2 * sh * sh * 0.5, xp.cis(2.0 * phi - p.phi_d2))
+    g22 = xp.rmul(g0 * sh2rd2 * ch * ch * 0.5, xp.cis(p.phi_d2))
+    gp12 = xp.rmul(-g0 * sh2rd2 * sh * ch, xp.cis(p.phi_d2 - phi))
 
     f_prime = g0 * ch2rd2 * sh * sh
     c_prime = s_sum * sh * sh - jp * sh * ch
@@ -116,28 +113,6 @@ def tms_couplings(s: Stage1Result, p: ValidatedParams) -> TmsCouplings:
         f_prime=f_prime,
         c_prime=c_prime,
         eta=g1 / g2,
-    )
-
-
-def rwa_validity_tms(
-    c: TmsCouplings,
-    omega_m: float = 1.0,
-    smallness: float = SMALLNESS_DEFAULT,
-    resonance_floor: float = RESONANCE_FLOOR_DEFAULT,
-) -> ValidityReport:
-    """Smallness ratios for every term kept or dropped around this branch."""
-    return build_report(
-        w1=c.w1,
-        w2=c.w2,
-        omega_m=omega_m,
-        g1=c.g1,
-        g2=c.g2,
-        g11_abs=abs(c.g11),
-        g22_abs=abs(c.g22),
-        g12_abs=abs(c.g12),
-        gp12_abs=abs(c.gp12),
-        smallness=smallness,
-        resonance_floor=resonance_floor,
     )
 
 

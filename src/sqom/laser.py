@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .elementwise import ops
 from .errors import ZeroCoupling
 
 EXP_CAP_DEFAULT = 700.0
@@ -66,11 +67,12 @@ class LaserResult:
 
 def mechanical_gain(inp: LaserInput, omega_m: float, kappa: float) -> float:
     """Lorentzian mechanical gain; the denominator is strictly positive."""
-    if kappa <= 0.0:
+    xp = ops(inp.w1)
+    if xp.any(kappa <= 0.0):
         raise ValueError(f"kappa must be > 0, got {kappa}")
     detuning = inp.w1 - inp.w2 - omega_m
     dn = inp.n_plus - inp.n_minus
-    return inp.gp12_abs**2 * dn * kappa / (detuning**2 + 0.25 * kappa**2)
+    return xp.square(inp.gp12_abs) * dn * kappa / (xp.square(detuning) + 0.25 * xp.square(kappa))
 
 
 def phonon_number(gain: float, gamma_m: float, exp_cap: float = EXP_CAP_DEFAULT) -> PhononNumber:
@@ -80,12 +82,12 @@ def phonon_number(gain: float, gamma_m: float, exp_cap: float = EXP_CAP_DEFAULT)
     the formula grows astronomically immediately above threshold; the cap is
     reported via the flag.
     """
-    if gamma_m <= 0.0:
+    xp = ops(gain)
+    if xp.any(gamma_m <= 0.0):
         raise ValueError(f"gamma_m must be > 0, got {gamma_m}")
     exponent = 2.0 * (gain - gamma_m) / gamma_m
-    if exponent > exp_cap:
-        return PhononNumber(value=math.exp(exp_cap), capped=True)
-    return PhononNumber(value=math.exp(exponent), capped=False)
+    capped = exponent > exp_cap
+    return PhononNumber(value=xp.exp(xp.where(capped, exp_cap, exponent)), capped=capped)
 
 
 def threshold(
@@ -98,15 +100,16 @@ def threshold(
 ) -> ThresholdResult:
     """Pump density and power where gain = gamma_m.
 
-    Raises ZeroCoupling for gp12_abs = 0 (the threshold is infinite).
+    Raises ZeroCoupling for gp12_abs = 0 (the threshold is infinite); on
+    arrays such a point gets NaN density and power instead.
     """
-    if gp12_abs == 0.0:
-        raise ZeroCoupling("threshold undefined for |gp12| = 0")
-    if kappa <= 0.0 or gamma_m <= 0.0:
+    xp = ops(w1)
+    zero = xp.refuse(gp12_abs == 0.0, ZeroCoupling, "threshold undefined for |gp12| = 0")
+    if xp.any((kappa <= 0.0) | (gamma_m <= 0.0)):
         raise ValueError("kappa and gamma_m must be > 0")
     detuning = w1 - w2 - omega_m
-    lorentz = detuning**2 + 0.25 * kappa**2
-    n_th = gamma_m * lorentz / (gp12_abs**2 * kappa)
+    lorentz = xp.square(detuning) + 0.25 * xp.square(kappa)
+    n_th = xp.div(gamma_m * lorentz, xp.square(gp12_abs) * kappa, zero, math.nan)
     return ThresholdResult(
         n_threshold=n_th,
         p_threshold=n_th * kappa * w1,

@@ -220,6 +220,24 @@ def symplectic_frequencies(
     return SymplecticFrequencies(nu1=float(re[3]), nu2=float(re[2]), stable=stable)
 
 
+def _second_stage(
+    p: ValidatedParams, branch: Branch, s: Stage1Result, caller: str
+) -> tuple[TmsCouplings | BsCouplings, LinearMap, CoefficientSet]:
+    """Couplings of a concrete branch, its rotation, and the closed-form
+    coefficients they predict."""
+    if branch is Branch.TWO_MODE_SQUEEZING:
+        c = tms_couplings(s, p)
+        return c, tms_map(c), CoefficientSet(**tms_raw_coefficients(s, c))
+    if branch is Branch.BEAM_SPLITTER:
+        c = bs_couplings(s, p)
+        return c, bs_map(c), CoefficientSet(**bs_raw_coefficients(s, c))
+    raise ValueError(f"{caller} needs a concrete branch (tms or bs)")
+
+
+def _conjugated(form: QuadraticForm, T: LinearMap) -> CoefficientSet:
+    return extract_coefficients(*conjugate_form(form.coupling_matrix, form.coupling_offset, T))
+
+
 def conjugate_coupling(
     p: ValidatedParams, branch: Branch, s: Stage1Result | None = None
 ) -> CoefficientSet:
@@ -234,15 +252,8 @@ def conjugate_coupling(
         raise ValueError("conjugate_coupling needs a concrete branch (tms or bs)")
     if s is None:
         s = stage1_transform(p)
-    form = build_photonic_form(p)
-    T1 = stage1_map(p, s)
-    if branch is Branch.TWO_MODE_SQUEEZING:
-        T2 = tms_map(tms_couplings(s, p))
-    else:
-        T2 = bs_map(bs_couplings(s, p))
-    T = T1.then(T2)
-    matrix, offset = conjugate_form(form.coupling_matrix, form.coupling_offset, T)
-    return extract_coefficients(matrix, offset)
+    _, T2, _ = _second_stage(p, branch, s, "conjugate_coupling")
+    return _conjugated(build_photonic_form(p), stage1_map(p, s).then(T2))
 
 
 def analytic_coefficients(
@@ -251,13 +262,7 @@ def analytic_coefficients(
     """Closed-form prediction for `conjugate_coupling`, same key scheme."""
     if s is None:
         s = stage1_transform(p)
-    if branch is Branch.TWO_MODE_SQUEEZING:
-        raw = tms_raw_coefficients(s, tms_couplings(s, p))
-    elif branch is Branch.BEAM_SPLITTER:
-        raw = bs_raw_coefficients(s, bs_couplings(s, p))
-    else:
-        raise ValueError("analytic_coefficients needs a concrete branch (tms or bs)")
-    return CoefficientSet(**raw)
+    return _second_stage(p, branch, s, "analytic_coefficients")[2]
 
 
 def coefficient_defect(
@@ -295,7 +300,7 @@ class RwaErrorReport:
     supermode frequencies with the exact symplectic ones, sorted by
     magnitude. coeff_defect is the worst relative deviation of the
     conjugation oracle from the closed forms (an exact identity, reported as
-    a numerical sanity bound).
+    a numerical sanity bound). freqs are the exact symplectic frequencies.
     """
 
     branch: Branch
@@ -306,7 +311,11 @@ class RwaErrorReport:
     freq_devs: tuple[FrequencyDeviation, ...]
     coeff_defect: float
     metric_defect: float
-    stable: bool
+    freqs: SymplecticFrequencies
+
+    @property
+    def stable(self) -> bool:
+        return self.freqs.stable
 
 
 def rwa_error_report(
@@ -314,36 +323,30 @@ def rwa_error_report(
     branch: Branch,
     s: Stage1Result | None = None,
 ) -> RwaErrorReport:
-    """Quantify the rotating-wave truncation for the chosen branch."""
+    """Quantify the rotating-wave truncation for the chosen branch.
+
+    Builds the photonic form, the branch couplings and both rotations once.
+    """
     if s is None:
         s = stage1_transform(p)
     form = build_photonic_form(p)
     freqs = symplectic_frequencies(form)
     T1 = stage1_map(p, s)
-
+    c, T2, analytic = _second_stage(p, branch, s, "rwa_error_report")
     if branch is Branch.TWO_MODE_SQUEEZING:
-        c = tms_couplings(s, p)
-        T2 = tms_map(c)
         dropped_name = "coherent_hopping"
         dropped = p.j_hop * abs(s.lam1)
         gap = abs(s.omega_diff)
-        w = (c.w1, c.w2)
-    elif branch is Branch.BEAM_SPLITTER:
-        c = bs_couplings(s, p)
-        T2 = bs_map(c)
+    else:
         dropped_name = "pair_squeezing"
         dropped = p.j_hop * abs(s.lam2)
         gap = abs(s.omega_sum)
-        w = (c.w1, c.w2)
-    else:
-        raise ValueError("rwa_error_report needs a concrete branch (tms or bs)")
 
     T = T1.then(T2)
-    exact = conjugate_coupling(p, branch, s)
-    analytic = analytic_coefficients(p, branch, s)
+    exact = _conjugated(form, T)
     defect = coefficient_defect(exact, analytic, scale_floor=max(p.g0, 1e-300))
 
-    analytic_sorted = sorted(abs(x) for x in w)
+    analytic_sorted = sorted(abs(x) for x in (c.w1, c.w2))
     exact_sorted = [freqs.nu2, freqs.nu1]
     devs = tuple(
         FrequencyDeviation(
@@ -363,5 +366,5 @@ def rwa_error_report(
         freq_devs=devs,
         coeff_defect=defect,
         metric_defect=T.symplectic_defect(),
-        stable=freqs.stable,
+        freqs=freqs,
     )

@@ -10,17 +10,30 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .errors import ConfigError, NegativeParameter, NonPositiveParameter, Stage1Unstable
+import numpy as np
+
+from .elementwise import item, ops, take
+from .errors import (
+    ConfigError,
+    NegativeParameter,
+    NonPositiveParameter,
+    SqomError,
+    Stage1Unstable,
+)
 
 TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
 class PhysicalParams:
-    """Raw dimensionless parameter set (units of omega_m unless stated)."""
+    """Raw dimensionless parameter set (units of omega_m unless stated).
+
+    Every field may also be an equal-length numpy array, one point per
+    element; validate and the physics stages then evaluate all points at once.
+    """
 
     delta1: float
     delta2: float
@@ -63,15 +76,65 @@ class ValidatedParams:
         return PhysicalParams(**d)
 
 
+_PHYSICAL_FIELDS = tuple(f.name for f in fields(PhysicalParams))
+
+
 def canonical_delta_phi(phi_d1: float, phi_d2: float) -> float:
     """Phase difference folded into [0, 2*pi)."""
-    d = (phi_d1 - phi_d2) % TWO_PI
+    xp = ops(phi_d1)
+    d = xp.mod(phi_d1 - phi_d2, TWO_PI)
     # float mod of a tiny negative argument can round up to the modulus itself
-    return 0.0 if d >= TWO_PI else d
+    return xp.where(d >= TWO_PI, 0.0, d)
+
+
+def _checks(raw: PhysicalParams):
+    """Yield (ok, error type, key, value) per check, in the order validate applies them.
+
+    `ok` is a bool, or a bool array over the points when `raw` holds arrays.
+    """
+    finite = ops(raw.kappa).isfinite
+    for field in ("kappa", "gamma_m"):
+        value = getattr(raw, field)
+        yield (value > 0.0) & finite(value), NonPositiveParameter, field, value
+    yield raw.omega_m == 1.0, ConfigError, "omega_m", raw.omega_m
+    for field in ("lambda1", "lambda2", "j_hop", "g0"):
+        value = getattr(raw, field)
+        yield (value >= 0.0) & finite(value), NegativeParameter, field, value
+    for field in ("delta1", "delta2", "phi_d1", "phi_d2"):
+        value = getattr(raw, field)
+        yield finite(value), ConfigError, field, value
+    for cavity, pair in enumerate([(raw.delta1, raw.lambda1), (raw.delta2, raw.lambda2)], 1):
+        yield abs(pair[0]) > 2.0 * pair[1], Stage1Unstable, cavity, pair
+
+
+def _error(error: type, key, value) -> SqomError:
+    """The exception a failed scalar check raises."""
+    if error is Stage1Unstable:
+        return Stage1Unstable(key, *value)
+    if error is not ConfigError:
+        return error(key, value)
+    if key == "omega_m":
+        return ConfigError(
+            f"omega_m is the unit of every rate and must be exactly 1, got {value!r}"
+        )
+    return ConfigError(f"{key} must be finite, got {value!r}")
+
+
+def validation_errors(raw: PhysicalParams) -> np.ndarray:
+    """Per point of an array parameter set, the name of the error validate
+    raises there, or '' where the point is valid."""
+    names = np.full(len(raw.kappa), "", dtype=object)
+    # the first failed check names the error, so apply them last to first
+    for ok, error, _, _ in reversed(list(_checks(raw))):
+        names[~ok] = error.__name__
+    return names
 
 
 def validate(raw: PhysicalParams) -> ValidatedParams:
     """Check stability and sign conventions; return the validated wrapper.
+
+    On an array parameter set every point must pass; the first failing point
+    raises its own error (`validation_errors` names them all).
 
     Raises
     ------
@@ -87,31 +150,17 @@ def validate(raw: PhysicalParams) -> ValidatedParams:
         strict with no margin: operating arbitrarily close to the boundary
         is legitimate and simply produces a large squeezing parameter.
     """
-    for field in ("kappa", "gamma_m"):
-        value = getattr(raw, field)
-        if not (value > 0.0) or not math.isfinite(value):
-            raise NonPositiveParameter(field, value)
-    if raw.omega_m != 1.0:
-        raise ConfigError(
-            f"omega_m is the unit of every rate and must be exactly 1, got {raw.omega_m!r}"
-        )
-    for field in ("lambda1", "lambda2", "j_hop", "g0"):
-        value = getattr(raw, field)
-        if value < 0.0 or not math.isfinite(value):
-            raise NegativeParameter(field, value)
-    for field in ("delta1", "delta2", "phi_d1", "phi_d2"):
-        value = getattr(raw, field)
-        if not math.isfinite(value):
-            raise ConfigError(f"{field} must be finite, got {value!r}")
-
-    for j, (delta, lam) in enumerate(
-        [(raw.delta1, raw.lambda1), (raw.delta2, raw.lambda2)], start=1
-    ):
-        if not abs(delta) > 2.0 * lam:
-            raise Stage1Unstable(j, delta, lam)
-
+    if isinstance(raw.kappa, np.ndarray):
+        bad = np.flatnonzero(validation_errors(raw))
+        if bad.size:
+            validate(item(take(raw, bad[:1])))
+    else:
+        for ok, error, key, value in _checks(raw):
+            if not ok:
+                raise _error(error, key, value)
     return ValidatedParams(
-        **asdict(raw), delta_phi=canonical_delta_phi(raw.phi_d1, raw.phi_d2)
+        **{f: getattr(raw, f) for f in _PHYSICAL_FIELDS},
+        delta_phi=canonical_delta_phi(raw.phi_d1, raw.phi_d2),
     )
 
 

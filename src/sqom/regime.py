@@ -13,6 +13,7 @@ import enum
 import math
 from dataclasses import dataclass
 
+from .elementwise import ops
 from .params import ValidatedParams
 from .stage1 import Stage1Result
 
@@ -48,21 +49,20 @@ def classify(
     The thresholds default to the equipotential levels used to delimit the
     two validity regions; the band in between is reported as INTERMEDIATE,
     a first-class outcome (both branches can still be evaluated there, each
-    carrying its own validity ratios).
+    carrying its own validity ratios). On arrays `branch` is an object array
+    of Branch members.
     """
-    num = abs(s.lam2) * abs(s.omega_diff)
-    den = abs(s.lam1) * abs(s.omega_sum)
+    xp = ops(s.omega_s1)
+    lam2_abs = xp.cabs(s.lam2)
+    num = lam2_abs * abs(s.omega_diff)
+    den = xp.cabs(s.lam1) * abs(s.omega_sum)
     degenerate = den == 0.0
-    if degenerate:
-        f1 = math.inf
-    else:
-        f1 = num / den
-    f2 = abs(s.omega_sum) - 2.0 * p.j_hop * abs(s.lam2)
+    f1 = xp.div(num, den, degenerate, math.inf)
+    f2 = abs(s.omega_sum) - 2.0 * p.j_hop * lam2_abs
 
-    if f1 >= f1_hi and f2 > 0.0:
-        branch = Branch.TWO_MODE_SQUEEZING
-    elif f1 <= f1_lo:
-        branch = Branch.BEAM_SPLITTER
-    else:
-        branch = Branch.INTERMEDIATE
+    branch = xp.where(
+        (f1 >= f1_hi) & (f2 > 0.0),
+        Branch.TWO_MODE_SQUEEZING,
+        xp.where(f1 <= f1_lo, Branch.BEAM_SPLITTER, Branch.INTERMEDIATE),
+    )
     return RegimeReport(f1=f1, f2=f2, branch=branch, f1_degenerate=degenerate)

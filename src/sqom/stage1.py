@@ -10,10 +10,10 @@ parametric coupling g_p2, a displacement force -f_disp and a constant c_const.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
+from .elementwise import ops
 from .errors import Stage1Unstable
 from .params import ValidatedParams
 
@@ -47,11 +47,14 @@ def squeeze_param(delta: float, lambda_amp: float) -> float:
 
     Requires |delta| > 2*lambda_amp; the log argument is then strictly
     positive for either sign of delta, and sign(r_d) = sign(delta) whenever
-    lambda_amp > 0.
+    lambda_amp > 0. On arrays an unstable point gives NaN instead of raising.
     """
-    if not abs(delta) > 2.0 * lambda_amp:
-        raise Stage1Unstable(0, delta, lambda_amp)
-    return 0.25 * math.log((delta + 2.0 * lambda_amp) / (delta - 2.0 * lambda_amp))
+    xp = ops(delta)
+    unstable = xp.refuse(
+        xp.not_(abs(delta) > 2.0 * lambda_amp), Stage1Unstable, 0, delta, lambda_amp
+    )
+    ratio = xp.div(delta + 2.0 * lambda_amp, delta - 2.0 * lambda_amp, unstable, math.nan)
+    return 0.25 * xp.log(ratio)
 
 
 def stage1_transform(p: ValidatedParams) -> Stage1Result:
@@ -63,23 +66,24 @@ def stage1_transform(p: ValidatedParams) -> Stage1Result:
     therefore yields a negative omega_sj, which downstream stages consume
     as a signed value.
     """
+    xp = ops(p.delta1)
     r_d1 = squeeze_param(p.delta1, p.lambda1)
     r_d2 = squeeze_param(p.delta2, p.lambda2)
-    omega_s1 = (p.delta1 - 2.0 * p.lambda1) * math.exp(2.0 * r_d1)
-    omega_s2 = (p.delta2 - 2.0 * p.lambda2) * math.exp(2.0 * r_d2)
+    omega_s1 = (p.delta1 - 2.0 * p.lambda1) * xp.exp(2.0 * r_d1)
+    omega_s2 = (p.delta2 - 2.0 * p.lambda2) * xp.exp(2.0 * r_d2)
 
-    c1, s1 = math.cosh(r_d1), math.sinh(r_d1)
-    c2, s2 = math.cosh(r_d2), math.sinh(r_d2)
+    c1, s1 = xp.cosh(r_d1), xp.sinh(r_d1)
+    c2, s2 = xp.cosh(r_d2), xp.sinh(r_d2)
 
     # cosh(2r) and sinh(2r)/2 forms; robust for delta2 < 0 where the
     # closed form g0*delta2/sqrt(delta2^2-4*lambda2^2) flips sign.
     g_s2 = p.g0 * (s2 * s2 + c2 * c2)
     g_p2 = p.g0 * c2 * s2
 
-    e1 = cmath.exp(1j * p.phi_d1)
-    e2 = cmath.exp(1j * p.phi_d2)
-    lam1 = c1 * c2 + s1 * s2 * cmath.exp(1j * (p.phi_d1 - p.phi_d2))
-    lam2 = c1 * s2 * e2 + s1 * c2 * e1
+    e1 = xp.cis(p.phi_d1)
+    e2 = xp.cis(p.phi_d2)
+    lam1 = c1 * c2 + xp.rmul(s1 * s2, xp.cis(p.phi_d1 - p.phi_d2))
+    lam2 = xp.rmul(c1 * s2, e2) + xp.rmul(s1 * c2, e1)
 
     f_disp = p.g0 * s2 * s2
     c_const = (

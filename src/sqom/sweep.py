@@ -1,20 +1,31 @@
 """Single-point analysis, 1-D sweeps and 2-D grids with CSV emission.
 
-Every row is produced by the same `evaluate_point` pipeline (validate ->
-stage 1 -> regime -> both second-stage branches -> validity -> laser), so a
-sweep row and a single-point analysis of the same parameters agree field by
-field. Per-point failures (e.g. the two-mode-squeezing stage refusing) never
-abort a sweep: numeric cells keep a NaN sentinel and the typed error name
-lands in the matching error column.
+The pipeline is columnar: a sweep or grid builds one array per parameter
+over all its points, and each stage (validate -> stage 1 -> regime -> both
+second-stage branches -> validity -> laser) runs once on those arrays.
+`evaluate_point` and `analyze` are the length-1 case of the same evaluator,
+so a sweep row and a single-point analysis of the same parameters agree
+field by field. Per-point failures (e.g. the two-mode-squeezing stage
+refusing) never abort a sweep: they become masks, numeric cells keep a NaN
+sentinel and the typed error name lands in the matching error column.
+
+Exactness rule. A row must equal the float evaluation of its point bit for
+bit, and numpy's SIMD math does not match libm in the last bit. So numpy
+touches row values only through +, -, *, / on float arrays, complex +
+complex, complex + real, comparisons and `where`; every libm call (exp, log,
+cosh, sinh, cos, sin, atan2, x**2, cmath.exp, cmath.phase, complex abs) is
+the math/cmath function mapped over `arr.tolist()`, and a real times
+complex product is spelled out as CPython computes it. See `elementwise`.
 
 CSV conventions: header row, fixed column order (see COLUMNS), '.' decimal
 separator, 17 significant digits, 'nan' sentinel, lowercase true/false.
-Identical inputs produce byte-identical output.
+Identical inputs produce byte-identical output. `write_csv` formats a table
+column by column, one %-format per float column.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, TextIO
 
 import numpy as np
@@ -22,9 +33,10 @@ import numpy as np
 from . import oracle
 from .branch_bs import bs_couplings, rwa_validity_bs
 from .branch_tms import rwa_validity_tms, tms_couplings
-from .errors import SqomError, TmsUnstable, ZeroCoupling
+from .elementwise import Array, broadcast, item, take
+from .errors import TmsUnstable, ZeroCoupling
 from .laser import LaserInput, laser_point
-from .params import PhysicalParams, validate
+from .params import PhysicalParams, validate, validation_errors
 from .regime import F1_HI_DEFAULT, F1_LO_DEFAULT, Branch, classify
 from .stage1 import stage1_transform
 from .validity import RESONANCE_FLOOR_DEFAULT, SMALLNESS_DEFAULT
@@ -222,213 +234,222 @@ def _check_steps(steps: int):
 def _check_outputs(outputs):
     if outputs is None:
         return
-    known = set(COLUMNS)
-    bad = [o for o in outputs if o not in known]
+    bad = [o for o in outputs if o not in COLUMNS]
     if bad:
         raise ValueError(f"unknown output column(s): {', '.join(bad)}")
 
 
 def apply_axis(params: PhysicalParams, axis: str, value: float) -> PhysicalParams:
+    """Move one axis of a parameter set; `value` may be an array of points."""
     _check_axis(axis)
     if axis == "delta_phi":
         return params.replace(phi_d1=params.phi_d2 + value)
     return params.replace(**{axis: value})
 
 
-def _blank_row() -> dict:
-    row = {}
-    for name, kind in COLUMN_SCHEMA:
-        row[name] = math.nan if kind == _F else ("" if kind == _S else None)
-    return row
+class Table:
+    """Equal-length columns by name.
+
+    `table[name]` is a column (a numpy array); `table[i]` and iteration give
+    row dicts of Python values, so a table reads like a list of rows.
+    """
+
+    def __init__(self, columns: dict):
+        self.columns = dict(columns)
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values()), ()))
+
+    def __getitem__(self, key):
+        if isinstance(key, str):
+            return self.columns[key]
+        i = range(len(self))[key]
+        return {name: col[i : i + 1].tolist()[0] for name, col in self.columns.items()}
+
+    def __setitem__(self, name: str, column) -> None:
+        self.columns[name] = column
+
+    def __iter__(self):
+        names = list(self.columns)
+        for values in zip(*(col.tolist() for col in self.columns.values())):
+            yield dict(zip(names, values))
+
+    def copy(self) -> "Table":
+        return Table(self.columns)
+
+
+_RENAMED = {"phi_big": "phi"}
+_KIND = dict(COLUMN_SCHEMA)
+
+
+def _blank(name: str, n: int) -> np.ndarray:
+    """n cells of a failed point: NaN for numbers, '' for text, None (an
+    empty cell) for flags."""
+    kind = _KIND[name]
+    if kind == _F:
+        return np.full(n, math.nan)
+    return np.full(n, "" if kind == _S else None, dtype=object)
+
+
+def _flatten(prefix: str, result) -> dict:
+    """Columns of a stage result: prefix + field name, complex fields split
+    into _re/_im; fields without a column are dropped."""
+    out = {}
+    for f in fields(result):
+        value = getattr(result, f.name)
+        name = prefix + _RENAMED.get(f.name, f.name)
+        if value.dtype.kind == "c":
+            out[name + "_re"], out[name + "_im"] = value.real, value.imag
+        else:
+            out[name] = value
+    return {name: value for name, value in out.items() if name in _KIND}
+
+
+def _branch_columns(prefix: str, c, validity) -> dict:
+    return {
+        **_flatten(prefix, c),
+        prefix + "gp12_abs": Array.cabs(c.gp12),
+        prefix + "max_rwa_ratio": validity.max_ratio,
+        prefix + "resonance": validity.any_resonance,
+    }
+
+
+def _blank_where(cells: dict, mask: np.ndarray, names) -> None:
+    for name in names:
+        cells[name] = np.where(mask, _blank(name, 1), cells[name])
+
+
+def _stage_columns(vp, s, opts: PipelineOptions) -> dict:
+    """Every column after stage 1, over valid points; the cells an error
+    leaves blank are blank, and the error names are set."""
+    regime = classify(s, vp, f1_hi=opts.f1_hi, f1_lo=opts.f1_lo)
+    tms = tms_couplings(s, vp)
+    bs = bs_couplings(s, vp)
+    knobs = {"smallness": opts.smallness, "resonance_floor": opts.resonance_floor}
+    cells = {
+        "f1": regime.f1,
+        "f2": regime.f2,
+        "f1_degenerate": regime.f1_degenerate,
+        "branch": np.array([b.value for b in regime.branch.tolist()]),
+        **_branch_columns("tms_", tms, rwa_validity_tms(tms, vp.omega_m, **knobs)),
+        **_branch_columns("bs_", bs, rwa_validity_bs(bs, vp.omega_m, **knobs)),
+    }
+    # tms_couplings marks the points it refuses with r = NaN
+    refused = np.isnan(tms.r)
+    _blank_where(cells, refused, [name for name in cells if name.startswith("tms_")])
+    cells["tms_error"] = np.where(refused, TmsUnstable.__name__, "")
+
+    # The laser interaction lives on the classified branch; the beam-splitter
+    # frame hosts it in the intermediate band too (flagged via laser_source).
+    on_tms = regime.branch == Branch.TWO_MODE_SQUEEZING
+    w1, w2, gp12_abs = (
+        np.where(on_tms, cells["tms_" + k], cells["bs_" + k]) for k in ("w1", "w2", "gp12_abs")
+    )
+    cells.update(
+        laser_source=np.where(on_tms, "tms", "bs"),
+        laser_w1=w1,
+        laser_w2=w2,
+        laser_detuning=w1 - w2 - vp.omega_m,
+        laser_gp12_abs=gp12_abs,
+    )
+    res = laser_point(
+        LaserInput(gp12_abs=gp12_abs, w1=w1, w2=w2, n_plus=opts.n_plus, n_minus=opts.n_minus),
+        vp.omega_m,
+        vp.kappa,
+        vp.gamma_m,
+    )
+    laser = _flatten("laser_", res)
+    no_source = on_tms & refused
+    zero = gp12_abs == 0.0  # where threshold raises ZeroCoupling (NaN without a source)
+    _blank_where(laser, no_source | zero, list(laser))
+    cells.update(laser)
+    cells["laser_error"] = np.select(
+        [no_source, zero], [TmsUnstable.__name__, ZeroCoupling.__name__], ""
+    )
+    return cells
+
+
+def _evaluate(params: PhysicalParams, opts: PipelineOptions):
+    """The pipeline over parameter arrays, each stage called once for all points.
+
+    Returns the COLUMN_SCHEMA columns, plus the validated parameters and
+    the stage 1 result of the valid points (None when no point is valid).
+    A failed point gets exactly the cells the error would leave blank in a
+    point-by-point evaluation, and the error name in its column.
+    """
+    n = len(params.kappa)
+    columns = {name: _blank(name, n) for name in COLUMNS}
+    columns["error"] = validation_errors(params)
+    valid = columns["error"] == ""
+    if not valid.any():
+        return columns, None, None
+    with np.errstate(all="ignore"):
+        vp = validate(take(params, valid))
+        s = stage1_transform(vp)
+        cells = {"delta_phi": vp.delta_phi, **_flatten("", s), **_stage_columns(vp, s, opts)}
+    for name, value in cells.items():
+        columns[name][valid] = value
+    return columns, vp, s
 
 
 def evaluate_point(params: PhysicalParams, opts: PipelineOptions = PipelineOptions()) -> dict:
     """Full pipeline for one parameter set; never raises on physics errors."""
-    row = _blank_row()
-    try:
-        vp = validate(params)
-    except SqomError as exc:
-        row["error"] = type(exc).__name__
-        return row
-
-    row["delta_phi"] = vp.delta_phi
-    s = stage1_transform(vp)
-    row.update(
-        r_d1=s.r_d1,
-        r_d2=s.r_d2,
-        omega_s1=s.omega_s1,
-        omega_s2=s.omega_s2,
-        g_s2=s.g_s2,
-        g_p2=s.g_p2,
-        lam1_re=s.lam1.real,
-        lam1_im=s.lam1.imag,
-        lam2_re=s.lam2.real,
-        lam2_im=s.lam2.imag,
-        f_disp=s.f_disp,
-        c_const=s.c_const,
-    )
-
-    regime = classify(s, vp, f1_hi=opts.f1_hi, f1_lo=opts.f1_lo)
-    row.update(
-        f1=regime.f1,
-        f2=regime.f2,
-        f1_degenerate=regime.f1_degenerate,
-        branch=regime.branch.value,
-    )
-
-    tms = None
-    try:
-        tms = tms_couplings(s, vp)
-    except TmsUnstable as exc:
-        row["tms_error"] = type(exc).__name__
-    if tms is not None:
-        tms_validity = rwa_validity_tms(
-            tms, vp.omega_m, smallness=opts.smallness, resonance_floor=opts.resonance_floor
-        )
-        row.update(
-            tms_r=tms.r,
-            tms_phi=tms.phi_big,
-            tms_w1=tms.w1,
-            tms_w2=tms.w2,
-            tms_g1=tms.g1,
-            tms_g2=tms.g2,
-            tms_g11_re=tms.g11.real,
-            tms_g11_im=tms.g11.imag,
-            tms_g22_re=tms.g22.real,
-            tms_g22_im=tms.g22.imag,
-            tms_g12_re=tms.g12.real,
-            tms_g12_im=tms.g12.imag,
-            tms_gp12_re=tms.gp12.real,
-            tms_gp12_im=tms.gp12.imag,
-            tms_gp12_abs=abs(tms.gp12),
-            tms_f_prime=tms.f_prime,
-            tms_c_prime=tms.c_prime,
-            tms_eta=tms.eta,
-            tms_max_rwa_ratio=tms_validity.max_ratio,
-            tms_resonance=tms_validity.any_resonance,
-        )
-
-    bs = bs_couplings(s, vp)
-    bs_validity = rwa_validity_bs(
-        bs, vp.omega_m, smallness=opts.smallness, resonance_floor=opts.resonance_floor
-    )
-    row.update(
-        bs_theta=bs.theta,
-        bs_phi=bs.phi_big,
-        bs_w1=bs.w1,
-        bs_w2=bs.w2,
-        bs_g1=bs.g1,
-        bs_g2=bs.g2,
-        bs_g11_re=bs.g11.real,
-        bs_g11_im=bs.g11.imag,
-        bs_g22_re=bs.g22.real,
-        bs_g22_im=bs.g22.imag,
-        bs_g12_re=bs.g12.real,
-        bs_g12_im=bs.g12.imag,
-        bs_gp12_re=bs.gp12.real,
-        bs_gp12_im=bs.gp12.imag,
-        bs_gp12_abs=abs(bs.gp12),
-        bs_max_rwa_ratio=bs_validity.max_ratio,
-        bs_resonance=bs_validity.any_resonance,
-    )
-
-    # The laser interaction lives on the classified branch; the beam-splitter
-    # frame hosts it in the intermediate band too (flagged via laser_source).
-    if regime.branch is Branch.TWO_MODE_SQUEEZING:
-        source, coup = "tms", tms
-    else:
-        source, coup = "bs", bs
-    row["laser_source"] = source
-    if coup is None:
-        row["laser_error"] = row["tms_error"]
-    else:
-        gp12_abs = abs(coup.gp12)
-        row.update(
-            laser_w1=coup.w1,
-            laser_w2=coup.w2,
-            laser_detuning=coup.w1 - coup.w2 - vp.omega_m,
-            laser_gp12_abs=gp12_abs,
-        )
-        try:
-            res = laser_point(
-                LaserInput(
-                    gp12_abs=gp12_abs,
-                    w1=coup.w1,
-                    w2=coup.w2,
-                    n_plus=opts.n_plus,
-                    n_minus=opts.n_minus,
-                ),
-                vp.omega_m,
-                vp.kappa,
-                vp.gamma_m,
-            )
-        except ZeroCoupling as exc:
-            row["laser_error"] = type(exc).__name__
-        else:
-            row.update(
-                laser_gain=res.gain,
-                laser_n_b=res.n_b,
-                laser_n_b_capped=res.n_b_capped,
-                laser_n_threshold=res.n_threshold,
-                laser_p_threshold=res.p_threshold,
-            )
-    return row
+    columns, _, _ = _evaluate(broadcast(params, 1), opts)
+    return Table(columns)[0]
 
 
 def analyze(params: PhysicalParams, opts: PipelineOptions = PipelineOptions()) -> dict:
     """Single-point report: the full pipeline row plus the oracle cross-check."""
-    row = evaluate_point(params, opts)
+    columns, vp, s = _evaluate(broadcast(params, 1), opts)
+    row = Table(columns)[0]
     for name in ORACLE_COLUMNS:
         row[name] = math.nan
     row["oracle_stable"] = None
     if row["error"]:
         return row
 
-    vp = validate(params)
-    s = stage1_transform(vp)
-    form = oracle.build_photonic_form(vp)
-    freqs = oracle.symplectic_frequencies(form)
+    vp, s = item(vp), item(s)
+    reports = {}
+    for member in (Branch.TWO_MODE_SQUEEZING, Branch.BEAM_SPLITTER):
+        try:
+            reports[member] = oracle.rwa_error_report(vp, member, s)
+        except TmsUnstable:
+            continue
+    # the beam-splitter mixing never refuses, so there is always a report
+    freqs = next(iter(reports.values())).freqs
     row["oracle_nu1"] = freqs.nu1
     row["oracle_nu2"] = freqs.nu2
     row["oracle_stable"] = freqs.stable
-
-    defects = []
-    branch = Branch(row["branch"])
-    for name, member in (("oracle_coeff_defect_tms", Branch.TWO_MODE_SQUEEZING),
-                         ("oracle_coeff_defect_bs", Branch.BEAM_SPLITTER)):
-        try:
-            report = oracle.rwa_error_report(vp, member, s)
-        except TmsUnstable:
-            continue
-        row[name] = report.coeff_defect
-        defects.append(report.metric_defect)
-        if member is branch or (branch is Branch.INTERMEDIATE and member is Branch.BEAM_SPLITTER):
-            row["oracle_freq_dev_lo"] = report.freq_devs[0].rel_dev
-            row["oracle_freq_dev_hi"] = report.freq_devs[1].rel_dev
-    if defects:
-        row["oracle_metric_defect"] = max(defects)
+    for member, report in reports.items():
+        row[f"oracle_coeff_defect_{member.value}"] = report.coeff_defect
+    laser_frame = reports.get(Branch(row["laser_source"]))
+    if laser_frame is not None:
+        row["oracle_freq_dev_lo"] = laser_frame.freq_devs[0].rel_dev
+        row["oracle_freq_dev_hi"] = laser_frame.freq_devs[1].rel_dev
+    row["oracle_metric_defect"] = max(r.metric_defect for r in reports.values())
     return row
+
+
+def _run(params: PhysicalParams, opts: PipelineOptions) -> Table:
+    return Table(_evaluate(params, opts)[0])
 
 
 def run_sweep(
     params: PhysicalParams,
     spec: SweepSpec,
     opts: PipelineOptions = PipelineOptions(),
-) -> list[dict]:
-    """One row per axis value.
+) -> Table:
+    """One row per axis value, all evaluated at once.
 
     The requested (raw) axis value is stored under 'axis_value'; the
     pipeline's own delta_phi column stays canonical in [0, 2*pi), so a sweep
     row agrees with the single-point analysis field by field even at the
     2*pi endpoint.
     """
-    rows = []
-    for value in spec.values():
-        point = apply_axis(params, spec.axis, float(value))
-        row = evaluate_point(point, opts)
-        row["axis_value"] = float(value)
-        rows.append(row)
-    return rows
+    values = spec.values()
+    table = _run(apply_axis(broadcast(params, len(values)), spec.axis, values), opts)
+    table["axis_value"] = values
+    return table
 
 
 def sweep_columns(spec: SweepSpec) -> list[str]:
@@ -436,15 +457,12 @@ def sweep_columns(spec: SweepSpec) -> list[str]:
     return [spec.axis] + [c for c in wanted if c != spec.axis]
 
 
-def sweep_csv_rows(rows: list[dict], spec: SweepSpec) -> list[dict]:
+def sweep_csv_rows(rows: Table, spec: SweepSpec) -> Table:
     """Project sweep rows for emission: the axis column carries the raw
     requested value (so e.g. a delta_phi sweep ends at 2*pi, not at its
     canonical image 0)."""
-    out = []
-    for row in rows:
-        projected = dict(row)
-        projected[spec.axis] = row["axis_value"]
-        out.append(projected)
+    out = rows.copy()
+    out[spec.axis] = rows["axis_value"]
     return out
 
 
@@ -452,25 +470,23 @@ def run_grid(
     params: PhysicalParams,
     spec: GridSpec,
     opts: PipelineOptions = PipelineOptions(),
-) -> list[dict]:
+) -> Table:
     """Dense row-major grid; failed points carry sentinels, never abort.
 
     Raw axis coordinates are stored under 'x_value'/'y_value' plus the
     integer indices, so the emitted file reconstructs the exact grid
     geometry regardless of any phase canonicalization.
     """
-    rows = []
-    for yi, y in enumerate(spec.y_values()):
-        py = apply_axis(params, spec.y_axis, float(y))
-        for xi, x in enumerate(spec.x_values()):
-            point = apply_axis(py, spec.x_axis, float(x))
-            row = evaluate_point(point, opts)
-            row["x_index"] = xi
-            row["y_index"] = yi
-            row["x_value"] = float(x)
-            row["y_value"] = float(y)
-            rows.append(row)
-    return rows
+    nx, ny = spec.x_steps, spec.y_steps
+    x = np.tile(spec.x_values(), ny)
+    y = np.repeat(spec.y_values(), nx)
+    point = apply_axis(apply_axis(broadcast(params, nx * ny), spec.y_axis, y), spec.x_axis, x)
+    table = _run(point, opts)
+    table["x_index"] = np.tile(np.arange(nx), ny)
+    table["y_index"] = np.repeat(np.arange(ny), nx)
+    table["x_value"] = x
+    table["y_value"] = y
+    return table
 
 
 def grid_columns(spec: GridSpec) -> list[str]:
@@ -478,37 +494,63 @@ def grid_columns(spec: GridSpec) -> list[str]:
     return head + [c for c in spec.outputs if c not in head]
 
 
-def grid_csv_rows(rows: list[dict], spec: GridSpec) -> list[dict]:
+def grid_csv_rows(rows: Table, spec: GridSpec) -> Table:
     """Project grid rows for emission: axis-name columns carry the raw
     coordinates."""
-    out = []
-    for row in rows:
-        projected = dict(row)
-        projected[spec.x_axis] = row["x_value"]
-        projected[spec.y_axis] = row["y_value"]
-        out.append(projected)
+    out = rows.copy()
+    out[spec.x_axis] = rows["x_value"]
+    out[spec.y_axis] = rows["y_value"]
     return out
 
 
 def format_cell(value) -> str:
+    if isinstance(value, str):
+        return value
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+    if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
+        return _FLOAT_CELL % float(value)
     return str(value)
 
 
-def write_csv(rows: Iterable[dict], columns: list[str], out: TextIO) -> None:
+_FLOAT_CELL = "%.17g"
+_CHUNK_ROWS = 1024
+
+
+def _format_column(values) -> list[str]:
+    """The CSV cells of one column: float arrays through one %-format, other
+    values cell by cell."""
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind == "f":
+            # a column that does not depend on the swept axis repeats one
+            # value: format each distinct bit pattern (so -0.0 apart from 0.0) once
+            bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+            text = list(map(_FLOAT_CELL.__mod__, bits.view(np.float64).tolist()))
+            return list(map(text.__getitem__, inverse.tolist()))
+        values = values.tolist()
+    return list(map(format_cell, values))
+
+
+def write_csv(rows: Table | Iterable[dict], columns: list[str], out: TextIO) -> None:
+    """Header plus one line per row, formatted column by column in chunks.
+
+    `rows` is a Table, or any iterable of row dicts (a missing key is an
+    empty cell).
+    """
+    if not isinstance(rows, Table):
+        rows = list(rows)
+        rows = Table({c: [row.get(c) for row in rows] for c in columns})
     out.write(",".join(columns) + "\n")
-    for row in rows:
-        out.write(",".join(format_cell(row.get(c)) for c in columns) + "\n")
+    for start in range(0, len(rows), _CHUNK_ROWS):
+        cells = [_format_column(rows[c][start : start + _CHUNK_ROWS]) for c in columns]
+        out.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
-def rows_to_csv(rows: Iterable[dict], columns: list[str]) -> str:
+def rows_to_csv(rows: Table | Iterable[dict], columns: list[str]) -> str:
     import io
 
     buf = io.StringIO()
@@ -516,14 +558,10 @@ def rows_to_csv(rows: Iterable[dict], columns: list[str]) -> str:
     return buf.getvalue()
 
 
-def laser_rows(rows: list[dict]) -> list[dict]:
+def laser_rows(rows: Table) -> Table:
     """Project full pipeline rows onto the laser sweep's external columns."""
-    out = []
-    for row in rows:
-        projected = {ext: row.get(key) for ext, key in LASER_SWEEP_COLUMNS}
-        err = row.get("error") or row.get("laser_error") or ""
-        projected["error"] = err
-        out.append(projected)
+    out = Table({ext: rows[key] for ext, key in LASER_SWEEP_COLUMNS})
+    out["error"] = np.where(rows["error"] != "", rows["error"], rows["laser_error"])
     return out
 
 

@@ -5,11 +5,18 @@ term is negligible (or safely kept) only if its coupling magnitude is small
 against that mismatch. A mismatch below `resonance_floor` is not a validity
 ratio at all but a frequency-matching working point, and is flagged as such
 instead of producing a huge ratio.
+
+Like the couplings they are built from, the ratios and flags are bools and
+floats for one point, or arrays over many points.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
+
+from .elementwise import ops
 
 SMALLNESS_DEFAULT = 0.1
 RESONANCE_FLOOR_DEFAULT = 1e-9
@@ -33,16 +40,23 @@ class ValidityReport:
 
     @property
     def all_small(self) -> bool:
-        return all(t.small for t in self.terms if not t.resonance_hit)
+        return reduce(operator.and_, (t.small | t.resonance_hit for t in self.terms))
 
     @property
     def any_resonance(self) -> bool:
-        return any(t.resonance_hit for t in self.terms)
+        return reduce(operator.or_, (t.resonance_hit for t in self.terms))
 
     @property
     def max_ratio(self) -> float:
-        finite = [t.ratio for t in self.terms if not t.resonance_hit]
-        return max(finite, default=0.0)
+        """Largest ratio over the terms without a resonance hit, 0 if none."""
+        xp = ops(self.terms[0].ratio)
+        best, seen = 0.0, False
+        for t in self.terms:
+            # as max(): the first candidate, then any strictly larger one
+            take = xp.not_(t.resonance_hit) & (xp.not_(seen) | (t.ratio > best))
+            best = xp.where(take, t.ratio, best)
+            seen = seen | xp.not_(t.resonance_hit)
+        return best
 
     def term(self, name: str) -> RwaTerm:
         for t in self.terms:
@@ -58,15 +72,19 @@ def make_term(
     smallness: float,
     resonance_floor: float,
 ) -> RwaTerm:
-    gap = min(abs(g) for g in gaps)
+    xp = ops(coupling_abs)
+    gap = abs(gaps[0])
+    for g in gaps[1:]:
+        # as min(): keep the first of equal gaps
+        gap = xp.where(abs(g) < gap, abs(g), gap)
     hit = gap < resonance_floor
-    ratio = math.inf if hit else coupling_abs / gap
+    ratio = xp.div(coupling_abs, gap, hit, math.inf)
     return RwaTerm(
         name=name,
         coupling_abs=coupling_abs,
         gap=gap,
         ratio=ratio,
-        small=(not hit) and ratio <= smallness,
+        small=xp.not_(hit) & (ratio <= smallness),
         resonance_hit=hit,
     )
 
@@ -100,3 +118,33 @@ def build_report(
         make_term("gp12", gp12_abs, [w1 - w2 - omega_m, w1 - w2 + omega_m], smallness, resonance_floor),
     )
     return ValidityReport(terms=terms, smallness=smallness, resonance_floor=resonance_floor)
+
+
+def rwa_validity(
+    c,
+    omega_m: float = 1.0,
+    smallness: float = SMALLNESS_DEFAULT,
+    resonance_floor: float = RESONANCE_FLOOR_DEFAULT,
+) -> ValidityReport:
+    """Smallness ratios for every term kept or dropped around a branch.
+
+    `c` is the TmsCouplings or BsCouplings of either branch; both share the
+    coupling shape (w1, w2, g1, g2, g11, g22, g12, gp12). For the
+    beam-splitter branch a resonance hit on the gp12 term marks the
+    triple-resonance working point of the phonon laser rather than a
+    validity failure.
+    """
+    cabs = ops(c.w1).cabs
+    return build_report(
+        w1=c.w1,
+        w2=c.w2,
+        omega_m=omega_m,
+        g1=c.g1,
+        g2=c.g2,
+        g11_abs=cabs(c.g11),
+        g22_abs=cabs(c.g22),
+        g12_abs=cabs(c.g12),
+        gp12_abs=cabs(c.gp12),
+        smallness=smallness,
+        resonance_floor=resonance_floor,
+    )

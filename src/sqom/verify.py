@@ -17,13 +17,13 @@ from . import oracle
 from .branch_bs import bs_couplings
 from .branch_tms import tms_couplings
 from .errors import TmsUnstable
+from .oracle import METRIC_TOL
 from .params import PhysicalParams, ValidatedParams, validate
 from .regime import Branch
 from .stage1 import stage1_transform
 
 IDENTITY_RTOL = 1e-10
 ORACLE_RTOL = 1e-9
-METRIC_TOL = 1e-12
 
 
 def random_valid_params(rng: np.random.Generator) -> ValidatedParams:
