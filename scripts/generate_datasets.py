@@ -43,8 +43,10 @@ from sqom import (  # noqa: E402
     validate,
 )
 from sqom.branch_bs import bs_couplings  # noqa: E402
+from sqom.contours import CONTOUR_COLUMNS, contour_table  # noqa: E402
 from sqom.sweep import (  # noqa: E402
     LASER_COLUMN_NAMES,
+    Table,
     grid_columns,
     grid_csv_rows,
     laser_rows,
@@ -80,17 +82,14 @@ def _grid_field(rows, spec, name):
     return rows[name].reshape(spec.y_steps, spec.x_steps)
 
 
-def _contour_rows(xs, ys, field_name, field, levels):
-    cs = extract_contours(xs, ys, field, levels)
-    rows = []
-    for level in cs.levels:
-        for pid, line in enumerate(cs.polylines[level]):
-            for vid, (x, y) in enumerate(line):
-                rows.append(
-                    {"field": field_name, "level": level, "polyline": pid,
-                     "vertex": vid, "x": x, "y": y}
-                )
-    return rows
+def _contours(grows, spec, levels_by_field):
+    """The contour rows of several fields of a grid, one field after another."""
+    xs, ys = spec.x_values(), spec.y_values()
+    tables = [
+        contour_table(extract_contours(xs, ys, _grid_field(grows, spec, name), levels), name)
+        for name, levels in levels_by_field
+    ]
+    return Table({c: np.concatenate([t[c] for t in tables]) for c in CONTOUR_COLUMNS})
 
 
 def strong_drive_datasets(outdir: Path):
@@ -110,13 +109,8 @@ def strong_drive_datasets(outdir: Path):
     grows = run_grid(STRONG_DRIVE, gspec)
     _write(outdir / "strong_drive_grid.csv", grid_csv_rows(grows, gspec), grid_columns(gspec))
 
-    xs, ys = gspec.x_values(), gspec.y_values()
-    crows = []
-    crows += _contour_rows(xs, ys, "f1", _grid_field(grows, gspec, "f1"), [10.0])
-    crows += _contour_rows(xs, ys, "tms_g2", _grid_field(grows, gspec, "tms_g2"), [0.1])
-    crows += _contour_rows(xs, ys, "tms_eta", _grid_field(grows, gspec, "tms_eta"), [0.05])
-    _write(outdir / "strong_drive_contours.csv", crows,
-           ["field", "level", "polyline", "vertex", "x", "y"])
+    crows = _contours(grows, gspec, [("f1", [10.0]), ("tms_g2", [0.1]), ("tms_eta", [0.05])])
+    _write(outdir / "strong_drive_contours.csv", crows, CONTOUR_COLUMNS)
 
 
 def boundary_datasets(outdir: Path):
@@ -128,12 +122,8 @@ def boundary_datasets(outdir: Path):
     grows = run_grid(BOUNDARY, gspec)
     _write(outdir / "boundary_grid.csv", grid_csv_rows(grows, gspec), grid_columns(gspec))
 
-    xs, ys = gspec.x_values(), gspec.y_values()
-    crows = []
-    crows += _contour_rows(xs, ys, "f1", _grid_field(grows, gspec, "f1"), [10.0])
-    crows += _contour_rows(xs, ys, "f2", _grid_field(grows, gspec, "f2"), [0.0])
-    _write(outdir / "boundary_contours.csv", crows,
-           ["field", "level", "polyline", "vertex", "x", "y"])
+    crows = _contours(grows, gspec, [("f1", [10.0]), ("f2", [0.0])])
+    _write(outdir / "boundary_contours.csv", crows, CONTOUR_COLUMNS)
 
     spec = SweepSpec(
         axis="delta_phi", start=0.0, stop=TWO_PI, steps=401,

@@ -112,7 +112,7 @@ def tms_couplings(s: Stage1Result, p: ValidatedParams) -> TmsCouplings:
         gp12=gp12,
         f_prime=f_prime,
         c_prime=c_prime,
-        eta=g1 / g2,
+        eta=xp.div(g1, g2, refused, math.nan),  # 0/0 = NaN for g0 = 0
     )
 
 

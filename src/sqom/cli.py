@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import math
 import sys
 
 import numpy as np
 
-from .contours import extract_contours
+from .contours import CONTOUR_COLUMNS, contour_table, extract_contours
 from .errors import ConfigError, SqomError
 from .params import load_config
 from .sweep import (
@@ -111,25 +112,31 @@ def cmd_laser_sweep(args) -> int:
     return 0
 
 
+def _parsed(cells, convert) -> list:
+    """convert(cell) for each cell, called once per distinct cell in order of
+    first appearance, so a bad cell raises as in a row-by-row pass."""
+    distinct = {cell: convert(cell) for cell in dict.fromkeys(cells)}
+    return list(map(distinct.__getitem__, cells))
+
+
 def _read_grid_csv(path: str, field: str | None):
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        names = next(reader, None)
+        if names is None:
             raise ConfigError(f"grid file {path} is empty")
-        names = list(reader.fieldnames)
         required = {"x_index", "y_index"}
         if not required <= set(names):
             raise ConfigError(
                 f"grid file {path} lacks x_index/y_index columns; "
                 "produce it with the `grid` subcommand"
             )
-        rows = list(reader)
+        rows = [row for row in reader if row]  # blank lines carry no row
     if not rows:
         raise ConfigError(f"grid file {path} has no data rows")
     x_axis, y_axis = names[2], names[3]
     non_numeric = {name for name, kind in COLUMN_SCHEMA if kind != "float"}
-    value_columns = [n for n in names[4:]]
-    numeric = [n for n in value_columns if n not in non_numeric]
+    numeric = [n for n in names[4:] if n not in non_numeric]
     if field is None:
         if len(numeric) != 1:
             raise ConfigError(
@@ -140,17 +147,17 @@ def _read_grid_csv(path: str, field: str | None):
     elif field not in numeric:
         raise ConfigError(f"--field {field!r} not among numeric grid columns {numeric}")
 
-    nx = max(int(r["x_index"]) for r in rows) + 1
-    ny = max(int(r["y_index"]) for r in rows) + 1
-    xs = np.full(nx, np.nan)
-    ys = np.full(ny, np.nan)
-    values = np.full((ny, nx), np.nan)
-    for r in rows:
-        xi, yi = int(r["x_index"]), int(r["y_index"])
-        xs[xi] = float(r[x_axis])
-        ys[yi] = float(r[y_axis])
-        cell = r[field]
-        values[yi, xi] = float(cell) if cell not in ("", None) else math.nan
+    # a short row has empty trailing cells; of a repeated name, the last column counts
+    columns = dict(zip(names, itertools.zip_longest(*rows, fillvalue="")))
+    xi = np.array(_parsed(columns["x_index"], int))
+    yi = np.array(_parsed(columns["y_index"], int))
+    xs = np.full(xi.max() + 1, np.nan)
+    ys = np.full(yi.max() + 1, np.nan)
+    values = np.full((ys.size, xs.size), np.nan)
+    # the last row for an index wins
+    xs[xi] = _parsed(columns[x_axis], float)
+    ys[yi] = _parsed(columns[y_axis], float)
+    values[yi, xi] = [float(cell) if cell else math.nan for cell in columns[field]]
     if np.isnan(xs).any() or np.isnan(ys).any():
         raise ConfigError(f"grid file {path} does not cover the full index range")
     return xs, ys, values, field
@@ -159,23 +166,9 @@ def _read_grid_csv(path: str, field: str | None):
 def cmd_contours(args) -> int:
     xs, ys, values, field = _read_grid_csv(args.grid, args.field)
     contour_set = extract_contours(xs, ys, values, args.level)
-    rows = []
-    for level in contour_set.levels:
-        for poly_id, line in enumerate(contour_set.polylines[level]):
-            for vertex_id, (x, y) in enumerate(line):
-                rows.append(
-                    {
-                        "field": field,
-                        "level": level,
-                        "polyline": poly_id,
-                        "vertex": vertex_id,
-                        "x": x,
-                        "y": y,
-                    }
-                )
     for level in contour_set.empty_levels():
         print(f"note: level {level:g} never crosses field {field}", file=sys.stderr)
-    _emit(rows, ["field", "level", "polyline", "vertex", "x", "y"], args.out)
+    _emit(contour_table(contour_set, field), CONTOUR_COLUMNS, args.out)
     return 0
 
 

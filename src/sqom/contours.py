@@ -1,16 +1,23 @@
 """Marching-squares contour extraction from a sampled scalar grid.
 
-Plain linear-interpolation marching squares on the cell edges, with two
-policies relevant to sweep data: cells touching a NaN sample (the sweep
-sentinel for per-point failures) are skipped entirely, and saddle cells are
-resolved by the cell-centre average. Segments are chained into polylines
-deterministically (row-major cell order, endpoint matching on a rounded key).
+Plain linear-interpolation marching squares on the cell edges (case table of
+Lorensen & Cline, SIGGRAPH 1987), with two policies relevant to sweep data:
+cells touching a non-finite sample (NaN is the sweep sentinel for per-point
+failures) are skipped entirely, and saddle cells are resolved by the
+cell-centre average. One numpy pass per level gives every cell its case
+index; edge points are computed for the crossing cells only. Segments are
+chained into polylines deterministically (row-major cell order, endpoint
+matching on a rounded key).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from .sweep import Table
+
+CONTOUR_COLUMNS = ("field", "level", "polyline", "vertex", "x", "y")
 
 
 @dataclass(frozen=True)
@@ -29,13 +36,10 @@ class ContourSet:
         return tuple(lv for lv in self.levels if not self.polylines[lv])
 
 
-def _edge_point(xa, ya, va, xb, yb, vb, level):
-    # va, vb straddle the level; linear interpolation along the edge
-    t = (level - va) / (vb - va)
-    return (xa + t * (xb - xa), ya + t * (yb - ya))
-
-
-_EDGES = {  # case index -> list of (edge_a, edge_b) segments
+# Corner k of cell (i, j) is (i, j), (i+1, j), (i+1, j+1), (i, j+1) for
+# k = 0..3; edge k runs from corner k to corner k+1 (mod 4). Bit k of the
+# case index is set when corner k is >= the level.
+_EDGES = {  # case index -> (edge_a, edge_b) segments
     1: [(3, 0)],
     2: [(0, 1)],
     3: [(3, 1)],
@@ -49,84 +53,62 @@ _EDGES = {  # case index -> list of (edge_a, edge_b) segments
     13: [(1, 0)],
     14: [(0, 3)],
 }
+_SADDLES = {  # (case index, centre >= level) -> segments
+    (5, True): [(3, 0), (1, 2)],
+    (5, False): [(3, 2), (1, 0)],
+    (10, True): [(0, 1), (2, 3)],
+    (10, False): [(0, 3), (2, 1)],
+}
 
 
-def _cell_segments(xs, ys, field, i, j, level):
-    """Line segments crossing grid cell (i, j) (corner = lower-left index)."""
-    corners = [
-        (xs[i], ys[j], field[j, i]),
-        (xs[i + 1], ys[j], field[j, i + 1]),
-        (xs[i + 1], ys[j + 1], field[j + 1, i + 1]),
-        (xs[i], ys[j + 1], field[j + 1, i]),
-    ]
-    values = [c[2] for c in corners]
-    if any(not np.isfinite(v) for v in values):
-        return []
-    case = 0
-    for bit, v in enumerate(values):
-        # >= : a corner exactly on the level counts as above, so a contour
-        # through a grid node yields clean crossings, not zero-length stubs
-        if v >= level:
-            case |= 1 << bit
-    if case in (0, 15):
-        return []
-
-    def point(edge):
-        a, b = edge, (edge + 1) % 4
-        return _edge_point(*corners[a], *corners[b], level)
-
-    if case in (5, 10):
-        # saddle: disambiguate with the cell-centre average
-        centre_above = (sum(values) / 4.0) >= level
-        if case == 5:
-            pairs = [(3, 0), (1, 2)] if centre_above else [(3, 2), (1, 0)]
-        else:
-            pairs = [(0, 1), (2, 3)] if centre_above else [(0, 3), (2, 1)]
-    else:
-        pairs = _EDGES[case]
-    return [(point(a), point(b)) for a, b in pairs]
+def _segment_table() -> np.ndarray:
+    """table[case, centre >= level] holds up to two (edge_a, edge_b) pairs;
+    -1 pads the cases with one segment."""
+    table = np.full((16, 2, 2, 2), -1)
+    for case, pairs in _EDGES.items():
+        table[case, :, : len(pairs)] = pairs
+    for (case, above), pairs in _SADDLES.items():
+        table[case, int(above)] = pairs
+    return table
 
 
-def _chain(segments):
-    """Join segments sharing endpoints into polylines, deterministically."""
+_SEGMENTS = _segment_table()
 
-    def key(pt):
-        return (round(pt[0], 12), round(pt[1], 12))
 
-    segments = [(a, b) for a, b in segments if key(a) != key(b)]
-    unused = list(range(len(segments)))
+def _chain(px: np.ndarray, py: np.ndarray) -> list[np.ndarray]:
+    """Join segments sharing endpoints into polylines, deterministically.
+
+    Segment k runs from endpoint 2k to endpoint 2k+1 of (px, py). Endpoints
+    meet where their coordinates rounded to 12 decimals agree; this is
+    numpy's rounding, the one `round` applies to numpy floats. A segment
+    whose two ends meet has zero length and is dropped.
+    """
+    keys = list(zip(np.round(px, 12).tolist(), np.round(py, 12).tolist()))
+    segments = [k for k in range(len(keys) // 2) if keys[2 * k] != keys[2 * k + 1]]
     by_end: dict[tuple, list[int]] = {}
-    for idx, (a, b) in enumerate(segments):
-        by_end.setdefault(key(a), []).append(idx)
-        by_end.setdefault(key(b), []).append(idx)
+    for k in segments:
+        by_end.setdefault(keys[2 * k], []).append(k)
+        by_end.setdefault(keys[2 * k + 1], []).append(k)
 
-    used = [False] * len(segments)
+    used = [False] * (len(keys) // 2)
     polylines = []
-    for start in unused:
+    for start in segments:
         if used[start]:
             continue
         used[start] = True
-        a, b = segments[start]
-        line = [a, b]
+        head, line, tail = [], [2 * start, 2 * start + 1], []
         # grow forward from the tail, then backward from the head
-        for grow_tail in (True, False):
+        for grow, end in ((tail, 2 * start + 1), (head, 2 * start)):
             while True:
-                end = line[-1] if grow_tail else line[0]
-                nxt = None
-                for idx in by_end.get(key(end), []):
-                    if not used[idx]:
-                        nxt = idx
-                        break
+                key = keys[end]
+                nxt = next((k for k in by_end[key] if not used[k]), None)
                 if nxt is None:
                     break
                 used[nxt] = True
-                sa, sb = segments[nxt]
-                new_pt = sb if key(sa) == key(end) else sa
-                if grow_tail:
-                    line.append(new_pt)
-                else:
-                    line.insert(0, new_pt)
-        polylines.append(np.array(line, dtype=float))
+                end = 2 * nxt + 1 if keys[2 * nxt] == key else 2 * nxt
+                grow.append(end)
+        points = head[::-1] + line + tail
+        polylines.append(np.column_stack((px[points], py[points])))
     return polylines
 
 
@@ -154,11 +136,50 @@ def extract_contours(
         )
     if any(not np.isfinite(lv) for lv in levels):
         raise ValueError("contour levels must be finite")
+    corners = (f[:-1, :-1], f[:-1, 1:], f[1:, 1:], f[1:, :-1])
+    finite = np.logical_and.reduce([np.isfinite(v) for v in corners])
     result: dict[float, list[np.ndarray]] = {}
     for level in levels:
-        segments = []
-        for j in range(ys.size - 1):
-            for i in range(xs.size - 1):
-                segments.extend(_cell_segments(xs, ys, f, i, j, level))
-        result[level] = _chain(segments)
+        # >= : a corner exactly on the level counts as above, so a contour
+        # through a grid node yields clean crossings, not zero-length stubs
+        case = sum((v >= level).astype(np.intp) << bit for bit, v in enumerate(corners))
+        j, i = np.nonzero(finite & (case != 0) & (case != 15))  # row-major cell order
+        v = [c[j, i] for c in corners]
+        cx = (xs[i], xs[i + 1], xs[i + 1], xs[i])
+        cy = (ys[j], ys[j], ys[j + 1], ys[j + 1])
+        # the point where the level crosses each edge; only the edges a
+        # segment uses straddle the level, the others are never read
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            t = [(level - v[a]) / (v[(a + 1) % 4] - v[a]) for a in range(4)]
+            ex = np.column_stack([cx[a] + t[a] * (cx[(a + 1) % 4] - cx[a]) for a in range(4)])
+            ey = np.column_stack([cy[a] + t[a] * (cy[(a + 1) % 4] - cy[a]) for a in range(4)])
+            # saddles (cases 5 and 10) follow the cell-centre average
+            centre_above = (v[0] + v[1] + v[2] + v[3]) / 4.0 >= level
+        pairs = _SEGMENTS[case[j, i], centre_above.astype(np.intp)]  # (cell, segment, end)
+        cell, segment = np.nonzero(pairs[:, :, 0] >= 0)
+        edge = pairs[cell, segment]  # (segment, end): the edge of each endpoint
+        result[level] = _chain(ex[cell[:, None], edge].ravel(), ey[cell[:, None], edge].ravel())
     return ContourSet(levels=tuple(levels), polylines=result)
+
+
+def contour_table(contour_set: ContourSet, field: str) -> Table:
+    """One row per polyline vertex, in CONTOUR_COLUMNS; polylines are
+    numbered from 0 within each level, vertices from 0 within each polyline."""
+    lines = [
+        (level, number, line)
+        for level in contour_set.levels
+        for number, line in enumerate(contour_set.polylines[level])
+    ]
+    counts = np.array([len(line) for *_, line in lines], dtype=int)
+    xy = np.concatenate([line for *_, line in lines]) if lines else np.empty((0, 2))
+    first = np.repeat(np.cumsum(counts) - counts, counts)  # row of each polyline's vertex 0
+    return Table(
+        {
+            "field": np.full(len(xy), field),
+            "level": np.repeat(np.array([lv for lv, _, _ in lines], dtype=float), counts),
+            "polyline": np.repeat(np.array([k for _, k, _ in lines], dtype=int), counts),
+            "vertex": np.arange(len(xy)) - first,
+            "x": xy[:, 0],
+            "y": xy[:, 1],
+        }
+    )

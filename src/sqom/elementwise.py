@@ -69,8 +69,11 @@ class Scalar:
 
     @staticmethod
     def div(num, den, skip, fill):
-        """num / den, or `fill` where `skip` holds (the division is then not evaluated)."""
-        return fill if skip else num / den
+        """num / den, or `fill` where `skip` holds (the division is then not
+        evaluated). A zero `den` gives IEEE's signed infinity or NaN, as on arrays."""
+        if skip:
+            return fill
+        return num / den if den else num * math.copysign(math.inf, den)
 
     @staticmethod
     def refuse(bad, error, *args):

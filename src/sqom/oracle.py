@@ -322,15 +322,21 @@ def rwa_error_report(
     p: ValidatedParams,
     branch: Branch,
     s: Stage1Result | None = None,
+    form: QuadraticForm | None = None,
+    freqs: SymplecticFrequencies | None = None,
 ) -> RwaErrorReport:
     """Quantify the rotating-wave truncation for the chosen branch.
 
-    Builds the photonic form, the branch couplings and both rotations once.
+    Builds the branch couplings and both rotations once. The photonic form
+    of `p` and its symplectic frequencies are built here unless given (the
+    reports of both branches of one point can share them).
     """
     if s is None:
         s = stage1_transform(p)
-    form = build_photonic_form(p)
-    freqs = symplectic_frequencies(form)
+    if form is None:
+        form = build_photonic_form(p)
+    if freqs is None:
+        freqs = symplectic_frequencies(form)
     T1 = stage1_map(p, s)
     c, T2, analytic = _second_stage(p, branch, s, "rwa_error_report")
     if branch is Branch.TWO_MODE_SQUEEZING:

@@ -409,14 +409,14 @@ def analyze(params: PhysicalParams, opts: PipelineOptions = PipelineOptions()) -
         return row
 
     vp, s = item(vp), item(s)
+    form = oracle.build_photonic_form(vp)
+    freqs = oracle.symplectic_frequencies(form)
     reports = {}
     for member in (Branch.TWO_MODE_SQUEEZING, Branch.BEAM_SPLITTER):
         try:
-            reports[member] = oracle.rwa_error_report(vp, member, s)
+            reports[member] = oracle.rwa_error_report(vp, member, s, form, freqs)
         except TmsUnstable:
             continue
-    # the beam-splitter mixing never refuses, so there is always a report
-    freqs = next(iter(reports.values())).freqs
     row["oracle_nu1"] = freqs.nu1
     row["oracle_nu2"] = freqs.nu2
     row["oracle_stable"] = freqs.stable

@@ -38,6 +38,17 @@ def test_analyze_stdout(laser_config, capsys):
     assert "bs" in row.split(",")
 
 
+def test_analyze_zero_g0(tmp_path, capsys):
+    # eta = g1/g2 is 0/0 there: NaN, as in a sweep, not a ZeroDivisionError
+    path = tmp_path / "g0.json"
+    path.write_text(json.dumps(dict(BOUNDARY_PARAMS, g0=0.0)))
+    assert main(["analyze", "--config", str(path)]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["tms_eta"] == "nan"
+    assert cells["error"] == "" and cells["tms_error"] == ""
+
+
 def test_unknown_config_key_exit_1(tmp_path, capsys):
     bad = dict(LASER_PARAMS)
     bad["lamda1"] = 1.0

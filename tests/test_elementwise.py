@@ -7,8 +7,8 @@ through `float.hex`, so a flipped last bit, a signed zero or a moved NaN
 fails. A point where the scalar call raises a per-point refusal must come
 back as NaN from the array call.
 
-g0 stays positive: at g0 = 0 the scalar two-mode-squeezing branch divides
-0 by 0 (eta = g1/g2) and raises ZeroDivisionError, which has no array analog.
+g0 = 0 is drawn too: the two-mode-squeezing eta = g1/g2 is then 0/0, NaN on
+both paths.
 """
 import math
 from dataclasses import fields
@@ -94,7 +94,7 @@ def points(draw):
         lambda1=draw(drives(delta1)),
         lambda2=draw(drives(delta2)),
         j_hop=draw(st.sampled_from([0.0, 0.1]) | st.floats(0.0, 50.0)),
-        g0=draw(st.floats(1e-4, 0.1)),
+        g0=draw(st.sampled_from([0.0]) | st.floats(1e-4, 0.1)),
         kappa=draw(RATES),
         gamma_m=draw(RATES),
         phi_d1=draw(PHASES),
@@ -238,3 +238,15 @@ def test_laser_array_equals_pointwise(items, n_plus, n_minus):
             assert math.isnan(res.n_threshold[i]) and math.isnan(res.p_threshold[i])
         else:
             assert_same(res, want, i)
+
+
+@given(st.lists(st.tuples(ANY_FLOAT, st.sampled_from([0.0, -0.0]) | ANY_FLOAT), min_size=1))
+@settings(max_examples=60, deadline=None)
+def test_division_by_zero_matches_arrays(pairs):
+    """A zero denominator gives IEEE's signed infinity or NaN on both paths."""
+    num = np.array([a for a, _ in pairs])
+    den = np.array([b for _, b in pairs])
+    got = Array.div(num, den, False, NAN).tolist()
+    for (a, b), g in zip(pairs, got):
+        want = Scalar.div(a, b, False, NAN)
+        assert math.isnan(g) if math.isnan(want) else _bits(g) == _bits(want), (a, b)

@@ -53,6 +53,13 @@ CASES = {
         "--x-steps", "109", "--y-axis", "delta_phi", "--y-from", "0", "--y-to", TWO_PI,
         "--y-steps", "109", "--outputs", "f1,f2,branch",
     ),
+    # contoured below; the same bytes as strong_drive_grid.csv of
+    # scripts/generate_datasets.py
+    "grid_strong_101": (
+        "grid", "strong", "--x-axis", "lambda1", "--x-from", "1995", "--x-to", "1999.95",
+        "--x-steps", "101", "--y-axis", "delta_phi", "--y-from", "0", "--y-to", TWO_PI,
+        "--y-steps", "101", "--outputs", "f1,f2,tms_g1,tms_g2,tms_eta,branch",
+    ),
     "grid_strong_many_columns": (
         "grid", "strong", "--x-axis", "lambda1", "--x-from", "1995", "--x-to", "2001",
         "--x-steps", "13", "--y-axis", "delta_phi", "--y-from", "0", "--y-to", TWO_PI,
@@ -98,6 +105,7 @@ DIGESTS = {
     "analyze_stage1_unstable": "96dd37fe9b8cb281ea2091a0f90380e1cdff0a98a0eab5515e666f4f322b52e7",
     "analyze_strong": "bdbc3ba1996847489653afafcdc40b2b61c0b562a1b09931c77073f08fc59dc5",
     "grid_boundary_109": "6b45321f1db84ce153d4dad3ebf4f3d05f6c6965b8105d5f44f1314965f4946e",
+    "grid_strong_101": "3ee7f76ecbd88eb1a55620f9c534576fd9cd776f1e7e400faad568622a3b41ae",
     "grid_strong_many_columns": "2ea8bea4b4e0391264c2a8e3015c4528c50f90ba5643166929eeeef79de1b347",
     "laser_sweep_721": "9edeb7182c2c870322f0f5a52df6ca87e7532c5798fe360743ca78049b440ab6",
     "laser_sweep_n_plus": "bc958efa51847c0cb258bc7e06983d6a4d25af99dba6026591538e98ba041ac8",
@@ -129,3 +137,148 @@ def run_case(name, tmp_path) -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_bytes(name, tmp_path):
     assert run_case(name, tmp_path) == DIGESTS[name]
+
+
+# `sqom contours` on grid files written by `sqom grid`. These digests and
+# messages were captured from the cell-by-cell marching squares and the
+# row-dict grid read-back, before either was rewritten.
+
+# name -> (grid case, contours arguments after --grid PATH, stderr)
+CONTOUR_CASES = {
+    "boundary_f1_10": ("grid_boundary_109", ("--field", "f1", "--level", "10"), ""),
+    "boundary_f2_0": ("grid_boundary_109", ("--field", "f2", "--level", "0"), ""),
+    "boundary_f1_two_levels": (
+        "grid_boundary_109", ("--field", "f1", "--level", "10", "--level", "2"), "",
+    ),
+    # the refused two-mode-squeezing points leave NaN cells in these fields
+    "strong_tms_g2": ("grid_strong_101", ("--field", "tms_g2", "--level", "0.1"), ""),
+    "strong_tms_eta": ("grid_strong_101", ("--field", "tms_eta", "--level", "0.05"), ""),
+    "boundary_empty_level": (
+        "grid_boundary_109", ("--field", "f2", "--level", "100", "--level", "0"),
+        "note: level 100 never crosses field f2\n",
+    ),
+}
+
+CONTOUR_DIGESTS = {
+    "boundary_empty_level": "7ee58d71237f3e12f4dea8051afa3c03ee9f448c8032076951fa1a774659a42f",
+    "boundary_f1_10": "054661fe038e1ef2e7d1dc2be41fb6b5281f7d3032df1c2ad8f1378e27a82577",
+    "boundary_f1_two_levels": "897df512da13d5a6e838a723c44a2f186409c7a8840e44e70529c1c8d648ff53",
+    "boundary_f2_0": "7ee58d71237f3e12f4dea8051afa3c03ee9f448c8032076951fa1a774659a42f",
+    "strong_tms_eta": "b4a4a32d77c35a13bbcca990bda0814b93860094ce89c84b0e6dd561e74aefc8",
+    "strong_tms_g2": "b46f49f427df90c82a6b435c6b7e6f9c62f83376611f9bc7ee21289ea4ff0481",
+}
+
+
+@pytest.fixture(scope="module")
+def grid_files(tmp_path_factory):
+    """Grid case name -> path of its CSV, each written once per module."""
+    tmp = tmp_path_factory.mktemp("grids")
+    paths = {}
+    for name in ("grid_boundary_109", "grid_strong_101"):
+        command, label, *rest = CASES[name]
+        config = tmp / f"{label}.json"
+        config.write_text(json.dumps(CONFIGS[label]))
+        paths[name] = tmp / f"{name}.csv"
+        assert main([command, "--config", str(config), *rest, "--out", str(paths[name])]) == 0
+    return paths
+
+
+def _contours(grid, args, out, capsys):
+    code = main(["contours", "--grid", str(grid), *args, "--out", str(out)])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(CONTOUR_CASES))
+def test_contours_output_bytes(name, grid_files, tmp_path, capsys):
+    grid, args, stderr = CONTOUR_CASES[name]
+    out = tmp_path / "contours.csv"
+    assert _contours(grid_files[grid], args, out, capsys) == (0, stderr)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CONTOUR_DIGESTS[name]
+
+
+# A hand-written 5x4 grid file, f1 = x_index + 2*y_index, one non-numeric
+# column; edge cases of the read-back edit its lines.
+GRID_HEADER = "x_index,y_index,lam,phase,f1,branch"
+GRID_LINES = [f"{i},{j},{0.5 * i!r},{j}.0,{i + 2 * j}.0,bs" for j in range(4) for i in range(5)]
+
+
+def _edited(drop=(), replace=None, append=(), header=GRID_HEADER):
+    lines = [line for k, line in enumerate(GRID_LINES) if k not in drop]
+    for k, line in (replace or {}).items():
+        lines[k] = line
+    return "\n".join([header, *lines, *append]) + "\n"
+
+
+# name -> (file text, contours arguments)
+READBACK_CASES = {
+    "complete": (_edited(), ()),
+    # a short row gives NaN in the cells it lacks
+    "short_row": (_edited(replace={6: "1,1,0.5,1.0"}), ()),
+    "empty_cell": (_edited(replace={7: "2,1,1.0,1.0,,bs"}), ()),
+    # the last row for an index wins
+    "repeated_index": (_edited(append=["2,1,1.0,1.0,9.5,tms"]), ()),
+    "blank_lines": (_edited(replace={4: "\n" + GRID_LINES[4]}, append=[""]), ()),
+    "rows_shuffled": ("\n".join([GRID_HEADER, *reversed(GRID_LINES)]) + "\n", ()),
+}
+
+READBACK_DIGESTS = {
+    "blank_lines": "7a56dbb656afb14d7587ac7c50dcf1f7739de9df7a70a01c70b6c1677c11c8c6",
+    "complete": "7a56dbb656afb14d7587ac7c50dcf1f7739de9df7a70a01c70b6c1677c11c8c6",
+    "empty_cell": "9e78e859023f34923dace38b8e0b9fd6dc8233b2124ae6eed5478bd2e4105573",
+    "repeated_index": "a206a6129b6245d3b6be43716da9ae5187b429cf408540fab9c23a24e12760cf",
+    "rows_shuffled": "7a56dbb656afb14d7587ac7c50dcf1f7739de9df7a70a01c70b6c1677c11c8c6",
+    "short_row": "08ac03a001ee27cd8b6ef03dfc7c45bc7156e5de93b198c64be0c39fac848d7f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(READBACK_CASES))
+def test_contours_grid_read_back(name, tmp_path, capsys):
+    text, args = READBACK_CASES[name]
+    grid = tmp_path / "grid.csv"
+    grid.write_text(text)
+    out = tmp_path / "contours.csv"
+    assert _contours(grid, (*args, "--level", "3.5", "--level", "6.25"), out, capsys) == (0, "")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == READBACK_DIGESTS[name]
+
+
+# name -> (file text, contours arguments, stderr with {path} for the grid file)
+READBACK_ERRORS = {
+    "empty_file": ("", (), "error: grid file {path} is empty\n"),
+    "header_only": (GRID_HEADER + "\n", (), "error: grid file {path} has no data rows\n"),
+    "no_index_columns": (
+        _edited(header="i,j,lam,phase,f1,branch"), (),
+        "error: grid file {path} lacks x_index/y_index columns; "
+        "produce it with the `grid` subcommand\n",
+    ),
+    "incomplete_coverage": (
+        _edited(drop=(2, 7, 12, 17)), (),
+        "error: grid file {path} does not cover the full index range\n",
+    ),
+    "non_integer_index": (
+        _edited(replace={3: "1.5,0,1.5,0.0,3.0,bs"}), (),
+        "error: invalid literal for int() with base 10: '1.5'\n",
+    ),
+    "field_ambiguous": (
+        _edited(header="x_index,y_index,lam,phase,f1,f2"), (),
+        "error: grid file has 2 candidate value columns (f1, f2); pick one with --field\n",
+    ),
+    "field_not_numeric": (
+        _edited(), ("--field", "branch"),
+        "error: --field 'branch' not among numeric grid columns ['f1']\n",
+    ),
+    "field_unknown": (
+        _edited(), ("--field", "f2"),
+        "error: --field 'f2' not among numeric grid columns ['f1']\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(READBACK_ERRORS))
+def test_contours_grid_read_back_errors(name, tmp_path, capsys):
+    text, args, stderr = READBACK_ERRORS[name]
+    grid = tmp_path / "grid.csv"
+    grid.write_text(text)
+    out = tmp_path / "contours.csv"
+    assert _contours(grid, (*args, "--level", "3.5"), out, capsys) == (
+        1, stderr.format(path=grid))
+    assert not out.exists()

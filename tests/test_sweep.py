@@ -200,3 +200,19 @@ def test_analyze_laser_block_matches_direct_laser_call():
     )
     assert row["laser_gain"] == res.gain
     assert row["laser_n_threshold"] == res.n_threshold
+
+
+def test_analyze_solves_the_photonic_form_once(monkeypatch):
+    from sqom import oracle
+
+    calls = {}
+    for name in ("build_photonic_form", "symplectic_frequencies"):
+        def counted(*args, _fn=getattr(oracle, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+
+        monkeypatch.setattr(oracle, name, counted)
+    row = analyze(strong_drive_set())  # both branches give a report here
+    assert not math.isnan(row["oracle_coeff_defect_tms"])
+    assert not math.isnan(row["oracle_coeff_defect_bs"])
+    assert calls == {"build_photonic_form": 1, "symplectic_frequencies": 1}
