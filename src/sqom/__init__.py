@@ -4,13 +4,10 @@ classification, phonon-laser gain/threshold, and an exact-diagonalization
 oracle that cross-checks every closed form.
 """
 
-from .branch_bs import BsCouplings, bs_couplings, rwa_validity_bs
-from .branch_tms import TmsCouplings, rwa_validity_tms, tms_couplings
 from .errors import (
     ConfigError,
     NegativeParameter,
     NonPositiveParameter,
-    NumericalDegeneracy,
     SqomError,
     Stage1Unstable,
     TmsUnstable,
@@ -18,19 +15,12 @@ from .errors import (
 )
 from .laser import (
     LaserInput,
-    LaserResult,
-    PhononNumber,
-    ThresholdResult,
     laser_point,
     mechanical_gain,
     phonon_number,
     threshold,
 )
 from .oracle import (
-    CoefficientSet,
-    LinearMap,
-    QuadraticForm,
-    SymplecticFrequencies,
     analytic_coefficients,
     build_photonic_form,
     conjugate_coupling,
@@ -38,16 +28,13 @@ from .oracle import (
     symplectic_frequencies,
 )
 from .params import (
-    Config,
     PhysicalParams,
-    ValidatedParams,
     canonical_delta_phi,
-    load_config,
     parse_config,
     validate,
 )
-from .regime import Branch, RegimeReport, classify
-from .stage1 import Stage1Result, squeeze_param, stage1_transform
+from .regime import Branch, classify
+from .stage1 import squeeze_param, stage1_transform
 from .sweep import (
     GridSpec,
     PipelineOptions,
@@ -57,43 +44,24 @@ from .sweep import (
     run_grid,
     run_sweep,
 )
-from .contours import ContourSet, extract_contours
-from .validity import RwaTerm, ValidityReport
+from .contours import extract_contours
 
 __all__ = [
     "Branch",
-    "BsCouplings",
-    "CoefficientSet",
-    "Config",
     "ConfigError",
-    "ContourSet",
     "GridSpec",
     "LaserInput",
-    "LaserResult",
-    "LinearMap",
     "NegativeParameter",
     "NonPositiveParameter",
-    "NumericalDegeneracy",
-    "PhononNumber",
     "PhysicalParams",
     "PipelineOptions",
-    "QuadraticForm",
-    "RegimeReport",
-    "RwaTerm",
     "SqomError",
-    "Stage1Result",
     "Stage1Unstable",
     "SweepSpec",
-    "SymplecticFrequencies",
-    "ThresholdResult",
-    "TmsCouplings",
     "TmsUnstable",
-    "ValidatedParams",
-    "ValidityReport",
     "ZeroCoupling",
     "analytic_coefficients",
     "analyze",
-    "bs_couplings",
     "build_photonic_form",
     "canonical_delta_phi",
     "classify",
@@ -101,20 +69,16 @@ __all__ = [
     "evaluate_point",
     "extract_contours",
     "laser_point",
-    "load_config",
     "mechanical_gain",
     "parse_config",
     "phonon_number",
     "run_grid",
     "run_sweep",
     "rwa_error_report",
-    "rwa_validity_bs",
-    "rwa_validity_tms",
     "squeeze_param",
     "stage1_transform",
     "symplectic_frequencies",
     "threshold",
-    "tms_couplings",
     "validate",
 ]
 

@@ -16,11 +16,8 @@ unitary, so this stage has no stability precondition.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .elementwise import ops
 from .params import ValidatedParams
@@ -101,27 +98,3 @@ def bs_couplings(s: Stage1Result, p: ValidatedParams) -> BsCouplings:
         gp12=gp12,
     )
 
-
-def bs_raw_coefficients(s: Stage1Result, c: BsCouplings) -> dict[str, complex]:
-    """Normal-ordered monomial coefficients of the coupling operator.
-
-    Same key scheme as the two-mode-squeezing branch; the beam-splitter
-    rotation is number conserving, so the scalar part stays -f_disp.
-    """
-    return {
-        "n11": complex(-c.g1),
-        "n22": complex(-c.g2),
-        "n12": c.gp12,
-        "p11": c.g11,
-        "p22": c.g22,
-        "p12": c.g12,
-        "const": complex(-s.f_disp),
-    }
-
-
-def bs_map_blocks(c: BsCouplings) -> tuple[np.ndarray, np.ndarray]:
-    """(U, V) blocks of the mixing: a_s = U A + V A^dag (V = 0, unitary)."""
-    ch, sh = math.cos(0.5 * c.theta), math.sin(0.5 * c.theta)
-    e = cmath.exp(-1j * c.phi_big)
-    U = np.array([[ch, sh * e], [-sh * e.conjugate(), ch]], dtype=complex)
-    return U, np.zeros((2, 2), dtype=complex)

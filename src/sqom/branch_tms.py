@@ -19,11 +19,8 @@ but comes back with r = NaN, and NaN in every coupling derived from r.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .elementwise import ops
 from .errors import TmsUnstable
@@ -115,30 +112,3 @@ def tms_couplings(s: Stage1Result, p: ValidatedParams) -> TmsCouplings:
         eta=xp.div(g1, g2, refused, math.nan),  # 0/0 = NaN for g0 = 0
     )
 
-
-def tms_raw_coefficients(s: Stage1Result, c: TmsCouplings) -> dict[str, complex]:
-    """Normal-ordered monomial coefficients of the coupling operator.
-
-    Keys follow the conjugation oracle: n11/n22/n12 multiply
-    A_1^dag A_1, A_2^dag A_2, A_1^dag A_2; p11/p22/p12 multiply
-    A_1^2, A_2^2, A_1 A_2; 'const' is the scalar part. All are coefficients
-    of operators attached to (b^dag + b).
-    """
-    return {
-        "n11": complex(-c.g1),
-        "n22": complex(-c.g2),
-        "n12": -c.gp12,
-        "p11": c.g11,
-        "p22": c.g22,
-        "p12": c.g12,
-        "const": complex(-(s.f_disp + c.f_prime)),
-    }
-
-
-def tms_map_blocks(c: TmsCouplings) -> tuple[np.ndarray, np.ndarray]:
-    """(U, V) blocks of the rotation: a_s = U A + V A^dag."""
-    ch, sh = math.cosh(c.r), math.sinh(c.r)
-    e = cmath.exp(-1j * c.phi_big)
-    U = np.eye(2, dtype=complex) * ch
-    V = np.array([[0.0, sh * e], [sh * e, 0.0]], dtype=complex)
-    return U, V

@@ -53,11 +53,14 @@ _EDGES = {  # case index -> (edge_a, edge_b) segments
     13: [(1, 0)],
     14: [(0, 3)],
 }
+# Saddles follow the centre average: at or above the level, the centre joins
+# the two corners above and the segments cut off the two corners below;
+# below it, they cut off the two corners above.
 _SADDLES = {  # (case index, centre >= level) -> segments
-    (5, True): [(3, 0), (1, 2)],
-    (5, False): [(3, 2), (1, 0)],
-    (10, True): [(0, 1), (2, 3)],
-    (10, False): [(0, 3), (2, 1)],
+    (5, True): [(3, 2), (1, 0)],
+    (5, False): [(3, 0), (1, 2)],
+    (10, True): [(0, 3), (2, 1)],
+    (10, False): [(0, 1), (2, 3)],
 }
 
 

@@ -107,7 +107,7 @@ def _mod(x, m):
 
 
 def _div(num, den, skip, fill):
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return np.where(skip, fill, num / den)
 
 

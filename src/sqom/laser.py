@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from .elementwise import ops
 from .errors import ZeroCoupling
 
-EXP_CAP_DEFAULT = 700.0
-KAPPA_HIERARCHY_DEFAULT = 10.0
+EXP_CAP = 700.0
+KAPPA_HIERARCHY = 10.0
 
 
 @dataclass(frozen=True)
@@ -75,10 +75,10 @@ def mechanical_gain(inp: LaserInput, omega_m: float, kappa: float) -> float:
     return xp.square(inp.gp12_abs) * dn * kappa / (xp.square(detuning) + 0.25 * xp.square(kappa))
 
 
-def phonon_number(gain: float, gamma_m: float, exp_cap: float = EXP_CAP_DEFAULT) -> PhononNumber:
+def phonon_number(gain: float, gamma_m: float) -> PhononNumber:
     """Stimulated phonon number exp[2(gain - gamma_m)/gamma_m].
 
-    The exponent is capped (default 700, just below float overflow) because
+    The exponent is capped at EXP_CAP (700, just below float overflow) because
     the formula grows astronomically immediately above threshold; the cap is
     reported via the flag.
     """
@@ -86,8 +86,8 @@ def phonon_number(gain: float, gamma_m: float, exp_cap: float = EXP_CAP_DEFAULT)
     if xp.any(gamma_m <= 0.0):
         raise ValueError(f"gamma_m must be > 0, got {gamma_m}")
     exponent = 2.0 * (gain - gamma_m) / gamma_m
-    capped = exponent > exp_cap
-    return PhononNumber(value=xp.exp(xp.where(capped, exp_cap, exponent)), capped=capped)
+    capped = exponent > EXP_CAP
+    return PhononNumber(value=xp.exp(xp.where(capped, EXP_CAP, exponent)), capped=capped)
 
 
 def threshold(
@@ -122,17 +122,15 @@ def laser_point(
     omega_m: float,
     kappa: float,
     gamma_m: float,
-    exp_cap: float = EXP_CAP_DEFAULT,
-    kappa_hierarchy: float = KAPPA_HIERARCHY_DEFAULT,
 ) -> LaserResult:
     """Gain, phonon number and threshold for one working point.
 
     The gain formula presumes kappa >> gamma_m (the optical field follows the
     mechanics adiabatically); the ratio is reported and flagged when it falls
-    below `kappa_hierarchy`, without refusing the evaluation.
+    below KAPPA_HIERARCHY, without refusing the evaluation.
     """
     gain = mechanical_gain(inp, omega_m, kappa)
-    nb = phonon_number(gain, gamma_m, exp_cap)
+    nb = phonon_number(gain, gamma_m)
     th = threshold(inp.gp12_abs, inp.w1, inp.w2, omega_m, kappa, gamma_m)
     ratio = kappa / gamma_m
     return LaserResult(
@@ -143,5 +141,5 @@ def laser_point(
         p_threshold=th.p_threshold,
         w1_nonpositive=th.w1_nonpositive,
         kappa_over_gamma_m=ratio,
-        weak_sideband_hierarchy=ratio < kappa_hierarchy,
+        weak_sideband_hierarchy=ratio < KAPPA_HIERARCHY,
     )

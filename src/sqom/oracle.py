@@ -21,13 +21,14 @@ T Sigma T^dag = Sigma.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .branch_bs import BsCouplings, bs_couplings, bs_map_blocks, bs_raw_coefficients
-from .branch_tms import TmsCouplings, tms_couplings, tms_map_blocks, tms_raw_coefficients
+from .branch_bs import BsCouplings, bs_couplings
+from .branch_tms import TmsCouplings, tms_couplings
 from .errors import NumericalDegeneracy
 from .params import PhysicalParams, ValidatedParams
 from .regime import Branch
@@ -35,7 +36,7 @@ from .stage1 import Stage1Result, stage1_transform
 
 SIGMA = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
 
-IMAG_TOL_DEFAULT = 1e-9
+IMAG_TOL = 1e-9
 METRIC_TOL = 1e-12
 
 
@@ -43,59 +44,14 @@ METRIC_TOL = 1e-12
 class QuadraticForm:
     """Exact coefficient matrices of the photonic problem.
 
-    h_matrix/h_offset represent the photonic Hamiltonian; coupling_matrix/
+    h_matrix represents the photonic Hamiltonian; coupling_matrix/
     coupling_offset represent the operator multiplying (b^dag + b), i.e. the
     bare -g0 a2^dag a2 before any transformation.
     """
 
     h_matrix: np.ndarray
-    h_offset: float
     coupling_matrix: np.ndarray
     coupling_offset: float
-
-
-@dataclass(frozen=True)
-class LinearMap:
-    """Bogoliubov or unitary transformation on (a1, a2, a1^dag, a2^dag)."""
-
-    matrix: np.ndarray
-
-    def symplectic_defect(self) -> float:
-        T = self.matrix
-        return float(np.max(np.abs(T @ SIGMA @ T.conj().T - SIGMA)))
-
-    def then(self, other: "LinearMap") -> "LinearMap":
-        """Composition: apply `self` first, then `other` (alpha = T1 T2 beta)."""
-        return LinearMap(self.matrix @ other.matrix)
-
-
-@dataclass(frozen=True)
-class CoefficientSet:
-    """Normal-ordered monomial coefficients of a conjugated quadratic operator.
-
-    n11, n22, n12 multiply A1^dag A1, A2^dag A2, A1^dag A2; p11, p22, p12
-    multiply A1^2, A2^2, A1 A2 (their Hermitian partners are implied); const
-    is the scalar term.
-    """
-
-    n11: complex
-    n22: complex
-    n12: complex
-    p11: complex
-    p22: complex
-    p12: complex
-    const: complex
-
-    def as_dict(self) -> dict[str, complex]:
-        return {
-            "n11": self.n11,
-            "n22": self.n22,
-            "n12": self.n12,
-            "p11": self.p11,
-            "p22": self.p22,
-            "p12": self.p12,
-            "const": self.const,
-        }
 
 
 @dataclass(frozen=True)
@@ -105,17 +61,20 @@ class SymplecticFrequencies:
     stable: bool
 
 
-def bdg_matrix(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+def symplectic_defect(T: np.ndarray) -> float:
+    """How far T is from preserving the bosonic metric, max|T Sigma T^dag - Sigma|."""
+    return float(np.max(np.abs(T @ SIGMA @ T.conj().T - SIGMA)))
+
+
+def _bdg(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     P = np.asarray(P, dtype=complex)
     Q = np.asarray(Q, dtype=complex)
     return np.block([[P, Q], [Q.conj().T, P.T]])
 
 
-def bogoliubov_map(U: np.ndarray, V: np.ndarray) -> LinearMap:
-    """Map with rows a = U A + V A^dag (and the conjugate rows)."""
-    U = np.asarray(U, dtype=complex)
-    V = np.asarray(V, dtype=complex)
-    return LinearMap(np.block([[U, V], [V.conj(), U.conj()]]))
+def _bogoliubov(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Map with rows a = U A + V A^dag (and the conjugate rows); complex U, V."""
+    return np.block([[U, V], [V.conj(), U.conj()]])
 
 
 def build_photonic_form(p: PhysicalParams | ValidatedParams) -> QuadraticForm:
@@ -138,19 +97,18 @@ def build_photonic_form(p: PhysicalParams | ValidatedParams) -> QuadraticForm:
             2.0 * p.lambda2 * np.exp(-1j * p.phi_d2),
         ]
     )
-    M = bdg_matrix(P, Q)
+    M = _bdg(P, Q)
     coupling_P = np.array([[0.0, 0.0], [0.0, -p.g0]], dtype=complex)
-    K = bdg_matrix(coupling_P, np.zeros((2, 2)))
-    # offsets chosen so the normal-ordered constant of each operator is 0
+    K = _bdg(coupling_P, np.zeros((2, 2)))
+    # offset chosen so the normal-ordered constant of the coupling is 0
     return QuadraticForm(
         h_matrix=M,
-        h_offset=-0.5 * float(np.trace(P).real),
         coupling_matrix=K,
         coupling_offset=-0.5 * float(np.trace(coupling_P).real),
     )
 
 
-def stage1_map(p: ValidatedParams, s: Stage1Result) -> LinearMap:
+def stage1_map(p: ValidatedParams, s: Stage1Result) -> np.ndarray:
     """Per-cavity squeezing: a_j = cosh(r_dj) a_sj - e^{-i phi_dj} sinh(r_dj) a_sj^dag."""
     U = np.diag([math.cosh(s.r_d1), math.cosh(s.r_d2)]).astype(complex)
     V = np.diag(
@@ -159,46 +117,31 @@ def stage1_map(p: ValidatedParams, s: Stage1Result) -> LinearMap:
             -np.exp(-1j * p.phi_d2) * math.sinh(s.r_d2),
         ]
     )
-    return bogoliubov_map(U, V)
+    return _bogoliubov(U, V)
 
 
-def tms_map(c: TmsCouplings) -> LinearMap:
-    return bogoliubov_map(*tms_map_blocks(c))
+def tms_map(c: TmsCouplings) -> np.ndarray:
+    """Two-mode squeezing: a_s = U A + V A^dag with U = cosh(r), V off-diagonal."""
+    ch, sh = math.cosh(c.r), math.sinh(c.r)
+    e = cmath.exp(-1j * c.phi_big)
+    U = np.eye(2, dtype=complex) * ch
+    V = np.array([[0.0, sh * e], [sh * e, 0.0]], dtype=complex)
+    return _bogoliubov(U, V)
 
 
-def bs_map(c: BsCouplings) -> LinearMap:
-    return bogoliubov_map(*bs_map_blocks(c))
+def bs_map(c: BsCouplings) -> np.ndarray:
+    """Beam-splitter mixing: a_s = U A with unitary U (V = 0)."""
+    ch, sh = math.cos(0.5 * c.theta), math.sin(0.5 * c.theta)
+    e = cmath.exp(-1j * c.phi_big)
+    U = np.array([[ch, sh * e], [-sh * e.conjugate(), ch]], dtype=complex)
+    return _bogoliubov(U, np.zeros((2, 2), dtype=complex))
 
 
-def conjugate_form(
-    matrix: np.ndarray, offset: float, T: LinearMap
-) -> tuple[np.ndarray, float]:
-    """Rewrite (M, offset) in the modes beta, alpha = T beta."""
-    return T.matrix.conj().T @ matrix @ T.matrix, offset
-
-
-def extract_coefficients(matrix: np.ndarray, offset: float) -> CoefficientSet:
-    """Normal-ordered monomial coefficients of (1/2) alpha^dag M alpha + offset."""
-    P = matrix[:2, :2]
-    R = matrix[2:, :2]  # annihilation-pair block, R = conj(Q) for symmetric Q
-    return CoefficientSet(
-        n11=complex(P[0, 0]),
-        n22=complex(P[1, 1]),
-        n12=complex(P[0, 1]),
-        p11=complex(0.5 * R[0, 0]),
-        p22=complex(0.5 * R[1, 1]),
-        p12=complex(0.5 * (R[0, 1] + R[1, 0])),
-        const=complex(offset + 0.5 * np.trace(P)),
-    )
-
-
-def symplectic_frequencies(
-    q: QuadraticForm, imag_tol: float = IMAG_TOL_DEFAULT
-) -> SymplecticFrequencies:
+def symplectic_frequencies(q: QuadraticForm) -> SymplecticFrequencies:
     """Exact normal-mode frequencies from the dynamical matrix Sigma*M.
 
     Eigenvalues of Sigma*M come in +/- pairs for a dynamically stable form;
-    a residual imaginary part beyond `imag_tol` marks parametric instability.
+    a residual imaginary part beyond IMAG_TOL marks parametric instability.
 
     Raises
     ------
@@ -209,7 +152,7 @@ def symplectic_frequencies(
     scale = max(1.0, float(np.max(np.abs(ev))))
     # absolute floor, relaxed proportionally for very large frequency scales
     # where eigvals itself leaves larger imaginary rounding residue
-    stable = bool(np.max(np.abs(ev.imag)) <= imag_tol * max(1.0, 1e-3 * scale))
+    stable = bool(np.max(np.abs(ev.imag)) <= IMAG_TOL * max(1.0, 1e-3 * scale))
     re = np.sort(ev.real)
     # sorted as [-nu1, -nu2, nu2, nu1] (allowing zero)
     pair_tol = 1e-6 * scale
@@ -220,27 +163,64 @@ def symplectic_frequencies(
     return SymplecticFrequencies(nu1=float(re[3]), nu2=float(re[2]), stable=stable)
 
 
+def _conjugated(form: QuadraticForm, T: np.ndarray) -> dict[str, complex]:
+    """Normal-ordered monomial coefficients of the coupling operator in the
+    modes beta, alpha = T beta.
+
+    n11, n22, n12 multiply A1^dag A1, A2^dag A2, A1^dag A2; p11, p22, p12
+    multiply A1^2, A2^2, A1 A2 (their Hermitian partners are implied); const
+    is the scalar term.
+    """
+    M = T.conj().T @ form.coupling_matrix @ T
+    P = M[:2, :2]
+    R = M[2:, :2]  # annihilation-pair block, R = conj(Q) for symmetric Q
+    return {
+        "n11": complex(P[0, 0]),
+        "n22": complex(P[1, 1]),
+        "n12": complex(P[0, 1]),
+        "p11": complex(0.5 * R[0, 0]),
+        "p22": complex(0.5 * R[1, 1]),
+        "p12": complex(0.5 * (R[0, 1] + R[1, 0])),
+        "const": complex(form.coupling_offset + 0.5 * np.trace(P)),
+    }
+
+
+def _closed_form(
+    c: TmsCouplings | BsCouplings, n12: complex, const: float
+) -> dict[str, complex]:
+    """The branch couplings under the keys of `_conjugated`."""
+    return {
+        "n11": complex(-c.g1),
+        "n22": complex(-c.g2),
+        "n12": n12,
+        "p11": c.g11,
+        "p22": c.g22,
+        "p12": c.g12,
+        "const": complex(const),
+    }
+
+
 def _second_stage(
-    p: ValidatedParams, branch: Branch, s: Stage1Result, caller: str
-) -> tuple[TmsCouplings | BsCouplings, LinearMap, CoefficientSet]:
+    p: ValidatedParams, branch: Branch, s: Stage1Result
+) -> tuple[TmsCouplings | BsCouplings, np.ndarray, dict[str, complex]]:
     """Couplings of a concrete branch, its rotation, and the closed-form
-    coefficients they predict."""
+    coefficients they predict.
+
+    Two-mode squeezing moves -f_prime into the scalar part; the beam-splitter
+    rotation is number conserving, so its scalar part stays -f_disp.
+    """
     if branch is Branch.TWO_MODE_SQUEEZING:
         c = tms_couplings(s, p)
-        return c, tms_map(c), CoefficientSet(**tms_raw_coefficients(s, c))
+        return c, tms_map(c), _closed_form(c, -c.gp12, -(s.f_disp + c.f_prime))
     if branch is Branch.BEAM_SPLITTER:
         c = bs_couplings(s, p)
-        return c, bs_map(c), CoefficientSet(**bs_raw_coefficients(s, c))
-    raise ValueError(f"{caller} needs a concrete branch (tms or bs)")
-
-
-def _conjugated(form: QuadraticForm, T: LinearMap) -> CoefficientSet:
-    return extract_coefficients(*conjugate_form(form.coupling_matrix, form.coupling_offset, T))
+        return c, bs_map(c), _closed_form(c, c.gp12, -s.f_disp)
+    raise ValueError("the oracle needs a concrete branch (tms or bs)")
 
 
 def conjugate_coupling(
     p: ValidatedParams, branch: Branch, s: Stage1Result | None = None
-) -> CoefficientSet:
+) -> dict[str, complex]:
     """Exact coefficients of the coupling operator in the final frame.
 
     Composes the stage-1 squeezing with the requested second-stage rotation
@@ -248,25 +228,23 @@ def conjugate_coupling(
     rotating-wave truncation anywhere. This is the independent check for the
     closed-form branch coefficients.
     """
-    if branch is Branch.INTERMEDIATE:
-        raise ValueError("conjugate_coupling needs a concrete branch (tms or bs)")
     if s is None:
         s = stage1_transform(p)
-    _, T2, _ = _second_stage(p, branch, s, "conjugate_coupling")
-    return _conjugated(build_photonic_form(p), stage1_map(p, s).then(T2))
+    T2 = _second_stage(p, branch, s)[1]
+    return _conjugated(build_photonic_form(p), stage1_map(p, s) @ T2)
 
 
 def analytic_coefficients(
     p: ValidatedParams, branch: Branch, s: Stage1Result | None = None
-) -> CoefficientSet:
-    """Closed-form prediction for `conjugate_coupling`, same key scheme."""
+) -> dict[str, complex]:
+    """Closed-form prediction for `conjugate_coupling`, same keys."""
     if s is None:
         s = stage1_transform(p)
-    return _second_stage(p, branch, s, "analytic_coefficients")[2]
+    return _second_stage(p, branch, s)[2]
 
 
 def coefficient_defect(
-    a: CoefficientSet, b: CoefficientSet, scale_floor: float
+    a: dict[str, complex], b: dict[str, complex], scale_floor: float
 ) -> float:
     """Worst relative deviation between two coefficient sets.
 
@@ -275,10 +253,9 @@ def coefficient_defect(
     vanishing coefficient comparable without inflating the defect.
     """
     worst = 0.0
-    da, db = a.as_dict(), b.as_dict()
-    for key in da:
-        denom = max(abs(da[key]), abs(db[key]), scale_floor)
-        worst = max(worst, abs(da[key] - db[key]) / denom)
+    for key in a:
+        denom = max(abs(a[key]), abs(b[key]), scale_floor)
+        worst = max(worst, abs(a[key] - b[key]) / denom)
     return worst
 
 
@@ -337,8 +314,7 @@ def rwa_error_report(
         form = build_photonic_form(p)
     if freqs is None:
         freqs = symplectic_frequencies(form)
-    T1 = stage1_map(p, s)
-    c, T2, analytic = _second_stage(p, branch, s, "rwa_error_report")
+    c, T2, analytic = _second_stage(p, branch, s)
     if branch is Branch.TWO_MODE_SQUEEZING:
         dropped_name = "coherent_hopping"
         dropped = p.j_hop * abs(s.lam1)
@@ -348,7 +324,7 @@ def rwa_error_report(
         dropped = p.j_hop * abs(s.lam2)
         gap = abs(s.omega_sum)
 
-    T = T1.then(T2)
+    T = stage1_map(p, s) @ T2
     exact = _conjugated(form, T)
     defect = coefficient_defect(exact, analytic, scale_floor=max(p.g0, 1e-300))
 
@@ -371,6 +347,6 @@ def rwa_error_report(
         dropped_ratio=ratio,
         freq_devs=devs,
         coeff_defect=defect,
-        metric_defect=T.symplectic_defect(),
+        metric_defect=symplectic_defect(T),
         freqs=freqs,
     )

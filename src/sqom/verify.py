@@ -140,9 +140,7 @@ def run_verification(
     vp: ValidatedParams,
     n_random: int = 200,
     seed: int = 0,
-    identity_rtol: float = IDENTITY_RTOL,
     oracle_rtol: float = ORACLE_RTOL,
-    metric_tol: float = METRIC_TOL,
 ) -> list[CheckRow]:
     """All checks at the configured point plus `n_random` random sets per branch."""
     rng = np.random.default_rng(seed)
@@ -169,7 +167,7 @@ def run_verification(
         for name, err in _identity_errors_bs(bvp).items():
             worst[name] = max(worst.get(name, 0.0), err)
     for name, err in sorted(worst.items()):
-        add(f"identity[{name}]", err, identity_rtol, f"{n_random} random sets")
+        add(f"identity[{name}]", err, IDENTITY_RTOL, f"{n_random} random sets")
 
     # --- oracle agreement -----------------------------------------------------
     for branch, label in (
@@ -184,7 +182,7 @@ def run_verification(
             worst_coeff = max(worst_coeff, report.coeff_defect)
             worst_metric = max(worst_metric, report.metric_defect)
         add(f"oracle_coefficients[{label}]", worst_coeff, oracle_rtol, f"{n_random} random sets")
-        add(f"symplectic_metric[{label}]", worst_metric, metric_tol, f"{n_random} random sets")
+        add(f"symplectic_metric[{label}]", worst_metric, METRIC_TOL, f"{n_random} random sets")
 
     # --- the configured point --------------------------------------------------
     s = stage1_transform(vp)
@@ -206,7 +204,7 @@ def run_verification(
             )
             continue
         add(f"config_point_coefficients[{label}]", report.coeff_defect, oracle_rtol)
-        add(f"config_point_metric[{label}]", report.metric_defect, metric_tol)
+        add(f"config_point_metric[{label}]", report.metric_defect, METRIC_TOL)
         rows.append(
             CheckRow(
                 check=f"rwa_dropped_term[{label}]",

@@ -91,6 +91,18 @@ def test_nonfinite_level_rejected():
         extract_contours(np.arange(4.0), np.arange(3.0), np.zeros((3, 4)), [math.inf])
 
 
+@pytest.mark.parametrize("level, want", [
+    # the centre (0) is at the level: the corners above join through it
+    (0.0, [[[0.0, 0.5], [0.5, 1.0]], [[1.0, 0.5], [0.5, 0.0]]]),
+    # the centre is below: the corners above are cut off
+    (0.5, [[[0.0, 0.25], [0.25, 0.0]], [[1.0, 0.75], [0.75, 1.0]]]),
+])
+def test_saddle_centre_joins_its_side(level, want):
+    cell = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    cs = extract_contours(np.arange(2.0), np.arange(2.0), cell, [level])
+    assert [line.tolist() for line in cs.polylines[level]] == want
+
+
 def test_endpoints_meet_by_numpy_rounding():
     # a and the next float up agree to 12 decimals under numpy's rounding
     # (the rounding of `round` on numpy floats), not under Python's
@@ -132,9 +144,9 @@ def _ref_cell_segments(xs, ys, field, i, j, level):
     if case in (5, 10):
         centre_above = sum(values) / 4.0 >= level
         if case == 5:
-            pairs = [(3, 0), (1, 2)] if centre_above else [(3, 2), (1, 0)]
+            pairs = [(3, 2), (1, 0)] if centre_above else [(3, 0), (1, 2)]
         else:
-            pairs = [(0, 1), (2, 3)] if centre_above else [(0, 3), (2, 1)]
+            pairs = [(0, 3), (2, 1)] if centre_above else [(0, 1), (2, 3)]
     else:
         pairs = _REF_EDGES[case]
     return [(point(a), point(b)) for a, b in pairs]

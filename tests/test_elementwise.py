@@ -14,6 +14,7 @@ import math
 from dataclasses import fields
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -240,6 +241,7 @@ def test_laser_array_equals_pointwise(items, n_plus, n_minus):
             assert_same(res, want, i)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @given(st.lists(st.tuples(ANY_FLOAT, st.sampled_from([0.0, -0.0]) | ANY_FLOAT), min_size=1))
 @settings(max_examples=60, deadline=None)
 def test_division_by_zero_matches_arrays(pairs):

@@ -215,7 +215,8 @@ READBACK_CASES = {
     # a short row gives NaN in the cells it lacks
     "short_row": (_edited(replace={6: "1,1,0.5,1.0"}), ()),
     "empty_cell": (_edited(replace={7: "2,1,1.0,1.0,,bs"}), ()),
-    # the last row for an index wins
+    # the last row for an index wins; its 9.5 makes the cell x_index 2,
+    # y_index 1 a saddle at level 6.25
     "repeated_index": (_edited(append=["2,1,1.0,1.0,9.5,tms"]), ()),
     "blank_lines": (_edited(replace={4: "\n" + GRID_LINES[4]}, append=[""]), ()),
     "rows_shuffled": ("\n".join([GRID_HEADER, *reversed(GRID_LINES)]) + "\n", ()),
@@ -225,7 +226,7 @@ READBACK_DIGESTS = {
     "blank_lines": "7a56dbb656afb14d7587ac7c50dcf1f7739de9df7a70a01c70b6c1677c11c8c6",
     "complete": "7a56dbb656afb14d7587ac7c50dcf1f7739de9df7a70a01c70b6c1677c11c8c6",
     "empty_cell": "9e78e859023f34923dace38b8e0b9fd6dc8233b2124ae6eed5478bd2e4105573",
-    "repeated_index": "a206a6129b6245d3b6be43716da9ae5187b429cf408540fab9c23a24e12760cf",
+    "repeated_index": "6f77fd5a67194b001d6e13099d59ebea405a4b0c9b362e1dff3b33e1f275c8fc",
     "rows_shuffled": "7a56dbb656afb14d7587ac7c50dcf1f7739de9df7a70a01c70b6c1677c11c8c6",
     "short_row": "08ac03a001ee27cd8b6ef03dfc7c45bc7156e5de93b198c64be0c39fac848d7f",
 }
