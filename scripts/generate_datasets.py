@@ -82,6 +82,11 @@ def _grid_field(rows, spec, name):
     return rows[name].reshape(spec.y_steps, spec.x_steps)
 
 
+def _stacked(tables, columns):
+    """The rows of several tables, one table after another."""
+    return Table({c: np.concatenate([t[c] for t in tables]) for c in columns})
+
+
 def _contours(grows, spec, levels_by_field):
     """The contour rows of several fields of a grid, one field after another."""
     xs, ys = spec.x_values(), spec.y_values()
@@ -89,7 +94,7 @@ def _contours(grows, spec, levels_by_field):
         contour_table(extract_contours(xs, ys, _grid_field(grows, spec, name), levels), name)
         for name, levels in levels_by_field
     ]
-    return Table({c: np.concatenate([t[c] for t in tables]) for c in CONTOUR_COLUMNS})
+    return _stacked(tables, CONTOUR_COLUMNS)
 
 
 def strong_drive_datasets(outdir: Path):
@@ -149,39 +154,33 @@ def laser_datasets(outdir: Path):
     ]
     working_points = {f"dip_{k}": projected[i]["delta_phi"] for k, i in enumerate(dips)}
     working_points["pi"] = math.pi
-
-    densities = np.geomspace(1e-3, 10.0, 201)
-    out_rows = []
-    for label, dphi in sorted(working_points.items()):
-        vp = validate(LASER.replace(phi_d1=LASER.phi_d2 + dphi))
-        c = bs_couplings(stage1_transform(vp), vp)
-        for n in densities:
-            res = laser_point(
-                LaserInput(abs(c.gp12), c.w1, c.w2, n_plus=float(n)),
-                vp.omega_m, vp.kappa, vp.gamma_m,
-            )
-            out_rows.append(
-                {"point": label, "delta_phi": dphi, "n_plus": float(n),
-                 "gain": res.gain, "n_b": res.n_b, "n_b_capped": res.n_b_capped,
-                 "n_threshold": res.n_threshold}
-            )
+    points = [
+        (label, dphi, LASER.replace(phi_d1=LASER.phi_d2 + dphi))
+        for label, dphi in sorted(working_points.items())
+    ]
     # undriven baseline: no parametric drives, hopping retuned so the
     # supermode splitting sits exactly on the mechanical resonance
-    base = LASER.replace(lambda1=0.0, lambda2=0.0, delta1=20.0, delta2=19.2, j_hop=0.3)
-    vb = validate(base)
-    cb = bs_couplings(stage1_transform(vb), vb)
-    for n in densities:
-        res = laser_point(
-            LaserInput(abs(cb.gp12), cb.w1, cb.w2, n_plus=float(n)),
-            vb.omega_m, vb.kappa, vb.gamma_m,
+    points.append((
+        "undriven_baseline", 0.0,
+        LASER.replace(lambda1=0.0, lambda2=0.0, delta1=20.0, delta2=19.2, j_hop=0.3),
+    ))
+
+    densities = np.geomspace(1e-3, 10.0, 201)
+    n = densities.size
+    tables = []
+    for label, dphi, params in points:
+        vp = validate(params)
+        c = bs_couplings(stage1_transform(vp), vp)
+        inp = LaserInput(np.full(n, abs(c.gp12)), np.full(n, c.w1), np.full(n, c.w2),
+                         n_plus=densities)
+        res = laser_point(inp, vp.omega_m, vp.kappa, vp.gamma_m)
+        tables.append(
+            {"point": np.full(n, label, dtype=object), "delta_phi": np.full(n, dphi),
+             "n_plus": densities, "gain": res.gain, "n_b": res.n_b,
+             "n_b_capped": res.n_b_capped, "n_threshold": res.n_threshold}
         )
-        out_rows.append(
-            {"point": "undriven_baseline", "delta_phi": 0.0, "n_plus": float(n),
-             "gain": res.gain, "n_b": res.n_b, "n_b_capped": res.n_b_capped,
-             "n_threshold": res.n_threshold}
-        )
-    _write(outdir / "phonon_number.csv", out_rows,
-           ["point", "delta_phi", "n_plus", "gain", "n_b", "n_b_capped", "n_threshold"])
+    columns = list(tables[0])
+    _write(outdir / "phonon_number.csv", _stacked(tables, columns), columns)
 
 
 def main(argv=None) -> int:

@@ -11,6 +11,7 @@ import csv
 import itertools
 import math
 import sys
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -35,8 +36,7 @@ from .sweep import (
     sweep_csv_rows,
     write_csv,
 )
-from .validity import RESONANCE_FLOOR_DEFAULT, SMALLNESS_DEFAULT
-from .verify import all_passed, run_verification
+from .verify import CheckRow, all_passed, run_verification
 
 
 def _emit(rows, columns, out_path: str | None) -> None:
@@ -48,14 +48,10 @@ def _emit(rows, columns, out_path: str | None) -> None:
 
 
 def _options(args, cfg) -> PipelineOptions:
-    return PipelineOptions(
-        f1_hi=cfg.f1_hi,
-        f1_lo=cfg.f1_lo,
-        n_plus=getattr(args, "n_plus", 1.0),
-        n_minus=getattr(args, "n_minus", 0.0),
-        smallness=getattr(args, "smallness", SMALLNESS_DEFAULT),
-        resonance_floor=getattr(args, "resonance_floor", RESONANCE_FLOOR_DEFAULT),
-    )
+    """The config's regime thresholds plus the pipeline options the
+    subcommand offers; the others keep their PipelineOptions defaults."""
+    knobs = {k: v for k, v in vars(args).items() if k in PipelineOptions.__dataclass_fields__}
+    return PipelineOptions(f1_hi=cfg.f1_hi, f1_lo=cfg.f1_lo, **knobs)
 
 
 def _parse_outputs(text: str | None):
@@ -97,7 +93,7 @@ def cmd_grid(args) -> int:
         y_start=args.y_from,
         y_stop=args.y_to,
         y_steps=args.y_steps,
-        outputs=_parse_outputs(args.outputs) or ("f1", "f2", "branch"),
+        outputs=_parse_outputs(args.outputs) or GridSpec.outputs,
     )
     rows = run_grid(cfg.params, spec, _options(args, cfg))
     _emit(grid_csv_rows(rows, spec), grid_columns(spec), args.out)
@@ -131,24 +127,31 @@ def _read_grid_csv(path: str, field: str | None):
                 f"grid file {path} lacks x_index/y_index columns; "
                 "produce it with the `grid` subcommand"
             )
-        rows = [row for row in reader if row]  # blank lines carry no row
-    if not rows:
-        raise ConfigError(f"grid file {path} has no data rows")
-    x_axis, y_axis = names[2], names[3]
-    non_numeric = {name for name, kind in COLUMN_SCHEMA if kind != "float"}
-    numeric = [n for n in names[4:] if n not in non_numeric]
-    if field is None:
-        if len(numeric) != 1:
-            raise ConfigError(
-                f"grid file has {len(numeric)} candidate value columns "
-                f"({', '.join(numeric)}); pick one with --field"
-            )
-        field = numeric[0]
-    elif field not in numeric:
-        raise ConfigError(f"--field {field!r} not among numeric grid columns {numeric}")
+        rows = (row for row in reader if row)  # blank lines carry no row
+        first = next(rows, None)
+        if first is None:
+            raise ConfigError(f"grid file {path} has no data rows")
+        x_axis, y_axis = names[2], names[3]
+        non_numeric = {name for name, kind in COLUMN_SCHEMA if kind != "float"}
+        numeric = [n for n in names[4:] if n not in non_numeric]
+        if field is None:
+            if len(numeric) != 1:
+                raise ConfigError(
+                    f"grid file has {len(numeric)} candidate value columns "
+                    f"({', '.join(numeric)}); pick one with --field"
+                )
+            field = numeric[0]
+        elif field not in numeric:
+            raise ConfigError(f"--field {field!r} not among numeric grid columns {numeric}")
 
-    # a short row has empty trailing cells; of a repeated name, the last column counts
-    columns = dict(zip(names, itertools.zip_longest(*rows, fillvalue="")))
+        # only the cells converted below are kept; a short row has empty
+        # trailing cells; of a repeated name, the last column counts
+        position = {name: i for i, name in enumerate(names)}
+        columns = {name: [] for name in ("x_index", "y_index", x_axis, y_axis, field)}
+        kept = [(position[name], column) for name, column in columns.items()]
+        for row in itertools.chain([first], rows):
+            for i, column in kept:
+                column.append(row[i] if i < len(row) else "")
     xi = np.array(_parsed(columns["x_index"], int))
     yi = np.array(_parsed(columns["y_index"], int))
     xs = np.full(xi.max() + 1, np.nan)
@@ -176,14 +179,10 @@ def cmd_verify(args) -> int:
     cfg = load_config(args.config)
     from .params import validate
 
-    vp = validate(cfg.params)
     rows = run_verification(
-        vp,
-        n_random=args.random,
-        seed=args.seed,
-        oracle_rtol=args.rel_tol,
+        validate(cfg.params), n_random=args.random, seed=args.seed, oracle_rtol=args.rel_tol
     )
-    _emit([r.as_dict() for r in rows], ["check", "status", "max_error", "tolerance", "detail"], args.out)
+    _emit([asdict(r) for r in rows], [f.name for f in fields(CheckRow)], args.out)
     return 0 if all_passed(rows) else 2
 
 
@@ -203,21 +202,20 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", required=True, help="JSON parameter file")
         p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
 
-    def add_rwa_knobs(p):
+    def add_pipeline_options(p, densities=True):
+        if densities:
+            p.add_argument("--n-plus", type=float, default=PipelineOptions.n_plus,
+                           help="pump supermode density")
+            p.add_argument("--n-minus", type=float, default=PipelineOptions.n_minus,
+                           help="idle supermode density")
         p.add_argument(
-            "--smallness", type=float, default=SMALLNESS_DEFAULT,
-            help="ratio below which an interaction term counts as negligible",
-        )
-        p.add_argument(
-            "--resonance-floor", type=float, default=RESONANCE_FLOOR_DEFAULT,
+            "--resonance-floor", type=float, default=PipelineOptions.resonance_floor,
             help="frequency gap below which a term is flagged as a resonance hit",
         )
 
     p = sub.add_parser("analyze", help="full single-point report with oracle cross-check")
     add_common(p)
-    p.add_argument("--n-plus", type=float, default=1.0, help="pump supermode density")
-    p.add_argument("--n-minus", type=float, default=0.0, help="idle supermode density")
-    add_rwa_knobs(p)
+    add_pipeline_options(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("sweep", help="1-D sweep over any parameter or delta_phi")
@@ -227,9 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--outputs", default=None, help="comma-separated column subset")
-    p.add_argument("--n-plus", type=float, default=1.0)
-    p.add_argument("--n-minus", type=float, default=0.0)
-    add_rwa_knobs(p)
+    add_pipeline_options(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("grid", help="2-D grid over two axes")
@@ -243,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y-to", type=float, required=True)
     p.add_argument("--y-steps", type=int, required=True)
     p.add_argument("--outputs", default=None, help="comma-separated column subset")
-    add_rwa_knobs(p)
+    add_pipeline_options(p, densities=False)
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("contours", help="marching-squares equipotentials of a grid CSV")
@@ -259,9 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="from_", type=float, default=0.0)
     p.add_argument("--to", type=float, default=2.0 * math.pi)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--n-plus", type=float, default=1.0)
-    p.add_argument("--n-minus", type=float, default=0.0)
-    add_rwa_knobs(p)
+    add_pipeline_options(p)
     p.set_defaults(func=cmd_laser_sweep)
 
     p = sub.add_parser("verify", help="exact identities + oracle agreement; exit 2 on failure")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +23,7 @@ from .errors import (
     SqomError,
     Stage1Unstable,
 )
+from .regime import F1_HI_DEFAULT, F1_LO_DEFAULT
 
 TWO_PI = 2.0 * math.pi
 
@@ -166,17 +167,21 @@ def validate(raw: PhysicalParams) -> ValidatedParams:
 
 # --- configuration files -----------------------------------------------------
 
-_REQUIRED_KEYS = ("delta1", "delta2", "lambda1", "lambda2", "j_hop", "g0", "kappa", "gamma_m")
-_OPTIONAL_KEYS = {"phi_d1": 0.0, "phi_d2": 0.0, "omega_m": 1.0, "f1_hi": 10.0, "f1_lo": 0.1}
-
-
 @dataclass(frozen=True)
 class Config:
     """A parameter set plus the regime-classification thresholds."""
 
     params: PhysicalParams
-    f1_hi: float = 10.0
-    f1_lo: float = 0.1
+    f1_hi: float = F1_HI_DEFAULT
+    f1_lo: float = F1_LO_DEFAULT
+
+
+# a config key is optional exactly where its field has a default
+_REQUIRED_KEYS = tuple(f.name for f in fields(PhysicalParams) if f.default is MISSING)
+_OPTIONAL_KEYS = {
+    f.name: f.default for cls in (PhysicalParams, Config) for f in fields(cls)
+    if f.default is not MISSING
+}
 
 
 def parse_config(data: dict) -> Config:

@@ -12,10 +12,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .elementwise import ops
-from .params import ValidatedParams
-from .stage1 import Stage1Result
+
+if TYPE_CHECKING:  # params takes the threshold defaults from here
+    from .params import ValidatedParams
+    from .stage1 import Stage1Result
 
 F1_HI_DEFAULT = 10.0
 F1_LO_DEFAULT = 0.1

@@ -33,13 +33,13 @@ import numpy as np
 from . import oracle
 from .branch_bs import bs_couplings, rwa_validity_bs
 from .branch_tms import rwa_validity_tms, tms_couplings
-from .elementwise import Array, broadcast, item, take
+from .elementwise import broadcast, item, take
 from .errors import TmsUnstable, ZeroCoupling
 from .laser import LaserInput, laser_point
 from .params import PhysicalParams, validate, validation_errors
 from .regime import F1_HI_DEFAULT, F1_LO_DEFAULT, Branch, classify
 from .stage1 import stage1_transform
-from .validity import RESONANCE_FLOOR_DEFAULT, SMALLNESS_DEFAULT
+from .validity import RESONANCE_FLOOR_DEFAULT
 
 # Axes accepted by sweeps and grids. delta_phi is virtual: it moves phi_d1
 # with phi_d2 held fixed, matching how the phase difference is scanned.
@@ -211,13 +211,12 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class PipelineOptions:
-    """Knobs shared by every evaluation."""
+    """Knobs shared by every evaluation; the CLI takes its defaults from here."""
 
     f1_hi: float = F1_HI_DEFAULT
     f1_lo: float = F1_LO_DEFAULT
-    n_plus: float = 1.0
-    n_minus: float = 0.0
-    smallness: float = SMALLNESS_DEFAULT
+    n_plus: float = LaserInput.n_plus
+    n_minus: float = LaserInput.n_minus
     resonance_floor: float = RESONANCE_FLOOR_DEFAULT
 
 
@@ -308,7 +307,7 @@ def _flatten(prefix: str, result) -> dict:
 def _branch_columns(prefix: str, c, validity) -> dict:
     return {
         **_flatten(prefix, c),
-        prefix + "gp12_abs": Array.cabs(c.gp12),
+        prefix + "gp12_abs": validity.term("gp12").coupling_abs,
         prefix + "max_rwa_ratio": validity.max_ratio,
         prefix + "resonance": validity.any_resonance,
     }
@@ -325,14 +324,13 @@ def _stage_columns(vp, s, opts: PipelineOptions) -> dict:
     regime = classify(s, vp, f1_hi=opts.f1_hi, f1_lo=opts.f1_lo)
     tms = tms_couplings(s, vp)
     bs = bs_couplings(s, vp)
-    knobs = {"smallness": opts.smallness, "resonance_floor": opts.resonance_floor}
     cells = {
         "f1": regime.f1,
         "f2": regime.f2,
         "f1_degenerate": regime.f1_degenerate,
         "branch": np.array([b.value for b in regime.branch.tolist()]),
-        **_branch_columns("tms_", tms, rwa_validity_tms(tms, vp.omega_m, **knobs)),
-        **_branch_columns("bs_", bs, rwa_validity_bs(bs, vp.omega_m, **knobs)),
+        **_branch_columns("tms_", tms, rwa_validity_tms(tms, vp.omega_m, opts.resonance_floor)),
+        **_branch_columns("bs_", bs, rwa_validity_bs(bs, vp.omega_m, opts.resonance_floor)),
     }
     # tms_couplings marks the points it refuses with r = NaN
     refused = np.isnan(tms.r)

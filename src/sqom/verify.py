@@ -23,7 +23,6 @@ from .regime import Branch
 from .stage1 import stage1_transform
 
 IDENTITY_RTOL = 1e-10
-ORACLE_RTOL = 1e-9
 
 
 def random_valid_params(rng: np.random.Generator) -> ValidatedParams:
@@ -89,15 +88,6 @@ class CheckRow:
     tolerance: float
     detail: str
 
-    def as_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "status": self.status,
-            "max_error": self.max_error,
-            "tolerance": self.tolerance,
-            "detail": self.detail,
-        }
-
 
 def _rel(err: float, scale: float) -> float:
     return err / max(scale, 1e-300)
@@ -137,25 +127,16 @@ def _identity_errors_bs(vp: ValidatedParams) -> dict[str, float]:
 
 
 def run_verification(
-    vp: ValidatedParams,
-    n_random: int = 200,
-    seed: int = 0,
-    oracle_rtol: float = ORACLE_RTOL,
+    vp: ValidatedParams, n_random: int, seed: int, oracle_rtol: float
 ) -> list[CheckRow]:
     """All checks at the configured point plus `n_random` random sets per branch."""
     rng = np.random.default_rng(seed)
     rows: list[CheckRow] = []
 
-    def add(check: str, err: float, tol: float, detail: str = ""):
-        rows.append(
-            CheckRow(
-                check=check,
-                status="pass" if err <= tol else "fail",
-                max_error=err,
-                tolerance=tol,
-                detail=detail,
-            )
-        )
+    def add(check: str, err: float, tol: float, detail: str = "", status: str | None = None):
+        if status is None:
+            status = "pass" if err <= tol else "fail"
+        rows.append(CheckRow(check, status, err, tol, detail))
 
     # --- exact identities on random sets ------------------------------------
     worst: dict[str, float] = {}
@@ -184,49 +165,28 @@ def run_verification(
         add(f"oracle_coefficients[{label}]", worst_coeff, oracle_rtol, f"{n_random} random sets")
         add(f"symplectic_metric[{label}]", worst_metric, METRIC_TOL, f"{n_random} random sets")
 
-    # --- the configured point --------------------------------------------------
+    # --- the configured point: both reports share one photonic form ------------
     s = stage1_transform(vp)
+    form = oracle.build_photonic_form(vp)
+    freqs = oracle.symplectic_frequencies(form)
     for branch, label in (
         (Branch.TWO_MODE_SQUEEZING, "tms"),
         (Branch.BEAM_SPLITTER, "bs"),
     ):
         try:
-            report = oracle.rwa_error_report(vp, branch, s)
+            report = oracle.rwa_error_report(vp, branch, s, form, freqs)
         except TmsUnstable:
-            rows.append(
-                CheckRow(
-                    check=f"config_point[{label}]",
-                    status="info",
-                    max_error=math.nan,
-                    tolerance=math.nan,
-                    detail="branch transformation undefined here (TmsUnstable)",
-                )
-            )
+            add(f"config_point[{label}]", math.nan, math.nan,
+                "branch transformation undefined here (TmsUnstable)", status="info")
             continue
         add(f"config_point_coefficients[{label}]", report.coeff_defect, oracle_rtol)
         add(f"config_point_metric[{label}]", report.metric_defect, METRIC_TOL)
-        rows.append(
-            CheckRow(
-                check=f"rwa_dropped_term[{label}]",
-                status="info",
-                max_error=report.dropped_ratio,
-                tolerance=math.nan,
-                detail=(
-                    f"{report.dropped_name}: |coupling|={report.dropped_abs:.6g}, "
-                    f"gap={report.gap:.6g}"
-                ),
-            )
-        )
+        add(f"rwa_dropped_term[{label}]", report.dropped_ratio, math.nan,
+            f"{report.dropped_name}: |coupling|={report.dropped_abs:.6g}, gap={report.gap:.6g}",
+            status="info")
         for k, dev in enumerate(report.freq_devs):
-            rows.append(
-                CheckRow(
-                    check=f"rwa_freq_dev[{label}][{k}]",
-                    status="info",
-                    max_error=dev.rel_dev,
-                    tolerance=math.nan,
-                    detail=f"analytic |W|={dev.analytic_abs:.9g}, exact nu={dev.exact:.9g}",
-                )
-            )
+            add(f"rwa_freq_dev[{label}][{k}]", dev.rel_dev, math.nan,
+                f"analytic |W|={dev.analytic_abs:.9g}, exact nu={dev.exact:.9g}", status="info")
     return rows
 
 

@@ -129,7 +129,7 @@ def test_laser_resonance_roots():
     assert report.term("gp12").resonance_hit
     # every competing interaction is small at the working point
     for name in ("g1", "g2", "g11", "g22", "g12"):
-        assert report.term(name).small
+        assert report.term(name).ratio <= 0.1
 
 
 def test_single_mode_parametric_point():

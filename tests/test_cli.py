@@ -1,9 +1,13 @@
 """CLI subcommands, exit codes, file round-trips."""
+import argparse
 import json
+import math
+import re
+from pathlib import Path
 
 import pytest
 
-from sqom.cli import main
+from sqom.cli import build_parser, main
 
 LASER_PARAMS = {
     "delta1": 20, "delta2": 100, "lambda1": 9.94, "lambda2": 49.99,
@@ -166,3 +170,46 @@ def test_verify_pass_and_fail_exit_codes(laser_config, capsys):
     ]) == 2
     out = capsys.readouterr().out
     assert ",fail," in out
+
+
+def test_resonance_floor_flags_the_laser_dips(laser_config, capsys):
+    # rows 309 and 411 of the 721-point phase sweep are the threshold dips,
+    # where W1 - W2 - omega_m nearly vanishes: with the default floor the
+    # gp12 term counts as a huge ratio, with a floor of 0.5 as a resonance hit
+    argv = [
+        "sweep", "--config", laser_config, "--axis", "delta_phi", "--from", "0",
+        "--to", repr(2.0 * math.pi), "--steps", "721",
+        "--outputs", "bs_max_rwa_ratio,bs_resonance",
+    ]
+    rows = {}
+    for floor in ("1e-9", "0.5"):
+        assert main(argv + ["--resonance-floor", floor]) == 0
+        rows[floor] = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert main(argv) == 0
+    assert [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]] == rows["1e-9"]
+
+    _, ratio, hit = rows["1e-9"][309]
+    assert hit == "false" and float(ratio) == pytest.approx(33.1347356007, rel=1e-9)
+    _, ratio, hit = rows["0.5"][309]
+    assert hit == "true" and float(ratio) == pytest.approx(0.0594019724677, rel=1e-9)
+    assert all(hit == "false" for _, _, hit in rows["1e-9"])
+    assert rows["0.5"][411][2] == "true"  # the upper dip
+
+
+def _readme_synopses() -> dict[str, str]:
+    """Subcommand -> its line in the README's CLI synopsis, continuations joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return {line.split()[1]: line for line in lines if line.startswith("sqom ")}
+
+
+def test_readme_synopsis_lists_every_option():
+    parser = build_parser()
+    (subcommands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    synopses = _readme_synopses()
+    assert sorted(synopses) == sorted(subcommands.choices)
+    for name, sub in subcommands.choices.items():
+        accepted = {o for a in sub._actions for o in a.option_strings if o.startswith("--")}
+        accepted.discard("--help")
+        assert set(re.findall(r"--[a-z][a-z-]*", synopses[name])) == accepted, name

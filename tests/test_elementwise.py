@@ -67,7 +67,7 @@ def assert_same(array_result, scalar_result, i):
 
 def assert_same_validity(array_report, scalar_report, i):
     assert_same(array_report, scalar_report, i)
-    for prop in ("max_ratio", "any_resonance", "all_small"):
+    for prop in ("max_ratio", "any_resonance"):
         got = _element(getattr(array_report, prop), i)
         assert _bits(got) == _bits(getattr(scalar_report, prop)), prop
 

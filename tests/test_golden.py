@@ -91,8 +91,7 @@ CASES = {
     "sweep_omega_m_config_error": _sweep("laser_omega_m", "delta_phi", "0", "1", 3),
     "sweep_nan_phase_config_error": _sweep("laser_nan_phase", "g0", "0", "1", 3),
     "sweep_rwa_knobs": _sweep(
-        "boundary", "lambda1", "197", "199.9", 59, "--smallness", "0.02",
-        "--resonance-floor", "1e-3", "--outputs",
+        "boundary", "lambda1", "197", "199.9", 59, "--resonance-floor", "1e-3", "--outputs",
         "f1,tms_max_rwa_ratio,tms_resonance,bs_max_rwa_ratio,bs_resonance",
     ),
     "verify_laser": ("verify", "laser", "--random", "20", "--seed", "3"),
