@@ -44,6 +44,7 @@ from sqom import (  # noqa: E402
 )
 from sqom.branch_bs import bs_couplings  # noqa: E402
 from sqom.contours import CONTOUR_COLUMNS, contour_table  # noqa: E402
+from sqom.elementwise import cabs, stack  # noqa: E402
 from sqom.sweep import (  # noqa: E402
     LASER_COLUMN_NAMES,
     Table,
@@ -165,22 +166,21 @@ def laser_datasets(outdir: Path):
         LASER.replace(lambda1=0.0, lambda2=0.0, delta1=20.0, delta2=19.2, j_hop=0.3),
     ))
 
+    labels, dphis, params = zip(*points)
+    vp = validate(stack(PhysicalParams, params))
+    c = bs_couplings(stage1_transform(vp), vp)
+    # one row per working point and density, working points outermost
     densities = np.geomspace(1e-3, 10.0, 201)
-    n = densities.size
-    tables = []
-    for label, dphi, params in points:
-        vp = validate(params)
-        c = bs_couplings(stage1_transform(vp), vp)
-        inp = LaserInput(np.full(n, abs(c.gp12)), np.full(n, c.w1), np.full(n, c.w2),
-                         n_plus=densities)
-        res = laser_point(inp, vp.omega_m, vp.kappa, vp.gamma_m)
-        tables.append(
-            {"point": np.full(n, label, dtype=object), "delta_phi": np.full(n, dphi),
-             "n_plus": densities, "gain": res.gain, "n_b": res.n_b,
-             "n_b_capped": res.n_b_capped, "n_threshold": res.n_threshold}
-        )
-    columns = list(tables[0])
-    _write(outdir / "phonon_number.csv", _stacked(tables, columns), columns)
+    at = np.repeat(np.arange(len(points)), densities.size)
+    inp = LaserInput(cabs(c.gp12)[at], c.w1[at], c.w2[at],
+                     n_plus=np.tile(densities, len(points)))
+    res = laser_point(inp, vp.omega_m[at], vp.kappa[at], vp.gamma_m[at])
+    table = Table(
+        {"point": np.array(labels, dtype=object)[at], "delta_phi": np.array(dphis)[at],
+         "n_plus": inp.n_plus, "gain": res.gain, "n_b": res.n_b,
+         "n_b_capped": res.n_b_capped, "n_threshold": res.n_threshold}
+    )
+    _write(outdir / "phonon_number.csv", table, list(table.columns))
 
 
 def main(argv=None) -> int:

@@ -19,7 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .elementwise import ops
+import numpy as np
+
+from .elementwise import atan2, cabs, cis, cis_neg, cos, cosh, phase, rmul, sin, sinh
 from .params import ValidatedParams
 from .stage1 import Stage1Result
 from .validity import rwa_validity as rwa_validity_bs  # noqa: F401 (public name)
@@ -54,35 +56,33 @@ class BsCouplings:
 
 def mixing_angle(j_prime_abs: float, omega_s1: float, omega_s2: float) -> float:
     """Principal-branch mixing angle; pi/2 at frequency degeneracy."""
-    xp = ops(j_prime_abs)
-    theta = xp.atan2(j_prime_abs, omega_s2 - omega_s1)
-    return xp.where(theta > 0.5 * math.pi, theta - math.pi, theta)
+    theta = atan2(j_prime_abs, omega_s2 - omega_s1)
+    return np.where(theta > 0.5 * math.pi, theta - math.pi, theta)
 
 
 def bs_couplings(s: Stage1Result, p: ValidatedParams) -> BsCouplings:
     """Beam-splitter supermode frequencies and optomechanical couplings."""
-    xp = ops(p.j_hop)
-    j_prime = xp.rmul(2.0 * p.j_hop, s.lam1)
-    jp = xp.cabs(j_prime)
-    phi = xp.phase(j_prime)
+    j_prime = rmul(2.0 * p.j_hop, s.lam1)
+    jp = cabs(j_prime)
+    phi = phase(j_prime)
     theta = mixing_angle(jp, s.omega_s1, s.omega_s2)
-    ch, sh = xp.cos(0.5 * theta), xp.sin(0.5 * theta)
+    ch, sh = cos(0.5 * theta), sin(0.5 * theta)
     half_sin = sh * ch  # sin(theta)/2
     sin_t = 2.0 * half_sin
 
     w1 = s.omega_s1 * ch * ch + s.omega_s2 * sh * sh - jp * half_sin
     w2 = s.omega_s2 * ch * ch + s.omega_s1 * sh * sh + jp * half_sin
 
-    ch2rd2 = xp.cosh(2.0 * s.r_d2)
-    sh2rd2 = xp.sinh(2.0 * s.r_d2)
+    ch2rd2 = cosh(2.0 * s.r_d2)
+    sh2rd2 = sinh(2.0 * s.r_d2)
     g0 = p.g0
 
     g1 = g0 * ch2rd2 * sh * sh
     g2 = g0 * ch2rd2 * ch * ch
-    g12 = xp.rmul(-0.5 * g0 * sh2rd2 * sin_t, xp.cis(p.phi_d2 + phi))
-    g11 = xp.rmul(0.5 * g0 * sh2rd2 * sh * sh, xp.cis(2.0 * phi + p.phi_d2))
-    g22 = xp.rmul(0.5 * g0 * sh2rd2 * ch * ch, xp.cis(p.phi_d2))
-    gp12 = xp.rmul(0.5 * g0 * ch2rd2 * sin_t, xp.cis_neg(phi))
+    g12 = rmul(-0.5 * g0 * sh2rd2 * sin_t, cis(p.phi_d2 + phi))
+    g11 = rmul(0.5 * g0 * sh2rd2 * sh * sh, cis(2.0 * phi + p.phi_d2))
+    g22 = rmul(0.5 * g0 * sh2rd2 * ch * ch, cis(p.phi_d2))
+    gp12 = rmul(0.5 * g0 * ch2rd2 * sin_t, cis_neg(phi))
 
     return BsCouplings(
         theta=theta,

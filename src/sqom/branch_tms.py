@@ -14,16 +14,16 @@ with it.
 
 The stage exists only for S > |J'|; S <= 0 is rejected rather than
 analytically continued (the log form would give r < 0 there, a regime with
-no physical anchor in this model). On arrays a refused point is not raised
-but comes back with r = NaN, and NaN in every coupling derived from r.
+no physical anchor in this model). A point outside it (TmsUnstable in the sweep's
+tms_error column) comes back with r = NaN, and NaN in every coupling derived
+from r.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .elementwise import ops
-from .errors import TmsUnstable
+from .elementwise import cabs, cis, cosh, div, log, phase, rmul, sinh
 from .params import ValidatedParams
 from .stage1 import Stage1Result
 from .validity import rwa_validity as rwa_validity_tms  # noqa: F401 (public name)
@@ -60,38 +60,34 @@ class TmsCouplings:
 def tms_couplings(s: Stage1Result, p: ValidatedParams) -> TmsCouplings:
     """Two-mode-squeezing supermode frequencies and optomechanical couplings.
 
-    Raises
-    ------
-    TmsUnstable
-        when omega_s1 + omega_s2 <= |J'| (which includes every case with
-        omega_s1 + omega_s2 <= 0).
+    A point with omega_s1 + omega_s2 <= |J'| (which includes every case with
+    omega_s1 + omega_s2 <= 0) is unstable: its r and couplings are NaN.
     """
-    xp = ops(p.j_hop)
-    j_prime = xp.rmul(2.0 * p.j_hop, s.lam2)
-    jp = xp.cabs(j_prime)
+    j_prime = rmul(2.0 * p.j_hop, s.lam2)
+    jp = cabs(j_prime)
     s_sum = s.omega_sum
-    refused = xp.refuse(xp.not_(s_sum > jp), TmsUnstable, s_sum, jp)
+    unstable = ~(s_sum > jp)
 
-    phi = xp.phase(j_prime)
-    r = 0.25 * xp.log(xp.div(s_sum + jp, s_sum - jp, refused, math.nan))
-    ch, sh = xp.cosh(r), xp.sinh(r)
+    phi = phase(j_prime)
+    r = 0.25 * log(div(s_sum + jp, s_sum - jp, unstable, math.nan))
+    ch, sh = cosh(r), sinh(r)
     half_sh2 = sh * ch  # sinh(2r)/2
 
     w1 = s.omega_s1 * ch * ch + s.omega_s2 * sh * sh - jp * half_sh2
     w2 = s.omega_s2 * ch * ch + s.omega_s1 * sh * sh - jp * half_sh2
 
-    ch2rd2 = xp.cosh(2.0 * s.r_d2)
-    sh2rd2 = xp.sinh(2.0 * s.r_d2)
+    ch2rd2 = cosh(2.0 * s.r_d2)
+    sh2rd2 = sinh(2.0 * s.r_d2)
     g0 = p.g0
 
     g1 = g0 * ch2rd2 * sh * sh
     g2 = g0 * ch2rd2 * ch * ch
     # The signs of g12 and gp12 carry the arg(-J') fold of the rotation;
     # their magnitudes satisfy |g12|^2 = g1*g2 and |gp12| = |tanh(2 r_d2)|*|g12|.
-    g12 = xp.rmul(-g0 * ch2rd2 * sh * ch, xp.cis(phi))
-    g11 = xp.rmul(g0 * sh2rd2 * sh * sh * 0.5, xp.cis(2.0 * phi - p.phi_d2))
-    g22 = xp.rmul(g0 * sh2rd2 * ch * ch * 0.5, xp.cis(p.phi_d2))
-    gp12 = xp.rmul(-g0 * sh2rd2 * sh * ch, xp.cis(p.phi_d2 - phi))
+    g12 = rmul(-g0 * ch2rd2 * sh * ch, cis(phi))
+    g11 = rmul(g0 * sh2rd2 * sh * sh * 0.5, cis(2.0 * phi - p.phi_d2))
+    g22 = rmul(g0 * sh2rd2 * ch * ch * 0.5, cis(p.phi_d2))
+    gp12 = rmul(-g0 * sh2rd2 * sh * ch, cis(p.phi_d2 - phi))
 
     f_prime = g0 * ch2rd2 * sh * sh
     c_prime = s_sum * sh * sh - jp * sh * ch
@@ -109,6 +105,6 @@ def tms_couplings(s: Stage1Result, p: ValidatedParams) -> TmsCouplings:
         gp12=gp12,
         f_prime=f_prime,
         c_prime=c_prime,
-        eta=xp.div(g1, g2, refused, math.nan),  # 0/0 = NaN for g0 = 0
+        eta=div(g1, g2, unstable, math.nan),  # 0/0 = NaN for g0 = 0
     )
 

@@ -16,6 +16,7 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from .contours import CONTOUR_COLUMNS, contour_table, extract_contours
+from .elementwise import broadcast
 from .errors import ConfigError, SqomError
 from .params import load_config
 from .sweep import (
@@ -131,6 +132,10 @@ def _read_grid_csv(path: str, field: str | None):
         first = next(rows, None)
         if first is None:
             raise ConfigError(f"grid file {path} has no data rows")
+        if len(names) < 4:
+            missing = " and ".join(("x axis", "y axis")[len(names) - 2:])
+            header = ",".join(names)
+            raise ConfigError(f"grid file {path} lacks the {missing} column after {header}")
         x_axis, y_axis = names[2], names[3]
         non_numeric = {name for name, kind in COLUMN_SCHEMA if kind != "float"}
         numeric = [n for n in names[4:] if n not in non_numeric]
@@ -176,11 +181,14 @@ def cmd_contours(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.random < 0:
+        raise ConfigError(f"--random must be >= 0, got {args.random}")
     cfg = load_config(args.config)
     from .params import validate
 
     rows = run_verification(
-        validate(cfg.params), n_random=args.random, seed=args.seed, oracle_rtol=args.rel_tol
+        validate(broadcast(cfg.params, 1)),
+        n_random=args.random, seed=args.seed, oracle_rtol=args.rel_tol,
     )
     _emit([asdict(r) for r in rows], [f.name for f in fields(CheckRow)], args.out)
     return 0 if all_passed(rows) else 2

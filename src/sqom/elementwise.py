@@ -1,23 +1,21 @@
-"""Elementwise math that gives the same bits for a float and for an array.
+"""Elementwise math over numpy arrays that gives CPython's float bits.
 
-Every physics function of the package takes either Python floats or equal
-length numpy arrays in its parameter fields, and runs one formula for both.
-The columnar sweep relies on this: a row of a sweep must equal the scalar
-evaluation of its point bit for bit, down to the 17th significant digit and
-the sign of a zero.
+Every physics function takes its parameters as equal-length numpy arrays,
+one point per element (`broadcast` makes a batch of one). A point's results
+must not depend on its batch, down to the 17th significant digit and the
+sign of a zero, and must equal CPython's `math`/`cmath` on its floats.
 
 The exactness rule: numpy may touch a value that can reach a CSV cell only
 through operations that round exactly like CPython's: +, -, * and / on float
 arrays, complex + complex, complex + real, comparisons and `where`. Numpy's
 own transcendental functions, `**`, complex products and complex `abs` do not
-match libm in the last bit on every host, so the array namespace maps the
-very `math`/`cmath` function the scalar code calls over `arr.tolist()`, and
-spells a real-times-complex product out the way CPython computes it.
+match libm in the last bit on every host, so this module maps the `math`/
+`cmath` function over `arr.tolist()`, and spells a real-times-complex product
+out the way CPython computes it.
 
-`ops(x)` picks the namespace for a value: `Scalar` for a Python number,
-`Array` for a numpy array. A per-point refusal (an exception such as
-`TmsUnstable`) is raised by `Scalar.refuse`; `Array.refuse` returns the mask
-instead, and the function fills the refused points with NaN.
+A per-point failure (an unstable two-mode-squeezing stage, a threshold at
+zero coupling) is not raised: those points are NaN, and the sweep names the
+error in its error columns.
 """
 from __future__ import annotations
 
@@ -42,59 +40,32 @@ def _square(x):
     return x**2
 
 
-class Scalar:
-    """Python floats and complex numbers: math, cmath and plain operators."""
-
-    exp = staticmethod(math.exp)
-    log = staticmethod(math.log)
-    cosh = staticmethod(math.cosh)
-    sinh = staticmethod(math.sinh)
-    cos = staticmethod(math.cos)
-    sin = staticmethod(math.sin)
-    atan2 = staticmethod(math.atan2)
-    isfinite = staticmethod(math.isfinite)
-    cabs = staticmethod(abs)
-    phase = staticmethod(cmath.phase)
-    cis = staticmethod(_cis)  # exp(1j*x)
-    cis_neg = staticmethod(_cis_neg)  # exp(-1j*x)
-    square = staticmethod(_square)  # x**2, i.e. libm pow
-    rmul = staticmethod(operator.mul)  # real * complex
-    mod = staticmethod(operator.mod)
-    not_ = staticmethod(operator.not_)
-    any = staticmethod(bool)
-
-    @staticmethod
-    def where(cond, a, b):
-        return a if cond else b
-
-    @staticmethod
-    def div(num, den, skip, fill):
-        """num / den, or `fill` where `skip` holds (the division is then not
-        evaluated). A zero `den` gives IEEE's signed infinity or NaN, as on arrays."""
-        if skip:
-            return fill
-        return num / den if den else num * math.copysign(math.inf, den)
-
-    @staticmethod
-    def refuse(bad, error, *args):
-        """Raise error(*args) when `bad`; return `bad` otherwise."""
-        if bad:
-            raise error(*args)
-        return bad
-
-
 def _mapped(fn, dtype=float):
     def apply(*args):
-        if not isinstance(args[0], np.ndarray):
-            return fn(*args)
         return np.fromiter(map(fn, *(a.tolist() for a in args)), dtype, len(args[0]))
 
-    apply.__doc__ = f"{fn.__name__} of each element, as the scalar code computes it"
+    apply.__doc__ = f"{fn.__name__} of each element, as CPython computes it on the floats"
     return apply
 
 
-def _rmul(x, z):
-    # CPython multiplies a float by a complex as complex(x, 0.0) * z
+exp = _mapped(math.exp)
+log = _mapped(math.log)
+cosh = _mapped(math.cosh)
+sinh = _mapped(math.sinh)
+tanh = _mapped(math.tanh)
+cos = _mapped(math.cos)
+sin = _mapped(math.sin)
+atan2 = _mapped(math.atan2)
+hypot = _mapped(math.hypot)
+cabs = _mapped(abs)
+phase = _mapped(cmath.phase)
+cis = _mapped(_cis, complex)  # exp(1j*x)
+cis_neg = _mapped(_cis_neg, complex)  # exp(-1j*x)
+square = _mapped(_square)  # x**2 is libm pow, which differs from x*x
+
+
+def rmul(x, z):
+    """Real times complex, as CPython multiplies them: complex(x, 0.0) * z."""
     out = np.empty(np.broadcast(x, z).shape, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         out.real = x * z.real - 0.0 * z.imag
@@ -102,47 +73,22 @@ def _rmul(x, z):
     return out
 
 
-def _mod(x, m):
+def mod(x, m: float):
+    """x % m per element, with Python's float modulo."""
     return np.fromiter(map(operator.mod, x.tolist(), repeat(m)), float, len(x))
 
 
-def _div(num, den, skip, fill):
+def div(num, den, skip, fill):
+    """num / den, or `fill` where `skip` holds. A zero `den` gives IEEE's
+    signed infinity or NaN, without a warning."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return np.where(skip, fill, num / den)
 
 
-def _refuse(bad, error, *args):
-    return bad
-
-
-class Array:
-    """numpy arrays: exact arithmetic in numpy, libm calls mapped per element."""
-
-    exp = staticmethod(_mapped(math.exp))
-    log = staticmethod(_mapped(math.log))
-    cosh = staticmethod(_mapped(math.cosh))
-    sinh = staticmethod(_mapped(math.sinh))
-    cos = staticmethod(_mapped(math.cos))
-    sin = staticmethod(_mapped(math.sin))
-    atan2 = staticmethod(_mapped(math.atan2))
-    isfinite = staticmethod(np.isfinite)
-    cabs = staticmethod(_mapped(abs))
-    phase = staticmethod(_mapped(cmath.phase))
-    cis = staticmethod(_mapped(_cis, complex))
-    cis_neg = staticmethod(_mapped(_cis_neg, complex))
-    square = staticmethod(_mapped(_square))
-    rmul = staticmethod(_rmul)
-    mod = staticmethod(_mod)
-    not_ = staticmethod(np.logical_not)
-    any = staticmethod(np.any)
-    where = staticmethod(np.where)
-    div = staticmethod(_div)
-    refuse = staticmethod(_refuse)
-
-
-def ops(x) -> type[Scalar] | type[Array]:
-    """The namespace matching `x`: Array for a numpy array, Scalar otherwise."""
-    return Array if isinstance(x, np.ndarray) else Scalar
+def py_max(a, b):
+    """Python's max(a, b) per element: b only where b > a, so a NaN in b
+    never wins and a NaN in a always does."""
+    return np.where(b > a, b, a)
 
 
 def take(obj, index):
@@ -150,9 +96,10 @@ def take(obj, index):
     return replace(obj, **{f.name: getattr(obj, f.name)[index] for f in fields(obj)})
 
 
-def item(obj):
-    """A dataclass of length-1 arrays as the same dataclass of Python scalars."""
-    return replace(obj, **{f.name: getattr(obj, f.name).item() for f in fields(obj)})
+def stack(cls, items):
+    """A list of dataclasses of scalars as one dataclass `cls` of arrays."""
+    return cls(**{f.name: np.array([getattr(x, f.name) for x in items], dtype=float)
+                  for f in fields(cls)})
 
 
 def broadcast(obj, n: int):

@@ -43,15 +43,8 @@ class Stage1Unstable(SqomError):
 
 
 class TmsUnstable(SqomError):
-    """Two-mode-squeezing stage undefined: omega_s1 + omega_s2 <= |J'|."""
-
-    def __init__(self, s_sum: float, j_prime_abs: float):
-        self.s_sum = s_sum
-        self.j_prime_abs = j_prime_abs
-        super().__init__(
-            f"two-mode squeezing requires omega_s1 + omega_s2 > |J'|; "
-            f"got sum={s_sum}, |J'|={j_prime_abs}"
-        )
+    """Two-mode-squeezing stage undefined: omega_s1 + omega_s2 <= |J'| (named
+    in a row's error columns, where the stage's numbers are NaN)."""
 
 
 class ZeroCoupling(SqomError):

@@ -16,8 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .elementwise import ops
-from .errors import ZeroCoupling
+import numpy as np
+
+from .elementwise import div, exp, square
 
 EXP_CAP = 700.0
 KAPPA_HIERARCHY = 10.0
@@ -67,12 +68,11 @@ class LaserResult:
 
 def mechanical_gain(inp: LaserInput, omega_m: float, kappa: float) -> float:
     """Lorentzian mechanical gain; the denominator is strictly positive."""
-    xp = ops(inp.w1)
-    if xp.any(kappa <= 0.0):
+    if np.any(kappa <= 0.0):
         raise ValueError(f"kappa must be > 0, got {kappa}")
     detuning = inp.w1 - inp.w2 - omega_m
     dn = inp.n_plus - inp.n_minus
-    return xp.square(inp.gp12_abs) * dn * kappa / (xp.square(detuning) + 0.25 * xp.square(kappa))
+    return square(inp.gp12_abs) * dn * kappa / (square(detuning) + 0.25 * square(kappa))
 
 
 def phonon_number(gain: float, gamma_m: float) -> PhononNumber:
@@ -82,12 +82,11 @@ def phonon_number(gain: float, gamma_m: float) -> PhononNumber:
     the formula grows astronomically immediately above threshold; the cap is
     reported via the flag.
     """
-    xp = ops(gain)
-    if xp.any(gamma_m <= 0.0):
+    if np.any(gamma_m <= 0.0):
         raise ValueError(f"gamma_m must be > 0, got {gamma_m}")
     exponent = 2.0 * (gain - gamma_m) / gamma_m
     capped = exponent > EXP_CAP
-    return PhononNumber(value=xp.exp(xp.where(capped, EXP_CAP, exponent)), capped=capped)
+    return PhononNumber(value=exp(np.where(capped, EXP_CAP, exponent)), capped=capped)
 
 
 def threshold(
@@ -100,16 +99,15 @@ def threshold(
 ) -> ThresholdResult:
     """Pump density and power where gain = gamma_m.
 
-    Raises ZeroCoupling for gp12_abs = 0 (the threshold is infinite); on
-    arrays such a point gets NaN density and power instead.
+    At gp12_abs = 0 the threshold is infinite: such a point (ZeroCoupling in
+    the sweep's laser_error column) gets NaN density and power.
     """
-    xp = ops(w1)
-    zero = xp.refuse(gp12_abs == 0.0, ZeroCoupling, "threshold undefined for |gp12| = 0")
-    if xp.any((kappa <= 0.0) | (gamma_m <= 0.0)):
+    zero = gp12_abs == 0.0
+    if np.any((kappa <= 0.0) | (gamma_m <= 0.0)):
         raise ValueError("kappa and gamma_m must be > 0")
     detuning = w1 - w2 - omega_m
-    lorentz = xp.square(detuning) + 0.25 * xp.square(kappa)
-    n_th = xp.div(gamma_m * lorentz, xp.square(gp12_abs) * kappa, zero, math.nan)
+    lorentz = square(detuning) + 0.25 * square(kappa)
+    n_th = div(gamma_m * lorentz, square(gp12_abs) * kappa, zero, math.nan)
     return ThresholdResult(
         n_threshold=n_th,
         p_threshold=n_th * kappa * w1,

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .elementwise import item, ops, take
+from .elementwise import mod
 from .errors import (
     ConfigError,
     NegativeParameter,
@@ -32,8 +32,9 @@ TWO_PI = 2.0 * math.pi
 class PhysicalParams:
     """Raw dimensionless parameter set (units of omega_m unless stated).
 
-    Every field may also be an equal-length numpy array, one point per
-    element; validate and the physics stages then evaluate all points at once.
+    A config holds floats. `validate` and the physics stages take the same
+    dataclass with an equal-length numpy array in every field, one point per
+    element (`elementwise.broadcast` makes a batch of one).
     """
 
     delta1: float
@@ -82,36 +83,34 @@ _PHYSICAL_FIELDS = tuple(f.name for f in fields(PhysicalParams))
 
 def canonical_delta_phi(phi_d1: float, phi_d2: float) -> float:
     """Phase difference folded into [0, 2*pi)."""
-    xp = ops(phi_d1)
-    d = xp.mod(phi_d1 - phi_d2, TWO_PI)
+    d = mod(phi_d1 - phi_d2, TWO_PI)
     # float mod of a tiny negative argument can round up to the modulus itself
-    return xp.where(d >= TWO_PI, 0.0, d)
+    return np.where(d >= TWO_PI, 0.0, d)
 
 
 def _checks(raw: PhysicalParams):
-    """Yield (ok, error type, key, value) per check, in the order validate applies them.
-
-    `ok` is a bool, or a bool array over the points when `raw` holds arrays.
-    """
-    finite = ops(raw.kappa).isfinite
+    """Yield (ok, error type, key, value) per check, in the order validate
+    applies them; `ok` is a bool array over the points."""
     for field in ("kappa", "gamma_m"):
         value = getattr(raw, field)
-        yield (value > 0.0) & finite(value), NonPositiveParameter, field, value
+        yield (value > 0.0) & np.isfinite(value), NonPositiveParameter, field, value
     yield raw.omega_m == 1.0, ConfigError, "omega_m", raw.omega_m
     for field in ("lambda1", "lambda2", "j_hop", "g0"):
         value = getattr(raw, field)
-        yield (value >= 0.0) & finite(value), NegativeParameter, field, value
+        yield (value >= 0.0) & np.isfinite(value), NegativeParameter, field, value
     for field in ("delta1", "delta2", "phi_d1", "phi_d2"):
         value = getattr(raw, field)
-        yield finite(value), ConfigError, field, value
+        yield np.isfinite(value), ConfigError, field, value
     for cavity, pair in enumerate([(raw.delta1, raw.lambda1), (raw.delta2, raw.lambda2)], 1):
         yield abs(pair[0]) > 2.0 * pair[1], Stage1Unstable, cavity, pair
 
 
-def _error(error: type, key, value) -> SqomError:
-    """The exception a failed scalar check raises."""
+def _error(error: type, key, value, i: int) -> SqomError:
+    """The exception a check that fails at point i raises, with the point's
+    values as Python floats."""
     if error is Stage1Unstable:
-        return Stage1Unstable(key, *value)
+        return Stage1Unstable(key, *(v.item(i) for v in value))
+    value = value.item(i)
     if error is not ConfigError:
         return error(key, value)
     if key == "omega_m":
@@ -122,8 +121,8 @@ def _error(error: type, key, value) -> SqomError:
 
 
 def validation_errors(raw: PhysicalParams) -> np.ndarray:
-    """Per point of an array parameter set, the name of the error validate
-    raises there, or '' where the point is valid."""
+    """Per point, the name of the error validate raises there, or '' where
+    the point is valid."""
     names = np.full(len(raw.kappa), "", dtype=object)
     # the first failed check names the error, so apply them last to first
     for ok, error, _, _ in reversed(list(_checks(raw))):
@@ -134,8 +133,8 @@ def validation_errors(raw: PhysicalParams) -> np.ndarray:
 def validate(raw: PhysicalParams) -> ValidatedParams:
     """Check stability and sign conventions; return the validated wrapper.
 
-    On an array parameter set every point must pass; the first failing point
-    raises its own error (`validation_errors` names them all).
+    Every point must pass; the first failing point raises the error of its
+    first failed check (`validation_errors` names them all).
 
     Raises
     ------
@@ -151,14 +150,11 @@ def validate(raw: PhysicalParams) -> ValidatedParams:
         strict with no margin: operating arbitrarily close to the boundary
         is legitimate and simply produces a large squeezing parameter.
     """
-    if isinstance(raw.kappa, np.ndarray):
-        bad = np.flatnonzero(validation_errors(raw))
-        if bad.size:
-            validate(item(take(raw, bad[:1])))
-    else:
-        for ok, error, key, value in _checks(raw):
-            if not ok:
-                raise _error(error, key, value)
+    bad = np.flatnonzero(validation_errors(raw))
+    if bad.size:
+        i = bad[0]
+        error, key, value = next((e, k, v) for ok, e, k, v in _checks(raw) if not ok[i])
+        raise _error(error, key, value, i)
     return ValidatedParams(
         **{f: getattr(raw, f) for f in _PHYSICAL_FIELDS},
         delta_phi=canonical_delta_phi(raw.phi_d1, raw.phi_d2),
@@ -182,21 +178,22 @@ _OPTIONAL_KEYS = {
     f.name: f.default for cls in (PhysicalParams, Config) for f in fields(cls)
     if f.default is not MISSING
 }
+# field order: an error names the first bad key, whatever the hash seed
+_KEYS = _REQUIRED_KEYS + tuple(_OPTIONAL_KEYS)
 
 
 def parse_config(data: dict) -> Config:
     """Build a Config from a parsed JSON object; unknown keys are an error."""
     if not isinstance(data, dict):
         raise ConfigError(f"config root must be a JSON object, got {type(data).__name__}")
-    known = set(_REQUIRED_KEYS) | set(_OPTIONAL_KEYS)
-    unknown = sorted(set(data) - known)
+    unknown = sorted(set(data) - set(_KEYS))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)} (typo guard)")
     missing = sorted(k for k in _REQUIRED_KEYS if k not in data)
     if missing:
         raise ConfigError(f"missing config keys: {', '.join(missing)}")
     values = {}
-    for key in known:
+    for key in _KEYS:
         value = data.get(key, _OPTIONAL_KEYS.get(key))
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"config key {key!r} must be a number, got {value!r}")

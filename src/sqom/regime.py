@@ -14,7 +14,9 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .elementwise import ops
+import numpy as np
+
+from .elementwise import cabs, div
 
 if TYPE_CHECKING:  # params takes the threshold defaults from here
     from .params import ValidatedParams
@@ -52,20 +54,19 @@ def classify(
     The thresholds default to the equipotential levels used to delimit the
     two validity regions; the band in between is reported as INTERMEDIATE,
     a first-class outcome (both branches can still be evaluated there, each
-    carrying its own validity ratios). On arrays `branch` is an object array
-    of Branch members.
+    carrying its own validity ratios). `branch` is an object array of Branch
+    members.
     """
-    xp = ops(s.omega_s1)
-    lam2_abs = xp.cabs(s.lam2)
+    lam2_abs = cabs(s.lam2)
     num = lam2_abs * abs(s.omega_diff)
-    den = xp.cabs(s.lam1) * abs(s.omega_sum)
+    den = cabs(s.lam1) * abs(s.omega_sum)
     degenerate = den == 0.0
-    f1 = xp.div(num, den, degenerate, math.inf)
+    f1 = div(num, den, degenerate, math.inf)
     f2 = abs(s.omega_sum) - 2.0 * p.j_hop * lam2_abs
 
-    branch = xp.where(
+    branch = np.where(
         (f1 >= f1_hi) & (f2 > 0.0),
         Branch.TWO_MODE_SQUEEZING,
-        xp.where(f1 <= f1_lo, Branch.BEAM_SPLITTER, Branch.INTERMEDIATE),
+        np.where(f1 <= f1_lo, Branch.BEAM_SPLITTER, Branch.INTERMEDIATE),
     )
     return RegimeReport(f1=f1, f2=f2, branch=branch, f1_degenerate=degenerate)

@@ -9,13 +9,14 @@ field by field. Per-point failures (e.g. the two-mode-squeezing stage
 refusing) never abort a sweep: they become masks, numeric cells keep a NaN
 sentinel and the typed error name lands in the matching error column.
 
-Exactness rule. A row must equal the float evaluation of its point bit for
-bit, and numpy's SIMD math does not match libm in the last bit. So numpy
-touches row values only through +, -, *, / on float arrays, complex +
-complex, complex + real, comparisons and `where`; every libm call (exp, log,
-cosh, sinh, cos, sin, atan2, x**2, cmath.exp, cmath.phase, complex abs) is
-the math/cmath function mapped over `arr.tolist()`, and a real times
-complex product is spelled out as CPython computes it. See `elementwise`.
+Exactness rule. A row must not depend on the batch its point is evaluated
+in, and must equal CPython's float math on that point bit for bit; numpy's
+SIMD math does not match libm in the last bit. So numpy touches row values
+only through +, -, *, / on float arrays, complex + complex, complex + real,
+comparisons and `where`; every libm call (exp, log, cosh, sinh, cos, sin,
+atan2, x**2, cmath.exp, cmath.phase, complex abs) is the math/cmath function
+mapped over `arr.tolist()`, and a real times complex product is spelled out
+as CPython computes it. See `elementwise`.
 
 CSV conventions: header row, fixed column order (see COLUMNS), '.' decimal
 separator, 17 significant digits, 'nan' sentinel, lowercase true/false.
@@ -33,7 +34,7 @@ import numpy as np
 from . import oracle
 from .branch_bs import bs_couplings, rwa_validity_bs
 from .branch_tms import rwa_validity_tms, tms_couplings
-from .elementwise import broadcast, item, take
+from .elementwise import broadcast, take
 from .errors import TmsUnstable, ZeroCoupling
 from .laser import LaserInput, laser_point
 from .params import PhysicalParams, validate, validation_errors
@@ -318,12 +319,10 @@ def _blank_where(cells: dict, mask: np.ndarray, names) -> None:
         cells[name] = np.where(mask, _blank(name, 1), cells[name])
 
 
-def _stage_columns(vp, s, opts: PipelineOptions) -> dict:
+def _stage_columns(vp, s, tms, bs, opts: PipelineOptions) -> dict:
     """Every column after stage 1, over valid points; the cells an error
     leaves blank are blank, and the error names are set."""
     regime = classify(s, vp, f1_hi=opts.f1_hi, f1_lo=opts.f1_lo)
-    tms = tms_couplings(s, vp)
-    bs = bs_couplings(s, vp)
     cells = {
         "f1": regime.f1,
         "f2": regime.f2,
@@ -332,10 +331,10 @@ def _stage_columns(vp, s, opts: PipelineOptions) -> dict:
         **_branch_columns("tms_", tms, rwa_validity_tms(tms, vp.omega_m, opts.resonance_floor)),
         **_branch_columns("bs_", bs, rwa_validity_bs(bs, vp.omega_m, opts.resonance_floor)),
     }
-    # tms_couplings marks the points it refuses with r = NaN
-    refused = np.isnan(tms.r)
-    _blank_where(cells, refused, [name for name in cells if name.startswith("tms_")])
-    cells["tms_error"] = np.where(refused, TmsUnstable.__name__, "")
+    # tms_couplings marks the points where the stage is unstable with r = NaN
+    unstable = np.isnan(tms.r)
+    _blank_where(cells, unstable, [name for name in cells if name.startswith("tms_")])
+    cells["tms_error"] = np.where(unstable, TmsUnstable.__name__, "")
 
     # The laser interaction lives on the classified branch; the beam-splitter
     # frame hosts it in the intermediate band too (flagged via laser_source).
@@ -357,8 +356,8 @@ def _stage_columns(vp, s, opts: PipelineOptions) -> dict:
         vp.gamma_m,
     )
     laser = _flatten("laser_", res)
-    no_source = on_tms & refused
-    zero = gp12_abs == 0.0  # where threshold raises ZeroCoupling (NaN without a source)
+    no_source = on_tms & unstable
+    zero = gp12_abs == 0.0  # an infinite threshold: ZeroCoupling (NaN without a source)
     _blank_where(laser, no_source | zero, list(laser))
     cells.update(laser)
     cells["laser_error"] = np.select(
@@ -370,35 +369,38 @@ def _stage_columns(vp, s, opts: PipelineOptions) -> dict:
 def _evaluate(params: PhysicalParams, opts: PipelineOptions):
     """The pipeline over parameter arrays, each stage called once for all points.
 
-    Returns the COLUMN_SCHEMA columns, plus the validated parameters and
-    the stage 1 result of the valid points (None when no point is valid).
-    A failed point gets exactly the cells the error would leave blank in a
-    point-by-point evaluation, and the error name in its column.
+    Returns the COLUMN_SCHEMA columns, plus the validated parameters, the
+    stage 1 result and the couplings of each branch over the valid points
+    (None when no point is valid). A failed point gets exactly the cells the
+    error would leave blank in a point-by-point evaluation, and the error
+    name in its column.
     """
     n = len(params.kappa)
     columns = {name: _blank(name, n) for name in COLUMNS}
     columns["error"] = validation_errors(params)
     valid = columns["error"] == ""
     if not valid.any():
-        return columns, None, None
+        return columns, None
     with np.errstate(all="ignore"):
         vp = validate(take(params, valid))
         s = stage1_transform(vp)
-        cells = {"delta_phi": vp.delta_phi, **_flatten("", s), **_stage_columns(vp, s, opts)}
+        tms, bs = tms_couplings(s, vp), bs_couplings(s, vp)
+        cells = {"delta_phi": vp.delta_phi, **_flatten("", s)}
+        cells.update(_stage_columns(vp, s, tms, bs, opts))
     for name, value in cells.items():
         columns[name][valid] = value
-    return columns, vp, s
+    return columns, (vp, s, {Branch.TWO_MODE_SQUEEZING: tms, Branch.BEAM_SPLITTER: bs})
 
 
 def evaluate_point(params: PhysicalParams, opts: PipelineOptions = PipelineOptions()) -> dict:
     """Full pipeline for one parameter set; never raises on physics errors."""
-    columns, _, _ = _evaluate(broadcast(params, 1), opts)
-    return Table(columns)[0]
+    return Table(_evaluate(broadcast(params, 1), opts)[0])[0]
 
 
 def analyze(params: PhysicalParams, opts: PipelineOptions = PipelineOptions()) -> dict:
-    """Single-point report: the full pipeline row plus the oracle cross-check."""
-    columns, vp, s = _evaluate(broadcast(params, 1), opts)
+    """Single-point report: the full pipeline row plus the oracle cross-check,
+    which reuses the evaluator's stages and solves the photonic form once."""
+    columns, stages = _evaluate(broadcast(params, 1), opts)
     row = Table(columns)[0]
     for name in ORACLE_COLUMNS:
         row[name] = math.nan
@@ -406,25 +408,25 @@ def analyze(params: PhysicalParams, opts: PipelineOptions = PipelineOptions()) -
     if row["error"]:
         return row
 
-    vp, s = item(vp), item(s)
+    vp, s, couplings = stages
+    if row["tms_error"]:
+        del couplings[Branch.TWO_MODE_SQUEEZING]
     form = oracle.build_photonic_form(vp)
     freqs = oracle.symplectic_frequencies(form)
-    reports = {}
-    for member in (Branch.TWO_MODE_SQUEEZING, Branch.BEAM_SPLITTER):
-        try:
-            reports[member] = oracle.rwa_error_report(vp, member, s, form, freqs)
-        except TmsUnstable:
-            continue
-    row["oracle_nu1"] = freqs.nu1
-    row["oracle_nu2"] = freqs.nu2
-    row["oracle_stable"] = freqs.stable
+    reports = {
+        member: oracle.rwa_error_report(vp, member, s, c, form, freqs)
+        for member, c in couplings.items()
+    }
+    row["oracle_nu1"] = freqs.nu1.item()
+    row["oracle_nu2"] = freqs.nu2.item()
+    row["oracle_stable"] = freqs.stable.item()
     for member, report in reports.items():
-        row[f"oracle_coeff_defect_{member.value}"] = report.coeff_defect
+        row[f"oracle_coeff_defect_{member.value}"] = report.coeff_defect.item()
     laser_frame = reports.get(Branch(row["laser_source"]))
     if laser_frame is not None:
-        row["oracle_freq_dev_lo"] = laser_frame.freq_devs[0].rel_dev
-        row["oracle_freq_dev_hi"] = laser_frame.freq_devs[1].rel_dev
-    row["oracle_metric_defect"] = max(r.metric_defect for r in reports.values())
+        row["oracle_freq_dev_lo"] = laser_frame.freq_devs[0].rel_dev.item()
+        row["oracle_freq_dev_hi"] = laser_frame.freq_devs[1].rel_dev.item()
+    row["oracle_metric_defect"] = max(r.metric_defect.item() for r in reports.values())
     return row
 
 

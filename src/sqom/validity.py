@@ -6,8 +6,8 @@ against that mismatch. A mismatch below `resonance_floor` is not a validity
 ratio at all but a frequency-matching working point, and is flagged as such
 instead of producing a huge ratio.
 
-Like the couplings they are built from, the ratios and flags are bools and
-floats for one point, or arrays over many points.
+Like the couplings they are built from, the ratios and flags are arrays over
+the points.
 """
 from __future__ import annotations
 
@@ -16,7 +16,9 @@ import operator
 from dataclasses import dataclass
 from functools import reduce
 
-from .elementwise import ops
+import numpy as np
+
+from .elementwise import cabs, div
 
 RESONANCE_FLOOR_DEFAULT = 1e-9
 
@@ -41,13 +43,12 @@ class ValidityReport:
     @property
     def max_ratio(self) -> float:
         """Largest ratio over the terms without a resonance hit, 0 if none."""
-        xp = ops(self.terms[0].ratio)
-        best, seen = 0.0, False
+        best, seen = 0.0, np.False_
         for t in self.terms:
             # as max(): the first candidate, then any strictly larger one
-            take = xp.not_(t.resonance_hit) & (xp.not_(seen) | (t.ratio > best))
-            best = xp.where(take, t.ratio, best)
-            seen = seen | xp.not_(t.resonance_hit)
+            take = ~t.resonance_hit & (~seen | (t.ratio > best))
+            best = np.where(take, t.ratio, best)
+            seen = seen | ~t.resonance_hit
         return best
 
     def term(self, name: str) -> RwaTerm:
@@ -58,13 +59,12 @@ class ValidityReport:
 
 
 def make_term(name: str, coupling_abs: float, gaps: list[float], resonance_floor: float) -> RwaTerm:
-    xp = ops(coupling_abs)
     gap = abs(gaps[0])
     for g in gaps[1:]:
         # as min(): keep the first of equal gaps
-        gap = xp.where(abs(g) < gap, abs(g), gap)
+        gap = np.where(abs(g) < gap, abs(g), gap)
     hit = gap < resonance_floor
-    ratio = xp.div(coupling_abs, gap, hit, math.inf)
+    ratio = div(coupling_abs, gap, hit, math.inf)
     return RwaTerm(name=name, coupling_abs=coupling_abs, gap=gap, ratio=ratio, resonance_hit=hit)
 
 
@@ -84,7 +84,6 @@ def rwa_validity(
     a resonance hit on the gp12 term marks the triple-resonance working
     point of the phonon laser rather than a validity failure.
     """
-    cabs = ops(c.w1).cabs
     w1, w2, floor = c.w1, c.w2, resonance_floor
     return ValidityReport(terms=(
         make_term("g1", c.g1, [omega_m], floor),

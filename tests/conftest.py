@@ -1,10 +1,52 @@
 """Shared fixtures: reference parameter sets and comparison helpers."""
 import math
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
 
 from sqom import PhysicalParams
+from sqom.elementwise import broadcast
+
+
+def batch(p):
+    """A parameter set of floats as a batch of one point."""
+    return broadcast(p, 1)
+
+
+def arr(*values):
+    """Floats as one array, a point per value."""
+    return np.array(values, dtype=float)
+
+
+def points(result):
+    """Each point of a dataclass of arrays, as the same dataclass of Python
+    scalars (fields that are not arrays are kept)."""
+    names = [f.name for f in fields(result) if isinstance(getattr(result, f.name), np.ndarray)]
+    columns = zip(*(getattr(result, name).tolist() for name in names))
+    return [replace(result, **dict(zip(names, values))) for values in columns]
+
+
+def point(result):
+    """The one point of a batch of one, as a dataclass of Python scalars."""
+    (only,) = points(result)
+    return only
+
+
+def on_one_point(fn):
+    """`fn` called on a batch of one: float arguments, and the float fields
+    of a dataclass argument, become length-1 arrays; the result comes back
+    as Python scalars."""
+    def wrap(x):
+        if is_dataclass(x):
+            return replace(x, **{f.name: wrap(getattr(x, f.name)) for f in fields(x)})
+        return arr(x) if isinstance(x, float) else x
+
+    def call(*args, **kwargs):
+        result = fn(*map(wrap, args), **{k: wrap(v) for k, v in kwargs.items()})
+        return point(result) if is_dataclass(result) else result.item()
+
+    return call
 
 
 def strong_drive_set(delta_phi: float = math.pi, lambda1: float = 1997.96) -> PhysicalParams:

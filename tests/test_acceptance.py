@@ -13,12 +13,10 @@ from sqom import (
     LaserInput,
     SweepSpec,
     extract_contours,
-    mechanical_gain,
-    phonon_number,
+    laser,
     run_grid,
     run_sweep,
     stage1_transform,
-    threshold,
     validate,
 )
 from sqom.branch_bs import bs_couplings
@@ -30,9 +28,15 @@ from sqom.verify import (
     _identity_errors_bs,
     _identity_errors_tms,
     random_branch_params,
+    random_sets,
+    stacked,
 )
 
-from conftest import strong_drive_set, laser_set, boundary_set
+from conftest import batch, boundary_set, laser_set, on_one_point, point, strong_drive_set
+
+mechanical_gain, phonon_number, threshold = map(
+    on_one_point, (laser.mechanical_gain, laser.phonon_number, laser.threshold)
+)
 
 N_RANDOM = 1000
 IDENTITY_RTOL = 1e-10
@@ -45,12 +49,15 @@ def _report(n, label):
 
 
 def test_criterion_1_exact_identity_suite(rng):
-    worst = 0.0
-    for _ in range(N_RANDOM):
-        tvp = random_branch_params(rng, Branch.TWO_MODE_SQUEEZING)
-        worst = max(worst, max(_identity_errors_tms(tvp).values()))
-        bvp = random_branch_params(rng, Branch.BEAM_SPLITTER)
-        worst = max(worst, max(_identity_errors_bs(bvp).values()))
+    tms_sets, bs_sets = [], []
+    for _ in range(N_RANDOM):  # the sets of both branches drawn alternately
+        tms_sets.append(random_branch_params(rng, Branch.TWO_MODE_SQUEEZING))
+        bs_sets.append(random_branch_params(rng, Branch.BEAM_SPLITTER))
+    errors = {
+        **_identity_errors_tms(*stacked(Branch.TWO_MODE_SQUEEZING, tms_sets)),
+        **_identity_errors_bs(*stacked(Branch.BEAM_SPLITTER, bs_sets)),
+    }
+    worst = max(np.max(err) for err in errors.values())
     assert worst < IDENTITY_RTOL, f"worst identity error {worst}"
     _report(1, f"exact identities, {N_RANDOM} sets/branch, worst={worst:.3e}")
 
@@ -58,11 +65,10 @@ def test_criterion_1_exact_identity_suite(rng):
 def test_criterion_2_oracle_equivalence(rng):
     worst_coeff, worst_metric = 0.0, 0.0
     for branch in (Branch.TWO_MODE_SQUEEZING, Branch.BEAM_SPLITTER):
-        for _ in range(N_RANDOM):
-            vp = random_branch_params(rng, branch)
-            report = rwa_error_report(vp, branch)
-            worst_coeff = max(worst_coeff, report.coeff_defect)
-            worst_metric = max(worst_metric, report.metric_defect)
+        vps, ss = random_sets(rng, branch, N_RANDOM)
+        report = rwa_error_report(vps, branch, ss)
+        worst_coeff = max(worst_coeff, np.max(report.coeff_defect))
+        worst_metric = max(worst_metric, np.max(report.metric_defect))
     assert worst_coeff < ORACLE_RTOL, f"worst coefficient defect {worst_coeff}"
     assert worst_metric < METRIC_TOL, f"worst metric defect {worst_metric}"
     _report(
@@ -73,14 +79,14 @@ def test_criterion_2_oracle_equivalence(rng):
 
 
 def test_criterion_3_rwa_audit():
-    vp2 = validate(strong_drive_set())
+    vp2 = validate(batch(strong_drive_set()))
     rep2 = rwa_error_report(vp2, Branch.TWO_MODE_SQUEEZING)
-    devs2 = [d.rel_dev for d in rep2.freq_devs]
+    devs2 = [d.rel_dev.item() for d in rep2.freq_devs]
     assert all(d <= 0.01 for d in devs2), devs2
 
-    vp3 = validate(laser_set())
+    vp3 = validate(batch(laser_set()))
     rep3 = rwa_error_report(vp3, Branch.BEAM_SPLITTER)
-    devs3 = [d.rel_dev for d in rep3.freq_devs]
+    devs3 = [d.rel_dev.item() for d in rep3.freq_devs]
     assert all(d <= 0.01 for d in devs3), devs3
     _report(
         3,
@@ -142,9 +148,8 @@ def test_criterion_5_threshold_dips():
         assert nth[i] <= 1.0
 
     def wdiff(x):
-        p = laser_set(delta_phi=float(x))
-        vp = validate(p)
-        c = bs_couplings(stage1_transform(vp), vp)
+        vp = validate(batch(laser_set(delta_phi=float(x))))
+        c = point(bs_couplings(stage1_transform(vp), vp))
         return c.w1 - c.w2 - 1.0
 
     root_lo = brentq(wdiff, 0.1, math.pi, xtol=1e-13)
@@ -216,25 +221,24 @@ def test_criterion_8_single_opa_limits():
     base = laser_set().replace(lambda1=0.0)
     jps = []
     for dphi in np.linspace(0.0, 2.0 * math.pi, 101):
-        vp = validate(base.replace(phi_d1=float(dphi)))
+        vp = validate(batch(base.replace(phi_d1=float(dphi))))
         s = stage1_transform(vp)
-        c = tms_couplings(s, vp)
+        c, s = point(tms_couplings(s, vp)), point(s)
         jps.append(abs(c.j_prime))
         assert abs(abs(c.j_prime) - 2.0 * base.j_hop * math.sinh(s.r_d2)) < 1e-12
     assert max(jps) - min(jps) < 1e-12
 
     bare = laser_set().replace(lambda1=0.0, lambda2=0.0, j_hop=0.0)
-    vp = validate(bare)
+    vp = validate(batch(bare))
     s = stage1_transform(vp)
-    c = bs_couplings(s, vp)
+    c, s = point(bs_couplings(s, vp)), point(s)
     assert c.g2 == bare.g0
     assert c.g1 == 0.0 and abs(c.gp12) == 0.0 and abs(c.g12) == 0.0
     assert s.g_s2 == bare.g0 and s.g_p2 == 0.0 and s.f_disp == 0.0
 
     with_hop = laser_set().replace(lambda1=0.0, lambda2=0.0)
-    vph = validate(with_hop)
-    sh = stage1_transform(vph)
-    ch = bs_couplings(sh, vph)
+    vph = validate(batch(with_hop))
+    ch = point(bs_couplings(stage1_transform(vph), vph))
     assert abs((ch.g1 + ch.g2) - with_hop.g0) < 1e-18  # no enhancement factor
     _report(8, "single-OPA limits: |J'| phase-independent, bare pipeline recovers g0")
 

@@ -7,9 +7,9 @@ from scipy.optimize import brentq
 
 from sqom import Branch, stage1_transform, validate
 from sqom.branch_bs import bs_couplings, mixing_angle, rwa_validity_bs
-from sqom.verify import random_branch_params, random_valid_params
+from sqom.verify import random_sets
 
-from conftest import assert_rel, laser_set, boundary_set
+from conftest import arr, assert_rel, batch, boundary_set, laser_set, point, points
 
 LASER_GP12_ABS_PI = 0.04138950927288354
 LASER_WDIFF_PI = 0.3345247006491605
@@ -19,10 +19,24 @@ LASER_DIP_HI = 3.587408258413328
 LASER_HALF_OMEGA_DPHI = 1.4647180893904561  # root of W2 = omega_m / 2
 
 
-def _couplings(p):
-    vp = validate(p)
+def _batch(p):
+    vp = validate(batch(p))
     s = stage1_transform(vp)
     return bs_couplings(s, vp), s, vp
+
+
+def _couplings(p):
+    """The couplings, stage 1 and parameters of one set, as Python scalars."""
+    return tuple(map(point, _batch(p)))
+
+
+def _validity_terms(p):
+    c, _, vp = _batch(p)
+    return {t.name: point(t) for t in rwa_validity_bs(c, vp.omega_m).terms}
+
+
+def _mixing_angle(j_prime_abs, omega_s1, omega_s2):
+    return mixing_angle(arr(j_prime_abs), arr(omega_s1), arr(omega_s2)).item()
 
 
 def test_no_hopping_upper_frequency_order():
@@ -44,10 +58,10 @@ def test_no_hopping_lower_frequency_order():
 
 
 def test_mixing_angle_quadrants():
-    assert mixing_angle(1.0, 0.0, 0.0) == pytest.approx(math.pi / 2)
-    assert mixing_angle(1.0, 0.0, 1.0) == pytest.approx(math.pi / 4)
-    assert mixing_angle(1.0, 1.0, 0.0) == pytest.approx(-math.pi / 4)
-    assert -math.pi / 2 < mixing_angle(0.3, 2.19, 2.00) < 0.0
+    assert _mixing_angle(1.0, 0.0, 0.0) == pytest.approx(math.pi / 2)
+    assert _mixing_angle(1.0, 0.0, 1.0) == pytest.approx(math.pi / 4)
+    assert _mixing_angle(1.0, 1.0, 0.0) == pytest.approx(-math.pi / 4)
+    assert -math.pi / 2 < _mixing_angle(0.3, 2.19, 2.00) < 0.0
 
 
 def test_laser_set_at_pi_frozen():
@@ -69,10 +83,8 @@ def test_gp12_weak_phase_dependence():
 
 def test_exact_identities_on_random_sets(rng):
     worst = 0.0
-    for _ in range(1000):
-        vp = random_branch_params(rng, Branch.BEAM_SPLITTER)
-        s = stage1_transform(vp)
-        c = bs_couplings(s, vp)
+    vps, ss = random_sets(rng, Branch.BEAM_SPLITTER, 1000)
+    for vp, s, c in zip(points(vps), points(ss), points(bs_couplings(ss, vps))):
         ch2 = vp.g0 * math.cosh(2.0 * s.r_d2)
         hyp = math.hypot(s.omega_diff, abs(c.j_prime))
         worst = max(
@@ -91,10 +103,8 @@ def test_exact_identities_on_random_sets(rng):
 
 
 def test_wdiff_sign_follows_parent_modes(rng):
-    for _ in range(300):
-        vp = random_valid_params(rng)
-        s = stage1_transform(vp)
-        c = bs_couplings(s, vp)
+    vps, ss = random_sets(rng, Branch.BEAM_SPLITTER, 300)
+    for vp, s, c in zip(points(vps), points(ss), points(bs_couplings(ss, vps))):
         if vp.j_hop > 0:
             assert (c.w1 - c.w2) * s.omega_diff > 0.0
 
@@ -125,11 +135,11 @@ def test_laser_resonance_roots():
     assert_rel(lo + hi, 2.0 * math.pi, 1e-12)  # symmetric about pi
     c, _, vp = _couplings(laser_set(delta_phi=lo))
     assert abs(c.w1 - c.w2 - 1.0) < 1e-10
-    report = rwa_validity_bs(c, vp.omega_m)
-    assert report.term("gp12").resonance_hit
+    terms = _validity_terms(laser_set(delta_phi=lo))
+    assert terms["gp12"].resonance_hit
     # every competing interaction is small at the working point
     for name in ("g1", "g2", "g11", "g22", "g12"):
-        assert report.term(name).ratio <= 0.1
+        assert terms[name].ratio <= 0.1
 
 
 def test_single_mode_parametric_point():
@@ -139,9 +149,8 @@ def test_single_mode_parametric_point():
 
     root = brentq(w2_shift, 0.05, math.pi, xtol=1e-13)
     assert_rel(root, LASER_HALF_OMEGA_DPHI, 1e-10)
-    c, _, vp = _couplings(laser_set(delta_phi=root))
-    report = rwa_validity_bs(c, vp.omega_m)
-    assert report.term("g22").resonance_hit
+    terms = _validity_terms(laser_set(delta_phi=root))
+    assert terms["g22"].resonance_hit
 
 
 def test_single_opa_in_auxiliary_cavity():

@@ -2,11 +2,15 @@
 import argparse
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import sqom
 from sqom.cli import build_parser, main
 
 LASER_PARAMS = {
@@ -69,6 +73,39 @@ def test_unstable_config_exit_1(tmp_path, capsys):
     path.write_text(json.dumps(bad))
     assert main(["verify", "--config", str(path), "--random", "1"]) == 1
     assert "Stage1Unstable" in capsys.readouterr().err
+
+
+def test_config_error_names_the_first_bad_key_under_any_hash_seed(tmp_path):
+    # keys are checked in field order, so delta1 is named before delta2
+    path = tmp_path / "two_bad.json"
+    path.write_text(json.dumps(dict(LASER_PARAMS, delta1="a", delta2="b")))
+    src = str(Path(sqom.__file__).resolve().parents[1])
+    for seed in range(6):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed),
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run(
+            [sys.executable, "-m", "sqom.cli", "analyze", "--config", str(path)],
+            capture_output=True, text=True, env=env,
+        )
+        assert run.returncode == 1
+        assert run.stderr == "error: config key 'delta1' must be a number, got 'a'\n", seed
+
+
+def test_verify_rejects_negative_random(laser_config, capsys):
+    assert main(["verify", "--config", laser_config, "--random", "-3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --random must be >= 0, got -3\n"
+    assert captured.out == ""
+
+
+def test_contours_short_header_exit_1(tmp_path, capsys):
+    grid_path = tmp_path / "grid.csv"
+    grid_path.write_text("x_index,y_index,f1\n0,0,1.0\n1,0,2.0\n")
+    assert main(["contours", "--grid", str(grid_path), "--level", "1.5"]) == 1
+    assert "lacks the y axis column" in capsys.readouterr().err
+    grid_path.write_text("x_index,y_index\n0,0\n")
+    assert main(["contours", "--grid", str(grid_path), "--level", "1.5"]) == 1
+    assert "lacks the x axis and y axis column" in capsys.readouterr().err
 
 
 def test_bad_axis_exit_1(laser_config, capsys):

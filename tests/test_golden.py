@@ -37,6 +37,7 @@ CONFIGS = {
     "laser_unstable": dict(LASER, lambda2=50.0),
     "laser_nan_phase": dict(LASER, phi_d2=math.nan),
     "undriven": dict(LASER, lambda1=0.0, lambda2=0.0, delta1=2.0, delta2=1.2, j_hop=0.3),
+    "laser_no_hop": dict(LASER, j_hop=0.0),
 }
 
 
@@ -95,6 +96,13 @@ CASES = {
         "f1,tms_max_rwa_ratio,tms_resonance,bs_max_rwa_ratio,bs_resonance",
     ),
     "verify_laser": ("verify", "laser", "--random", "20", "--seed", "3"),
+    # no random sets: the oracle runs on empty batches
+    "verify_laser_random_0": ("verify", "laser", "--random", "0"),
+    # the configured point with both branch transformations defined
+    "verify_boundary_random_1": ("verify", "boundary", "--random", "1", "--seed", "5"),
+    # j_hop = 0: a zero laser coupling (ZeroCoupling); the laser set at
+    # delta_phi = 0 (analyze_laser) is a TmsUnstable point
+    "analyze_zero_coupling": ("analyze", "laser_no_hop"),
 }
 
 DIGESTS = {
@@ -103,6 +111,7 @@ DIGESTS = {
     "analyze_laser_dip": "8fd80ce16177cf57ef8fb8ae4eea71f3935cc51e80ec297e80f2d02cf4f29309",
     "analyze_stage1_unstable": "96dd37fe9b8cb281ea2091a0f90380e1cdff0a98a0eab5515e666f4f322b52e7",
     "analyze_strong": "bdbc3ba1996847489653afafcdc40b2b61c0b562a1b09931c77073f08fc59dc5",
+    "analyze_zero_coupling": "3969712a8cad44f16e05b6c7aaeec73dc78def44d4e02117b11d8017d5ebe698",
     "grid_boundary_109": "6b45321f1db84ce153d4dad3ebf4f3d05f6c6965b8105d5f44f1314965f4946e",
     "grid_strong_101": "3ee7f76ecbd88eb1a55620f9c534576fd9cd776f1e7e400faad568622a3b41ae",
     "grid_strong_many_columns": "2ea8bea4b4e0391264c2a8e3015c4528c50f90ba5643166929eeeef79de1b347",
@@ -120,7 +129,9 @@ DIGESTS = {
     "sweep_rwa_knobs": "45f462e1933aa50ab789b1f1150b6c55c9eb03b2e07938203223796dde7bc451",
     "sweep_strong_phase": "93d5f368512ceb9bc24e0543dcd83dab6c7f212fc1d21fa917ad0a8362dfb5a3",
     "sweep_undriven_zero_hop": "77f03f7c511eed8118ccb80b40c7b5fedd636fe82c96d2eb442b0ec595f210c1",
+    "verify_boundary_random_1": "d48796f9b40412924058e637721fad00fca463a7e4d52f8fc13753621fbb9324",
     "verify_laser": "19ec0824e220aa63fc3c60487af90102e0902a2cc857bce91a67b6899e534bce",
+    "verify_laser_random_0": "56b18e9e60128b6922ff817d980b70a959d2645e625eb29ca92529c4196463b0",
 }
 
 

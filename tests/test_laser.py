@@ -5,19 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqom import (
-    LaserInput,
-    ZeroCoupling,
-    laser_point,
-    mechanical_gain,
-    phonon_number,
-    stage1_transform,
-    threshold,
-    validate,
-)
+from sqom import LaserInput, laser, stage1_transform, validate
 from sqom.branch_bs import bs_couplings
 
-from conftest import assert_rel, laser_set
+from conftest import assert_rel, batch, laser_set, on_one_point, point
+
+# every test reads single working points: each call runs on a batch of one
+mechanical_gain, phonon_number, threshold, laser_point = map(
+    on_one_point,
+    (laser.mechanical_gain, laser.phonon_number, laser.threshold, laser.laser_point),
+)
 
 LASER_DIP_LO = 2.6957770487662587
 # frozen at the dip root: |gp12|, W1, N_th, P_th (from the closed forms,
@@ -85,8 +82,8 @@ def test_threshold_on_resonance():
 
 
 def test_threshold_zero_coupling():
-    with pytest.raises(ZeroCoupling):
-        threshold(0.0, 2.0, 1.0, OMEGA_M, 0.05, 0.001)
+    res = threshold(0.0, 2.0, 1.0, OMEGA_M, 0.05, 0.001)  # the sweep's ZeroCoupling
+    assert math.isnan(res.n_threshold) and math.isnan(res.p_threshold)
 
 
 def test_threshold_negative_frequency_flagged():
@@ -116,8 +113,8 @@ def test_laser_point_flags_weak_hierarchy():
 
 def test_dip_reaches_threshold_at_single_photon():
     p = laser_set(delta_phi=LASER_DIP_LO)
-    vp = validate(p)
-    c = bs_couplings(stage1_transform(vp), vp)
+    vpb = validate(batch(p))
+    c, vp = point(bs_couplings(stage1_transform(vpb), vpb)), point(vpb)
     assert_rel(abs(c.gp12), LASER_DIP_GP12, 1e-10)
     res = laser_point(
         LaserInput(abs(c.gp12), c.w1, c.w2, n_plus=1.0), OMEGA_M, vp.kappa, vp.gamma_m
@@ -135,9 +132,8 @@ def test_no_opa_baseline_same_code_path():
     casing."""
     # detunings 0.8 apart, hopping 0.3: |J'| = 0.6, splitting = sqrt(0.64+0.36) = 1
     p = laser_set().replace(delta1=2.0, delta2=1.2, lambda1=0.0, lambda2=0.0, j_hop=0.3)
-    vp = validate(p)
-    s = stage1_transform(vp)
-    c = bs_couplings(s, vp)
+    vpb = validate(batch(p))
+    c, vp = point(bs_couplings(stage1_transform(vpb), vpb)), point(vpb)
     assert_rel(c.w1 - c.w2, 1.0, 1e-12)
     assert_rel(abs(c.gp12), 0.5 * vp.g0 * abs(math.sin(c.theta)), 1e-12)
     res = laser_point(

@@ -17,31 +17,31 @@ from sqom import (
 )
 from sqom.params import load_config
 
-from conftest import strong_drive_set, laser_set
+from conftest import arr, batch, laser_set, point, strong_drive_set
 
 
 def test_strong_drive_set_is_valid():
     # 4000 > 2*1997.96 = 3995.92 on both cavities
-    vp = validate(strong_drive_set())
+    vp = point(validate(batch(strong_drive_set())))
     assert vp.delta1 == -4000.0
     assert vp.delta_phi == pytest.approx(math.pi)
 
 
 def test_laser_set_is_valid():
-    validate(laser_set())
+    validate(batch(laser_set()))
 
 
 def test_boundary_case_is_unstable():
     p = laser_set().replace(lambda2=50.0)  # |delta2| = 2*lambda2 exactly
     with pytest.raises(Stage1Unstable) as exc:
-        validate(p)
+        validate(batch(p))
     assert exc.value.cavity == 2
 
 
 def test_first_cavity_instability_identified():
     p = laser_set().replace(lambda1=10.0001)
     with pytest.raises(Stage1Unstable) as exc:
-        validate(p)
+        validate(batch(p))
     assert exc.value.cavity == 1
 
 
@@ -49,24 +49,24 @@ def test_first_cavity_instability_identified():
 @pytest.mark.parametrize("value", [0.0, -1.0])
 def test_nonpositive_rates_rejected(field, value):
     with pytest.raises(NonPositiveParameter) as exc:
-        validate(laser_set().replace(**{field: value}))
+        validate(batch(laser_set().replace(**{field: value})))
     assert exc.value.field == field
 
 
 @pytest.mark.parametrize("field", ["lambda1", "lambda2", "j_hop", "g0"])
 def test_negative_amplitudes_rejected(field):
     with pytest.raises(NegativeParameter):
-        validate(laser_set().replace(**{field: -0.1}))
+        validate(batch(laser_set().replace(**{field: -0.1})))
 
 
 def test_omega_m_pinned_to_one():
     with pytest.raises(ConfigError, match="omega_m"):
-        validate(laser_set().replace(omega_m=2.0))
+        validate(batch(laser_set().replace(omega_m=2.0)))
 
 
 def test_validate_is_idempotent():
-    vp = validate(laser_set())
-    again = validate(vp.as_physical())
+    vp = point(validate(batch(laser_set())))
+    again = point(validate(batch(vp.as_physical())))
     assert again == vp
 
 
@@ -77,8 +77,8 @@ def test_validate_is_idempotent():
 )
 @settings(max_examples=80, deadline=None)
 def test_delta_phi_mod_2pi(phi1, phi2, k):
-    base = canonical_delta_phi(phi1, phi2)
-    shifted = canonical_delta_phi(phi1 + 2.0 * math.pi * k, phi2)
+    base = canonical_delta_phi(arr(phi1), arr(phi2)).item()
+    shifted = canonical_delta_phi(arr(phi1 + 2.0 * math.pi * k), arr(phi2)).item()
     assert 0.0 <= base < 2.0 * math.pi
     diff = abs(base - shifted)
     assert min(diff, 2.0 * math.pi - diff) < 1e-9

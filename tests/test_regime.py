@@ -1,10 +1,12 @@
 """Regime discriminants f1, f2 and branch classification."""
 import math
 
+import numpy as np
+
 from sqom import Branch, classify, stage1_transform, validate
 from sqom.branch_tms import tms_couplings
 
-from conftest import assert_rel, strong_drive_set, laser_set, boundary_set
+from conftest import arr, assert_rel, batch, boundary_set, laser_set, point, strong_drive_set
 
 STRONG_F1_PI = 10.397447549210074   # > 10: squeezing-dominated
 STRONG_F2_PI = 0.2229466267554372
@@ -12,9 +14,9 @@ LASER_F1_PI = 0.0310006373030808   # < 0.1: hopping-dominated
 
 
 def _regime(p, **kw):
-    vp = validate(p)
+    vp = validate(batch(p))
     s = stage1_transform(vp)
-    return classify(s, vp, **kw), s, vp
+    return point(classify(s, vp, **kw)), point(s), point(vp)
 
 
 def test_no_drives_is_beam_splitter():
@@ -77,10 +79,11 @@ def test_f1_degenerate_when_frequencies_cancel():
     from sqom.stage1 import Stage1Result
 
     s = Stage1Result(
-        r_d1=0.4, r_d2=0.7, omega_s1=5.0, omega_s2=-5.0, g_s2=0.1, g_p2=0.04,
-        lam1=1.5 + 0.0j, lam2=0.9 + 0.5j, f_disp=0.01, c_const=0.0,
+        r_d1=arr(0.4), r_d2=arr(0.7), omega_s1=arr(5.0), omega_s2=arr(-5.0), g_s2=arr(0.1),
+        g_p2=arr(0.04), lam1=np.array([1.5 + 0.0j]), lam2=np.array([0.9 + 0.5j]),
+        f_disp=arr(0.01), c_const=arr(0.0),
     )
-    report = classify(s, validate(laser_set()))
+    report = point(classify(s, validate(batch(laser_set()))))
     assert report.f1_degenerate
     assert math.isinf(report.f1)
 
@@ -98,13 +101,13 @@ def test_f1_large_near_frequency_cancellation():
 
 def test_f2_positive_needed_for_finite_r():
     """r grows beyond any bound as |J'| is pushed toward omega_s1+omega_s2."""
-    vp = validate(boundary_set())
-    s = stage1_transform(vp)
+    _, s, vp = _regime(boundary_set())
     margin = s.omega_sum / (2.0 * vp.j_hop * abs(s.lam2))  # j scale exhausting f2
     last_r = 0.0
     for shrink in (1e-2, 1e-6, 1e-10, 1e-14):
         p = boundary_set().replace(j_hop=boundary_set().j_hop * margin * (1.0 - shrink))
-        c = tms_couplings(stage1_transform(validate(p)), validate(p))
+        vpb = validate(batch(p))
+        c = point(tms_couplings(stage1_transform(vpb), vpb))
         assert c.r > last_r
         last_r = c.r
     assert last_r > 7.0  # 0.25*ln(2/1e-14) ~ 8.2

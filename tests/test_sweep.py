@@ -14,7 +14,7 @@ from sqom.sweep import (
     sweep_csv_rows,
 )
 
-from conftest import strong_drive_set, laser_set, boundary_set
+from conftest import boundary_set, laser_set, on_one_point, strong_drive_set
 
 
 def test_spec_validation():
@@ -194,7 +194,7 @@ def test_analyze_laser_block_matches_direct_laser_call():
     assert row["laser_source"] == "bs"
     from sqom import LaserInput, laser_point
 
-    res = laser_point(
+    res = on_one_point(laser_point)(
         LaserInput(row["bs_gp12_abs"], row["bs_w1"], row["bs_w2"], n_plus=2.0),
         1.0, laser_set().kappa, laser_set().gamma_m,
     )
