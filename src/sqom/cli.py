@@ -23,6 +23,7 @@ from .sweep import (
     COLUMN_SCHEMA,
     COLUMNS,
     LASER_COLUMN_NAMES,
+    LASER_SWEEP_OUTPUTS,
     ORACLE_COLUMNS,
     GridSpec,
     PipelineOptions,
@@ -103,7 +104,10 @@ def cmd_grid(args) -> int:
 
 def cmd_laser_sweep(args) -> int:
     cfg = load_config(args.config)
-    spec = SweepSpec(axis=args.axis, start=args.from_, stop=args.to, steps=args.steps)
+    spec = SweepSpec(
+        axis=args.axis, start=args.from_, stop=args.to, steps=args.steps,
+        outputs=LASER_SWEEP_OUTPUTS,
+    )
     rows = run_sweep(cfg.params, spec, _options(args, cfg))
     _emit(laser_rows(rows), LASER_COLUMN_NAMES, args.out)
     return 0

@@ -108,9 +108,13 @@ def threshold(
     detuning = w1 - w2 - omega_m
     lorentz = square(detuning) + 0.25 * square(kappa)
     n_th = div(gamma_m * lorentz, square(gp12_abs) * kappa, zero, math.nan)
+    # |gp12|^2 can underflow to 0 (an infinite threshold); inf * 0 is NaN and
+    # a product past the float range inf, as in CPython, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        p_threshold = n_th * kappa * w1
     return ThresholdResult(
         n_threshold=n_th,
-        p_threshold=n_th * kappa * w1,
+        p_threshold=p_threshold,
         w1_nonpositive=w1 <= 0.0,
     )
 

@@ -2,12 +2,15 @@
 
 The pipeline is columnar: a sweep or grid builds one array per parameter
 over all its points, and each stage (validate -> stage 1 -> regime -> both
-second-stage branches -> validity -> laser) runs once on those arrays.
-`evaluate_point` and `analyze` are the length-1 case of the same evaluator,
-so a sweep row and a single-point analysis of the same parameters agree
-field by field. Per-point failures (e.g. the two-mode-squeezing stage
-refusing) never abort a sweep: they become masks, numeric cells keep a NaN
-sentinel and the typed error name lands in the matching error column.
+second-stage branches -> validity -> laser) runs at most once on those
+arrays. A stage runs only when a requested column needs it (`NEEDS`): the
+`f1,f2,branch` regime map stops after `classify`, and the table it returns
+holds only the requested columns plus `error`. `evaluate_point` and
+`analyze` are the length-1 case of the same evaluator with every column, so
+a sweep row and a single-point analysis of the same parameters agree field
+by field. Per-point failures (e.g. the two-mode-squeezing stage refusing)
+never abort a sweep: they become masks, numeric cells keep a NaN sentinel
+and the typed error name lands in the matching error column.
 
 Exactness rule. A row must not depend on the batch its point is evaluated
 in, and must equal CPython's float math on that point bit for bit; numpy's
@@ -34,7 +37,7 @@ import numpy as np
 from . import oracle
 from .branch_bs import bs_couplings, rwa_validity_bs
 from .branch_tms import rwa_validity_tms, tms_couplings
-from .elementwise import broadcast, take
+from .elementwise import broadcast, cabs, take
 from .errors import TmsUnstable, ZeroCoupling
 from .laser import LaserInput, laser_point
 from .params import PhysicalParams, validate, validation_errors
@@ -133,6 +136,31 @@ COLUMN_SCHEMA: tuple[tuple[str, str], ...] = (
 
 COLUMNS = tuple(name for name, _ in COLUMN_SCHEMA)
 
+# The columns of a branch block that the branch's validity report fills.
+_REPORT_FIELDS = ("gp12_abs", "max_rwa_ratio", "resonance")
+
+
+def _column_needs(name: str) -> frozenset:
+    """The stages column `name` needs beyond validation, read off its prefix.
+
+    Every column but `error` needs stage 1, which runs with `classify`. A
+    `tms_`/`bs_` column needs that branch's couplings, and a column its
+    validity report fills needs the report too. The `laser_` block needs
+    both branches' couplings and their |gp12|, not their reports.
+    """
+    if name == "error":
+        return frozenset()
+    for branch in ("tms", "bs"):
+        if name.startswith(branch + "_"):
+            report = name[len(branch) + 1 :] in _REPORT_FIELDS
+            return frozenset({"stage1", branch} | ({branch + "_validity"} if report else set()))
+    if name.startswith("laser_"):
+        return frozenset({"stage1", "tms", "bs", "laser"})
+    return frozenset({"stage1"})
+
+
+NEEDS = {name: _column_needs(name) for name in COLUMNS}
+
 ORACLE_COLUMNS = (
     "oracle_nu1",
     "oracle_nu2",
@@ -159,6 +187,9 @@ LASER_SWEEP_COLUMNS = (
     ("f1", "f1"),
     ("error", "error"),
 )
+
+# What `laser_rows` reads: the projected columns and the laser error.
+LASER_SWEEP_OUTPUTS = tuple(key for _, key in LASER_SWEEP_COLUMNS) + ("laser_error",)
 
 
 @dataclass(frozen=True)
@@ -237,6 +268,9 @@ def _check_outputs(outputs):
     bad = [o for o in outputs if o not in COLUMNS]
     if bad:
         raise ValueError(f"unknown output column(s): {', '.join(bad)}")
+    repeated = [o for o in dict.fromkeys(outputs) if outputs.count(o) > 1]
+    if repeated:
+        raise ValueError(f"repeated output column(s): {', '.join(repeated)}")
 
 
 def apply_axis(params: PhysicalParams, axis: str, value: float) -> PhysicalParams:
@@ -305,13 +339,26 @@ def _flatten(prefix: str, result) -> dict:
     return {name: value for name, value in out.items() if name in _KIND}
 
 
-def _branch_columns(prefix: str, c, validity) -> dict:
-    return {
-        **_flatten(prefix, c),
-        prefix + "gp12_abs": validity.term("gp12").coupling_abs,
-        prefix + "max_rwa_ratio": validity.max_ratio,
-        prefix + "resonance": validity.any_resonance,
-    }
+def _branch_columns(prefix: str, c, validity, vp, opts: PipelineOptions) -> dict:
+    """The columns of one branch. `validity` is the branch's report function,
+    or None when no requested column needs the report: then, of the report's
+    columns, only |gp12|, which the laser reads."""
+    cells = _flatten(prefix, c)
+    if validity is None:
+        cells[prefix + "gp12_abs"] = cabs(c.gp12)
+        return cells
+    report = validity(c, vp.omega_m, opts.resonance_floor)
+    cells[prefix + "gp12_abs"] = report.term("gp12").coupling_abs
+    cells[prefix + "max_rwa_ratio"] = report.max_ratio
+    cells[prefix + "resonance"] = report.any_resonance
+    return cells
+
+
+# The branch column's cells: each point shares one of three str objects.
+_BRANCH_NAMES = np.array(
+    [Branch.TWO_MODE_SQUEEZING.value, Branch.BEAM_SPLITTER.value, Branch.INTERMEDIATE.value],
+    dtype=object,
+)
 
 
 def _blank_where(cells: dict, mask: np.ndarray, names) -> None:
@@ -319,35 +366,45 @@ def _blank_where(cells: dict, mask: np.ndarray, names) -> None:
         cells[name] = np.where(mask, _blank(name, 1), cells[name])
 
 
-def _stage_columns(vp, s, tms, bs, opts: PipelineOptions) -> dict:
-    """Every column after stage 1, over valid points; the cells an error
-    leaves blank are blank, and the error names are set."""
+def _stage_columns(vp, s, stages, opts: PipelineOptions):
+    """The columns of stage 1, the regime and the stages in `stages`, over
+    valid points, plus the couplings of each branch that ran; the cells an
+    error leaves blank are blank, and the error names are set."""
     regime = classify(s, vp, f1_hi=opts.f1_hi, f1_lo=opts.f1_lo)
+    on_tms = regime.branch == Branch.TWO_MODE_SQUEEZING
+    on_bs = regime.branch == Branch.BEAM_SPLITTER
     cells = {
+        "delta_phi": vp.delta_phi,
+        **_flatten("", s),
         "f1": regime.f1,
         "f2": regime.f2,
         "f1_degenerate": regime.f1_degenerate,
-        "branch": np.array([b.value for b in regime.branch.tolist()]),
-        **_branch_columns("tms_", tms, rwa_validity_tms(tms, vp.omega_m, opts.resonance_floor)),
-        **_branch_columns("bs_", bs, rwa_validity_bs(bs, vp.omega_m, opts.resonance_floor)),
+        "branch": _BRANCH_NAMES[np.select([on_tms, on_bs], [0, 1], 2)],
     }
-    # tms_couplings marks the points where the stage is unstable with r = NaN
-    unstable = np.isnan(tms.r)
-    _blank_where(cells, unstable, [name for name in cells if name.startswith("tms_")])
-    cells["tms_error"] = np.where(unstable, TmsUnstable.__name__, "")
+    couplings = {}
+    if "tms" in stages:
+        tms = couplings[Branch.TWO_MODE_SQUEEZING] = tms_couplings(s, vp)
+        validity = rwa_validity_tms if "tms_validity" in stages else None
+        tms_cells = _branch_columns("tms_", tms, validity, vp, opts)
+        # tms_couplings marks the points where the stage is unstable with r = NaN
+        unstable = np.isnan(tms.r)
+        _blank_where(tms_cells, unstable, list(tms_cells))
+        cells.update(tms_cells, tms_error=np.where(unstable, TmsUnstable.__name__, ""))
+    if "bs" in stages:
+        bs = couplings[Branch.BEAM_SPLITTER] = bs_couplings(s, vp)
+        validity = rwa_validity_bs if "bs_validity" in stages else None
+        cells.update(_branch_columns("bs_", bs, validity, vp, opts))
+    if "laser" in stages:
+        cells.update(_laser_columns(vp, cells, on_tms & unstable, on_tms, opts))
+    return cells, couplings
 
-    # The laser interaction lives on the classified branch; the beam-splitter
-    # frame hosts it in the intermediate band too (flagged via laser_source).
-    on_tms = regime.branch == Branch.TWO_MODE_SQUEEZING
+
+def _laser_columns(vp, cells: dict, no_source, on_tms, opts: PipelineOptions) -> dict:
+    """The laser block from the branch columns. The laser interaction lives
+    on the classified branch; the beam-splitter frame hosts it in the
+    intermediate band too (flagged via laser_source)."""
     w1, w2, gp12_abs = (
         np.where(on_tms, cells["tms_" + k], cells["bs_" + k]) for k in ("w1", "w2", "gp12_abs")
-    )
-    cells.update(
-        laser_source=np.where(on_tms, "tms", "bs"),
-        laser_w1=w1,
-        laser_w2=w2,
-        laser_detuning=w1 - w2 - vp.omega_m,
-        laser_gp12_abs=gp12_abs,
     )
     res = laser_point(
         LaserInput(gp12_abs=gp12_abs, w1=w1, w2=w2, n_plus=opts.n_plus, n_minus=opts.n_minus),
@@ -356,40 +413,49 @@ def _stage_columns(vp, s, tms, bs, opts: PipelineOptions) -> dict:
         vp.gamma_m,
     )
     laser = _flatten("laser_", res)
-    no_source = on_tms & unstable
     zero = gp12_abs == 0.0  # an infinite threshold: ZeroCoupling (NaN without a source)
     _blank_where(laser, no_source | zero, list(laser))
-    cells.update(laser)
-    cells["laser_error"] = np.select(
-        [no_source, zero], [TmsUnstable.__name__, ZeroCoupling.__name__], ""
-    )
-    return cells
+    return {
+        "laser_source": np.where(on_tms, "tms", "bs"),
+        "laser_w1": w1,
+        "laser_w2": w2,
+        "laser_detuning": w1 - w2 - vp.omega_m,
+        "laser_gp12_abs": gp12_abs,
+        **laser,
+        "laser_error": np.select(
+            [no_source, zero], [TmsUnstable.__name__, ZeroCoupling.__name__], ""
+        ),
+    }
 
 
-def _evaluate(params: PhysicalParams, opts: PipelineOptions):
-    """The pipeline over parameter arrays, each stage called once for all points.
+def _evaluate(params: PhysicalParams, opts: PipelineOptions, outputs=None):
+    """The pipeline over parameter arrays, each stage called at most once for
+    all points, and only when one of `outputs` (None: every column) needs it
+    (`NEEDS`).
 
-    Returns the COLUMN_SCHEMA columns, plus the validated parameters, the
-    stage 1 result and the couplings of each branch over the valid points
-    (None when no point is valid). A failed point gets exactly the cells the
-    error would leave blank in a point-by-point evaluation, and the error
-    name in its column.
+    Returns the `outputs` columns plus `error`, in COLUMN_SCHEMA order, plus
+    the validated parameters, the stage 1 result and the couplings of each
+    branch that ran, over the valid points (None when no stage ran). A failed
+    point gets exactly the cells the error would leave blank in a
+    point-by-point evaluation, and the error name in its column.
     """
+    wanted = set(COLUMNS if outputs is None else outputs) | {"error"}
+    names = [name for name in COLUMNS if name in wanted]
+    stages = frozenset().union(*(NEEDS[name] for name in names))
     n = len(params.kappa)
-    columns = {name: _blank(name, n) for name in COLUMNS}
+    columns = {name: _blank(name, n) for name in names}
     columns["error"] = validation_errors(params)
     valid = columns["error"] == ""
-    if not valid.any():
+    if not stages or not valid.any():  # no stages: only `error` is asked for
         return columns, None
     with np.errstate(all="ignore"):
         vp = validate(take(params, valid))
         s = stage1_transform(vp)
-        tms, bs = tms_couplings(s, vp), bs_couplings(s, vp)
-        cells = {"delta_phi": vp.delta_phi, **_flatten("", s)}
-        cells.update(_stage_columns(vp, s, tms, bs, opts))
-    for name, value in cells.items():
-        columns[name][valid] = value
-    return columns, (vp, s, {Branch.TWO_MODE_SQUEEZING: tms, Branch.BEAM_SPLITTER: bs})
+        cells, couplings = _stage_columns(vp, s, stages, opts)
+    for name in names:
+        if name != "error":
+            columns[name][valid] = cells[name]
+    return columns, (vp, s, couplings)
 
 
 def evaluate_point(params: PhysicalParams, opts: PipelineOptions = PipelineOptions()) -> dict:
@@ -430,16 +496,13 @@ def analyze(params: PhysicalParams, opts: PipelineOptions = PipelineOptions()) -
     return row
 
 
-def _run(params: PhysicalParams, opts: PipelineOptions) -> Table:
-    return Table(_evaluate(params, opts)[0])
-
-
 def run_sweep(
     params: PhysicalParams,
     spec: SweepSpec,
     opts: PipelineOptions = PipelineOptions(),
 ) -> Table:
-    """One row per axis value, all evaluated at once.
+    """One row per axis value, all evaluated at once; the table holds the
+    spec's outputs (every column without them) plus `error`.
 
     The requested (raw) axis value is stored under 'axis_value'; the
     pipeline's own delta_phi column stays canonical in [0, 2*pi), so a sweep
@@ -447,7 +510,8 @@ def run_sweep(
     2*pi endpoint.
     """
     values = spec.values()
-    table = _run(apply_axis(broadcast(params, len(values)), spec.axis, values), opts)
+    point = apply_axis(broadcast(params, len(values)), spec.axis, values)
+    table = Table(_evaluate(point, opts, spec.outputs)[0])
     table["axis_value"] = values
     return table
 
@@ -471,7 +535,8 @@ def run_grid(
     spec: GridSpec,
     opts: PipelineOptions = PipelineOptions(),
 ) -> Table:
-    """Dense row-major grid; failed points carry sentinels, never abort.
+    """Dense row-major grid of the spec's outputs plus `error`; failed points
+    carry sentinels, never abort.
 
     Raw axis coordinates are stored under 'x_value'/'y_value' plus the
     integer indices, so the emitted file reconstructs the exact grid
@@ -481,7 +546,7 @@ def run_grid(
     x = np.tile(spec.x_values(), ny)
     y = np.repeat(spec.y_values(), nx)
     point = apply_axis(apply_axis(broadcast(params, nx * ny), spec.y_axis, y), spec.x_axis, x)
-    table = _run(point, opts)
+    table = Table(_evaluate(point, opts, spec.outputs)[0])
     table["x_index"] = np.tile(np.arange(nx), ny)
     table["y_index"] = np.repeat(np.arange(ny), nx)
     table["x_value"] = x

@@ -139,6 +139,20 @@ def test_sweep_output_subset(laser_config, capsys):
     assert len(lines) == 4
 
 
+def test_repeated_output_exit_1(boundary_config, tmp_path, capsys):
+    grid_path = tmp_path / "grid.csv"
+    code = main([
+        "grid", "--config", boundary_config,
+        "--x-axis", "lambda1", "--x-from", "198", "--x-to", "199", "--x-steps", "3",
+        "--y-axis", "delta_phi", "--y-from", "0", "--y-to", "3", "--y-steps", "3",
+        "--outputs", "f1,f2,f1",
+        "--out", str(grid_path),
+    ])
+    assert code == 1
+    assert "repeated output column(s): f1" in capsys.readouterr().err
+    assert not grid_path.exists()
+
+
 def test_laser_sweep_spec_columns(laser_config, capsys):
     assert main(["laser-sweep", "--config", laser_config, "--steps", "5"]) == 0
     header = capsys.readouterr().out.splitlines()[0]

@@ -18,7 +18,7 @@ from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sqom import (
@@ -259,6 +259,8 @@ LASER_POINTS = st.lists(
 
 
 @given(LASER_POINTS, st.floats(0.0, 5.0), st.floats(0.0, 5.0))
+# |gp12|^2 underflows to 0: an infinite threshold times w1 = 0
+@example(items=[(5e-324, 0.0, 0.0, 1.0, 0.001)], n_plus=0.0, n_minus=0.0)
 @settings(max_examples=60, deadline=None)
 def test_laser_array_equals_pointwise(items, n_plus, n_minus):
     g, w1, w2, kappa, gamma_m = (np.array(col) for col in zip(*items))

@@ -1,11 +1,17 @@
 """Sweep/grid mechanics: consistency, sentinels, determinism."""
+import dataclasses
+import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqom import GridSpec, PipelineOptions, SweepSpec, analyze, evaluate_point, run_grid, run_sweep
 from sqom.sweep import (
     COLUMNS,
+    LASER_SWEEP_OUTPUTS,
     apply_axis,
     grid_columns,
     laser_rows,
@@ -216,3 +222,117 @@ def test_analyze_solves_the_photonic_form_once(monkeypatch):
     assert not math.isnan(row["oracle_coeff_defect_tms"])
     assert not math.isnan(row["oracle_coeff_defect_bs"])
     assert calls == {"build_photonic_form": 1, "symplectic_frequencies": 1}
+
+
+# (parameters, axis, start, stop): each range crosses a per-point failure
+_FAILING_RANGES = [
+    (laser_set(), "lambda2", 49.0, 51.0),  # Stage1Unstable past lambda2 = 50
+    (laser_set(), "lambda2", 50.5, 52.0),  # no valid point at all
+    (laser_set(), "delta_phi", 0.0, 2.0 * math.pi),  # TmsUnstable near 0
+    (laser_set(), "g0", 0.0, 0.004),  # ZeroCoupling at g0 = 0
+    (boundary_set(), "j_hop", 0.0, 0.6),  # a zero beam-splitter gp12 at j_hop = 0
+    (strong_drive_set(), "delta_phi", 0.0, 2.0 * math.pi),  # tms, intermediate, bs
+]
+
+
+def _assert_projection(narrow, full, outputs, bookkeeping):
+    assert set(narrow.columns) == set(outputs) | {"error"} | set(bookkeeping)
+    for name, column in narrow.columns.items():
+        expected = full[name]
+        assert column.dtype == expected.dtype, name
+        if column.dtype.kind == "f":
+            assert np.array_equal(column.view(np.int64), expected.view(np.int64)), name
+        else:
+            assert column.tolist() == expected.tolist(), name
+
+
+_SUBSETS = st.lists(st.sampled_from(COLUMNS), unique=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(_FAILING_RANGES), steps=st.integers(2, 9), outputs=_SUBSETS)
+def test_narrow_sweep_is_a_projection_of_the_full_sweep(case, steps, outputs):
+    params, axis, start, stop = case
+    spec = SweepSpec(axis=axis, start=start, stop=stop, steps=steps)
+    full = run_sweep(params, spec)
+    narrow = run_sweep(params, dataclasses.replace(spec, outputs=tuple(outputs)))
+    _assert_projection(narrow, full, outputs, ["axis_value"])
+
+
+@settings(max_examples=30, deadline=None)
+@given(x_steps=st.integers(2, 5), y_steps=st.integers(2, 5), outputs=_SUBSETS)
+def test_narrow_grid_is_a_projection_of_the_full_grid(x_steps, y_steps, outputs):
+    # lambda1 crosses |delta1|/2 = 200 (Stage1Unstable), and the boundary
+    # set loses its TMS stage over part of the phase range
+    spec = GridSpec(
+        x_axis="lambda1", x_start=196.0, x_stop=201.0, x_steps=x_steps,
+        y_axis="delta_phi", y_start=0.0, y_stop=2.0 * math.pi, y_steps=y_steps,
+        outputs=COLUMNS,
+    )
+    full = run_grid(boundary_set(), spec)
+    narrow = run_grid(boundary_set(), dataclasses.replace(spec, outputs=tuple(outputs)))
+    _assert_projection(narrow, full, outputs, ["x_index", "y_index", "x_value", "y_value"])
+
+
+def test_narrow_table_has_no_unrequested_column():
+    spec = SweepSpec(axis="delta_phi", start=0.0, stop=1.0, steps=3, outputs=("f1",))
+    rows = run_sweep(laser_set(), spec)
+    assert list(rows[0]) == ["f1", "error", "axis_value"]
+    with pytest.raises(KeyError):
+        rows["tms_g1"]
+
+
+_STAGE_FUNCTIONS = (
+    "tms_couplings", "bs_couplings", "rwa_validity_tms", "rwa_validity_bs", "laser_point",
+)
+
+
+@pytest.fixture
+def stage_calls(monkeypatch):
+    """Calls of each gated stage function, counted where the sweep binds it."""
+    from sqom import sweep
+
+    calls = dict.fromkeys(_STAGE_FUNCTIONS, 0)
+    for name in _STAGE_FUNCTIONS:
+        def counted(*args, _fn=getattr(sweep, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(sweep, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("outputs, expected", [
+    (("f1", "f2", "branch"), {}),
+    (("tms_g1", "tms_error"), {"tms_couplings": 1}),
+    (("tms_resonance",), {"tms_couplings": 1, "rwa_validity_tms": 1}),
+    (LASER_SWEEP_OUTPUTS, {"tms_couplings": 1, "bs_couplings": 1, "laser_point": 1}),
+    (None, dict.fromkeys(_STAGE_FUNCTIONS, 1)),
+])
+def test_only_the_needed_stages_run(stage_calls, outputs, expected):
+    spec = SweepSpec(axis="delta_phi", start=0.0, stop=2.0 * math.pi, steps=7, outputs=outputs)
+    run_sweep(laser_set(), spec)
+    assert stage_calls == {name: expected.get(name, 0) for name in _STAGE_FUNCTIONS}
+
+
+def test_regime_map_grid_runs_no_branch(stage_calls):
+    spec = GridSpec(
+        x_axis="lambda1", x_start=197.2, x_stop=199.9, x_steps=4,
+        y_axis="delta_phi", y_start=0.0, y_stop=2.0 * math.pi, y_steps=4,
+    )
+    assert spec.outputs == ("f1", "f2", "branch")
+    run_grid(boundary_set(), spec)
+    assert not any(stage_calls.values())
+
+
+def test_laser_sweep_runs_no_validity_report(stage_calls, tmp_path):
+    from sqom.cli import main
+
+    config = tmp_path / "laser.json"
+    config.write_text(json.dumps(dataclasses.asdict(laser_set())))
+    out = tmp_path / "laser.csv"
+    assert main(["laser-sweep", "--config", str(config), "--steps", "7", "--out", str(out)]) == 0
+    assert stage_calls == {
+        "tms_couplings": 1, "bs_couplings": 1, "rwa_validity_tms": 0, "rwa_validity_bs": 0,
+        "laser_point": 1,
+    }
