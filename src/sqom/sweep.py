@@ -3,14 +3,15 @@
 The pipeline is columnar: a sweep or grid builds one array per parameter
 over all its points, and each stage (validate -> stage 1 -> regime -> both
 second-stage branches -> validity -> laser) runs at most once on those
-arrays. A stage runs only when a requested column needs it (`NEEDS`): the
-`f1,f2,branch` regime map stops after `classify`, and the table it returns
-holds only the requested columns plus `error`. `evaluate_point` and
-`analyze` are the length-1 case of the same evaluator with every column, so
-a sweep row and a single-point analysis of the same parameters agree field
-by field. Per-point failures (e.g. the two-mode-squeezing stage refusing)
-never abort a sweep: they become masks, numeric cells keep a NaN sentinel
-and the typed error name lands in the matching error column.
+arrays. A stage runs only when a requested column needs it (`NEEDS`; a
+branch runs with its validity report): the `f1,f2,branch` regime map stops
+after `classify`, and the table it returns holds only the requested columns
+plus `error`. `evaluate_point` and `analyze` are the length-1 case of the
+same evaluator with every column, so a sweep row and a single-point
+analysis of the same parameters agree field by field. Per-point failures
+(e.g. the two-mode-squeezing stage refusing) never abort a sweep: they
+become masks, numeric cells keep a NaN sentinel and the typed error name
+lands in the matching error column.
 
 Exactness rule. A row must not depend on the batch its point is evaluated
 in, and must equal CPython's float math on that point bit for bit; numpy's
@@ -37,7 +38,7 @@ import numpy as np
 from . import oracle
 from .branch_bs import bs_couplings, rwa_validity_bs
 from .branch_tms import rwa_validity_tms, tms_couplings
-from .elementwise import broadcast, cabs, take
+from .elementwise import broadcast, take
 from .errors import TmsUnstable, ZeroCoupling
 from .laser import LaserInput, laser_point
 from .params import PhysicalParams, validate, validation_errors
@@ -136,24 +137,18 @@ COLUMN_SCHEMA: tuple[tuple[str, str], ...] = (
 
 COLUMNS = tuple(name for name, _ in COLUMN_SCHEMA)
 
-# The columns of a branch block that the branch's validity report fills.
-_REPORT_FIELDS = ("gp12_abs", "max_rwa_ratio", "resonance")
-
-
 def _column_needs(name: str) -> frozenset:
     """The stages column `name` needs beyond validation, read off its prefix.
 
     Every column but `error` needs stage 1, which runs with `classify`. A
-    `tms_`/`bs_` column needs that branch's couplings, and a column its
-    validity report fills needs the report too. The `laser_` block needs
-    both branches' couplings and their |gp12|, not their reports.
+    `tms_`/`bs_` column needs that branch, which runs with its validity
+    report. The `laser_` block needs both branches.
     """
     if name == "error":
         return frozenset()
     for branch in ("tms", "bs"):
         if name.startswith(branch + "_"):
-            report = name[len(branch) + 1 :] in _REPORT_FIELDS
-            return frozenset({"stage1", branch} | ({branch + "_validity"} if report else set()))
+            return frozenset({"stage1", branch})
     if name.startswith("laser_"):
         return frozenset({"stage1", "tms", "bs", "laser"})
     return frozenset({"stage1"})
@@ -339,19 +334,13 @@ def _flatten(prefix: str, result) -> dict:
     return {name: value for name, value in out.items() if name in _KIND}
 
 
-def _branch_columns(prefix: str, c, validity, vp, opts: PipelineOptions) -> dict:
-    """The columns of one branch. `validity` is the branch's report function,
-    or None when no requested column needs the report: then, of the report's
-    columns, only |gp12|, which the laser reads."""
-    cells = _flatten(prefix, c)
-    if validity is None:
-        cells[prefix + "gp12_abs"] = cabs(c.gp12)
-        return cells
-    report = validity(c, vp.omega_m, opts.resonance_floor)
-    cells[prefix + "gp12_abs"] = report.term("gp12").coupling_abs
-    cells[prefix + "max_rwa_ratio"] = report.max_ratio
-    cells[prefix + "resonance"] = report.any_resonance
-    return cells
+def _branch_columns(prefix: str, c, validity) -> dict:
+    return {
+        **_flatten(prefix, c),
+        prefix + "gp12_abs": validity.term("gp12").coupling_abs,
+        prefix + "max_rwa_ratio": validity.max_ratio,
+        prefix + "resonance": validity.any_resonance,
+    }
 
 
 # The branch column's cells: each point shares one of three str objects.
@@ -384,16 +373,18 @@ def _stage_columns(vp, s, stages, opts: PipelineOptions):
     couplings = {}
     if "tms" in stages:
         tms = couplings[Branch.TWO_MODE_SQUEEZING] = tms_couplings(s, vp)
-        validity = rwa_validity_tms if "tms_validity" in stages else None
-        tms_cells = _branch_columns("tms_", tms, validity, vp, opts)
+        tms_cells = _branch_columns(
+            "tms_", tms, rwa_validity_tms(tms, vp.omega_m, opts.resonance_floor)
+        )
         # tms_couplings marks the points where the stage is unstable with r = NaN
         unstable = np.isnan(tms.r)
         _blank_where(tms_cells, unstable, list(tms_cells))
         cells.update(tms_cells, tms_error=np.where(unstable, TmsUnstable.__name__, ""))
     if "bs" in stages:
         bs = couplings[Branch.BEAM_SPLITTER] = bs_couplings(s, vp)
-        validity = rwa_validity_bs if "bs_validity" in stages else None
-        cells.update(_branch_columns("bs_", bs, validity, vp, opts))
+        cells.update(_branch_columns(
+            "bs_", bs, rwa_validity_bs(bs, vp.omega_m, opts.resonance_floor)
+        ))
     if "laser" in stages:
         cells.update(_laser_columns(vp, cells, on_tms & unstable, on_tms, opts))
     return cells, couplings

@@ -1,6 +1,5 @@
 """Sweep/grid mechanics: consistency, sentinels, determinism."""
 import dataclasses
-import json
 import math
 
 import numpy as np
@@ -304,9 +303,9 @@ def stage_calls(monkeypatch):
 
 @pytest.mark.parametrize("outputs, expected", [
     (("f1", "f2", "branch"), {}),
-    (("tms_g1", "tms_error"), {"tms_couplings": 1}),
-    (("tms_resonance",), {"tms_couplings": 1, "rwa_validity_tms": 1}),
-    (LASER_SWEEP_OUTPUTS, {"tms_couplings": 1, "bs_couplings": 1, "laser_point": 1}),
+    (("tms_g1", "tms_error"), {"tms_couplings": 1, "rwa_validity_tms": 1}),
+    (("bs_resonance",), {"bs_couplings": 1, "rwa_validity_bs": 1}),
+    (LASER_SWEEP_OUTPUTS, dict.fromkeys(_STAGE_FUNCTIONS, 1)),
     (None, dict.fromkeys(_STAGE_FUNCTIONS, 1)),
 ])
 def test_only_the_needed_stages_run(stage_calls, outputs, expected):
@@ -324,15 +323,3 @@ def test_regime_map_grid_runs_no_branch(stage_calls):
     run_grid(boundary_set(), spec)
     assert not any(stage_calls.values())
 
-
-def test_laser_sweep_runs_no_validity_report(stage_calls, tmp_path):
-    from sqom.cli import main
-
-    config = tmp_path / "laser.json"
-    config.write_text(json.dumps(dataclasses.asdict(laser_set())))
-    out = tmp_path / "laser.csv"
-    assert main(["laser-sweep", "--config", str(config), "--steps", "7", "--out", str(out)]) == 0
-    assert stage_calls == {
-        "tms_couplings": 1, "bs_couplings": 1, "rwa_validity_tms": 0, "rwa_validity_bs": 0,
-        "laser_point": 1,
-    }
