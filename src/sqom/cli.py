@@ -95,7 +95,7 @@ def cmd_grid(args) -> int:
         y_start=args.y_from,
         y_stop=args.y_to,
         y_steps=args.y_steps,
-        outputs=_parse_outputs(args.outputs) or GridSpec.outputs,
+        outputs=GridSpec.outputs if args.outputs is None else _parse_outputs(args.outputs),
     )
     rows = run_grid(cfg.params, spec, _options(args, cfg))
     _emit(grid_csv_rows(rows, spec), grid_columns(spec), args.out)
@@ -109,7 +109,11 @@ def cmd_laser_sweep(args) -> int:
         outputs=LASER_SWEEP_OUTPUTS,
     )
     rows = run_sweep(cfg.params, spec, _options(args, cfg))
-    _emit(laser_rows(rows), LASER_COLUMN_NAMES, args.out)
+    out, columns = laser_rows(rows), LASER_COLUMN_NAMES
+    if spec.axis != "delta_phi":  # delta_phi leads already, canonical
+        out[spec.axis] = rows["axis_value"]
+        columns = [spec.axis] + columns
+    _emit(out, columns, args.out)
     return 0
 
 
@@ -163,6 +167,9 @@ def _read_grid_csv(path: str, field: str | None):
                 column.append(row[i] if i < len(row) else "")
     xi = np.array(_parsed(columns["x_index"], int))
     yi = np.array(_parsed(columns["y_index"], int))
+    for name, index in (("x_index", xi), ("y_index", yi)):
+        if index.min() < 0:
+            raise ConfigError(f"grid file {path} has a negative {name}: {index.min()}")
     xs = np.full(xi.max() + 1, np.nan)
     ys = np.full(yi.max() + 1, np.nan)
     values = np.full((ys.size, xs.size), np.nan)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,7 +34,20 @@ def _squeezed(delta: float, lambda_amp: float) -> tuple[float, float, float]:
     return (delta - 2.0 * lambda_amp) * math.exp(2.0 * r), math.cosh(r), math.sinh(r)
 
 
-def random_valid_params(rng: np.random.Generator) -> PhysicalParams:
+def _tms_exists(q1: tuple, q2: tuple, phi_d1: float, phi_d2: float) -> bool:
+    """Whether the two-mode-squeezing transformation can be drawn on a set,
+    given each cavity's `_squeezed` values and drive phase: the frequency sum
+    must not nearly cancel and the pair coupling lam2 must not vanish."""
+    (w1, c1, s1), (w2, c2, s2) = q1, q2
+    if w1 + w2 < 0.01 * max(1.0, abs(w1) + abs(w2)):
+        return False
+    lam2 = c1 * s2 * cmath.exp(1j * phi_d2) + s1 * c2 * cmath.exp(1j * phi_d1)
+    return abs(lam2) >= 1e-9
+
+
+def random_valid_params(
+    rng: np.random.Generator, accept: Callable[..., bool] | None = None
+) -> PhysicalParams:
     """A random stable parameter set (floats) with well-separated squeezed
     frequencies.
 
@@ -42,27 +56,43 @@ def random_valid_params(rng: np.random.Generator) -> PhysicalParams:
     far from float cancellation), uniform phases, log-uniform g0. Sets whose
     squeezed frequencies nearly coincide are resampled: there the label
     split omega_s1 - omega_s2 is dominated by rounding and no finite
-    tolerance is meaningful.
+    tolerance is meaningful. So is a set that `accept(q1, q2, phi_d1, phi_d2)`
+    refuses, where q1 and q2 are each cavity's `_squeezed` values.
+
+    Each attempt reads the generator in a fixed order: for each cavity a
+    sign, `(-1.0, 1.0)[rng.integers(2)]`, and a detuning magnitude,
+    `rng.random()`; then `rng.random(6)` for lambda1, lambda2, j_hop,
+    log10(g0), phi_d1 and phi_d2. A value uniform on [low, high) is
+    `low + (high - low) * u`, which is how `Generator.uniform` computes it,
+    so the sets are bit for bit those of `rng.choice([-1.0, 1.0])` and one
+    `rng.uniform` per value, and the generator ends in the same state.
     """
     while True:
-        d1 = rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 100.0)
-        d2 = rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 100.0)
-        p = PhysicalParams(
-            delta1=float(d1),
-            delta2=float(d2),
-            lambda1=float(rng.uniform(0.0, 0.495 * abs(d1))),
-            lambda2=float(rng.uniform(0.0, 0.495 * abs(d2))),
-            j_hop=float(rng.uniform(0.0, 2.0)),
-            g0=float(10.0 ** rng.uniform(-4.0, -1.0)),
-            kappa=0.05,
-            gamma_m=0.001,
-            phi_d1=float(rng.uniform(0.0, 2.0 * math.pi)),
-            phi_d2=float(rng.uniform(0.0, 2.0 * math.pi)),
-        )
-        w1 = _squeezed(p.delta1, p.lambda1)[0]
-        w2 = _squeezed(p.delta2, p.lambda2)[0]
-        if abs(w1 - w2) >= 0.01 * max(1.0, abs(w1) + abs(w2)):
-            return p
+        d1 = (-1.0, 1.0)[rng.integers(2)] * (1.0 + (100.0 - 1.0) * rng.random())
+        d2 = (-1.0, 1.0)[rng.integers(2)] * (1.0 + (100.0 - 1.0) * rng.random())
+        u1, u2, uj, ug, up1, up2 = rng.random(6).tolist()
+        lambda1 = 0.0 + (0.495 * abs(d1) - 0.0) * u1
+        lambda2 = 0.0 + (0.495 * abs(d2) - 0.0) * u2
+        phi_d1 = 0.0 + (2.0 * math.pi - 0.0) * up1
+        phi_d2 = 0.0 + (2.0 * math.pi - 0.0) * up2
+        q1 = _squeezed(d1, lambda1)
+        q2 = _squeezed(d2, lambda2)
+        w1, w2 = q1[0], q2[0]
+        if abs(w1 - w2) < 0.01 * max(1.0, abs(w1) + abs(w2)):
+            continue
+        if accept is None or accept(q1, q2, phi_d1, phi_d2):
+            return PhysicalParams(
+                delta1=d1,
+                delta2=d2,
+                lambda1=lambda1,
+                lambda2=lambda2,
+                j_hop=0.0 + (2.0 - 0.0) * uj,
+                g0=10.0 ** (-4.0 + (-1.0 - -4.0) * ug),
+                kappa=0.05,
+                gamma_m=0.001,
+                phi_d1=phi_d1,
+                phi_d2=phi_d2,
+            )
 
 
 def random_branch_params(
@@ -78,19 +108,15 @@ def random_branch_params(
     near-degenerate differences are: the sum then carries only ~1e-11
     relative accuracy and no identity built on it can be checked tighter
     than that.
+
+    A beam-splitter set is one `random_valid_params` draw. A
+    two-mode-squeezing set is drawn the same way, a refused set redrawn,
+    and u is then `0.05 + (0.95 - 0.05) * rng.random()`, as
+    `rng.uniform(0.05, 0.95)` computes it.
     """
-    while True:
-        p = random_valid_params(rng)
-        if branch is Branch.BEAM_SPLITTER:
-            return p, math.nan
-        w1, c1, s1 = _squeezed(p.delta1, p.lambda1)
-        w2, c2, s2 = _squeezed(p.delta2, p.lambda2)
-        if w1 + w2 < 0.01 * max(1.0, abs(w1) + abs(w2)):
-            continue
-        lam2 = c1 * s2 * cmath.exp(1j * p.phi_d2) + s1 * c2 * cmath.exp(1j * p.phi_d1)
-        if abs(lam2) < 1e-9:
-            continue
-        return p, rng.uniform(0.05, 0.95)
+    if branch is Branch.BEAM_SPLITTER:
+        return random_valid_params(rng), math.nan
+    return random_valid_params(rng, _tms_exists), 0.05 + (0.95 - 0.05) * rng.random()
 
 
 def stacked(branch: Branch, drawn: list) -> tuple[ValidatedParams, Stage1Result]:

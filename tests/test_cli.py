@@ -108,6 +108,18 @@ def test_contours_short_header_exit_1(tmp_path, capsys):
     assert "lacks the x axis and y axis column" in capsys.readouterr().err
 
 
+def test_contours_negative_index_exit_1(tmp_path, capsys):
+    # numpy would wrap -1 onto the last index and overwrite that grid line
+    grid_path = tmp_path / "grid.csv"
+    rows = ["0,0,0.0,0.0,1", "1,0,1.0,0.0,2", "0,1,0.0,1.0,3", "1,1,1.0,1.0,4"]
+    for bad, message in (("-1,1,9.0,1.0,20", "x_index: -1"), ("1,-2,1.0,9.0,20", "y_index: -2")):
+        grid_path.write_text("\n".join(["x_index,y_index,lambda1,delta_phi,f1", *rows, bad]) + "\n")
+        assert main(["contours", "--grid", str(grid_path), "--level", "2.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: grid file {grid_path} has a negative {message}\n"
+        assert captured.out == ""
+
+
 def test_bad_axis_exit_1(laser_config, capsys):
     code = main([
         "sweep", "--config", laser_config, "--axis", "nope",
@@ -160,6 +172,32 @@ def test_laser_sweep_spec_columns(laser_config, capsys):
         "delta_phi,w1,w2,detuning,gp12_abs,gain,n_b,"
         "n_threshold,p_threshold,branch,f1,error"
     )
+
+
+def test_laser_sweep_other_axis_leads_with_raw_value(laser_config, capsys):
+    assert main([
+        "laser-sweep", "--config", laser_config, "--axis", "g0",
+        "--from", "0.001", "--to", "0.003", "--steps", "3",
+    ]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == (
+        "g0,delta_phi,w1,w2,detuning,gp12_abs,gain,n_b,"
+        "n_threshold,p_threshold,branch,f1,error"
+    )
+    assert [line.split(",")[0] for line in lines[1:]] == ["0.001", "0.002", "0.0030000000000000001"]
+
+
+def test_grid_empty_outputs_writes_head_columns(boundary_config, capsys):
+    assert main([
+        "grid", "--config", boundary_config,
+        "--x-axis", "lambda1", "--x-from", "198", "--x-to", "199", "--x-steps", "2",
+        "--y-axis", "delta_phi", "--y-from", "0", "--y-to", "3", "--y-steps", "2",
+        "--outputs", "",
+    ]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "x_index,y_index,lambda1,delta_phi",
+        "0,0,198,0", "1,0,199,0", "0,1,198,3", "1,1,199,3",
+    ]
 
 
 def test_grid_then_contours_roundtrip(boundary_config, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Exact-diagonalization oracle: structure, frequencies, conjugation."""
+import cmath
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from sqom.oracle import (
     symplectic_defect,
     tms_map,
 )
-from sqom.verify import random_branch_params, random_sets, stacked
+from sqom.verify import _squeezed, random_branch_params, random_sets, stacked
 
 from conftest import assert_rel, batch, laser_set, point, points, strong_drive_set
 
@@ -37,6 +38,66 @@ def _report(p, branch):
     return replace(
         point(report), freqs=point(report.freqs), freq_devs=tuple(map(point, report.freq_devs))
     )
+
+
+def _reference_valid_params(rng):
+    """The sampler the stream is pinned to: one `rng.choice` per sign and
+    one `rng.uniform` per value."""
+    while True:
+        d1 = rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 100.0)
+        d2 = rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 100.0)
+        p = PhysicalParams(
+            delta1=float(d1),
+            delta2=float(d2),
+            lambda1=float(rng.uniform(0.0, 0.495 * abs(d1))),
+            lambda2=float(rng.uniform(0.0, 0.495 * abs(d2))),
+            j_hop=float(rng.uniform(0.0, 2.0)),
+            g0=float(10.0 ** rng.uniform(-4.0, -1.0)),
+            kappa=0.05,
+            gamma_m=0.001,
+            phi_d1=float(rng.uniform(0.0, 2.0 * math.pi)),
+            phi_d2=float(rng.uniform(0.0, 2.0 * math.pi)),
+        )
+        w1 = _squeezed(p.delta1, p.lambda1)[0]
+        w2 = _squeezed(p.delta2, p.lambda2)[0]
+        if abs(w1 - w2) >= 0.01 * max(1.0, abs(w1) + abs(w2)):
+            return p
+
+
+def _reference_branch_params(rng, branch):
+    while True:
+        p = _reference_valid_params(rng)
+        if branch is Branch.BEAM_SPLITTER:
+            return p, math.nan
+        w1, c1, s1 = _squeezed(p.delta1, p.lambda1)
+        w2, c2, s2 = _squeezed(p.delta2, p.lambda2)
+        if w1 + w2 < 0.01 * max(1.0, abs(w1) + abs(w2)):
+            continue
+        lam2 = c1 * s2 * cmath.exp(1j * p.phi_d2) + s1 * c2 * cmath.exp(1j * p.phi_d1)
+        if abs(lam2) < 1e-9:
+            continue
+        return p, rng.uniform(0.05, 0.95)
+
+
+def _draws(sampler, seed, n):
+    """n sets of each branch, alternating as `run_verification` draws them,
+    as float.hex strings, and the generator state after them."""
+    rng = np.random.default_rng(seed)
+    sets = [
+        sampler(rng, branch)
+        for _ in range(n)
+        for branch in (Branch.TWO_MODE_SQUEEZING, Branch.BEAM_SPLITTER)
+    ]
+    cells = [[float.hex(float(x)) for x in astuple(p) + (u,)] for p, u in sets]
+    return cells, rng.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_sampler_stream_is_pinned(seed):
+    """The sampler reads the generator as one `rng.choice` per sign and one
+    `rng.uniform` per value would: equal sets, bit for bit, and an equal
+    generator state after them."""
+    assert _draws(random_branch_params, seed, 500) == _draws(_reference_branch_params, seed, 500)
 
 
 def test_form_trivial_diagonal():
