@@ -117,10 +117,26 @@ def cmd_laser_sweep(args) -> int:
     return 0
 
 
-def _parsed(cells, convert) -> list:
-    """convert(cell) for each cell, called once per distinct cell in order of
-    first appearance, so a bad cell raises as in a row-by-row pass."""
-    distinct = {cell: convert(cell) for cell in dict.fromkeys(cells)}
+def _bad_cell(path: str, name: str, cells, convert) -> ConfigError:
+    """The error for the first of `cells` (column `name`) that convert refuses."""
+    for row, cell in enumerate(cells, 1):
+        try:
+            convert(cell)
+        except ValueError:
+            kind = "an integer" if convert is int else "a number"
+            return ConfigError(
+                f"grid file {path}: {name} cell {cell!r} in data row {row} is not {kind}"
+            )
+    raise AssertionError(f"every {name} cell converts")
+
+
+def _parsed(path: str, name: str, cells, convert) -> list:
+    """convert(cell) for each cell of column `name`, called once per distinct
+    cell; a cell it refuses is named with its column and row."""
+    try:
+        distinct = {cell: convert(cell) for cell in dict.fromkeys(cells)}
+    except ValueError:
+        raise _bad_cell(path, name, cells, convert) from None
     return list(map(distinct.__getitem__, cells))
 
 
@@ -165,8 +181,8 @@ def _read_grid_csv(path: str, field: str | None):
         for row in itertools.chain([first], rows):
             for i, column in kept:
                 column.append(row[i] if i < len(row) else "")
-    xi = np.array(_parsed(columns["x_index"], int))
-    yi = np.array(_parsed(columns["y_index"], int))
+    xi = np.array(_parsed(path, "x_index", columns["x_index"], int))
+    yi = np.array(_parsed(path, "y_index", columns["y_index"], int))
     for name, index in (("x_index", xi), ("y_index", yi)):
         if index.min() < 0:
             raise ConfigError(f"grid file {path} has a negative {name}: {index.min()}")
@@ -174,9 +190,13 @@ def _read_grid_csv(path: str, field: str | None):
     ys = np.full(yi.max() + 1, np.nan)
     values = np.full((ys.size, xs.size), np.nan)
     # the last row for an index wins
-    xs[xi] = _parsed(columns[x_axis], float)
-    ys[yi] = _parsed(columns[y_axis], float)
-    values[yi, xi] = [float(cell) if cell else math.nan for cell in columns[field]]
+    xs[xi] = _parsed(path, x_axis, columns[x_axis], float)
+    ys[yi] = _parsed(path, y_axis, columns[y_axis], float)
+    try:
+        values[yi, xi] = [float(cell) if cell else math.nan for cell in columns[field]]
+    except ValueError:
+        # an empty value cell is NaN, not an error
+        raise _bad_cell(path, field, columns[field], lambda cell: float(cell or "nan")) from None
     if np.isnan(xs).any() or np.isnan(ys).any():
         raise ConfigError(f"grid file {path} does not cover the full index range")
     return xs, ys, values, field
@@ -205,50 +225,42 @@ def cmd_verify(args) -> int:
     return 0 if all_passed(rows) else 2
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sqom",
-        description=(
-            "Squeezing-engineered optomechanical couplings: two-stage "
-            "transformations, regime classification, phonon-laser thresholds, "
-            "and an exact-diagonalization self-check."
-        ),
+def _add_common(p):
+    p.add_argument("--config", required=True, help="JSON parameter file")
+    p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
+
+
+def _add_pipeline_options(p, densities=True):
+    if densities:
+        p.add_argument("--n-plus", type=float, default=PipelineOptions.n_plus,
+                       help="pump supermode density")
+        p.add_argument("--n-minus", type=float, default=PipelineOptions.n_minus,
+                       help="idle supermode density")
+    p.add_argument(
+        "--resonance-floor", type=float, default=PipelineOptions.resonance_floor,
+        help="frequency gap below which a term is flagged as a resonance hit",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config=True):
-        if config:
-            p.add_argument("--config", required=True, help="JSON parameter file")
-        p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
 
-    def add_pipeline_options(p, densities=True):
-        if densities:
-            p.add_argument("--n-plus", type=float, default=PipelineOptions.n_plus,
-                           help="pump supermode density")
-            p.add_argument("--n-minus", type=float, default=PipelineOptions.n_minus,
-                           help="idle supermode density")
-        p.add_argument(
-            "--resonance-floor", type=float, default=PipelineOptions.resonance_floor,
-            help="frequency gap below which a term is flagged as a resonance hit",
-        )
-
-    p = sub.add_parser("analyze", help="full single-point report with oracle cross-check")
-    add_common(p)
-    add_pipeline_options(p)
+def _analyze_arguments(p):
+    _add_common(p)
+    _add_pipeline_options(p)
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("sweep", help="1-D sweep over any parameter or delta_phi")
-    add_common(p)
+
+def _sweep_arguments(p):
+    _add_common(p)
     p.add_argument("--axis", required=True)
     p.add_argument("--from", dest="from_", type=float, required=True)
     p.add_argument("--to", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--outputs", default=None, help="comma-separated column subset")
-    add_pipeline_options(p)
+    _add_pipeline_options(p)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("grid", help="2-D grid over two axes")
-    add_common(p)
+
+def _grid_arguments(p):
+    _add_common(p)
     p.add_argument("--x-axis", required=True)
     p.add_argument("--x-from", type=float, required=True)
     p.add_argument("--x-to", type=float, required=True)
@@ -258,37 +270,78 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y-to", type=float, required=True)
     p.add_argument("--y-steps", type=int, required=True)
     p.add_argument("--outputs", default=None, help="comma-separated column subset")
-    add_pipeline_options(p, densities=False)
+    _add_pipeline_options(p, densities=False)
     p.set_defaults(func=cmd_grid)
 
-    p = sub.add_parser("contours", help="marching-squares equipotentials of a grid CSV")
+
+def _contours_arguments(p):
     p.add_argument("--grid", required=True, help="CSV produced by the grid subcommand")
     p.add_argument("--field", default=None, help="value column to contour")
     p.add_argument("--level", type=float, action="append", required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_contours)
 
-    p = sub.add_parser("laser-sweep", help="phonon-laser quantities along one axis")
-    add_common(p)
+
+def _laser_sweep_arguments(p):
+    _add_common(p)
     p.add_argument("--axis", default="delta_phi")
     p.add_argument("--from", dest="from_", type=float, default=0.0)
     p.add_argument("--to", type=float, default=2.0 * math.pi)
     p.add_argument("--steps", type=int, required=True)
-    add_pipeline_options(p)
+    _add_pipeline_options(p)
     p.set_defaults(func=cmd_laser_sweep)
 
-    p = sub.add_parser("verify", help="exact identities + oracle agreement; exit 2 on failure")
-    add_common(p)
+
+def _verify_arguments(p):
+    _add_common(p)
     p.add_argument("--random", type=int, default=200, help="random sets per branch")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rel-tol", type=float, default=1e-9, help="oracle agreement tolerance")
     p.set_defaults(func=cmd_verify)
+
+
+# name -> (help, add_arguments), in the order `sqom -h` lists them
+SUBCOMMANDS = {
+    "analyze": ("full single-point report with oracle cross-check", _analyze_arguments),
+    "sweep": ("1-D sweep over any parameter or delta_phi", _sweep_arguments),
+    "grid": ("2-D grid over two axes", _grid_arguments),
+    "contours": ("marching-squares equipotentials of a grid CSV", _contours_arguments),
+    "laser-sweep": ("phonon-laser quantities along one axis", _laser_sweep_arguments),
+    "verify": ("exact identities + oracle agreement; exit 2 on failure", _verify_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of `command` alone when it names a subcommand, else of all.
+
+    A parser of one subcommand parses that subcommand's argv as the full one
+    does, with the same messages: its usage line still lists every command.
+    `-h`, an empty argv and an unknown command need the full parser.
+    """
+    parser = argparse.ArgumentParser(
+        prog="sqom",
+        description=(
+            "Squeezing-engineered optomechanical couplings: two-stage "
+            "transformations, regime classification, phonon-laser thresholds, "
+            "and an exact-diagonalization self-check."
+        ),
+    )
+    narrow = command in SUBCOMMANDS
+    # without a metavar, argparse lists only the registered commands in usage
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(SUBCOMMANDS) + "}" if narrow else None,
+    )
+    for name in [command] if narrow else SUBCOMMANDS:
+        help_text, add_arguments = SUBCOMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a command's argv leads with its name; only that subcommand is built
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, ValueError) as exc:

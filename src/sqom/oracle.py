@@ -268,10 +268,14 @@ def coefficient_defect(
     floor (normally g0, the natural magnitude of every coupling) keeps a
     vanishing coefficient comparable without inflating the defect.
     """
+    # one (len(a), N) stack of each side, keys in the order of `a`
+    x = np.concatenate(list(a.values()))
+    y = np.concatenate([b[key] for key in a])
+    rows = (len(a), -1)
+    denom = py_max(py_max(cabs(x), cabs(y)).reshape(rows), scale_floor)
     worst = 0.0
-    for key in a:
-        denom = py_max(py_max(cabs(a[key]), cabs(b[key])), scale_floor)
-        worst = py_max(worst, cabs(a[key] - b[key]) / denom)
+    for ratio in cabs(x - y).reshape(rows) / denom:
+        worst = py_max(worst, ratio)
     return worst
 
 

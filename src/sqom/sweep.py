@@ -39,7 +39,7 @@ from . import oracle
 from .branch_bs import bs_couplings, rwa_validity_bs
 from .branch_tms import rwa_validity_tms, tms_couplings
 from .elementwise import broadcast, take
-from .errors import TmsUnstable, ZeroCoupling
+from .errors import NumericalDegeneracy, TmsUnstable, ZeroCoupling
 from .laser import LaserInput, laser_point
 from .params import PhysicalParams, validate, validation_errors
 from .regime import F1_HI_DEFAULT, F1_LO_DEFAULT, Branch, classify
@@ -351,6 +351,8 @@ _BRANCH_NAMES = np.array(
 
 
 def _blank_where(cells: dict, mask: np.ndarray, names) -> None:
+    if not mask.any():
+        return
     for name in names:
         cells[name] = np.where(mask, _blank(name, 1), cells[name])
 
@@ -428,24 +430,29 @@ def _evaluate(params: PhysicalParams, opts: PipelineOptions, outputs=None):
     the validated parameters, the stage 1 result and the couplings of each
     branch that ran, over the valid points (None when no stage ran). A failed
     point gets exactly the cells the error would leave blank in a
-    point-by-point evaluation, and the error name in its column.
+    point-by-point evaluation, and the error name in its column. When every
+    point validates, the stage cells are the columns, with no blank-and-fill
+    copy.
     """
-    wanted = set(COLUMNS if outputs is None else outputs) | {"error"}
-    names = [name for name in COLUMNS if name in wanted]
+    wanted = set(COLUMNS if outputs is None else outputs)
+    names = [name for name in COLUMNS if name in wanted and name != "error"]
     stages = frozenset().union(*(NEEDS[name] for name in names))
-    n = len(params.kappa)
-    columns = {name: _blank(name, n) for name in names}
-    columns["error"] = validation_errors(params)
-    valid = columns["error"] == ""
+    errors = validation_errors(params)
+    valid = errors == ""
     if not stages or not valid.any():  # no stages: only `error` is asked for
-        return columns, None
+        return {name: _blank(name, len(errors)) for name in names} | {"error": errors}, None
+    everywhere = valid.all()
     with np.errstate(all="ignore"):
-        vp = validate(take(params, valid))
+        vp = validate(params if everywhere else take(params, valid))
         s = stage1_transform(vp)
         cells, couplings = _stage_columns(vp, s, stages, opts)
-    for name in names:
-        if name != "error":
+    if everywhere:  # the stage cells are the columns
+        columns = {name: cells[name] for name in names}
+    else:
+        columns = {name: _blank(name, len(errors)) for name in names}
+        for name in names:
             columns[name][valid] = cells[name]
+    columns["error"] = errors
     return columns, (vp, s, couplings)
 
 
@@ -456,7 +463,12 @@ def evaluate_point(params: PhysicalParams, opts: PipelineOptions = PipelineOptio
 
 def analyze(params: PhysicalParams, opts: PipelineOptions = PipelineOptions()) -> dict:
     """Single-point report: the full pipeline row plus the oracle cross-check,
-    which reuses the evaluator's stages and solves the photonic form once."""
+    which reuses the evaluator's stages and solves the photonic form once.
+
+    The oracle block stays blank (NaN, an empty `oracle_stable`) for a point
+    that fails validation, and for one whose exact frequencies cannot be
+    paired (`NumericalDegeneracy`, e.g. a drive at the stage-1 boundary to
+    rounding); the pipeline cells are written either way."""
     columns, stages = _evaluate(broadcast(params, 1), opts)
     row = Table(columns)[0]
     for name in ORACLE_COLUMNS:
@@ -469,7 +481,10 @@ def analyze(params: PhysicalParams, opts: PipelineOptions = PipelineOptions()) -
     if row["tms_error"]:
         del couplings[Branch.TWO_MODE_SQUEEZING]
     form = oracle.build_photonic_form(vp)
-    freqs = oracle.symplectic_frequencies(form)
+    try:
+        freqs = oracle.symplectic_frequencies(form)
+    except NumericalDegeneracy:
+        return row
     reports = {
         member: oracle.rwa_error_report(vp, member, s, c, form, freqs)
         for member, c in couplings.items()
@@ -592,15 +607,16 @@ def _format_column(values) -> list[str]:
 
 
 def write_csv(rows: Table | Iterable[dict], columns: list[str], out: TextIO) -> None:
-    """Header plus one line per row, formatted column by column in chunks.
+    """Header plus one line per row.
 
-    `rows` is a Table, or any iterable of row dicts (a missing key is an
-    empty cell).
+    `rows` is a Table, formatted column by column in chunks, or any iterable
+    of row dicts, formatted row by row (a missing key is an empty cell).
     """
-    if not isinstance(rows, Table):
-        rows = list(rows)
-        rows = Table({c: [row.get(c) for row in rows] for c in columns})
     out.write(",".join(columns) + "\n")
+    if not isinstance(rows, Table):
+        for row in rows:
+            out.write(",".join([format_cell(row.get(c)) for c in columns]) + "\n")
+        return
     for start in range(0, len(rows), _CHUNK_ROWS):
         cells = [_format_column(rows[c][start : start + _CHUNK_ROWS]) for c in columns]
         out.write("\n".join(map(",".join, zip(*cells))) + "\n")

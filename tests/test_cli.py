@@ -120,6 +120,22 @@ def test_contours_negative_index_exit_1(tmp_path, capsys):
         assert captured.out == ""
 
 
+@pytest.mark.parametrize("bad, message", [
+    ("1,1.0,1.0,1.0,4", "y_index cell '1.0' in data row 4 is not an integer"),
+    ("1,1,1.0,one,4", "delta_phi cell 'one' in data row 4 is not a number"),
+    ("1,1,1.0,1.0,4x", "f1 cell '4x' in data row 4 is not a number"),
+])
+def test_contours_bad_cell_names_file_column_and_row(bad, message, tmp_path, capsys):
+    grid_path = tmp_path / "grid.csv"
+    # the empty f1 cell is NaN, not the bad cell
+    rows = ["0,0,0.0,0.0,1", "1,0,1.0,0.0,", "0,1,0.0,1.0,3", bad]
+    grid_path.write_text("\n".join(["x_index,y_index,lambda1,delta_phi,f1", *rows]) + "\n")
+    assert main(["contours", "--grid", str(grid_path), "--level", "2.5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: grid file {grid_path}: {message}\n"
+    assert captured.out == ""
+
+
 def test_bad_axis_exit_1(laser_config, capsys):
     code = main([
         "sweep", "--config", laser_config, "--axis", "nope",
@@ -302,3 +318,79 @@ def test_readme_synopsis_lists_every_option():
         accepted = {o for a in sub._actions for o in a.option_strings if o.startswith("--")}
         accepted.discard("--help")
         assert set(re.findall(r"--[a-z][a-z-]*", synopses[name])) == accepted, name
+
+
+_SWEEP = ("--axis", "delta_phi", "--from", "0", "--to", "1", "--steps", "3")
+_GRID = ("--x-axis", "lambda1", "--x-from", "197", "--x-to", "199", "--x-steps", "3",
+         "--y-axis", "delta_phi", "--y-from", "0", "--y-to", "1", "--y-steps", "3")
+
+# argv that one-subcommand and full parsers must treat alike
+PARSER_CORPUS = [
+    ("analyze", "--config", "c.json"),
+    ("analyze", "--config", "c.json", "--out", "o.csv", "--n-plus", "2",
+     "--n-minus", "0.5", "--resonance-floor", "0.1"),
+    ("sweep", "--config", "c.json", *_SWEEP, "--outputs", "f1,branch"),
+    ("grid", "--config", "c.json", *_GRID, "--resonance-floor", "1e-3"),
+    ("contours", "--grid", "g.csv", "--level", "1", "--level", "2", "--field", "f1"),
+    ("laser-sweep", "--config", "c.json", "--steps", "5", "--axis", "g0"),
+    ("verify", "--config", "c.json", "--random", "3", "--seed", "7", "--rel-tol", "1e-8"),
+    ("-h",),
+    ("--help",),
+    *((name, "-h") for name in ("analyze", "sweep", "grid", "contours", "laser-sweep",
+                                "verify")),
+    ("analyze",),
+    ("sweep", "--config", "c.json", "--axis", "g0", "--from", "0", "--to", "1"),
+    ("contours", "--grid", "g.csv"),
+    ("sweep", "--config", "c.json", *_SWEEP[:-1], "three"),
+    ("verify", "--config", "c.json", "--random", "1.5"),
+    ("grid", "--config", "c.json", *_GRID[:-2], "--y-steps", "x"),
+    ("analyze", "--conf", "c.json"),
+    ("verify", "--conf", "c.json", "--ran", "3"),
+    ("laser-sweep", "--config", "c.json", "--steps", "5", "--n", "1"),
+    ("analyze", "--config", "c.json", "--bogus"),
+    ("contours", "--grid", "g.csv", "--level", "1", "extra"),
+    ("analyze", "--config", "c.json", "analyze"),
+    ("bogus",),
+    ("anal", "--config", "c.json"),
+    ("--config", "c.json", "analyze"),
+    (),
+]
+
+
+def _parse(parser, argv, capsys):
+    try:
+        outcome = ("parsed", parser.parse_args(argv))
+    except SystemExit as exc:
+        outcome = ("exit", exc.code)
+    return outcome, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", PARSER_CORPUS, ids=" ".join)
+def test_one_subcommand_parser_equals_full(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = list(argv)
+    narrow = _parse(build_parser(argv[0] if argv else None), argv, capsys)
+    assert narrow == _parse(build_parser(), argv, capsys)
+
+
+def test_one_subcommand_parser_builds_only_that_command():
+    (subcommands,) = [a for a in build_parser("grid")._actions
+                      if isinstance(a, argparse._SubParsersAction)]
+    assert list(subcommands.choices) == ["grid"]
+
+
+def test_analyze_writes_the_row_when_the_oracle_cannot_pair_frequencies(tmp_path, capsys):
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(dict(
+        LASER_PARAMS, delta1=445.6813207479668, lambda1=222.84066037398313,
+        delta2=-13.274826580266046, lambda2=6.637413290132873, j_hop=0.6248372277393877,
+        g0=0.05179304768804502, phi_d1=math.pi, phi_d2=math.pi,
+    )))
+    assert main(["analyze", "--config", str(path)]) == 0
+    captured = capsys.readouterr()
+    header, row = captured.out.splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["error"] == "" and cells["branch"] == "intermediate"
+    assert [cells[name] for name in header.split(",") if name.startswith("oracle_")] == [
+        "nan", "nan", "", "nan", "nan", "nan", "nan", "nan"]
+    assert captured.err == ""

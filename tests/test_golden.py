@@ -9,6 +9,9 @@ for a deliberate output change, and say so where the change is recorded.
 import hashlib
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -267,7 +270,7 @@ READBACK_ERRORS = {
     ),
     "non_integer_index": (
         _edited(replace={3: "1.5,0,1.5,0.0,3.0,bs"}), (),
-        "error: invalid literal for int() with base 10: '1.5'\n",
+        "error: grid file {path}: x_index cell '1.5' in data row 4 is not an integer\n",
     ),
     "field_ambiguous": (
         _edited(header="x_index,y_index,lam,phase,f1,f2"), (),
@@ -293,3 +296,24 @@ def test_contours_grid_read_back_errors(name, tmp_path, capsys):
     assert _contours(grid, (*args, "--level", "3.5"), out, capsys) == (
         1, stderr.format(path=grid))
     assert not out.exists()
+
+
+# the reference datasets of scripts/generate_datasets.py, by file name
+DATASET_DIGESTS = {
+    "boundary_contours.csv": "3ab244ba0945b96b83869b8c2448845167a447938fe9e1e1ee4fe5cdfd79237b",
+    "boundary_grid.csv": "6b45321f1db84ce153d4dad3ebf4f3d05f6c6965b8105d5f44f1314965f4946e",
+    "boundary_resonance.csv": "da679a031f3d971b7884d398f47ddc42e947f479ff32e2f7613f0cee49d29f36",
+    "laser_threshold.csv": "9edeb7182c2c870322f0f5a52df6ca87e7532c5798fe360743ca78049b440ab6",
+    "phonon_number.csv": "75567a23e119d132aac03ec2ad4495af7f6d5b7aed24c4496d88be398db17b8d",
+    "strong_drive_contours.csv": "520ed0f160d8fc5ed3d6e3285124f7a25604a41b009b9c79db3edba3e5de6b30",
+    "strong_drive_couplings.csv": "52f16149ef13f9333cace49c44272430229af52c9fe871a0dc9535bec673296c",
+    "strong_drive_grid.csv": "3ee7f76ecbd88eb1a55620f9c534576fd9cd776f1e7e400faad568622a3b41ae",
+}
+
+
+def test_dataset_script_bytes(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "generate_datasets.py"
+    subprocess.run([sys.executable, str(script), "--outdir", str(tmp_path)],
+                   check=True, capture_output=True)
+    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
+    assert digests == DATASET_DIGESTS

@@ -215,6 +215,32 @@ def test_conjugation_matches_analytics_random(branch, rng):
     assert worst < 1e-9
 
 
+def test_coefficient_defect_is_the_per_key_fold_of_cpython_max():
+    # reference: each point's keys in dict order, folded with Python's max
+    # from 0.0, so a NaN ratio never wins
+    gen = np.random.default_rng(7)
+    n, keys = 64, ("n11", "n22", "n12", "p11", "p22", "p12", "const")
+
+    def coefficients():
+        values = {k: gen.normal(size=n) + 1j * gen.normal(size=n) for k in keys}
+        for k in keys:
+            values[k][gen.random(n) < 0.1] = complex(math.nan, 0.0)
+        return values
+
+    a, b = coefficients(), coefficients()
+    b["p22"] = a["p22"].copy()  # an exact zero deviation
+    floor = 10.0 ** gen.uniform(-3, 1, n)
+    expected = []
+    for i in range(n):
+        worst = 0.0
+        for k in keys:
+            x, y = complex(a[k][i]), complex(b[k][i])
+            worst = max(worst, abs(x - y) / max(max(abs(x), abs(y)), floor[i]))
+        expected.append(worst)
+    got = coefficient_defect(a, b, scale_floor=floor)
+    assert list(map(float.hex, got.tolist())) == list(map(float.hex, expected))
+
+
 def test_conjugation_displacement_bookkeeping():
     """Scalar part: -(f_disp + f_prime) after two-mode squeezing, -f_disp
     after beam-splitter mixing (number conserving)."""

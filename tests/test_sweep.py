@@ -7,10 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqom import GridSpec, PipelineOptions, SweepSpec, analyze, evaluate_point, run_grid, run_sweep
+from sqom import (
+    GridSpec,
+    PhysicalParams,
+    PipelineOptions,
+    SweepSpec,
+    analyze,
+    evaluate_point,
+    run_grid,
+    run_sweep,
+)
+from sqom.elementwise import stack, take
 from sqom.sweep import (
     COLUMNS,
     LASER_SWEEP_OUTPUTS,
+    ORACLE_COLUMNS,
     apply_axis,
     grid_columns,
     laser_rows,
@@ -19,7 +30,7 @@ from sqom.sweep import (
     sweep_csv_rows,
 )
 
-from conftest import boundary_set, laser_set, on_one_point, strong_drive_set
+from conftest import batch, boundary_set, laser_set, on_one_point, strong_drive_set
 
 
 def test_spec_validation():
@@ -223,6 +234,26 @@ def test_analyze_solves_the_photonic_form_once(monkeypatch):
     assert calls == {"build_photonic_form": 1, "symplectic_frequencies": 1}
 
 
+def test_analyze_writes_the_row_when_the_oracle_cannot_pair_frequencies():
+    # both drives within about 1e-13 of the stage-1 boundary: the exact
+    # eigenvalues miss the +/- pairing tolerance (NumericalDegeneracy)
+    p = laser_set().replace(
+        delta1=445.6813207479668, lambda1=222.84066037398313,
+        delta2=-13.274826580266046, lambda2=6.637413290132873,
+        j_hop=0.6248372277393877, g0=0.05179304768804502, phi_d1=math.pi, phi_d2=math.pi,
+    )
+    from sqom import oracle
+    from sqom.errors import NumericalDegeneracy
+
+    with pytest.raises(NumericalDegeneracy):
+        oracle.symplectic_frequencies(oracle.build_photonic_form(batch(p)))
+    row, expected = analyze(p), evaluate_point(p)
+    assert rows_to_csv([row], list(COLUMNS)) == rows_to_csv([expected], list(COLUMNS))
+    assert row["error"] == ""
+    assert all(math.isnan(row[name]) for name in ORACLE_COLUMNS if name != "oracle_stable")
+    assert row["oracle_stable"] is None
+
+
 # (parameters, axis, start, stop): each range crosses a per-point failure
 _FAILING_RANGES = [
     (laser_set(), "lambda2", 49.0, 51.0),  # Stage1Unstable past lambda2 = 50
@@ -323,3 +354,43 @@ def test_regime_map_grid_runs_no_branch(stage_calls):
     run_grid(boundary_set(), spec)
     assert not any(stage_calls.values())
 
+
+# every point validates; they cover TmsUnstable (laser set near 0),
+# ZeroCoupling (g0 = 0) and the three regimes
+_VALID_POINTS = [
+    laser_set(0.0), laser_set(0.3), laser_set(2.6957770487662587), laser_set().replace(g0=0.0),
+    boundary_set(0.5), boundary_set(), strong_drive_set(0.2), strong_drive_set(),
+]
+
+
+@pytest.mark.parametrize("outputs", [None, ("f1", "branch"), LASER_SWEEP_OUTPUTS])
+def test_fully_valid_batch_equals_the_blank_and_fill_path(outputs, monkeypatch):
+    from sqom import sweep
+
+    taken = []
+    monkeypatch.setattr(sweep, "take", lambda *a: taken.append(1) or take(*a))
+    params = stack(PhysicalParams, _VALID_POINTS)
+    # a Stage1Unstable point (lambda2 past delta2/2) sends the batch down the
+    # blank-and-fill path; projected out below
+    mixed = stack(PhysicalParams, [*_VALID_POINTS[:3], laser_set().replace(lambda2=51.0),
+                                   *_VALID_POINTS[3:]])
+    columns = sweep._evaluate(params, PipelineOptions(), outputs)[0]
+    assert taken == []
+    reference = sweep._evaluate(mixed, PipelineOptions(), outputs)[0]
+    assert taken == [1] and reference["error"][3] == "Stage1Unstable"
+    keep = np.arange(len(_VALID_POINTS) + 1) != 3
+    assert list(columns) == list(reference)
+    for name, column in columns.items():
+        expected = reference[name][keep]
+        assert len(column) == len(_VALID_POINTS), name
+        if expected.dtype.kind == "f":
+            assert column.dtype == np.float64, name
+            assert np.array_equal(column.view(np.int64), expected.view(np.int64)), name
+        else:
+            assert column.tolist() == expected.tolist(), name
+    names = list(columns)
+    for i, name in enumerate(names):
+        for other in names[i + 1:]:
+            assert not np.shares_memory(columns[name], columns[other]), (name, other)
+        for f in dataclasses.fields(params):
+            assert not np.shares_memory(columns[name], getattr(params, f.name)), (name, f.name)
