@@ -186,19 +186,27 @@ def _read_grid_csv(path: str, field: str | None):
     for name, index in (("x_index", xi), ("y_index", yi)):
         if index.min() < 0:
             raise ConfigError(f"grid file {path} has a negative {name}: {index.min()}")
+    x_cells = _parsed(path, x_axis, columns[x_axis], float)
+    y_cells = _parsed(path, y_axis, columns[y_axis], float)
+    try:
+        field_cells = [float(cell) if cell else math.nan for cell in columns[field]]
+    except ValueError:
+        # an empty value cell is NaN, not an error
+        raise _bad_cell(path, field, columns[field], lambda cell: float(cell or "nan")) from None
+    uncovered = ConfigError(f"grid file {path} does not cover the full index range")
+    # n rows cover at most n indices: a larger index is refused before the
+    # index-sized arrays below are allocated
+    if max(xi.max(), yi.max()) >= xi.size:
+        raise uncovered
     xs = np.full(xi.max() + 1, np.nan)
     ys = np.full(yi.max() + 1, np.nan)
     values = np.full((ys.size, xs.size), np.nan)
     # the last row for an index wins
-    xs[xi] = _parsed(path, x_axis, columns[x_axis], float)
-    ys[yi] = _parsed(path, y_axis, columns[y_axis], float)
-    try:
-        values[yi, xi] = [float(cell) if cell else math.nan for cell in columns[field]]
-    except ValueError:
-        # an empty value cell is NaN, not an error
-        raise _bad_cell(path, field, columns[field], lambda cell: float(cell or "nan")) from None
+    xs[xi] = x_cells
+    ys[yi] = y_cells
+    values[yi, xi] = field_cells
     if np.isnan(xs).any() or np.isnan(ys).any():
-        raise ConfigError(f"grid file {path} does not cover the full index range")
+        raise uncovered
     return xs, ys, values, field
 
 

@@ -13,6 +13,13 @@ match libm in the last bit on every host, so this module maps the `math`/
 `cmath` function over `arr.tolist()`, and spells a real-times-complex product
 out the way CPython computes it.
 
+One libm call per distinct bit pattern: a map of one float array (and `mod`)
+calls the function once per distinct bit pattern of its input and scatters
+the results back. libm is a pure function of its input's bits, so every
+output bit is the same as with one call per element; keying on bits keeps
+-0.0 apart from 0.0 and one NaN payload apart from another. Maps of two
+arguments or of complex input call the function once per element.
+
 A per-point failure (an unstable two-mode-squeezing stage, a threshold at
 zero coupling) is not raised: those points are NaN, and the sweep names the
 error in its error columns.
@@ -40,11 +47,55 @@ def _square(x):
     return x**2
 
 
+def distinct(x: np.ndarray):
+    """(values, inverse) with `values[inverse]` equal to the 1-D array `x`,
+    `values` its distinct elements; None when no element repeats, or `x` has
+    fewer than two, or is not of a fixed-width kind (float, int, bool, str).
+
+    Floats are compared by their bits, so -0.0 stays apart from 0.0 and one
+    NaN payload from another. One sort and one comparison of neighbours
+    decide, so an array of distinct elements costs no more; only one with a
+    repeat pays for `searchsorted`.
+    """
+    kind = x.dtype.kind
+    if len(x) < 2 or kind not in "fiubU":
+        return None
+    keys = x.view(np.int64) if kind == "f" else x
+    order = keys.copy()
+    order.sort()
+    new = order[1:] != order[:-1]
+    if np.count_nonzero(new) == len(new):
+        return None
+    values = np.concatenate((order[:1], order[1:][new]))
+    return values.view(x.dtype), np.searchsorted(values, keys)
+
+
+def _once_per_value(apply, x):
+    """apply(x) for a function `apply` of one array that acts per element,
+    called on the distinct values of `x` only (see `distinct`)."""
+    found = distinct(x)
+    if found is None:
+        return apply(x)
+    values, inverse = found
+    return apply(values)[inverse]
+
+
 def _mapped(fn, dtype=float):
-    def apply(*args):
-        return np.fromiter(map(fn, *(a.tolist() for a in args)), dtype, len(args[0]))
+    def each(x):
+        return np.fromiter(map(fn, x.tolist()), dtype, len(x))
+
+    def apply(x):
+        return each(x) if len(x) < 2 else _once_per_value(each, x)
 
     apply.__doc__ = f"{fn.__name__} of each element, as CPython computes it on the floats"
+    return apply
+
+
+def _mapped2(fn):
+    def apply(x, y):
+        return np.fromiter(map(fn, x.tolist(), y.tolist()), float, len(x))
+
+    apply.__doc__ = f"{fn.__name__} of each pair of elements, as CPython computes it"
     return apply
 
 
@@ -55,8 +106,8 @@ sinh = _mapped(math.sinh)
 tanh = _mapped(math.tanh)
 cos = _mapped(math.cos)
 sin = _mapped(math.sin)
-atan2 = _mapped(math.atan2)
-hypot = _mapped(math.hypot)
+atan2 = _mapped2(math.atan2)
+hypot = _mapped2(math.hypot)
 cabs = _mapped(abs)
 phase = _mapped(cmath.phase)
 cis = _mapped(_cis, complex)  # exp(1j*x)
@@ -75,7 +126,9 @@ def rmul(x, z):
 
 def mod(x, m: float):
     """x % m per element, with Python's float modulo."""
-    return np.fromiter(map(operator.mod, x.tolist(), repeat(m)), float, len(x))
+    return _once_per_value(
+        lambda v: np.fromiter(map(operator.mod, v.tolist(), repeat(m)), float, len(v)), x
+    )
 
 
 def div(num, den, skip, fill):

@@ -266,17 +266,16 @@ def coefficient_defect(
 
     Each coefficient is compared relative to max(|a|, |b|, scale_floor); the
     floor (normally g0, the natural magnitude of every coupling) keeps a
-    vanishing coefficient comparable without inflating the defect.
+    vanishing coefficient comparable without inflating the defect. A NaN
+    ratio (a NaN coefficient on either side) makes the point's defect NaN:
+    it shows no agreement.
     """
     # one (len(a), N) stack of each side, keys in the order of `a`
     x = np.concatenate(list(a.values()))
     y = np.concatenate([b[key] for key in a])
     rows = (len(a), -1)
     denom = py_max(py_max(cabs(x), cabs(y)).reshape(rows), scale_floor)
-    worst = 0.0
-    for ratio in cabs(x - y).reshape(rows) / denom:
-        worst = py_max(worst, ratio)
-    return worst
+    return np.max(cabs(x - y).reshape(rows) / denom, axis=0, initial=0.0)
 
 
 @dataclass(frozen=True)

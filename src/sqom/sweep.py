@@ -20,12 +20,15 @@ only through +, -, *, / on float arrays, complex + complex, complex + real,
 comparisons and `where`; every libm call (exp, log, cosh, sinh, cos, sin,
 atan2, x**2, cmath.exp, cmath.phase, complex abs) is the math/cmath function
 mapped over `arr.tolist()`, and a real times complex product is spelled out
-as CPython computes it. See `elementwise`.
+as CPython computes it. A map of one float array makes one libm call per
+distinct bit pattern: libm is a pure function of its input's bits, so the
+bits match a call per element. See `elementwise`.
 
 CSV conventions: header row, fixed column order (see COLUMNS), '.' decimal
 separator, 17 significant digits, 'nan' sentinel, lowercase true/false.
 Identical inputs produce byte-identical output. `write_csv` formats a table
-column by column, one %-format per float column.
+column by column, one %-format per float column, and formats each distinct
+value of a float, int, bool or str column once.
 """
 from __future__ import annotations
 
@@ -38,7 +41,7 @@ import numpy as np
 from . import oracle
 from .branch_bs import bs_couplings, rwa_validity_bs
 from .branch_tms import rwa_validity_tms, tms_couplings
-from .elementwise import broadcast, take
+from .elementwise import broadcast, distinct, take
 from .errors import NumericalDegeneracy, TmsUnstable, ZeroCoupling
 from .laser import LaserInput, laser_point
 from .params import PhysicalParams, validate, validation_errors
@@ -592,18 +595,27 @@ _FLOAT_CELL = "%.17g"
 _CHUNK_ROWS = 1024
 
 
-def _format_column(values) -> list[str]:
+def _cells(values: np.ndarray) -> list[str]:
+    if values.dtype.kind == "f":
+        return list(map(_FLOAT_CELL.__mod__, values.tolist()))
+    return list(map(format_cell, values.tolist()))
+
+
+def _format_column(values: np.ndarray) -> list[str]:
     """The CSV cells of one column: float arrays through one %-format, other
-    values cell by cell."""
-    if isinstance(values, np.ndarray):
-        if values.dtype.kind == "f":
-            # a column that does not depend on the swept axis repeats one
-            # value: format each distinct bit pattern (so -0.0 apart from 0.0) once
-            bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-            text = list(map(_FLOAT_CELL.__mod__, bits.view(np.float64).tolist()))
-            return list(map(text.__getitem__, inverse.tolist()))
-        values = values.tolist()
-    return list(map(format_cell, values))
+    values cell by cell.
+
+    A fixed-width column (float, int, bool, str) formats each distinct value
+    once: a column that does not depend on the swept axis repeats one value,
+    and a grid's index and axis columns repeat theirs. Floats are told apart
+    by their bits, so -0.0 stays apart from 0.0.
+    """
+    found = distinct(values) if values.dtype.kind in "fiubU" else None
+    if found is None:
+        return _cells(values)
+    keys, inverse = found
+    text = _cells(keys)
+    return list(map(text.__getitem__, inverse.tolist()))
 
 
 def write_csv(rows: Table | Iterable[dict], columns: list[str], out: TextIO) -> None:

@@ -155,6 +155,12 @@ def _worst(errors: np.ndarray) -> float:
     return float(np.fmax.reduce(errors, initial=0.0))
 
 
+def _worst_defect(defects: np.ndarray) -> float:
+    """The largest oracle defect, 0 for no sets; a NaN defect wins, so the
+    check fails on it."""
+    return float(np.max(defects, initial=0.0))
+
+
 def _identity_errors_tms(vp: ValidatedParams, s: Stage1Result) -> dict[str, np.ndarray]:
     c = tms_couplings(s, vp)
     g0, g0sq, ch2 = vp.g0, square(vp.g0), cosh(2.0 * s.r_d2)
@@ -225,7 +231,7 @@ def run_verification(
     ):
         sets, stage1 = random_sets(rng, branch, n_random)
         report = oracle.rwa_error_report(sets, branch, stage1)
-        add(f"oracle_coefficients[{label}]", _worst(report.coeff_defect), oracle_rtol,
+        add(f"oracle_coefficients[{label}]", _worst_defect(report.coeff_defect), oracle_rtol,
             f"{n_random} random sets")
         add(f"symplectic_metric[{label}]", _worst(report.metric_defect), METRIC_TOL,
             f"{n_random} random sets")

@@ -5,8 +5,10 @@ The columnar sweep evaluates all points of a sweep in one call of each stage,
 `verify` stacks its random sets. These properties pin that a batch equals its
 points evaluated one by one as length-1 batches, and that every mapped libm
 function equals `math`/`cmath` on each element: floats are compared through
-`float.hex`, so a flipped last bit, a signed zero or a moved NaN fails. A
-refused point (TmsUnstable, ZeroCoupling) comes back as NaN either way.
+`float.hex`, so a flipped last bit, a signed zero or a moved NaN fails. The
+maps that call libm once per distinct bit pattern are compared by their raw
+bits, so a NaN payload mixed up with another fails too. A refused point
+(TmsUnstable, ZeroCoupling) comes back as NaN either way.
 
 g0 = 0 is drawn too: the two-mode-squeezing eta = g1/g2 is then 0/0, NaN in
 every batch.
@@ -14,6 +16,7 @@ every batch.
 import cmath
 import math
 import re
+import struct
 from dataclasses import fields, is_dataclass
 
 import numpy as np
@@ -134,10 +137,37 @@ MATH = {
 }
 
 
-@given(st.lists(st.tuples(ANY_FLOAT, ANY_FLOAT), min_size=1, max_size=64))
-@settings(max_examples=100, deadline=None)
+def _float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _raw_bits(value):
+    """The bit pattern of a float, or of both parts of a complex: unlike
+    `_bits`, two NaN payloads differ."""
+    if isinstance(value, complex):
+        return _raw_bits(value.real), _raw_bits(value.imag)
+    return struct.unpack("<Q", struct.pack("<d", value))[0]
+
+
+# a small pool, so that values repeat within a batch: signed zeros, NaN with
+# two payloads, infinities, a subnormal, ordinary values and overflowing ones
+POOL_VALUES = [
+    0.0, -0.0, NAN, _float(0x7FF8_0000_0000_0001), math.inf, -math.inf, 5e-324,
+    0.5, -1.25, 3.0, 710.0, 1e200,
+]
+REPEATED = st.lists(st.tuples(st.sampled_from(POOL_VALUES), st.sampled_from(POOL_VALUES)),
+                    min_size=1, max_size=64)
+# the maps that call libm once per distinct bit pattern; NaN payloads count
+PER_BIT_PATTERN = {*MATH, "mod"}
+
+
+@given(st.lists(st.tuples(ANY_FLOAT, ANY_FLOAT), min_size=1, max_size=64) | REPEATED)
+@example(pairs=[(v, v) for v in POOL_VALUES] * 3)  # the whole pool: most maps raise
+@example(pairs=[(v, -v) for v in [NAN, POOL_VALUES[3], 5e-324, 0.5, 3.0]] * 3)  # in every domain
+@settings(max_examples=200, deadline=None)
 def test_mapped_functions_match_math(pairs):
-    """Each elementwise operation, on any floats: specials, subnormals, signed zeros."""
+    """Each elementwise operation, on any floats: specials, subnormals, signed
+    zeros, and batches that repeat values."""
     x = np.array([a for a, _ in pairs])
     y = np.array([b for _, b in pairs])
     z = np.empty(len(pairs), dtype=complex)
@@ -153,10 +183,11 @@ def test_mapped_functions_match_math(pairs):
         py_max=((x, y), lambda i: max(x[i].item(), y[i].item())),
     )
     for name, (args, scalar) in cases.items():
+        bits = _raw_bits if name in PER_BIT_PATTERN else _bits
         want = []
         for i in range(len(pairs)):
             try:
-                want.append(_bits(scalar(i)))
+                want.append(bits(scalar(i)))
             except (ValueError, OverflowError) as exc:
                 want = type(exc)
                 break
@@ -166,8 +197,22 @@ def test_mapped_functions_match_math(pairs):
             except want:
                 continue
             raise AssertionError(f"{name} did not raise {want.__name__}")
-        got = [_bits(v) for v in getattr(elementwise, name)(*args).tolist()]
+        got = [bits(v) for v in getattr(elementwise, name)(*args).tolist()]
         assert got == want, name
+
+
+@given(st.lists(st.sampled_from(POOL_VALUES) | ANY_FLOAT, max_size=40))
+@settings(max_examples=100, deadline=None)
+def test_distinct_tells_floats_apart_by_bits(values):
+    x = np.array(values, dtype=float)
+    bits = x.view(np.int64).tolist()
+    found = elementwise.distinct(x)
+    if found is None:
+        assert len(set(bits)) == len(bits)
+        return
+    unique, inverse = found
+    assert sorted(unique.view(np.int64).tolist()) == sorted(set(bits))
+    assert unique[inverse].view(np.int64).tolist() == bits
 
 
 @given(POINT_LISTS)

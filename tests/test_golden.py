@@ -75,7 +75,24 @@ CASES = {
             "laser_error", "error",
         ]),
     ),
+    # the mode-1 detuning along x, the mode-2 drive along y: each stage-1
+    # mode repeats its values along the other axis; both cross the stage-1
+    # boundary, so valid and Stage1Unstable points mix
+    "grid_laser_delta1_lambda2": (
+        "grid", "laser", "--x-axis", "delta1", "--x-from", "19", "--x-to", "21",
+        "--x-steps", "13", "--y-axis", "lambda2", "--y-from", "49.6", "--y-to", "50.2",
+        "--y-steps", "11", "--outputs", ",".join([
+            "f1", "f2", "branch", "r_d1", "r_d2", "omega_s2", "lam2_re", "tms_g1",
+            "tms_error", "bs_g2", "bs_resonance", "laser_n_b", "laser_p_threshold",
+            "laser_error", "error",
+        ]),
+    ),
     "laser_sweep_721": ("laser-sweep", "laser", "--steps", "721"),
+    # mode 2 is constant along the sweep; lambda1 crosses delta1/2 = 10
+    "laser_sweep_lambda1": (
+        "laser-sweep", "laser", "--axis", "lambda1", "--from", "9.0", "--to", "10.5",
+        "--steps", "61",
+    ),
     "laser_sweep_n_plus": (
         "laser-sweep", "laser", "--steps", "91", "--n-plus", "3.5", "--n-minus", "0.25",
     ),
@@ -118,7 +135,9 @@ DIGESTS = {
     "grid_boundary_109": "6b45321f1db84ce153d4dad3ebf4f3d05f6c6965b8105d5f44f1314965f4946e",
     "grid_strong_101": "3ee7f76ecbd88eb1a55620f9c534576fd9cd776f1e7e400faad568622a3b41ae",
     "grid_strong_many_columns": "2ea8bea4b4e0391264c2a8e3015c4528c50f90ba5643166929eeeef79de1b347",
+    "grid_laser_delta1_lambda2": "abb4cc98623a8b97a3a048e2c83a97bf81e629180bc89675e51030931ac9e6a7",
     "laser_sweep_721": "9edeb7182c2c870322f0f5a52df6ca87e7532c5798fe360743ca78049b440ab6",
+    "laser_sweep_lambda1": "4a897766ba07ea0700f3b888abb09f8f5e6aa8bdb6d932f47a9d4f2e2e8ee98d",
     "laser_sweep_n_plus": "bc958efa51847c0cb258bc7e06983d6a4d25af99dba6026591538e98ba041ac8",
     "sweep_boundary_phase": "6cbe3046562ace0dbbe1ae938a8bbc6b07e321acaa72471f079119ae98519f28",
     "sweep_delta1_negative_detunings": "8b80a0ba24b4ca5bc497f106d90150e8a37e80be21f77b52e81c675c0b6ff6f7",
@@ -267,6 +286,12 @@ READBACK_ERRORS = {
     "incomplete_coverage": (
         _edited(drop=(2, 7, 12, 17)), (),
         "error: grid file {path} does not cover the full index range\n",
+    ),
+    # an index far past the row count is refused before any index-sized
+    # array is allocated
+    "sparse_index": (
+        "\n".join([GRID_HEADER, "0,0,0.0,0.0,1.0,bs", "10000000,10000000,1.0,1.0,2.0,bs"]) + "\n",
+        (), "error: grid file {path} does not cover the full index range\n",
     ),
     "non_integer_index": (
         _edited(replace={3: "1.5,0,1.5,0.0,3.0,bs"}), (),

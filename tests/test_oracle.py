@@ -16,6 +16,7 @@ from sqom import (
     stage1_transform,
     symplectic_frequencies,
     validate,
+    verify,
 )
 from sqom.branch_bs import bs_couplings
 from sqom.branch_tms import tms_couplings
@@ -215,16 +216,16 @@ def test_conjugation_matches_analytics_random(branch, rng):
     assert worst < 1e-9
 
 
-def test_coefficient_defect_is_the_per_key_fold_of_cpython_max():
-    # reference: each point's keys in dict order, folded with Python's max
-    # from 0.0, so a NaN ratio never wins
+def test_coefficient_defect_is_the_per_key_worst_ratio():
+    # reference: each point's keys in dict order, the largest ratio from
+    # 0.0; a NaN ratio makes the point's defect NaN
     gen = np.random.default_rng(7)
     n, keys = 64, ("n11", "n22", "n12", "p11", "p22", "p12", "const")
 
     def coefficients():
         values = {k: gen.normal(size=n) + 1j * gen.normal(size=n) for k in keys}
         for k in keys:
-            values[k][gen.random(n) < 0.1] = complex(math.nan, 0.0)
+            values[k][gen.random(n) < 0.03] = complex(math.nan, 0.0)
         return values
 
     a, b = coefficients(), coefficients()
@@ -232,13 +233,36 @@ def test_coefficient_defect_is_the_per_key_fold_of_cpython_max():
     floor = 10.0 ** gen.uniform(-3, 1, n)
     expected = []
     for i in range(n):
-        worst = 0.0
+        ratios = [0.0]
         for k in keys:
             x, y = complex(a[k][i]), complex(b[k][i])
-            worst = max(worst, abs(x - y) / max(max(abs(x), abs(y)), floor[i]))
-        expected.append(worst)
+            ratios.append(abs(x - y) / max(max(abs(x), abs(y)), floor[i]))
+        expected.append(math.nan if any(map(math.isnan, ratios)) else max(ratios))
+    assert 0 < sum(map(math.isnan, expected)) < n
     got = coefficient_defect(a, b, scale_floor=floor)
     assert list(map(float.hex, got.tolist())) == list(map(float.hex, expected))
+
+
+def test_nan_coefficient_is_no_agreement():
+    one = {"n11": np.array([1.0 + 1.0j])}
+    assert math.isnan(coefficient_defect({"n11": np.array([math.nan + 0j])}, one, [1e-3])[0])
+    assert math.isnan(coefficient_defect(one, {"n11": np.array([math.nan + 0j])}, [1e-3])[0])
+
+
+def test_verify_fails_the_oracle_check_on_a_nan_defect(monkeypatch):
+    def nan_at_first_set(*args):
+        report = rwa_error_report(*args)
+        defect = report.coeff_defect.copy()
+        defect[0] = math.nan
+        return replace(report, coeff_defect=defect)
+
+    monkeypatch.setattr(verify.oracle, "rwa_error_report", nan_at_first_set)
+    rows = {r.check: r for r in verify.run_verification(
+        validate(batch(laser_set())), n_random=3, seed=0, oracle_rtol=1e-9)}
+    for label in ("tms", "bs"):
+        row = rows[f"oracle_coefficients[{label}]"]
+        assert row.status == "fail" and math.isnan(row.max_error)
+    assert not verify.all_passed(list(rows.values()))
 
 
 def test_conjugation_displacement_bookkeeping():

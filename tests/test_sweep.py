@@ -22,6 +22,7 @@ from sqom.sweep import (
     COLUMNS,
     LASER_SWEEP_OUTPUTS,
     ORACLE_COLUMNS,
+    Table,
     apply_axis,
     grid_columns,
     laser_rows,
@@ -151,6 +152,48 @@ def test_csv_17_significant_digits():
     value = text.splitlines()[2].split(",")[1]
     assert float(value) == evaluate_point(apply_axis(laser_set(), "delta_phi", 1.0))["f1"]
     assert len(value.replace(".", "").replace("-", "").lstrip("0")) >= 16
+
+
+# cells of every column kind: signed zeros, NaN with two payloads,
+# infinities, a subnormal and ordinary values among the floats
+CELL_POOLS = {
+    "float": np.array([0.0, -0.0, math.nan, np.array(0x7FF8_0000_0000_0001).view(float),
+                       math.inf, -math.inf, 5e-324, 1.0, -2.5, 1.0 / 3.0]),
+    "int": np.array([0, 1, -7, 108, 2**62]),
+    "bool": np.array([True, False]),
+    "str": np.array(["", "tms", "bs", "TmsUnstable"]),
+    "object": np.array(["", "beam_splitter", None, True, False, 1.5, -0.0], dtype=object),
+}
+
+
+def _all_distinct(kind, gen, n):
+    if kind == "float":  # random bit patterns: NaNs of many payloads, subnormals
+        return gen.integers(-(2**63), 2**63 - 1, n, dtype=np.int64, endpoint=True).view(float)
+    order = gen.permutation(n)
+    if kind == "int":
+        return order - n // 2
+    if kind == "bool":  # distinct for n <= 2
+        return order < 1
+    if kind == "str":
+        return np.array([f"e{i}" for i in order])
+    return np.array([f"e{i}" if i % 2 else 0.5 * i for i in order], dtype=object)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3, 1023, 1025, 2500]), st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_table_csv_equals_row_dict_csv(seed, n, repeated):
+    """The column-wise Table path formats every cell as `format_cell` does on
+    the row dicts, for repeated and all-distinct columns of each kind."""
+    gen = np.random.default_rng(seed)
+    columns = {}
+    for kind, pool in CELL_POOLS.items():
+        columns[kind] = (
+            pool[gen.integers(0, len(pool), n)] if repeated else _all_distinct(kind, gen, n)
+        )
+        columns[kind + "_constant"] = np.repeat(pool[gen.integers(0, len(pool), 1)], n)
+    names = list(columns)
+    table = Table(columns)
+    assert rows_to_csv(table, names) == rows_to_csv(list(table), names)
 
 
 def test_laser_projection_columns():
