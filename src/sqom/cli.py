@@ -194,9 +194,10 @@ def _read_grid_csv(path: str, field: str | None):
         # an empty value cell is NaN, not an error
         raise _bad_cell(path, field, columns[field], lambda cell: float(cell or "nan")) from None
     uncovered = ConfigError(f"grid file {path} does not cover the full index range")
-    # n rows cover at most n indices: a larger index is refused before the
-    # index-sized arrays below are allocated
-    if max(xi.max(), yi.max()) >= xi.size:
+    # n rows cover at most n cells: a larger index range (a sparse or diagonal
+    # file) is refused before the index-sized arrays below are allocated; the
+    # product is taken in Python ints, which do not wrap
+    if (int(xi.max()) + 1) * (int(yi.max()) + 1) > xi.size:
         raise uncovered
     xs = np.full(xi.max() + 1, np.nan)
     ys = np.full(yi.max() + 1, np.nan)

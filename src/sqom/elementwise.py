@@ -118,6 +118,8 @@ square = _mapped(_square)  # x**2 is libm pow, which differs from x*x
 def rmul(x, z):
     """Real times complex, as CPython multiplies them: complex(x, 0.0) * z."""
     out = np.empty(np.broadcast(x, z).shape, dtype=complex)
+    # CPython's product neither warns nor raises on an infinite part or an
+    # overflow, so numpy's warnings are silenced here and not left to callers
     with np.errstate(over="ignore", invalid="ignore"):
         out.real = x * z.real - 0.0 * z.imag
         out.imag = x * z.imag + 0.0 * z.real

@@ -56,6 +56,13 @@ class ThresholdResult:
 
 @dataclass(frozen=True)
 class LaserResult:
+    """The laser block of one point per element.
+
+    w1_nonpositive, kappa_over_gamma_m and weak_sideband_hierarchy have no
+    CSV column: `sweep._flatten` keeps only the fields named in the column
+    schema, so a sweep row never carries them.
+    """
+
     gain: float
     n_b: float
     n_b_capped: bool

@@ -279,25 +279,19 @@ def coefficient_defect(
 
 
 @dataclass(frozen=True)
-class FrequencyDeviation:
-    analytic_abs: np.ndarray
-    exact: np.ndarray
-    rel_dev: np.ndarray
-
-
-@dataclass(frozen=True)
 class RwaErrorReport:
     """What the analytic branch dropped, and what that truncation cost.
 
     dropped_abs is the magnitude of the discarded photonic term's coupling
     (j_hop*|lam1| coherent hopping for the two-mode-squeezing branch,
     j_hop*|lam2| pair term for the beam-splitter branch); gap is the
-    rotating-frame frequency it beats at. freq_devs compares the branch's
-    supermode frequencies with the exact symplectic ones, sorted by
-    magnitude. coeff_defect is the worst relative deviation of the
-    conjugation oracle from the closed forms (an exact identity, reported as
-    a numerical sanity bound). freqs are the exact symplectic frequencies.
-    Each number is an array over the points.
+    rotating-frame frequency it beats at. freq_analytic holds the branch's
+    supermode frequencies |W|, freq_exact the exact symplectic ones and
+    freq_dev their relative deviation, each as `(2, N)` rows sorted by
+    magnitude, the smaller frequency first. coeff_defect is the worst
+    relative deviation of the conjugation oracle from the closed forms (an
+    exact identity, reported as a numerical sanity bound). freqs are the
+    exact symplectic frequencies. Each number is an array over the points.
     """
 
     branch: Branch
@@ -305,7 +299,9 @@ class RwaErrorReport:
     dropped_abs: np.ndarray
     gap: np.ndarray
     dropped_ratio: np.ndarray
-    freq_devs: tuple[FrequencyDeviation, ...]
+    freq_analytic: np.ndarray
+    freq_exact: np.ndarray
+    freq_dev: np.ndarray
     coeff_defect: np.ndarray
     metric_defect: np.ndarray
     freqs: SymplecticFrequencies
@@ -354,23 +350,17 @@ def rwa_error_report(
     # sorted by magnitude; as sorted(), an unordered (NaN) pair keeps its order
     w1, w2 = abs(c.w1), abs(c.w2)
     swap = w2 < w1
-    analytic_sorted = (np.where(swap, w2, w1), np.where(swap, w1, w2))
-    exact_sorted = (freqs.nu2, freqs.nu1)
-    devs = tuple(
-        FrequencyDeviation(
-            analytic_abs=a,
-            exact=e,
-            rel_dev=abs(a - e) / py_max(abs(e), 1e-300),
-        )
-        for a, e in zip(analytic_sorted, exact_sorted)
-    )
+    analytic = np.stack((np.where(swap, w2, w1), np.where(swap, w1, w2)))
+    exact = np.stack((freqs.nu2, freqs.nu1))
     return RwaErrorReport(
         branch=branch,
         dropped_name=dropped_name,
         dropped_abs=dropped,
         gap=gap,
         dropped_ratio=div(dropped, gap, gap == 0.0, math.inf),
-        freq_devs=devs,
+        freq_analytic=analytic,
+        freq_exact=exact,
+        freq_dev=abs(analytic - exact) / py_max(abs(exact), 1e-300),
         coeff_defect=defect,
         metric_defect=symplectic_defect(T),
         freqs=freqs,

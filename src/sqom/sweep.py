@@ -47,7 +47,7 @@ from .laser import LaserInput, laser_point
 from .params import PhysicalParams, validate, validation_errors
 from .regime import F1_HI_DEFAULT, F1_LO_DEFAULT, Branch, classify
 from .stage1 import stage1_transform
-from .validity import RESONANCE_FLOOR_DEFAULT
+from .validity import RESONANCE_FLOOR_DEFAULT, TERMS
 
 # Axes accepted by sweeps and grids. delta_phi is virtual: it moves phi_d1
 # with phi_d2 held fixed, matching how the phase difference is scanned.
@@ -340,7 +340,8 @@ def _flatten(prefix: str, result) -> dict:
 def _branch_columns(prefix: str, c, validity) -> dict:
     return {
         **_flatten(prefix, c),
-        prefix + "gp12_abs": validity.term("gp12").coupling_abs,
+        # a copy: a view of the row would keep the whole (6, N) report alive
+        prefix + "gp12_abs": validity.coupling_abs[TERMS.index("gp12")].copy(),
         prefix + "max_rwa_ratio": validity.max_ratio,
         prefix + "resonance": validity.any_resonance,
     }
@@ -499,8 +500,7 @@ def analyze(params: PhysicalParams, opts: PipelineOptions = PipelineOptions()) -
         row[f"oracle_coeff_defect_{member.value}"] = report.coeff_defect.item()
     laser_frame = reports.get(Branch(row["laser_source"]))
     if laser_frame is not None:
-        row["oracle_freq_dev_lo"] = laser_frame.freq_devs[0].rel_dev.item()
-        row["oracle_freq_dev_hi"] = laser_frame.freq_devs[1].rel_dev.item()
+        row["oracle_freq_dev_lo"], row["oracle_freq_dev_hi"] = laser_frame.freq_dev[:, 0].tolist()
     row["oracle_metric_defect"] = max(r.metric_defect.item() for r in reports.values())
     return row
 

@@ -6,15 +6,13 @@ against that mismatch. A mismatch below `resonance_floor` is not a validity
 ratio at all but a frequency-matching working point, and is flagged as such
 instead of producing a huge ratio.
 
-Like the couplings they are built from, the ratios and flags are arrays over
-the points.
+A report holds each quantity as one `(6, N)` array: a row per term, in the
+order of `TERMS`, and a column per point.
 """
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -22,50 +20,31 @@ from .elementwise import cabs, div
 
 RESONANCE_FLOOR_DEFAULT = 1e-9
 
-
-@dataclass(frozen=True)
-class RwaTerm:
-    name: str
-    coupling_abs: float
-    gap: float           # min over sign choices of the frequency mismatch
-    ratio: float         # coupling_abs / gap; +inf on a resonance hit
-    resonance_hit: bool  # gap below the resonance floor
+# the rows of a report: two radiation-pressure terms, four parametric ones
+TERMS = ("g1", "g2", "g11", "g22", "g12", "gp12")
 
 
 @dataclass(frozen=True)
 class ValidityReport:
-    terms: tuple[RwaTerm, ...]
+    coupling_abs: np.ndarray
+    gap: np.ndarray            # min over sign choices of the frequency mismatch
+    ratio: np.ndarray          # coupling_abs / gap; +inf on a resonance hit
+    resonance_hit: np.ndarray  # gap below the resonance floor
 
     @property
-    def any_resonance(self) -> bool:
-        return reduce(operator.or_, (t.resonance_hit for t in self.terms))
+    def any_resonance(self) -> np.ndarray:
+        return self.resonance_hit.any(axis=0)
 
     @property
-    def max_ratio(self) -> float:
+    def max_ratio(self) -> np.ndarray:
         """Largest ratio over the terms without a resonance hit, 0 if none."""
         best, seen = 0.0, np.False_
-        for t in self.terms:
+        for ratio, hit in zip(self.ratio, self.resonance_hit):
             # as max(): the first candidate, then any strictly larger one
-            take = ~t.resonance_hit & (~seen | (t.ratio > best))
-            best = np.where(take, t.ratio, best)
-            seen = seen | ~t.resonance_hit
+            take = ~hit & (~seen | (ratio > best))
+            best = np.where(take, ratio, best)
+            seen = seen | ~hit
         return best
-
-    def term(self, name: str) -> RwaTerm:
-        for t in self.terms:
-            if t.name == name:
-                return t
-        raise KeyError(name)
-
-
-def make_term(name: str, coupling_abs: float, gaps: list[float], resonance_floor: float) -> RwaTerm:
-    gap = abs(gaps[0])
-    for g in gaps[1:]:
-        # as min(): keep the first of equal gaps
-        gap = np.where(abs(g) < gap, abs(g), gap)
-    hit = gap < resonance_floor
-    ratio = div(coupling_abs, gap, hit, math.inf)
-    return RwaTerm(name=name, coupling_abs=coupling_abs, gap=gap, ratio=ratio, resonance_hit=hit)
 
 
 def rwa_validity(
@@ -84,12 +63,18 @@ def rwa_validity(
     a resonance hit on the gp12 term marks the triple-resonance working
     point of the phonon laser rather than a validity failure.
     """
-    w1, w2, floor = c.w1, c.w2, resonance_floor
-    return ValidityReport(terms=(
-        make_term("g1", c.g1, [omega_m], floor),
-        make_term("g2", c.g2, [omega_m], floor),
-        make_term("g11", cabs(c.g11), [2 * w1 - omega_m, 2 * w1 + omega_m], floor),
-        make_term("g22", cabs(c.g22), [2 * w2 - omega_m, 2 * w2 + omega_m], floor),
-        make_term("g12", cabs(c.g12), [w1 + w2 - omega_m, w1 + w2 + omega_m], floor),
-        make_term("gp12", cabs(c.gp12), [w1 - w2 - omega_m, w1 - w2 + omega_m], floor),
-    ))
+    w1, w2, n = c.w1, c.w2, len(c.w1)
+    beats = np.stack((2 * w1, 2 * w2, w1 + w2, w1 - w2))
+    below, above = abs(beats - omega_m), abs(beats + omega_m)
+    sideband = np.broadcast_to(abs(omega_m), (2, n))
+    # as min(): keep the first of equal gaps
+    gap = np.concatenate((sideband, np.where(above < below, above, below)))
+    parametric = cabs(np.concatenate((c.g11, c.g22, c.g12, c.gp12))).reshape(4, n)
+    coupling_abs = np.concatenate((np.stack((c.g1, c.g2)), parametric))
+    hit = gap < resonance_floor
+    return ValidityReport(
+        coupling_abs=coupling_abs,
+        gap=gap,
+        ratio=div(coupling_abs, gap, hit, math.inf),
+        resonance_hit=hit,
+    )

@@ -21,9 +21,10 @@ def arr(*values):
 
 def points(result):
     """Each point of a dataclass of arrays, as the same dataclass of Python
-    scalars (fields that are not arrays are kept)."""
+    scalars (fields that are not arrays are kept). A point is the last axis:
+    a `(K, N)` field, such as a report's rows, gives each point a list of K."""
     names = [f.name for f in fields(result) if isinstance(getattr(result, f.name), np.ndarray)]
-    columns = zip(*(getattr(result, name).tolist() for name in names))
+    columns = zip(*(getattr(result, name).T.tolist() for name in names))
     return [replace(result, **dict(zip(names, values))) for values in columns]
 
 

@@ -7,6 +7,7 @@ from scipy.optimize import brentq
 
 from sqom import Branch, stage1_transform, validate
 from sqom.branch_bs import bs_couplings, mixing_angle, rwa_validity_bs
+from sqom.validity import TERMS
 from sqom.verify import random_sets
 
 from conftest import arr, assert_rel, batch, boundary_set, laser_set, point, points
@@ -30,9 +31,10 @@ def _couplings(p):
     return tuple(map(point, _batch(p)))
 
 
-def _validity_terms(p):
+def _validity(p):
+    """The validity report of one set; each field is a list over TERMS."""
     c, _, vp = _batch(p)
-    return {t.name: point(t) for t in rwa_validity_bs(c, vp.omega_m).terms}
+    return point(rwa_validity_bs(c, vp.omega_m))
 
 
 def _mixing_angle(j_prime_abs, omega_s1, omega_s2):
@@ -135,11 +137,12 @@ def test_laser_resonance_roots():
     assert_rel(lo + hi, 2.0 * math.pi, 1e-12)  # symmetric about pi
     c, _, vp = _couplings(laser_set(delta_phi=lo))
     assert abs(c.w1 - c.w2 - 1.0) < 1e-10
-    terms = _validity_terms(laser_set(delta_phi=lo))
-    assert terms["gp12"].resonance_hit
+    report = _validity(laser_set(delta_phi=lo))
+    assert dict(zip(TERMS, report.resonance_hit))["gp12"]
     # every competing interaction is small at the working point
+    ratio = dict(zip(TERMS, report.ratio))
     for name in ("g1", "g2", "g11", "g22", "g12"):
-        assert terms[name].ratio <= 0.1
+        assert ratio[name] <= 0.1
 
 
 def test_single_mode_parametric_point():
@@ -149,8 +152,8 @@ def test_single_mode_parametric_point():
 
     root = brentq(w2_shift, 0.05, math.pi, xtol=1e-13)
     assert_rel(root, LASER_HALF_OMEGA_DPHI, 1e-10)
-    terms = _validity_terms(laser_set(delta_phi=root))
-    assert terms["g22"].resonance_hit
+    report = _validity(laser_set(delta_phi=root))
+    assert dict(zip(TERMS, report.resonance_hit))["g22"]
 
 
 def test_single_opa_in_auxiliary_cavity():

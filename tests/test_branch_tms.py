@@ -7,6 +7,7 @@ from scipy.optimize import brentq
 from sqom import Branch, stage1_transform, validate
 from sqom.branch_tms import rwa_validity_tms, tms_couplings
 from sqom.regime import classify
+from sqom.validity import TERMS
 from sqom.verify import random_sets
 
 from conftest import assert_rel, batch, boundary_set, laser_set, point, points, strong_drive_set
@@ -30,9 +31,10 @@ def _couplings(p):
     return tuple(map(point, _batch(p)))
 
 
-def _validity_terms(p):
+def _validity(p):
+    """The validity report of one set; each field is a list over TERMS."""
     c, _, vp = _batch(p)
-    return {t.name: point(t) for t in rwa_validity_tms(c, vp.omega_m).terms}
+    return point(rwa_validity_tms(c, vp.omega_m))
 
 
 def test_decoupled_limit():
@@ -141,21 +143,21 @@ def test_single_opa_in_auxiliary_cavity():
 
 
 def test_validity_all_zero_couplings():
-    terms = _validity_terms(laser_set().replace(j_hop=0.0, lambda2=0.0))
+    report = _validity(laser_set().replace(j_hop=0.0, lambda2=0.0))
+    ratio, hit = dict(zip(TERMS, report.ratio)), dict(zip(TERMS, report.resonance_hit))
     for name in ("g11", "g22", "g12", "gp12"):
-        term = terms[name]
-        assert term.ratio == 0.0 and term.ratio <= 0.1 and not term.resonance_hit
+        assert ratio[name] == 0.0 and ratio[name] <= 0.1 and not hit[name]
 
 
 def test_validity_strong_drive_parametric_terms_small():
-    terms = _validity_terms(strong_drive_set())
+    ratio = dict(zip(TERMS, _validity(strong_drive_set()).ratio))
     for name in ("g11", "g22", "gp12"):
-        assert terms[name].ratio <= 0.1
+        assert ratio[name] <= 0.1
     # the pair term beats at W1+W2 ~ 4.1, the smallest gap here: its ratio is
     # only marginally small (~0.135, just above the 0.1 default)
-    assert terms["g12"].ratio < 0.15
+    assert ratio["g12"] < 0.15
     # the radiation-pressure couplings are the point: NOT small against omega_m
-    assert terms["g2"].ratio > 0.1
+    assert ratio["g2"] > 0.1
 
 
 def test_boundary_pair_resonance_flagged():
@@ -165,9 +167,9 @@ def test_boundary_pair_resonance_flagged():
 
     root = brentq(wsum, 2.0, math.pi, xtol=1e-14)
     assert_rel(root, BOUNDARY_PAIR_RESONANCE_DPHI, 1e-9)
-    terms = _validity_terms(boundary_set(delta_phi=root))
-    assert terms["g12"].resonance_hit
-    assert math.isinf(terms["g12"].ratio)
+    report = _validity(boundary_set(delta_phi=root))
+    assert dict(zip(TERMS, report.resonance_hit))["g12"]
+    assert math.isinf(dict(zip(TERMS, report.ratio))["g12"])
 
 
 def test_classified_tms_points_have_valid_transform(rng):

@@ -18,6 +18,7 @@ import math
 import re
 import struct
 from dataclasses import fields, is_dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ from sqom.elementwise import cabs, div, stack, take
 from sqom.errors import NumericalDegeneracy
 from sqom.params import validation_errors
 from sqom.stage1 import squeeze_param
+from sqom.validity import RESONANCE_FLOOR_DEFAULT
 
 from conftest import batch
 
@@ -52,6 +54,8 @@ RATES = st.sampled_from([0.05, 0.001, 0.0, -0.0, -0.01, NAN, math.inf]) | st.flo
 
 
 def _bits(value):
+    if isinstance(value, list):  # the rows of a report at one point
+        return [*map(_bits, value)]
     if isinstance(value, complex):
         return (value.real.hex(), value.imag.hex())
     if isinstance(value, float):
@@ -60,7 +64,8 @@ def _bits(value):
 
 
 def _element(value, i):
-    return value[i : i + 1].tolist()[0] if isinstance(value, np.ndarray) else value
+    """Point i of a field: the last axis indexes the points."""
+    return value.T[i : i + 1].tolist()[0] if isinstance(value, np.ndarray) else value
 
 
 def assert_same(batch_result, one_result, i):
@@ -68,10 +73,7 @@ def assert_same(batch_result, one_result, i):
     for f in fields(one_result):
         a = getattr(batch_result, f.name)
         b = getattr(one_result, f.name)
-        if isinstance(b, tuple):  # the terms of a validity report, frequency deviations
-            for ta, tb in zip(a, b):
-                assert_same(ta, tb, i)
-        elif is_dataclass(b):  # the symplectic frequencies of an oracle report
+        if is_dataclass(b):  # the symplectic frequencies of an oracle report
             assert_same(a, b, i)
         else:
             assert _bits(_element(a, i)) == _bits(_element(b, 0)), (f.name, a, b)
@@ -199,6 +201,50 @@ def test_mapped_functions_match_math(pairs):
             raise AssertionError(f"{name} did not raise {want.__name__}")
         got = [bits(v) for v in getattr(elementwise, name)(*args).tolist()]
         assert got == want, name
+
+
+# values that make NaN and infinite beats, zero beats (a tie between the two
+# sign choices), gaps below the resonance floor and equal ratios
+FOLD_POOL = [0.0, -0.0, NAN, math.inf, -math.inf, 5e-10, 0.5, -0.5, 1.0, 2.0, 1e200]
+# w1, w2, omega_m, g1, g2 and the real and imaginary parts of g11, g22, g12, gp12
+FOLD_POINT = st.tuples(*[st.sampled_from(FOLD_POOL)] * 13)
+
+
+def _reference_validity(w1, w2, omega_m, g1, g2, *parts, floor=RESONANCE_FLOOR_DEFAULT):
+    """One point's report with Python's min() and max() on its floats: the
+    gaps, ratios and hits in the order of TERMS, the largest ratio without a
+    hit (0 if every term hits) and whether any term hits."""
+    couplings = [g1, g2] + [abs(complex(re, im)) for re, im in zip(parts[::2], parts[1::2])]
+    beats = (2 * w1, 2 * w2, w1 + w2, w1 - w2)
+    gaps = [abs(omega_m)] * 2 + [min(abs(b - omega_m), abs(b + omega_m)) for b in beats]
+    hits = [gap < floor for gap in gaps]
+    ratios = [math.inf if hit else a / gap for a, gap, hit in zip(couplings, gaps, hits)]
+    largest = max((r for r, hit in zip(ratios, hits) if not hit), default=0.0)
+    return gaps, ratios, hits, largest, any(hits)
+
+
+@given(st.lists(FOLD_POINT, min_size=1, max_size=64))
+# every term hits: the largest ratio is 0
+@example(items=[(0.0, 0.0, 0.0, 1.0, NAN, 1.0, 0.0, NAN, 0.0, math.inf, 0.0, 2.0, 0.0)] * 2)
+@example(items=[(5e-10, -0.0, 5e-10, 0.5, 0.5, 0.5, 0.0, 0.0, 0.5, 0.5, 0.0, 0.0, -0.5)])
+@settings(max_examples=200, deadline=None)
+def test_validity_folds_match_python_min_max(items):
+    """The report's row folds (the gap of each term, its ratio, the largest
+    ratio and any resonance) against Python's min() and max() per point."""
+    cols = [np.array(col) for col in zip(*items)]
+    w1, w2, omega_m, g1, g2 = cols[:5]
+    parametric = np.empty((4, len(items)), dtype=complex)
+    parametric.real, parametric.imag = cols[5::2], cols[6::2]
+    g11, g22, g12, gp12 = parametric
+    c = SimpleNamespace(w1=w1, w2=w2, g1=g1, g2=g2, g11=g11, g22=g22, g12=g12, gp12=gp12)
+    with np.errstate(all="ignore"):  # as in the pipeline: inf - inf is NaN
+        report = rwa_validity_bs(c, omega_m)
+    got = zip(report.gap.T.tolist(), report.ratio.T.tolist(), report.resonance_hit.T.tolist(),
+              report.max_ratio.tolist(), report.any_resonance.tolist())
+    for item, (gaps, ratios, hits, largest, hit) in zip(items, got):
+        want = _reference_validity(*item)
+        assert [_bits(gaps), _bits(ratios), hits, _bits(largest), hit] == [
+            _bits(want[0]), _bits(want[1]), want[2], _bits(want[3]), want[4]], item
 
 
 @given(st.lists(st.sampled_from(POOL_VALUES) | ANY_FLOAT, max_size=40))

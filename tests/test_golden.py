@@ -293,6 +293,11 @@ READBACK_ERRORS = {
         "\n".join([GRID_HEADER, "0,0,0.0,0.0,1.0,bs", "10000000,10000000,1.0,1.0,2.0,bs"]) + "\n",
         (), "error: grid file {path} does not cover the full index range\n",
     ),
+    # n diagonal rows (i, i) would span n x n cells: refused, not allocated
+    "diagonal": (
+        "\n".join([GRID_HEADER, *(f"{i},{i},{i}.0,{i}.0,1.0,bs" for i in range(2000))]) + "\n",
+        (), "error: grid file {path} does not cover the full index range\n",
+    ),
     "non_integer_index": (
         _edited(replace={3: "1.5,0,1.5,0.0,3.0,bs"}), (),
         "error: grid file {path}: x_index cell '1.5' in data row 4 is not an integer\n",

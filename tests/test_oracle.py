@@ -36,9 +36,7 @@ from conftest import assert_rel, batch, laser_set, point, points, strong_drive_s
 def _report(p, branch):
     """The oracle report of one set, as Python scalars."""
     report = rwa_error_report(validate(batch(p)), branch)
-    return replace(
-        point(report), freqs=point(report.freqs), freq_devs=tuple(map(point, report.freq_devs))
-    )
+    return replace(point(report), freqs=point(report.freqs))
 
 
 def _reference_valid_params(rng):
@@ -265,6 +263,39 @@ def test_verify_fails_the_oracle_check_on_a_nan_defect(monkeypatch):
     assert not verify.all_passed(list(rows.values()))
 
 
+def test_verify_fails_identity_and_metric_checks_on_a_nan_error(monkeypatch):
+    def nan_at_first_set(errors):
+        def patched(*args):
+            out = errors(*args)
+            name = min(out)
+            out[name] = out[name].copy()
+            out[name][0] = math.nan
+            return out
+        return patched
+
+    def nan_metric_at_first_set(*args):
+        report = rwa_error_report(*args)
+        defect = report.metric_defect.copy()
+        defect[0] = math.nan
+        return replace(report, metric_defect=defect)
+
+    for helper in ("_identity_errors_tms", "_identity_errors_bs"):
+        monkeypatch.setattr(verify, helper, nan_at_first_set(getattr(verify, helper)))
+    monkeypatch.setattr(verify.oracle, "rwa_error_report", nan_metric_at_first_set)
+    rows = {r.check: r for r in verify.run_verification(
+        validate(batch(laser_set())), n_random=3, seed=0, oracle_rtol=1e-9)}
+    failed = [r for r in rows.values() if r.status == "fail"]
+    names = {r.check for r in failed}
+    assert names == {
+        "identity[G1+G2=g0*cosh(2r_d2)]", "identity[G2-G1=g0*cosh(2r_d2)]",
+        "symplectic_metric[tms]", "symplectic_metric[bs]",
+        # the configured point's one set is its own worst
+        "config_point_metric[tms]", "config_point_metric[bs]",
+    }, names
+    assert all(math.isnan(r.max_error) for r in failed)
+    assert not verify.all_passed(list(rows.values()))
+
+
 def test_conjugation_displacement_bookkeeping():
     """Scalar part: -(f_disp + f_prime) after two-mode squeezing, -f_disp
     after beam-splitter mixing (number conserving)."""
@@ -309,14 +340,14 @@ def test_rwa_report_trivial_zero_dropped_weight():
 def test_rwa_report_strong_drive_within_1pc():
     report = _report(strong_drive_set(), Branch.TWO_MODE_SQUEEZING)
     assert report.stable
-    assert all(d.rel_dev <= 0.01 for d in report.freq_devs)
+    assert all(d <= 0.01 for d in report.freq_dev)
     assert report.dropped_ratio < 0.1  # dropped coherent hopping vs its gap
 
 
 def test_rwa_report_laser_set_within_1pc():
     report = _report(laser_set(), Branch.BEAM_SPLITTER)
     assert report.stable
-    assert all(d.rel_dev <= 0.01 for d in report.freq_devs)
+    assert all(d <= 0.01 for d in report.freq_dev)
     assert report.dropped_ratio < 0.1  # dropped pair term vs its gap
 
 
