@@ -21,7 +21,6 @@ from .laser import (
     threshold,
 )
 from .oracle import (
-    analytic_coefficients,
     build_photonic_form,
     conjugate_coupling,
     rwa_error_report,
@@ -60,7 +59,6 @@ __all__ = [
     "SweepSpec",
     "TmsUnstable",
     "ZeroCoupling",
-    "analytic_coefficients",
     "analyze",
     "build_photonic_form",
     "canonical_delta_phi",

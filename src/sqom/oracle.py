@@ -3,11 +3,10 @@
 Every analytic result in this package follows from two linear mode
 transformations applied to a quadratic bosonic Hamiltonian. This module
 redoes that computation without any closed-form shortcuts: it builds the
-exact coefficient matrix of the photonic Hamiltonian in the doubled basis
-(a1, a2, a1^dag, a2^dag), diagonalizes it symplectically for the exact
-normal-mode frequencies, and conjugates the bare optomechanical coupling
-operator through the explicit transformation matrices, extracting every
-induced coefficient with no rotating-wave truncation.
+photonic Hamiltonian as an (N, 4, 4) stack in the doubled basis (a1, a2,
+a1^dag, a2^dag) and diagonalizes it symplectically for the exact normal-mode
+frequencies; `conjugate_coupling` conjugates the bare optomechanical coupling
+through explicit transformation matrices, with no rotating-wave truncation.
 
 Representation: an operator is stored as (M, offset) with
 
@@ -22,6 +21,7 @@ T Sigma T^dag = Sigma.
 Like the closed forms, every function takes the dataclasses of arrays, one
 point per element, and works on (N, 4, 4) stacks, so one `eigvals` call
 solves a batch; elementwise values follow the exactness rule of `elementwise`.
+The oracle computes no pipeline stage: callers hand it the stages.
 """
 from __future__ import annotations
 
@@ -30,32 +30,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .branch_bs import BsCouplings, bs_couplings
-from .branch_tms import TmsCouplings, tms_couplings
+# stage1_transform, tms_couplings, bs_couplings: unused here, bound for perfbench/tracing.py
+from .branch_bs import BsCouplings, bs_couplings  # noqa: F401
+from .branch_tms import TmsCouplings, tms_couplings  # noqa: F401
 from .elementwise import cabs, cis_neg, cos, cosh, div, py_max, rmul, sin, sinh
 from .errors import NumericalDegeneracy
 from .params import PhysicalParams, ValidatedParams
-from .regime import Branch
-from .stage1 import Stage1Result, stage1_transform
+from .stage1 import Stage1Result, stage1_transform  # noqa: F401
 
 SIGMA = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
 
 IMAG_TOL = 1e-9
 METRIC_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class QuadraticForm:
-    """Exact coefficient matrices of the photonic problem, one per point.
-
-    h_matrix represents the photonic Hamiltonian; coupling_matrix/
-    coupling_offset represent the operator multiplying (b^dag + b), i.e. the
-    bare -g0 a2^dag a2 before any transformation.
-    """
-
-    h_matrix: np.ndarray
-    coupling_matrix: np.ndarray
-    coupling_offset: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -95,8 +81,9 @@ def _bogoliubov(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     return _block(U, V, V.conj(), U.conj())
 
 
-def build_photonic_form(p: PhysicalParams | ValidatedParams) -> QuadraticForm:
-    """Exact quadratic form of the rotating-frame photonic Hamiltonian.
+def build_photonic_form(p: PhysicalParams | ValidatedParams) -> np.ndarray:
+    """Exact (N, 4, 4) Hamiltonian matrices of the rotating-frame photonic
+    problem, one per point.
 
     H_ph = sum_j delta_j a_j^dag a_j
          + sum_j lambda_j (e^{-i phi_dj} a_j^dag^2 + h.c.)
@@ -107,20 +94,14 @@ def build_photonic_form(p: PhysicalParams | ValidatedParams) -> QuadraticForm:
     them).
     """
     n = len(p.delta1)
-    P, Q, coupling_P = _zeros(n), _zeros(n), _zeros(n)
+    P, Q = _zeros(n), _zeros(n)
     P[:, 0, 0], P[:, 1, 1] = p.delta1, p.delta2
     P[:, 0, 1] = P[:, 1, 0] = p.j_hop
     # (1/2) a^dag Q a^dag with symmetric Q reproduces lambda e^{-i phi} a^dag^2
     # for Q_jj = 2 lambda_j e^{-i phi_dj}.
     Q[:, 0, 0] = rmul(2.0 * p.lambda1, np.exp(-1j * p.phi_d1))
     Q[:, 1, 1] = rmul(2.0 * p.lambda2, np.exp(-1j * p.phi_d2))
-    coupling_P[:, 1, 1] = -p.g0
-    # offset chosen so the normal-ordered constant of the coupling is 0
-    return QuadraticForm(
-        h_matrix=_bdg(P, Q),
-        coupling_matrix=_bdg(coupling_P, _zeros(n)),
-        coupling_offset=-0.5 * np.trace(coupling_P, axis1=1, axis2=2).real,
-    )
+    return _bdg(P, Q)
 
 
 def stage1_map(p: ValidatedParams, s: Stage1Result) -> np.ndarray:
@@ -150,8 +131,8 @@ def bs_map(c: BsCouplings) -> np.ndarray:
     return _bogoliubov(U, _zeros(len(ch)))
 
 
-def symplectic_frequencies(q: QuadraticForm) -> SymplecticFrequencies:
-    """Exact normal-mode frequencies from the dynamical matrix Sigma*M.
+def symplectic_frequencies(h: np.ndarray) -> SymplecticFrequencies:
+    """Exact normal-mode frequencies of a form stack, from Sigma*M.
 
     Eigenvalues of Sigma*M come in +/- pairs for a dynamically stable form;
     a residual imaginary part beyond IMAG_TOL marks parametric instability.
@@ -162,7 +143,7 @@ def symplectic_frequencies(q: QuadraticForm) -> SymplecticFrequencies:
         if the four eigenvalues of a point cannot be grouped into two +/-
         pairs (the first such point is named).
     """
-    ev = np.linalg.eigvals(SIGMA @ q.h_matrix)
+    ev = np.linalg.eigvals(SIGMA @ h)
     scale = py_max(1.0, np.max(np.abs(ev), axis=-1))
     # absolute floor, relaxed proportionally for very large frequency scales
     # where eigvals itself leaves larger imaginary rounding residue
@@ -179,15 +160,21 @@ def symplectic_frequencies(q: QuadraticForm) -> SymplecticFrequencies:
     return SymplecticFrequencies(nu1=re[:, 3], nu2=re[:, 2], stable=stable)
 
 
-def _conjugated(form: QuadraticForm, T: np.ndarray) -> dict[str, np.ndarray]:
-    """Normal-ordered monomial coefficients of the coupling operator in the
-    modes beta, alpha = T beta.
+def conjugate_coupling(p: ValidatedParams, T: np.ndarray) -> dict[str, np.ndarray]:
+    """Exact coefficients of the bare coupling -g0 a2^dag a2 (the operator
+    multiplying b^dag + b) in the modes beta, alpha = T beta, for a stack of
+    maps T: the independent check for the closed-form branch coefficients.
 
     n11, n22, n12 multiply A1^dag A1, A2^dag A2, A1^dag A2; p11, p22, p12
     multiply A1^2, A2^2, A1 A2 (their Hermitian partners are implied); const
     is the scalar term.
     """
-    M = _adjoint(T) @ form.coupling_matrix @ T
+    n = len(T)
+    coupling_P = _zeros(n)
+    coupling_P[:, 1, 1] = -p.g0
+    # offset chosen so the normal-ordered constant of the bare coupling is 0
+    offset = -0.5 * np.trace(coupling_P, axis1=1, axis2=2).real
+    M = _adjoint(T) @ _bdg(coupling_P, _zeros(n)) @ T
     P = M[:, :2, :2]
     R = M[:, 2:, :2]  # annihilation-pair block, R = conj(Q) for symmetric Q
     return {
@@ -197,14 +184,14 @@ def _conjugated(form: QuadraticForm, T: np.ndarray) -> dict[str, np.ndarray]:
         "p11": 0.5 * R[:, 0, 0],
         "p22": 0.5 * R[:, 1, 1],
         "p12": 0.5 * (R[:, 0, 1] + R[:, 1, 0]),
-        "const": form.coupling_offset + 0.5 * np.trace(P, axis1=1, axis2=2),
+        "const": offset + 0.5 * np.trace(P, axis1=1, axis2=2),
     }
 
 
 def _closed_form(
     c: TmsCouplings | BsCouplings, n12: np.ndarray, const: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """The branch couplings under the keys of `_conjugated`."""
+    """The branch couplings under the keys of `conjugate_coupling`."""
     return {
         "n11": (-c.g1).astype(complex),
         "n22": (-c.g2).astype(complex),
@@ -214,49 +201,6 @@ def _closed_form(
         "p12": c.g12,
         "const": const.astype(complex),
     }
-
-
-def _second_stage(
-    p: ValidatedParams, branch: Branch, s: Stage1Result, c=None
-) -> tuple[TmsCouplings | BsCouplings, np.ndarray, dict[str, np.ndarray]]:
-    """Couplings of a concrete branch (computed unless given), its rotation,
-    and the closed-form coefficients they predict.
-
-    Two-mode squeezing moves -f_prime into the scalar part; the beam-splitter
-    rotation is number conserving, so its scalar part stays -f_disp.
-    """
-    if branch is Branch.TWO_MODE_SQUEEZING:
-        c = tms_couplings(s, p) if c is None else c
-        return c, tms_map(c), _closed_form(c, -c.gp12, -(s.f_disp + c.f_prime))
-    if branch is Branch.BEAM_SPLITTER:
-        c = bs_couplings(s, p) if c is None else c
-        return c, bs_map(c), _closed_form(c, c.gp12, -s.f_disp)
-    raise ValueError("the oracle needs a concrete branch (tms or bs)")
-
-
-def conjugate_coupling(
-    p: ValidatedParams, branch: Branch, s: Stage1Result | None = None
-) -> dict[str, np.ndarray]:
-    """Exact coefficients of the coupling operator in the final frame.
-
-    Composes the stage-1 squeezing with the requested second-stage rotation
-    and conjugates the bare -g0 a2^dag a2 through the product, with no
-    rotating-wave truncation anywhere. This is the independent check for the
-    closed-form branch coefficients.
-    """
-    if s is None:
-        s = stage1_transform(p)
-    T2 = _second_stage(p, branch, s)[1]
-    return _conjugated(build_photonic_form(p), stage1_map(p, s) @ T2)
-
-
-def analytic_coefficients(
-    p: ValidatedParams, branch: Branch, s: Stage1Result | None = None
-) -> dict[str, np.ndarray]:
-    """Closed-form prediction for `conjugate_coupling`, same keys."""
-    if s is None:
-        s = stage1_transform(p)
-    return _second_stage(p, branch, s)[2]
 
 
 def coefficient_defect(
@@ -286,15 +230,14 @@ class RwaErrorReport:
     (j_hop*|lam1| coherent hopping for the two-mode-squeezing branch,
     j_hop*|lam2| pair term for the beam-splitter branch); gap is the
     rotating-frame frequency it beats at. freq_analytic holds the branch's
-    supermode frequencies |W|, freq_exact the exact symplectic ones and
-    freq_dev their relative deviation, each as `(2, N)` rows sorted by
-    magnitude, the smaller frequency first. coeff_defect is the worst
-    relative deviation of the conjugation oracle from the closed forms (an
-    exact identity, reported as a numerical sanity bound). freqs are the
-    exact symplectic frequencies. Each number is an array over the points.
+    supermode frequencies |W|, freq_exact the exact frequencies it was
+    handed and freq_dev their relative deviation, each as `(2, N)` rows
+    sorted by magnitude, the smaller frequency first. coeff_defect is the
+    worst relative deviation of `conjugate_coupling` from the closed forms
+    (an exact identity, reported as a numerical sanity bound). Each number
+    is an array over the points.
     """
 
-    branch: Branch
     dropped_name: str
     dropped_abs: np.ndarray
     gap: np.ndarray
@@ -304,47 +247,38 @@ class RwaErrorReport:
     freq_dev: np.ndarray
     coeff_defect: np.ndarray
     metric_defect: np.ndarray
-    freqs: SymplecticFrequencies
-
-    @property
-    def stable(self) -> np.ndarray:
-        return self.freqs.stable
 
 
 def rwa_error_report(
     p: ValidatedParams,
-    branch: Branch,
-    s: Stage1Result | None = None,
-    c: TmsCouplings | BsCouplings | None = None,
-    form: QuadraticForm | None = None,
-    freqs: SymplecticFrequencies | None = None,
+    s: Stage1Result,
+    c: TmsCouplings | BsCouplings,
+    freqs: SymplecticFrequencies,
 ) -> RwaErrorReport:
-    """Quantify the rotating-wave truncation for the chosen branch.
+    """Quantify the rotating-wave truncation of a branch, given the stage-1
+    result `s` of `p`, the branch couplings `c` (their type names the branch)
+    and the symplectic frequencies of `p`'s form.
 
-    The stage-1 result, the branch couplings, the photonic form of `p` and
-    its symplectic frequencies are computed here unless given (the reports of
-    both branches of a batch can share the form and its frequencies). Where
-    the two-mode-squeezing stage is unstable the numbers mean nothing; callers
-    mask those points.
+    Two-mode squeezing moves -f_prime into the scalar part; the beam-splitter
+    rotation is number conserving, so its scalar part stays -f_disp. Where
+    the two-mode-squeezing stage is unstable the numbers mean nothing;
+    callers mask those points.
     """
-    if s is None:
-        s = stage1_transform(p)
-    if form is None:
-        form = build_photonic_form(p)
-    if freqs is None:
-        freqs = symplectic_frequencies(form)
-    c, T2, analytic = _second_stage(p, branch, s, c)
-    if branch is Branch.TWO_MODE_SQUEEZING:
+    if isinstance(c, TmsCouplings):
+        T2 = tms_map(c)
+        analytic = _closed_form(c, -c.gp12, -(s.f_disp + c.f_prime))
         dropped_name = "coherent_hopping"
         dropped = p.j_hop * cabs(s.lam1)
         gap = abs(s.omega_diff)
     else:
+        T2 = bs_map(c)
+        analytic = _closed_form(c, c.gp12, -s.f_disp)
         dropped_name = "pair_squeezing"
         dropped = p.j_hop * cabs(s.lam2)
         gap = abs(s.omega_sum)
 
     T = stage1_map(p, s) @ T2
-    exact = _conjugated(form, T)
+    exact = conjugate_coupling(p, T)
     defect = coefficient_defect(exact, analytic, scale_floor=py_max(p.g0, 1e-300))
 
     # sorted by magnitude; as sorted(), an unordered (NaN) pair keeps its order
@@ -353,7 +287,6 @@ def rwa_error_report(
     analytic = np.stack((np.where(swap, w2, w1), np.where(swap, w1, w2)))
     exact = np.stack((freqs.nu2, freqs.nu1))
     return RwaErrorReport(
-        branch=branch,
         dropped_name=dropped_name,
         dropped_abs=dropped,
         gap=gap,
@@ -363,5 +296,4 @@ def rwa_error_report(
         freq_dev=abs(analytic - exact) / py_max(abs(exact), 1e-300),
         coeff_defect=defect,
         metric_defect=symplectic_defect(T),
-        freqs=freqs,
     )

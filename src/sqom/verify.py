@@ -19,6 +19,7 @@ from . import oracle
 from .branch_bs import bs_couplings
 from .branch_tms import tms_couplings
 from .elementwise import cabs, cosh, hypot, py_max, square, stack, tanh
+from .errors import NumericalDegeneracy
 from .oracle import METRIC_TOL
 from .params import PhysicalParams, ValidatedParams, validate
 from .regime import Branch
@@ -220,30 +221,35 @@ def run_verification(
             add(f"identity[{name}]", _worst(err), IDENTITY_RTOL, f"{n_random} random sets")
 
     # --- oracle agreement -----------------------------------------------------
-    for branch, label in (
-        (Branch.TWO_MODE_SQUEEZING, "tms"),
-        (Branch.BEAM_SPLITTER, "bs"),
+    for branch, label, couplings in (
+        (Branch.TWO_MODE_SQUEEZING, "tms", tms_couplings),
+        (Branch.BEAM_SPLITTER, "bs", bs_couplings),
     ):
         sets, stage1 = random_sets(rng, branch, n_random)
-        report = oracle.rwa_error_report(sets, branch, stage1)
+        freqs = oracle.symplectic_frequencies(oracle.build_photonic_form(sets))
+        report = oracle.rwa_error_report(sets, stage1, couplings(stage1, sets), freqs)
         add(f"oracle_coefficients[{label}]", _worst(report.coeff_defect), oracle_rtol,
             f"{n_random} random sets")
         add(f"symplectic_metric[{label}]", _worst(report.metric_defect), METRIC_TOL,
             f"{n_random} random sets")
 
-    # --- the configured point: both reports share one photonic form ------------
+    # --- the configured point: both reports share its exact frequencies -------
     s = stage1_transform(vp)
-    form = oracle.build_photonic_form(vp)
-    freqs = oracle.symplectic_frequencies(form)
+    try:
+        freqs, unpaired = oracle.symplectic_frequencies(oracle.build_photonic_form(vp)), ""
+    except NumericalDegeneracy:
+        freqs, unpaired = None, "exact frequencies cannot be paired here (NumericalDegeneracy)"
     for branch, label, c in (
         (Branch.TWO_MODE_SQUEEZING, "tms", tms_couplings(s, vp)),
         (Branch.BEAM_SPLITTER, "bs", bs_couplings(s, vp)),
     ):
+        unchecked = unpaired
         if branch is Branch.TWO_MODE_SQUEEZING and math.isnan(c.r.item()):
-            add(f"config_point[{label}]", math.nan, math.nan,
-                "branch transformation undefined here (TmsUnstable)", status="info")
+            unchecked = "branch transformation undefined here (TmsUnstable)"
+        if unchecked:
+            add(f"config_point[{label}]", math.nan, math.nan, unchecked, status="info")
             continue
-        report = oracle.rwa_error_report(vp, branch, s, c, form, freqs)
+        report = oracle.rwa_error_report(vp, s, c, freqs)
         add(f"config_point_coefficients[{label}]", report.coeff_defect.item(), oracle_rtol)
         add(f"config_point_metric[{label}]", report.metric_defect.item(), METRIC_TOL)
         add(f"rwa_dropped_term[{label}]", report.dropped_ratio.item(), math.nan,

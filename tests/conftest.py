@@ -5,7 +5,15 @@ from dataclasses import fields, is_dataclass, replace
 import numpy as np
 import pytest
 
-from sqom import PhysicalParams
+from sqom import (
+    Branch,
+    PhysicalParams,
+    build_photonic_form,
+    stage1_transform,
+    symplectic_frequencies,
+)
+from sqom.branch_bs import bs_couplings
+from sqom.branch_tms import tms_couplings
 from sqom.elementwise import broadcast
 
 
@@ -48,6 +56,14 @@ def on_one_point(fn):
         return point(result) if is_dataclass(result) else result.item()
 
     return call
+
+
+def oracle_stages(vp, branch):
+    """The stages `rwa_error_report` is handed for a validated batch: its
+    stage-1 result, the couplings of `branch` and its exact frequencies."""
+    s = stage1_transform(vp)
+    couplings = tms_couplings if branch is Branch.TWO_MODE_SQUEEZING else bs_couplings
+    return s, couplings(s, vp), symplectic_frequencies(build_photonic_form(vp))
 
 
 def strong_drive_set(delta_phi: float = math.pi, lambda1: float = 1997.96) -> PhysicalParams:

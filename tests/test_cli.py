@@ -24,6 +24,15 @@ BOUNDARY_PARAMS = {
 }
 
 
+# both drives within about 1e-13 of the stage-1 boundary: a valid point whose
+# exact eigenvalues cannot be paired into +/- frequencies (NumericalDegeneracy)
+UNPAIRED_PARAMS = dict(
+    LASER_PARAMS, delta1=445.6813207479668, lambda1=222.84066037398313,
+    delta2=-13.274826580266046, lambda2=6.637413290132873, j_hop=0.6248372277393877,
+    g0=0.05179304768804502, phi_d1=math.pi, phi_d2=math.pi,
+)
+
+
 @pytest.fixture
 def laser_config(tmp_path):
     path = tmp_path / "laser.json"
@@ -381,11 +390,7 @@ def test_one_subcommand_parser_builds_only_that_command():
 
 def test_analyze_writes_the_row_when_the_oracle_cannot_pair_frequencies(tmp_path, capsys):
     path = tmp_path / "edge.json"
-    path.write_text(json.dumps(dict(
-        LASER_PARAMS, delta1=445.6813207479668, lambda1=222.84066037398313,
-        delta2=-13.274826580266046, lambda2=6.637413290132873, j_hop=0.6248372277393877,
-        g0=0.05179304768804502, phi_d1=math.pi, phi_d2=math.pi,
-    )))
+    path.write_text(json.dumps(UNPAIRED_PARAMS))
     assert main(["analyze", "--config", str(path)]) == 0
     captured = capsys.readouterr()
     header, row = captured.out.splitlines()
@@ -393,4 +398,25 @@ def test_analyze_writes_the_row_when_the_oracle_cannot_pair_frequencies(tmp_path
     assert cells["error"] == "" and cells["branch"] == "intermediate"
     assert [cells[name] for name in header.split(",") if name.startswith("oracle_")] == [
         "nan", "nan", "", "nan", "nan", "nan", "nan", "nan"]
+    assert captured.err == ""
+
+
+def test_verify_reports_a_config_point_whose_frequencies_cannot_be_paired(tmp_path, capsys):
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(UNPAIRED_PARAMS))
+    assert main(["verify", "--config", str(path), "--random", "2"]) == 0
+    captured = capsys.readouterr()
+    header, *lines = captured.out.splitlines()
+    assert header == "check,status,max_error,tolerance,detail"
+    rows = {line.split(",", 1)[0]: line for line in lines}
+    assert rows["config_point[tms]"] == (
+        "config_point[tms],info,nan,nan,branch transformation undefined here (TmsUnstable)")
+    assert rows["config_point[bs]"] == (
+        "config_point[bs],info,nan,nan,"
+        "exact frequencies cannot be paired here (NumericalDegeneracy)")
+    # every random-set check is written, and no other config point row
+    assert len(lines) == len(rows) == 11 + 4 + 2
+    for label in ("tms", "bs"):
+        assert rows[f"oracle_coefficients[{label}]"].split(",")[1] == "pass"
+        assert rows[f"symplectic_metric[{label}]"].split(",")[1] == "pass"
     assert captured.err == ""

@@ -17,7 +17,7 @@ import cmath
 import math
 import re
 import struct
-from dataclasses import fields, is_dataclass
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -46,7 +46,7 @@ from sqom.params import validation_errors
 from sqom.stage1 import squeeze_param
 from sqom.validity import RESONANCE_FLOOR_DEFAULT
 
-from conftest import batch
+from conftest import batch, oracle_stages
 
 NAN = math.nan
 PHASES = st.sampled_from([0.0, -0.0, math.pi, 2.0 * math.pi]) | st.floats(-10.0, 10.0)
@@ -73,10 +73,7 @@ def assert_same(batch_result, one_result, i):
     for f in fields(one_result):
         a = getattr(batch_result, f.name)
         b = getattr(one_result, f.name)
-        if is_dataclass(b):  # the symplectic frequencies of an oracle report
-            assert_same(a, b, i)
-        else:
-            assert _bits(_element(a, i)) == _bits(_element(b, 0)), (f.name, a, b)
+        assert _bits(_element(a, i)) == _bits(_element(b, 0)), (f.name, a, b)
 
 
 def assert_same_validity(batch_report, one_report, i):
@@ -316,8 +313,9 @@ def test_stage_functions_array_equals_pointwise(items):
 @given(POINT_LISTS)
 @settings(max_examples=30, deadline=None)
 def test_oracle_batch_equals_pointwise(items):
-    """The oracle report of a batch, point by point, for both branches; a
-    point whose eigenvalues cannot be paired fails the batch with its message."""
+    """The oracle report and the exact frequencies of a batch, point by
+    point, for both branches; a point whose eigenvalues cannot be paired
+    fails the batch with its message."""
     good = _valid(items)
     if not good:
         return
@@ -325,15 +323,19 @@ def test_oracle_batch_equals_pointwise(items):
     for branch in (Branch.TWO_MODE_SQUEEZING, Branch.BEAM_SPLITTER):
         alone = []
         for i in range(len(good)):
+            one = take(vp, [i])
             try:
-                alone.append(rwa_error_report(take(vp, [i]), branch))
+                stages = oracle_stages(one, branch)
             except NumericalDegeneracy as exc:
                 with pytest.raises(NumericalDegeneracy, match=f"^{re.escape(str(exc))}$"):
-                    rwa_error_report(vp, branch)
+                    oracle_stages(vp, branch)
                 return
-        report = rwa_error_report(vp, branch)
-        for i, one in enumerate(alone):
+            alone.append((rwa_error_report(one, *stages), stages[2]))
+        s, c, freqs = oracle_stages(vp, branch)
+        report = rwa_error_report(vp, s, c, freqs)
+        for i, (one, one_freqs) in enumerate(alone):
             assert_same(report, one, i)
+            assert_same(freqs, one_freqs, i)
 
 
 LASER_POINTS = st.lists(

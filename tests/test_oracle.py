@@ -9,17 +9,17 @@ import pytest
 from sqom import (
     Branch,
     PhysicalParams,
-    analytic_coefficients,
+    analyze,
     build_photonic_form,
     conjugate_coupling,
+    oracle,
     rwa_error_report,
-    stage1_transform,
     symplectic_frequencies,
     validate,
     verify,
 )
 from sqom.branch_bs import bs_couplings
-from sqom.branch_tms import tms_couplings
+from sqom.branch_tms import TmsCouplings, tms_couplings
 from sqom.oracle import (
     SIGMA,
     bs_map,
@@ -30,13 +30,29 @@ from sqom.oracle import (
 )
 from sqom.verify import _squeezed, random_branch_params, random_sets, stacked
 
-from conftest import assert_rel, batch, laser_set, point, points, strong_drive_set
+from conftest import (
+    assert_rel,
+    batch,
+    boundary_set,
+    laser_set,
+    oracle_stages,
+    point,
+    points,
+    strong_drive_set,
+)
 
 
 def _report(p, branch):
-    """The oracle report of one set, as Python scalars."""
-    report = rwa_error_report(validate(batch(p)), branch)
-    return replace(point(report), freqs=point(report.freqs))
+    """The oracle report of one set and its exact frequencies, as Python
+    scalars."""
+    vp = validate(batch(p))
+    s, c, freqs = oracle_stages(vp, branch)
+    return point(rwa_error_report(vp, s, c, freqs)), point(freqs)
+
+
+def _final_map(vp, s, c):
+    """Stage-1 squeezing composed with the rotation of the branch of `c`."""
+    return stage1_map(vp, s) @ (tms_map(c) if isinstance(c, TmsCouplings) else bs_map(c))
 
 
 def _reference_valid_params(rng):
@@ -105,7 +121,7 @@ def test_form_trivial_diagonal():
         j_hop=0.0, g0=0.0, kappa=0.05, gamma_m=0.001,
     )
     form = build_photonic_form(batch(p))
-    assert np.allclose(form.h_matrix[0], np.diag([3.0, 7.0, 3.0, 7.0]))
+    assert np.allclose(form[0], np.diag([3.0, 7.0, 3.0, 7.0]))
     freqs = point(symplectic_frequencies(form))
     assert freqs.stable
     assert_rel(freqs.nu1, 7.0, 1e-14)
@@ -114,7 +130,7 @@ def test_form_trivial_diagonal():
 
 def test_form_structure_on_random_sets(rng):
     vps, _ = random_sets(rng, Branch.BEAM_SPLITTER, 200)
-    for M in build_photonic_form(vps).h_matrix:
+    for M in build_photonic_form(vps):
         # hermiticity and particle-hole block structure
         assert np.max(np.abs(M - M.conj().T)) == 0.0
         assert np.max(np.abs(M[2:, 2:] - M[:2, :2].T)) == 0.0
@@ -159,7 +175,8 @@ def test_maps_preserve_symplectic_metric(rng):
 def test_identity_map_recovers_bare_coupling():
     p = laser_set().replace(lambda1=0.0, lambda2=0.0, j_hop=0.0)
     vp = validate(batch(p))
-    coeffs = {k: v.item() for k, v in conjugate_coupling(vp, Branch.BEAM_SPLITTER).items()}
+    s, c, _ = oracle_stages(vp, Branch.BEAM_SPLITTER)
+    coeffs = {k: v.item() for k, v in conjugate_coupling(vp, _final_map(vp, s, c)).items()}
     assert abs(coeffs["n22"] + p.g0) < 1e-18
     for name, value in coeffs.items():
         if name != "n22":
@@ -207,9 +224,17 @@ def test_branch_transformations_diagonalize_their_hamiltonian(rng):
 
 @pytest.mark.parametrize("branch", [Branch.TWO_MODE_SQUEEZING, Branch.BEAM_SPLITTER])
 def test_conjugation_matches_analytics_random(branch, rng):
-    vps, ss = random_sets(rng, branch, 300)
-    exact = conjugate_coupling(vps, branch, ss)
-    analytic = analytic_coefficients(vps, branch, ss)
+    vps, _ = random_sets(rng, branch, 300)
+    s, c, _ = oracle_stages(vps, branch)
+    exact = conjugate_coupling(vps, _final_map(vps, s, c))
+    tms = branch is Branch.TWO_MODE_SQUEEZING
+    # the closed forms: two-mode squeezing flips the sign of n12 and moves
+    # -f_prime into the scalar part
+    analytic = {
+        "n11": -c.g1, "n22": -c.g2, "n12": -c.gp12 if tms else c.gp12,
+        "p11": c.g11, "p22": c.g22, "p12": c.g12,
+        "const": -(s.f_disp + c.f_prime) if tms else -s.f_disp,
+    }
     worst = max(coefficient_defect(exact, analytic, scale_floor=vps.g0))
     assert worst < 1e-9
 
@@ -300,16 +325,15 @@ def test_conjugation_displacement_bookkeeping():
     """Scalar part: -(f_disp + f_prime) after two-mode squeezing, -f_disp
     after beam-splitter mixing (number conserving)."""
     vp = validate(batch(strong_drive_set()))
-    s = stage1_transform(vp)
-    c = point(tms_couplings(s, vp))
-    const = conjugate_coupling(vp, Branch.TWO_MODE_SQUEEZING)["const"].item()
-    assert_rel(const.real, -(point(s).f_disp + c.f_prime), 1e-12)
+    s, c, _ = oracle_stages(vp, Branch.TWO_MODE_SQUEEZING)
+    const = conjugate_coupling(vp, _final_map(vp, s, c))["const"].item()
+    assert_rel(const.real, -(point(s).f_disp + point(c).f_prime), 1e-12)
     assert abs(const.imag) < 1e-15
 
     vpb = validate(batch(laser_set()))
-    sb = point(stage1_transform(vpb))
-    constb = conjugate_coupling(vpb, Branch.BEAM_SPLITTER)["const"].item()
-    assert_rel(constb.real, -sb.f_disp, 1e-12)
+    sb, cb, _ = oracle_stages(vpb, Branch.BEAM_SPLITTER)
+    constb = conjugate_coupling(vpb, _final_map(vpb, sb, cb))["const"].item()
+    assert_rel(constb.real, -point(sb).f_disp, 1e-12)
 
 
 def test_frequency_invariance_global_phase(rng):
@@ -331,22 +355,22 @@ def test_frequency_invariance_global_phase(rng):
 
 def test_rwa_report_trivial_zero_dropped_weight():
     p = laser_set().replace(lambda1=0.0, lambda2=0.0)
-    report = _report(p, Branch.BEAM_SPLITTER)
+    report, _ = _report(p, Branch.BEAM_SPLITTER)
     assert report.dropped_abs == 0.0
     assert report.dropped_ratio == 0.0
     assert report.coeff_defect < 1e-12
 
 
 def test_rwa_report_strong_drive_within_1pc():
-    report = _report(strong_drive_set(), Branch.TWO_MODE_SQUEEZING)
-    assert report.stable
+    report, freqs = _report(strong_drive_set(), Branch.TWO_MODE_SQUEEZING)
+    assert freqs.stable
     assert all(d <= 0.01 for d in report.freq_dev)
     assert report.dropped_ratio < 0.1  # dropped coherent hopping vs its gap
 
 
 def test_rwa_report_laser_set_within_1pc():
-    report = _report(laser_set(), Branch.BEAM_SPLITTER)
-    assert report.stable
+    report, freqs = _report(laser_set(), Branch.BEAM_SPLITTER)
+    assert freqs.stable
     assert all(d <= 0.01 for d in report.freq_dev)
     assert report.dropped_ratio < 0.1  # dropped pair term vs its gap
 
@@ -355,3 +379,23 @@ def test_sigma_metric_definition():
     assert np.allclose(SIGMA, np.diag([1, 1, -1, -1]))
     # symplectic defect of the identity is zero
     assert symplectic_defect(np.eye(4, dtype=complex)) == 0.0
+
+
+def test_the_oracle_computes_no_stage(monkeypatch):
+    """Callers hand the oracle every stage: with the stage functions bound in
+    `sqom.oracle` refusing, `analyze` and `verify` give the same rows."""
+    config = validate(batch(laser_set()))
+
+    def rows():
+        analyzed = [analyze(p) for p in (laser_set(), boundary_set(), strong_drive_set())]
+        checks = verify.run_verification(config, n_random=3, seed=0, oracle_rtol=1e-9)
+        return repr((analyzed, checks))  # float repr round-trips, NaN included
+
+    expected = rows()
+
+    def refuse(*args):
+        raise AssertionError("the oracle computed a pipeline stage")
+
+    for name in ("stage1_transform", "tms_couplings", "bs_couplings"):
+        monkeypatch.setattr(oracle, name, refuse)
+    assert rows() == expected

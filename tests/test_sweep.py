@@ -277,6 +277,24 @@ def test_analyze_solves_the_photonic_form_once(monkeypatch):
     assert calls == {"build_photonic_form": 1, "symplectic_frequencies": 1}
 
 
+def test_a_nan_metric_defect_wins_the_analyze_fold(monkeypatch):
+    from sqom import oracle
+
+    report_of = oracle.rwa_error_report
+
+    def nan_for_the_bs_report(*args):
+        report = report_of(*args)
+        if report.dropped_name == "pair_squeezing":  # the beam-splitter report
+            report = dataclasses.replace(report, metric_defect=np.array([math.nan]))
+        return report
+
+    monkeypatch.setattr(oracle, "rwa_error_report", nan_for_the_bs_report)
+    row = analyze(strong_drive_set())  # both branches give a report here
+    assert not math.isnan(row["oracle_coeff_defect_tms"])
+    assert not math.isnan(row["oracle_coeff_defect_bs"])
+    assert math.isnan(row["oracle_metric_defect"])
+
+
 def test_analyze_writes_the_row_when_the_oracle_cannot_pair_frequencies():
     # both drives within about 1e-13 of the stage-1 boundary: the exact
     # eigenvalues miss the +/- pairing tolerance (NumericalDegeneracy)
