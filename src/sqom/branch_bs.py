@@ -42,7 +42,7 @@ class BsCouplings:
     """
 
     theta: float
-    phi_big: float
+    phi: float
     j_prime: complex
     w1: float
     w2: float
@@ -86,7 +86,7 @@ def bs_couplings(s: Stage1Result, p: ValidatedParams) -> BsCouplings:
 
     return BsCouplings(
         theta=theta,
-        phi_big=phi,
+        phi=phi,
         j_prime=j_prime,
         w1=w1,
         w2=w2,

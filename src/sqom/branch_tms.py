@@ -42,7 +42,7 @@ class TmsCouplings:
     """
 
     r: float
-    phi_big: float
+    phi: float
     j_prime: complex
     w1: float
     w2: float
@@ -93,7 +93,7 @@ def tms_couplings(s: Stage1Result, p: ValidatedParams) -> TmsCouplings:
     c_prime = s_sum * sh * sh - jp * sh * ch
     return TmsCouplings(
         r=r,
-        phi_big=phi,
+        phi=phi,
         j_prime=j_prime,
         w1=w1,
         w2=w2,

@@ -44,7 +44,10 @@ def _cis_neg(x):
 
 
 def _square(x):
-    return x**2
+    try:
+        return x**2
+    except OverflowError:  # CPython's raise where libm pow returned inf
+        return math.inf
 
 
 def distinct(x: np.ndarray):

@@ -7,6 +7,8 @@ photonic Hamiltonian as an (N, 4, 4) stack in the doubled basis (a1, a2,
 a1^dag, a2^dag) and diagonalizes it symplectically for the exact normal-mode
 frequencies; `conjugate_coupling` conjugates the bare optomechanical coupling
 through explicit transformation matrices, with no rotating-wave truncation.
+Its coefficients, and the closed forms they are checked against, are the
+rows of one `(7, N)` complex array, in the order of COEFFICIENTS.
 
 Representation: an operator is stored as (M, offset) with
 
@@ -39,6 +41,9 @@ from .params import PhysicalParams, ValidatedParams
 from .stage1 import Stage1Result, stage1_transform  # noqa: F401
 
 SIGMA = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
+
+# the rows of a coefficient stack (`conjugate_coupling`, `coefficient_defect`)
+COEFFICIENTS = ("n11", "n22", "n12", "p11", "p22", "p12", "const")
 
 IMAG_TOL = 1e-9
 METRIC_TOL = 1e-12
@@ -117,14 +122,14 @@ def tms_map(c: TmsCouplings) -> np.ndarray:
     """Two-mode squeezing: a_s = U A + V A^dag with U = cosh(r), V off-diagonal."""
     U, V = _zeros(len(c.r)), _zeros(len(c.r))
     U[:, 0, 0] = U[:, 1, 1] = cosh(c.r)
-    V[:, 0, 1] = V[:, 1, 0] = rmul(sinh(c.r), cis_neg(c.phi_big))
+    V[:, 0, 1] = V[:, 1, 0] = rmul(sinh(c.r), cis_neg(c.phi))
     return _bogoliubov(U, V)
 
 
 def bs_map(c: BsCouplings) -> np.ndarray:
     """Beam-splitter mixing: a_s = U A with unitary U (V = 0)."""
     ch, sh = cos(0.5 * c.theta), sin(0.5 * c.theta)
-    e = cis_neg(c.phi_big)
+    e = cis_neg(c.phi)
     U = _zeros(len(ch))
     U[:, 0, 0] = U[:, 1, 1] = ch
     U[:, 0, 1], U[:, 1, 0] = rmul(sh, e), rmul(-sh, e.conj())
@@ -160,14 +165,14 @@ def symplectic_frequencies(h: np.ndarray) -> SymplecticFrequencies:
     return SymplecticFrequencies(nu1=re[:, 3], nu2=re[:, 2], stable=stable)
 
 
-def conjugate_coupling(p: ValidatedParams, T: np.ndarray) -> dict[str, np.ndarray]:
+def conjugate_coupling(p: ValidatedParams, T: np.ndarray) -> np.ndarray:
     """Exact coefficients of the bare coupling -g0 a2^dag a2 (the operator
     multiplying b^dag + b) in the modes beta, alpha = T beta, for a stack of
     maps T: the independent check for the closed-form branch coefficients.
 
-    n11, n22, n12 multiply A1^dag A1, A2^dag A2, A1^dag A2; p11, p22, p12
-    multiply A1^2, A2^2, A1 A2 (their Hermitian partners are implied); const
-    is the scalar term.
+    Returns the `(7, N)` rows of COEFFICIENTS: n11, n22, n12 multiply A1^dag A1,
+    A2^dag A2, A1^dag A2; p11, p22, p12 multiply A1^2, A2^2, A1 A2 (their
+    Hermitian partners are implied); const is the scalar term.
     """
     n = len(T)
     coupling_P = _zeros(n)
@@ -177,36 +182,16 @@ def conjugate_coupling(p: ValidatedParams, T: np.ndarray) -> dict[str, np.ndarra
     M = _adjoint(T) @ _bdg(coupling_P, _zeros(n)) @ T
     P = M[:, :2, :2]
     R = M[:, 2:, :2]  # annihilation-pair block, R = conj(Q) for symmetric Q
-    return {
-        "n11": P[:, 0, 0],
-        "n22": P[:, 1, 1],
-        "n12": P[:, 0, 1],
-        "p11": 0.5 * R[:, 0, 0],
-        "p22": 0.5 * R[:, 1, 1],
-        "p12": 0.5 * (R[:, 0, 1] + R[:, 1, 0]),
-        "const": offset + 0.5 * np.trace(P, axis1=1, axis2=2),
-    }
+    return np.array((
+        P[:, 0, 0], P[:, 1, 1], P[:, 0, 1],
+        0.5 * R[:, 0, 0], 0.5 * R[:, 1, 1], 0.5 * (R[:, 0, 1] + R[:, 1, 0]),
+        offset + 0.5 * np.trace(P, axis1=1, axis2=2),
+    ))
 
 
-def _closed_form(
-    c: TmsCouplings | BsCouplings, n12: np.ndarray, const: np.ndarray
-) -> dict[str, np.ndarray]:
-    """The branch couplings under the keys of `conjugate_coupling`."""
-    return {
-        "n11": (-c.g1).astype(complex),
-        "n22": (-c.g2).astype(complex),
-        "n12": n12,
-        "p11": c.g11,
-        "p22": c.g22,
-        "p12": c.g12,
-        "const": const.astype(complex),
-    }
-
-
-def coefficient_defect(
-    a: dict[str, np.ndarray], b: dict[str, np.ndarray], scale_floor
-) -> np.ndarray:
-    """Worst relative deviation between two coefficient sets, per point.
+def coefficient_defect(a: np.ndarray, b: np.ndarray, scale_floor) -> np.ndarray:
+    """Worst relative deviation between two `(7, N)` coefficient stacks (rows
+    in COEFFICIENTS order), per point.
 
     Each coefficient is compared relative to max(|a|, |b|, scale_floor); the
     floor (normally g0, the natural magnitude of every coupling) keeps a
@@ -214,12 +199,9 @@ def coefficient_defect(
     ratio (a NaN coefficient on either side) makes the point's defect NaN:
     it shows no agreement.
     """
-    # one (len(a), N) stack of each side, keys in the order of `a`
-    x = np.concatenate(list(a.values()))
-    y = np.concatenate([b[key] for key in a])
-    rows = (len(a), -1)
-    denom = py_max(py_max(cabs(x), cabs(y)).reshape(rows), scale_floor)
-    return np.max(cabs(x - y).reshape(rows) / denom, axis=0, initial=0.0)
+    x, y = a.ravel(), b.ravel()
+    denom = py_max(py_max(cabs(x), cabs(y)).reshape(a.shape), scale_floor)
+    return np.max(cabs(x - y).reshape(a.shape) / denom, axis=0, initial=0.0)
 
 
 @dataclass(frozen=True)
@@ -266,18 +248,20 @@ def rwa_error_report(
     """
     if isinstance(c, TmsCouplings):
         T2 = tms_map(c)
-        analytic = _closed_form(c, -c.gp12, -(s.f_disp + c.f_prime))
+        n12, const = -c.gp12, -(s.f_disp + c.f_prime)
         dropped_name = "coherent_hopping"
         dropped = p.j_hop * cabs(s.lam1)
         gap = abs(s.omega_diff)
     else:
         T2 = bs_map(c)
-        analytic = _closed_form(c, c.gp12, -s.f_disp)
+        n12, const = c.gp12, -s.f_disp
         dropped_name = "pair_squeezing"
         dropped = p.j_hop * cabs(s.lam2)
         gap = abs(s.omega_sum)
 
     T = stage1_map(p, s) @ T2
+    # np.array, not np.stack: the same cast to complex at half the fixed cost
+    analytic = np.array((-c.g1, -c.g2, n12, c.g11, c.g22, c.g12, const))
     exact = conjugate_coupling(p, T)
     defect = coefficient_defect(exact, analytic, scale_floor=py_max(p.g0, 1e-300))
 
@@ -286,6 +270,9 @@ def rwa_error_report(
     swap = w2 < w1
     analytic = np.stack((np.where(swap, w2, w1), np.where(swap, w1, w2)))
     exact = np.stack((freqs.nu2, freqs.nu1))
+    # like `div`: an overflowing ratio is IEEE's inf, without a warning
+    with np.errstate(over="ignore"):
+        freq_dev = abs(analytic - exact) / py_max(abs(exact), 1e-300)
     return RwaErrorReport(
         dropped_name=dropped_name,
         dropped_abs=dropped,
@@ -293,7 +280,7 @@ def rwa_error_report(
         dropped_ratio=div(dropped, gap, gap == 0.0, math.inf),
         freq_analytic=analytic,
         freq_exact=exact,
-        freq_dev=abs(analytic - exact) / py_max(abs(exact), 1e-300),
+        freq_dev=freq_dev,
         coeff_defect=defect,
         metric_defect=symplectic_defect(T),
     )

@@ -310,7 +310,6 @@ class Table:
         return Table(self.columns)
 
 
-_RENAMED = {"phi_big": "phi"}
 _KIND = dict(COLUMN_SCHEMA)
 
 
@@ -329,7 +328,7 @@ def _flatten(prefix: str, result) -> dict:
     out = {}
     for f in fields(result):
         value = getattr(result, f.name)
-        name = prefix + _RENAMED.get(f.name, f.name)
+        name = prefix + f.name
         if value.dtype.kind == "c":
             out[name + "_re"], out[name + "_im"] = value.real, value.imag
         else:
@@ -432,11 +431,10 @@ def _evaluate(params: PhysicalParams, opts: PipelineOptions, outputs=None):
 
     Returns the `outputs` columns plus `error`, in COLUMN_SCHEMA order, plus
     the validated parameters, the stage 1 result and the couplings of each
-    branch that ran, over the valid points (None when no stage ran). A failed
-    point gets exactly the cells the error would leave blank in a
-    point-by-point evaluation, and the error name in its column. When every
-    point validates, the stage cells are the columns, with no blank-and-fill
-    copy.
+    branch that ran, over all points (None when no stage ran). A point that
+    fails validation runs on a stand-in, the first valid point's parameters;
+    its cells are then blanked, exactly those the error would leave blank in
+    a point-by-point evaluation, and the error name lands in its column.
     """
     wanted = set(COLUMNS if outputs is None else outputs)
     names = [name for name in COLUMNS if name in wanted and name != "error"]
@@ -445,17 +443,14 @@ def _evaluate(params: PhysicalParams, opts: PipelineOptions, outputs=None):
     valid = errors == ""
     if not stages or not valid.any():  # no stages: only `error` is asked for
         return {name: _blank(name, len(errors)) for name in names} | {"error": errors}, None
-    everywhere = valid.all()
+    if not valid.all():  # the first valid point stands in for a failed one
+        params = take(params, np.where(valid, np.arange(len(valid)), np.argmax(valid)))
     with np.errstate(all="ignore"):
-        vp = validate(params if everywhere else take(params, valid))
+        vp = validate(params)
         s = stage1_transform(vp)
         cells, couplings = _stage_columns(vp, s, stages, opts)
-    if everywhere:  # the stage cells are the columns
-        columns = {name: cells[name] for name in names}
-    else:
-        columns = {name: _blank(name, len(errors)) for name in names}
-        for name in names:
-            columns[name][valid] = cells[name]
+    columns = {name: cells[name] for name in names}
+    _blank_where(columns, ~valid, names)
     columns["error"] = errors
     return columns, (vp, s, couplings)
 

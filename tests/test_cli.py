@@ -176,6 +176,20 @@ def test_sweep_output_subset(laser_config, capsys):
     assert len(lines) == 4
 
 
+@pytest.mark.parametrize("axis, cells", [
+    ("kappa", ["1.1625127171108135e-05", "0", "0"]),  # the gain falls as 1/kappa
+    ("g0", ["0.0072657044819425852", "inf", "inf"]),  # and grows as g0^2
+])
+def test_sweep_to_a_huge_rate_exits_0(axis, cells, laser_config, capsys):
+    # kappa**2 or g0**2 overflows: the cell is inf or 0, not an OverflowError
+    assert main([
+        "sweep", "--config", laser_config, "--axis", axis,
+        "--from", "0.05", "--to", "1e200", "--steps", "3", "--outputs", "laser_gain",
+    ]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(",")[1] for line in lines[1:]] == cells
+
+
 def test_repeated_output_exit_1(boundary_config, tmp_path, capsys):
     grid_path = tmp_path / "grid.csv"
     code = main([

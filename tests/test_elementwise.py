@@ -121,6 +121,15 @@ def _valid(items):
 POINT_LISTS = st.lists(points(), min_size=1, max_size=12)
 ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
 
+
+def _square_or_inf(v):
+    """v**2, or inf where that raises OverflowError (libm pow's result)."""
+    try:
+        return v**2
+    except OverflowError:
+        return math.inf
+
+
 # each mapped function of `elementwise` and what CPython computes on one element
 MATH = {
     "exp": math.exp,
@@ -130,7 +139,7 @@ MATH = {
     "tanh": math.tanh,
     "cos": math.cos,
     "sin": math.sin,
-    "square": lambda v: v**2,
+    "square": _square_or_inf,
     "cis": lambda v: cmath.exp(1j * v),
     "cis_neg": lambda v: cmath.exp(-1j * v),
 }

@@ -21,6 +21,7 @@ from sqom import (
 from sqom.branch_bs import bs_couplings
 from sqom.branch_tms import TmsCouplings, tms_couplings
 from sqom.oracle import (
+    COEFFICIENTS,
     SIGMA,
     bs_map,
     coefficient_defect,
@@ -176,7 +177,8 @@ def test_identity_map_recovers_bare_coupling():
     p = laser_set().replace(lambda1=0.0, lambda2=0.0, j_hop=0.0)
     vp = validate(batch(p))
     s, c, _ = oracle_stages(vp, Branch.BEAM_SPLITTER)
-    coeffs = {k: v.item() for k, v in conjugate_coupling(vp, _final_map(vp, s, c)).items()}
+    rows = conjugate_coupling(vp, _final_map(vp, s, c))
+    coeffs = {k: v.item() for k, v in zip(COEFFICIENTS, rows)}
     assert abs(coeffs["n22"] + p.g0) < 1e-18
     for name, value in coeffs.items():
         if name != "n22":
@@ -235,15 +237,16 @@ def test_conjugation_matches_analytics_random(branch, rng):
         "p11": c.g11, "p22": c.g22, "p12": c.g12,
         "const": -(s.f_disp + c.f_prime) if tms else -s.f_disp,
     }
+    analytic = np.stack([analytic[k] for k in COEFFICIENTS])
     worst = max(coefficient_defect(exact, analytic, scale_floor=vps.g0))
     assert worst < 1e-9
 
 
 def test_coefficient_defect_is_the_per_key_worst_ratio():
-    # reference: each point's keys in dict order, the largest ratio from
-    # 0.0; a NaN ratio makes the point's defect NaN
+    # reference: each point's keys in COEFFICIENTS order, the largest ratio
+    # from 0.0; a NaN ratio makes the point's defect NaN
     gen = np.random.default_rng(7)
-    n, keys = 64, ("n11", "n22", "n12", "p11", "p22", "p12", "const")
+    n, keys = 64, COEFFICIENTS
 
     def coefficients():
         values = {k: gen.normal(size=n) + 1j * gen.normal(size=n) for k in keys}
@@ -262,14 +265,18 @@ def test_coefficient_defect_is_the_per_key_worst_ratio():
             ratios.append(abs(x - y) / max(max(abs(x), abs(y)), floor[i]))
         expected.append(math.nan if any(map(math.isnan, ratios)) else max(ratios))
     assert 0 < sum(map(math.isnan, expected)) < n
-    got = coefficient_defect(a, b, scale_floor=floor)
+    got = coefficient_defect(
+        np.stack([a[k] for k in keys]), np.stack([b[k] for k in keys]), scale_floor=floor
+    )
     assert list(map(float.hex, got.tolist())) == list(map(float.hex, expected))
 
 
 def test_nan_coefficient_is_no_agreement():
-    one = {"n11": np.array([1.0 + 1.0j])}
-    assert math.isnan(coefficient_defect({"n11": np.array([math.nan + 0j])}, one, [1e-3])[0])
-    assert math.isnan(coefficient_defect(one, {"n11": np.array([math.nan + 0j])}, [1e-3])[0])
+    one = np.full((len(COEFFICIENTS), 1), 1.0 + 1.0j)
+    nan = one.copy()
+    nan[COEFFICIENTS.index("n11")] = math.nan + 0j
+    assert math.isnan(coefficient_defect(nan, one, [1e-3])[0])
+    assert math.isnan(coefficient_defect(one, nan, [1e-3])[0])
 
 
 def test_verify_fails_the_oracle_check_on_a_nan_defect(monkeypatch):
@@ -324,15 +331,16 @@ def test_verify_fails_identity_and_metric_checks_on_a_nan_error(monkeypatch):
 def test_conjugation_displacement_bookkeeping():
     """Scalar part: -(f_disp + f_prime) after two-mode squeezing, -f_disp
     after beam-splitter mixing (number conserving)."""
+    row = COEFFICIENTS.index("const")
     vp = validate(batch(strong_drive_set()))
     s, c, _ = oracle_stages(vp, Branch.TWO_MODE_SQUEEZING)
-    const = conjugate_coupling(vp, _final_map(vp, s, c))["const"].item()
+    const = conjugate_coupling(vp, _final_map(vp, s, c))[row].item()
     assert_rel(const.real, -(point(s).f_disp + point(c).f_prime), 1e-12)
     assert abs(const.imag) < 1e-15
 
     vpb = validate(batch(laser_set()))
     sb, cb, _ = oracle_stages(vpb, Branch.BEAM_SPLITTER)
-    constb = conjugate_coupling(vpb, _final_map(vpb, sb, cb))["const"].item()
+    constb = conjugate_coupling(vpb, _final_map(vpb, sb, cb))[row].item()
     assert_rel(constb.real, -point(sb).f_disp, 1e-12)
 
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sqom import (
@@ -83,6 +83,20 @@ def test_sweep_error_rows_do_not_abort():
         if row["error"]:
             assert math.isnan(row["f1"])
             assert row["branch"] == ""
+
+
+@pytest.mark.parametrize("axis, start, stop", [
+    ("kappa", -0.05, 0.05),  # NonPositiveParameter up to and at kappa = 0
+    ("lambda2", 51.0, 49.0),  # Stage1Unstable down to lambda2 = 50
+])
+def test_rows_after_failed_leading_points_equal_single_points(axis, start, stop):
+    spec = SweepSpec(axis=axis, start=start, stop=stop, steps=9)
+    rows = run_sweep(laser_set(), spec)
+    assert rows["error"][0] != "" and rows["error"][-1] == ""
+    lines = rows_to_csv(rows, list(COLUMNS)).splitlines()[1:]
+    for value, line in zip(spec.values(), lines):
+        row = evaluate_point(apply_axis(laser_set(), axis, float(value)))
+        assert line == rows_to_csv([row], list(COLUMNS)).splitlines()[1], value
 
 
 def test_tms_refusal_is_per_point_sentinel():
@@ -431,8 +445,8 @@ def test_fully_valid_batch_equals_the_blank_and_fill_path(outputs, monkeypatch):
     taken = []
     monkeypatch.setattr(sweep, "take", lambda *a: taken.append(1) or take(*a))
     params = stack(PhysicalParams, _VALID_POINTS)
-    # a Stage1Unstable point (lambda2 past delta2/2) sends the batch down the
-    # blank-and-fill path; projected out below
+    # a Stage1Unstable point (lambda2 past delta2/2) runs on a stand-in, and
+    # is blanked; projected out below
     mixed = stack(PhysicalParams, [*_VALID_POINTS[:3], laser_set().replace(lambda2=51.0),
                                    *_VALID_POINTS[3:]])
     columns = sweep._evaluate(params, PipelineOptions(), outputs)[0]
@@ -455,3 +469,53 @@ def test_fully_valid_batch_equals_the_blank_and_fill_path(outputs, monkeypatch):
             assert not np.shares_memory(columns[name], columns[other]), (name, other)
         for f in dataclasses.fields(params):
             assert not np.shares_memory(columns[name], getattr(params, f.name)), (name, f.name)
+
+
+_MAGNITUDES = st.sampled_from([1e-300, 1e300]) | st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+
+
+@st.composite
+def _drive(draw, delta):
+    """lambda at 0, inside |delta| > 2*lambda, or within 1e-16 of its edge."""
+    half = 0.5 * abs(delta)
+    mode = draw(st.sampled_from(["zero", "inside", "edge"]))
+    if mode == "zero":
+        return 0.0
+    if mode == "edge":
+        return half * (1.0 - draw(st.floats(0.0, 1e-16)))
+    return half * draw(st.floats(0.0, 1.0, exclude_max=True))
+
+
+@st.composite
+def _domain_points(draw):
+    delta1 = draw(st.sampled_from([-1.0, 1.0])) * draw(_MAGNITUDES)
+    delta2 = draw(st.sampled_from([-1.0, 1.0])) * draw(_MAGNITUDES)
+    return PhysicalParams(
+        delta1=delta1,
+        delta2=delta2,
+        lambda1=draw(_drive(delta1)),
+        lambda2=draw(_drive(delta2)),
+        j_hop=draw(st.just(0.0) | _MAGNITUDES),
+        g0=draw(st.just(0.0) | _MAGNITUDES),
+        kappa=draw(_MAGNITUDES),
+        gamma_m=draw(_MAGNITUDES),
+        phi_d1=draw(st.floats(-10.0, 10.0)),
+        phi_d2=draw(st.floats(-10.0, 10.0)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_domain_points())
+@example(laser_set().replace(kappa=1e200))  # x**2 overflows in the laser gain
+@example(laser_set().replace(delta2=1e200))
+@example(PhysicalParams(  # the oracle's frequency deviation overflows
+    delta1=1.0821473844320759e-293, delta2=4.023806653587475e+244, lambda1=0.0, lambda2=0.0,
+    j_hop=3.037557298636246e+197, g0=0.0, kappa=1.2111533654996346e+291,
+    gamma_m=1.4333800811831704e-100, phi_d1=-2.5237097209841703, phi_d2=-8.365970948436372,
+))
+def test_rows_never_raise_over_the_valid_domain(p):
+    """Magnitudes from 1e-300 to 1e300, negative detunings, drives at the
+    stage-1 edge: a row comes back, with no exception and, since pytest
+    turns RuntimeWarnings into errors, no floating-point warning."""
+    assert evaluate_point(p)["error"] in ("", "Stage1Unstable")
+    analyze(p)
