@@ -11,6 +11,7 @@ import csv
 import itertools
 import math
 import sys
+import warnings
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -130,14 +131,54 @@ def _bad_cell(path: str, name: str, cells, convert) -> ConfigError:
     raise AssertionError(f"every {name} cell converts")
 
 
-def _parsed(path: str, name: str, cells, convert) -> list:
+def _parsed(path: str, name: str, cells, convert) -> np.ndarray:
     """convert(cell) for each cell of column `name`, called once per distinct
     cell; a cell it refuses is named with its column and row."""
     try:
         distinct = {cell: convert(cell) for cell in dict.fromkeys(cells)}
     except ValueError:
         raise _bad_cell(path, name, cells, convert) from None
-    return list(map(distinct.__getitem__, cells))
+    return np.array(list(map(distinct.__getitem__, cells)))
+
+
+def _value_cell(cell: str) -> float:
+    """A value cell; an empty one (a failed point) is NaN, not an error."""
+    return float(cell) if cell else math.nan
+
+
+def _loadtxt_columns(path: str, usecols: list):
+    """The kept columns by numpy's C parser, or None for a file it may read
+    otherwise than csv and int()/float(): one that is not ASCII (numpy takes
+    some letters for digits), quotes, holds a separator \\x1c-\\x1f (numpy
+    strips those), keeps a column twice, or that numpy refuses or warns about
+    (numpy < 2 reads '1.0' as the integer 1 with a DeprecationWarning)."""
+    with open(path, newline="") as fh, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            text = fh.read()
+            if (not text.isascii() or any(c in text for c in '"\x1c\x1d\x1e\x1f')
+                    or len(set(usecols)) < len(usecols)):
+                return None
+            fh.seek(0)
+            table = np.loadtxt(
+                fh, dtype="i8,i8,f8,f8,f8", delimiter=",", comments=None, quotechar=None,
+                skiprows=1, usecols=usecols, ndmin=1, converters={usecols[-1]: _value_cell},
+            )
+        except (ValueError, Warning):  # a decoding error too
+            return None
+    return [table[name] for name in table.dtype.names]
+
+
+def _csv_columns(path: str, names, usecols, rows):
+    """The kept columns of csv rows, a short row's missing cells empty; each
+    is converted when asked for, so the index checks precede the axis cells'."""
+    columns = [[] for _ in usecols]
+    kept = list(zip(usecols, columns))
+    for row in rows:
+        for i, column in kept:
+            column.append(row[i] if i < len(row) else "")
+    for name, cells, convert in zip(names, columns, (int, int, float, float, _value_cell)):
+        yield _parsed(path, name, cells, convert)
 
 
 def _read_grid_csv(path: str, field: str | None):
@@ -173,26 +214,26 @@ def _read_grid_csv(path: str, field: str | None):
         elif field not in numeric:
             raise ConfigError(f"--field {field!r} not among numeric grid columns {numeric}")
 
-        # only the cells converted below are kept; a short row has empty
-        # trailing cells; of a repeated name, the last column counts
+        # of a repeated name, the last column counts
+        kept = ("x_index", "y_index", x_axis, y_axis, field)
         position = {name: i for i, name in enumerate(names)}
-        columns = {name: [] for name in ("x_index", "y_index", x_axis, y_axis, field)}
-        kept = [(position[name], column) for name, column in columns.items()]
-        for row in itertools.chain([first], rows):
-            for i, column in kept:
-                column.append(row[i] if i < len(row) else "")
-    xi = np.array(_parsed(path, "x_index", columns["x_index"], int))
-    yi = np.array(_parsed(path, "y_index", columns["y_index"], int))
+        usecols = [position[name] for name in kept]
+        columns = iter(_loadtxt_columns(path, usecols)
+                       or _csv_columns(path, kept, usecols, itertools.chain([first], rows)))
+        xi, yi = next(columns), next(columns)
     for name, index in (("x_index", xi), ("y_index", yi)):
         if index.min() < 0:
             raise ConfigError(f"grid file {path} has a negative {name}: {index.min()}")
-    x_cells = _parsed(path, x_axis, columns[x_axis], float)
-    y_cells = _parsed(path, y_axis, columns[y_axis], float)
-    try:
-        field_cells = [float(cell) if cell else math.nan for cell in columns[field]]
-    except ValueError:
-        # an empty value cell is NaN, not an error
-        raise _bad_cell(path, field, columns[field], lambda cell: float(cell or "nan")) from None
+    x_cells, y_cells, field_cells = columns
+    for name, index, cells in ((x_axis, xi, x_cells), (y_axis, yi, y_cells)):
+        if not np.isfinite(cells).all():
+            # only the last row for an index counts
+            last = np.zeros(index.size, bool)
+            last[index.size - 1 - np.unique(index[::-1], return_index=True)[1]] = True
+            bad = np.flatnonzero(last & ~np.isfinite(cells))
+            if bad.size:
+                raise ConfigError(f"grid file {path}: {name} value {float(cells[bad[0]])!r} "
+                                  f"in data row {bad[0] + 1} is not finite")
     uncovered = ConfigError(f"grid file {path} does not cover the full index range")
     # n rows cover at most n cells: a larger index range (a sparse or diagonal
     # file) is refused before the index-sized arrays below are allocated; the

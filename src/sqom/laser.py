@@ -10,6 +10,12 @@ Lasing sets in at gain = gamma_m; the stimulated phonon number
 n_b = exp[2 (gain - gamma_m) / gamma_m] equals 1 exactly at threshold. The
 threshold pump power is P_th = N+ kappa W_1 evaluated at the threshold
 density, so P_th/N_th = kappa W_1 identically.
+
+Out of scope: n_b is the below-saturation (linear-gain) estimate. It keeps
+the inversion N+ - N- fixed, so no gain depletion by the phonons limits its
+growth above threshold, and nothing here models saturation. Its exponent is
+cut at EXP_CAP only to stay a finite float; a capped n_b (flagged
+n_b_capped) is no physical phonon number.
 """
 from __future__ import annotations
 

@@ -6,16 +6,24 @@ columnar one, so any change to a single byte of any cell (a flipped last
 digit, a signed zero, a moved sentinel) fails here. Rewrite a digest only
 for a deliberate output change, and say so where the change is recorded.
 """
+import contextlib
 import hashlib
 import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from sqom import cli
 from sqom.cli import main
+from sqom.errors import ConfigError
 
 TWO_PI = repr(2.0 * math.pi)
 
@@ -252,12 +260,19 @@ READBACK_CASES = {
     "repeated_index": (_edited(append=["2,1,1.0,1.0,9.5,tms"]), ()),
     "blank_lines": (_edited(replace={4: "\n" + GRID_LINES[4]}, append=[""]), ()),
     "rows_shuffled": ("\n".join([GRID_HEADER, *reversed(GRID_LINES)]) + "\n", ()),
+    # a non-finite axis value that a later row for its index overrides is
+    # legal: the grid is the complete one
+    "overridden_infinite_axis": (
+        _edited(replace={3: "3,0,inf,0.0,3.0,bs"}, append=[GRID_LINES[3]]), (),
+    ),
 }
 
 READBACK_DIGESTS = {
     "blank_lines": "7a56dbb656afb14d7587ac7c50dcf1f7739de9df7a70a01c70b6c1677c11c8c6",
     "complete": "7a56dbb656afb14d7587ac7c50dcf1f7739de9df7a70a01c70b6c1677c11c8c6",
     "empty_cell": "9e78e859023f34923dace38b8e0b9fd6dc8233b2124ae6eed5478bd2e4105573",
+    "overridden_infinite_axis": (
+        "7a56dbb656afb14d7587ac7c50dcf1f7739de9df7a70a01c70b6c1677c11c8c6"),
     "repeated_index": "6f77fd5a67194b001d6e13099d59ebea405a4b0c9b362e1dff3b33e1f275c8fc",
     "rows_shuffled": "7a56dbb656afb14d7587ac7c50dcf1f7739de9df7a70a01c70b6c1677c11c8c6",
     "short_row": "08ac03a001ee27cd8b6ef03dfc7c45bc7156e5de93b198c64be0c39fac848d7f",
@@ -314,6 +329,15 @@ READBACK_ERRORS = {
         _edited(), ("--field", "f2"),
         "error: --field 'f2' not among numeric grid columns ['f1']\n",
     ),
+    # rows 2 and 4 give x_index 1 a non-finite lam; row 4 wins for the index
+    **{
+        f"{value}_axis": (
+            "\n".join([GRID_HEADER, "0,0,0.0,0.0,1.0,bs", f"1,0,{value},0.0,2.0,bs",
+                       "0,1,0.0,1.0,3.0,bs", f"1,1,{value},1.0,4.0,bs"]) + "\n",
+            (), f"error: grid file {{path}}: lam value {value} in data row 4 is not finite\n",
+        )
+        for value in ("inf", "nan")
+    },
 }
 
 
@@ -326,6 +350,147 @@ def test_contours_grid_read_back_errors(name, tmp_path, capsys):
     assert _contours(grid, (*args, "--level", "3.5"), out, capsys) == (
         1, stderr.format(path=grid))
     assert not out.exists()
+
+
+# The two grid readers: numpy's C parser reads the files `sqom grid` writes,
+# and the csv reader every file that parser might read otherwise.
+
+def test_grid_files_take_the_fast_reader(grid_files, tmp_path, capsys):
+    with mock.patch.object(cli, "_csv_columns", side_effect=AssertionError("csv reader")):
+        for name, (grid, args, stderr) in sorted(CONTOUR_CASES.items()):
+            out = tmp_path / f"{name}.csv"
+            assert _contours(grid_files[grid], args, out, capsys) == (0, stderr)
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == CONTOUR_DIGESTS[name]
+
+
+def test_readers_agree_on_a_grid_with_nan_cells(tmp_path, capsys):
+    """The boundary map of tms_g2 (NaN at every two-mode-squeezing failure)
+    gives the same contours from either reader alone."""
+    config = tmp_path / "boundary.json"
+    config.write_text(json.dumps(BOUNDARY))
+    grid = tmp_path / "grid.csv"
+    argv = list(CASES["grid_boundary_109"][2:])
+    argv[argv.index("--outputs") + 1] = "tms_g2"
+    assert main(["grid", "--config", str(config), *argv, "--out", str(grid)]) == 0
+    assert ",nan\n" in grid.read_text()
+    digests = set()
+    for only in (mock.patch.object(cli, "_csv_columns", side_effect=AssertionError("csv")),
+                 mock.patch.object(cli, "_loadtxt_columns", return_value=None)):
+        out = tmp_path / "contours.csv"
+        with only:
+            assert _contours(grid, ("--level", "0.036"), out, capsys) == (0, "")
+        digests.add(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert len(digests) == 1
+
+
+def test_a_loadtxt_warning_refuses_the_file(tmp_path):
+    # numpy < 2 reads '1.0' in an integer column as 1 with a DeprecationWarning
+    grid = tmp_path / "grid.csv"
+    grid.write_text(_edited())
+    loadtxt = np.loadtxt
+
+    def warning_loadtxt(*args, **kwargs):
+        warnings.warn("string or file could not be read to its end", DeprecationWarning)
+        return loadtxt(*args, **kwargs)
+
+    assert cli._loadtxt_columns(str(grid), [0, 1, 2, 3, 4]) is not None
+    # refused also where the caller's filters ignore the warning
+    with mock.patch.object(np, "loadtxt", warning_loadtxt), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert cli._loadtxt_columns(str(grid), [0, 1, 2, 3, 4]) is None
+
+
+class _BothRead(Exception):
+    """Ends a read-back once both readers have run."""
+
+
+def _both_readers(path, field):
+    """(fast, exact) for the grid file at `path`: the five kept columns each
+    reader gives, None where the fast reader refuses the file and the error
+    text where the csv reader does; (None, None) when the header is refused
+    before either runs."""
+    loadtxt_columns, csv_columns = cli._loadtxt_columns, cli._csv_columns
+    seen = {}
+
+    def fast(*args):
+        seen["fast"] = loadtxt_columns(*args)
+        return None  # on to the csv reader
+
+    def exact(*args):
+        try:
+            seen["exact"] = list(csv_columns(*args))
+        except ConfigError as exc:
+            seen["exact"] = str(exc)
+        raise _BothRead
+
+    with mock.patch.object(cli, "_loadtxt_columns", fast), \
+            mock.patch.object(cli, "_csv_columns", exact), \
+            contextlib.suppress(ConfigError, _BothRead):
+        cli._read_grid_csv(str(path), field)
+    return seen.get("fast"), seen.get("exact")
+
+
+# cells that csv, int(), float() and numpy's parser may each read their own way
+ODD_CELLS = [
+    "", " ", "\t", "#", "#1", "+1", "-0", " 2 ", "1_0", "\u0661", "\u01fe1", "\x1c1", "1\x0b",
+    "\xa01", "1.0", "1e0", "0x10", "9223372036854775807", "9223372036854775808",
+    "-9223372036854775809", "99999999999999999999", "nan", "-nan", "NaN", "inf", "-inf",
+    "Infinity", "+iNfInItY", "1e400", '"1"', '"1,5"', '""', '"', "bs",
+]
+# header -> --field; repeated names move a kept column, and the last header
+# keeps one column as both x_index and the value
+HEADERS = {
+    GRID_HEADER: "f1",
+    GRID_HEADER + ",f1": "f1",
+    "x_index,y_index,lam,phase,f1,lam": "f1",
+    "x_index,y_index,lam,lam,f1,branch": "f1",
+    "x_index,y_index,lam,phase,x_index,branch": "x_index",
+}
+_cell = (st.sampled_from(ODD_CELLS) | st.integers(0, 4).map(str) | st.integers().map(str)
+         | st.floats().map(repr))
+_edit = st.one_of(
+    st.tuples(st.just("cell"), st.integers(0, 19), st.integers(0, 6), _cell),
+    st.tuples(st.just("cut"), st.integers(0, 19), st.integers(0, 5)),
+    st.tuples(st.just("line"), st.integers(0, 20), st.sampled_from(["", " ", "\t ", "#", "#0,0"])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    # half the files keep the grid header, which the fast reader can take
+    header=st.just(GRID_HEADER) | st.sampled_from(sorted(HEADERS)),
+    extra=st.lists(_cell, max_size=2),
+    edits=st.lists(_edit, max_size=3),
+    ends=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=1, max_size=3),
+)
+# a quoted comma before the kept value column shifts it in numpy's split
+@example(header=GRID_HEADER + ",f1", extra=["5.0"],
+         edits=[("cell", 0, 4, '"1,5"'), ("cell", 0, 5, "4.0")], ends=["\n"])
+@example(header=GRID_HEADER, extra=[], edits=[("cell", 1, 0, "\u01fe1")], ends=["\n"])
+@example(header=GRID_HEADER, extra=[], edits=[("cell", 1, 0, "\x1c1")], ends=["\n"])
+@example(header="x_index,y_index,lam,phase,x_index,branch", extra=[], edits=[], ends=["\n"])
+def test_fast_reader_refuses_or_matches_the_csv_reader(
+        header, extra, edits, ends, tmp_path_factory):
+    rows = [line.split(",") + extra for line in GRID_LINES]
+    for edit in edits:
+        kind, k = edit[:2]
+        if kind == "cell":
+            row, (column, cell) = rows[k], edit[2:]
+            row[column:column + 1] = [cell]
+        elif kind == "cut":
+            rows[k] = rows[k][:edit[2]]
+        else:
+            rows.insert(k, [edit[2]])
+    lines = [header] + [",".join(row) for row in rows]
+    path = tmp_path_factory.mktemp("readers") / "grid.csv"
+    path.write_text("".join(line + ends[k % len(ends)] for k, line in enumerate(lines)),
+                    newline="")
+    fast, exact = _both_readers(path, HEADERS[header])
+    if fast is None:
+        return
+    assert not isinstance(exact, str), exact
+    for a, b in zip(fast, exact):
+        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
 
 
 # the reference datasets of scripts/generate_datasets.py, by file name
