@@ -73,8 +73,8 @@ def bs_couplings(s: Stage1Result, p: ValidatedParams) -> BsCouplings:
     w1 = s.omega_s1 * ch * ch + s.omega_s2 * sh * sh - jp * half_sin
     w2 = s.omega_s2 * ch * ch + s.omega_s1 * sh * sh + jp * half_sin
 
-    ch2rd2 = cosh(2.0 * s.r_d2)
-    sh2rd2 = sinh(2.0 * s.r_d2)
+    two_rd2 = 2.0 * s.r_d2
+    ch2rd2, sh2rd2 = cosh(two_rd2), sinh(two_rd2)
     g0 = p.g0
 
     g1 = g0 * ch2rd2 * sh * sh

@@ -76,8 +76,8 @@ def tms_couplings(s: Stage1Result, p: ValidatedParams) -> TmsCouplings:
     w1 = s.omega_s1 * ch * ch + s.omega_s2 * sh * sh - jp * half_sh2
     w2 = s.omega_s2 * ch * ch + s.omega_s1 * sh * sh - jp * half_sh2
 
-    ch2rd2 = cosh(2.0 * s.r_d2)
-    sh2rd2 = sinh(2.0 * s.r_d2)
+    two_rd2 = 2.0 * s.r_d2
+    ch2rd2, sh2rd2 = cosh(two_rd2), sinh(two_rd2)
     g0 = p.g0
 
     g1 = g0 * ch2rd2 * sh * sh
@@ -89,7 +89,7 @@ def tms_couplings(s: Stage1Result, p: ValidatedParams) -> TmsCouplings:
     g22 = rmul(g0 * sh2rd2 * ch * ch * 0.5, cis(p.phi_d2))
     gp12 = rmul(-g0 * sh2rd2 * sh * ch, cis(p.phi_d2 - phi))
 
-    f_prime = g0 * ch2rd2 * sh * sh
+    f_prime = g1  # the same product, g0 * cosh(2 r_d2) * sinh(r)^2
     c_prime = s_sum * sh * sh - jp * sh * ch
     return TmsCouplings(
         r=r,

@@ -253,7 +253,10 @@ def _read_grid_csv(path: str, field: str | None):
 
 
 def cmd_contours(args) -> int:
-    xs, ys, values, field = _read_grid_csv(args.grid, args.field)
+    try:
+        xs, ys, values, field = _read_grid_csv(args.grid, args.field)
+    except csv.Error as exc:  # e.g. a cell past the csv module's field size limit
+        raise ConfigError(f"grid file {args.grid}: {exc}") from None
     contour_set = extract_contours(xs, ys, values, args.level)
     for level in contour_set.empty_levels():
         print(f"note: level {level:g} never crosses field {field}", file=sys.stderr)

@@ -119,13 +119,15 @@ square = _mapped(_square)  # x**2 is libm pow, which differs from x*x
 
 
 def rmul(x, z):
-    """Real times complex, as CPython multiplies them: complex(x, 0.0) * z."""
-    out = np.empty(np.broadcast(x, z).shape, dtype=complex)
+    """complex(x, 0.0) * z as CPython multiplies them; a tuple of rows is one stacked array."""
+    x, z = np.asarray(x), np.asarray(z)
+    zr, zi = z.real, z.imag
     # CPython's product neither warns nor raises on an infinite part or an
     # overflow, so numpy's warnings are silenced here and not left to callers
     with np.errstate(over="ignore", invalid="ignore"):
-        out.real = x * z.real - 0.0 * z.imag
-        out.imag = x * z.imag + 0.0 * z.real
+        re = x * zr - 0.0 * zi
+        out = np.empty(re.shape, dtype=complex)
+        out.real, out.imag = re, x * zi + 0.0 * zr
     return out
 
 

@@ -28,6 +28,7 @@ The oracle computes no pipeline stage: callers hand it the stages.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,8 +105,8 @@ def build_photonic_form(p: PhysicalParams | ValidatedParams) -> np.ndarray:
     P[:, 0, 1] = P[:, 1, 0] = p.j_hop
     # (1/2) a^dag Q a^dag with symmetric Q reproduces lambda e^{-i phi} a^dag^2
     # for Q_jj = 2 lambda_j e^{-i phi_dj}.
-    Q[:, 0, 0] = rmul(2.0 * p.lambda1, np.exp(-1j * p.phi_d1))
-    Q[:, 1, 1] = rmul(2.0 * p.lambda2, np.exp(-1j * p.phi_d2))
+    Q[:, 0, 0], Q[:, 1, 1] = rmul((2.0 * p.lambda1, 2.0 * p.lambda2),
+                                  (np.exp(-1j * p.phi_d1), np.exp(-1j * p.phi_d2)))
     return _bdg(P, Q)
 
 
@@ -113,8 +114,8 @@ def stage1_map(p: ValidatedParams, s: Stage1Result) -> np.ndarray:
     """Per-cavity squeezing: a_j = cosh(r_dj) a_sj - e^{-i phi_dj} sinh(r_dj) a_sj^dag."""
     U, V = _zeros(len(s.r_d1)), _zeros(len(s.r_d1))
     U[:, 0, 0], U[:, 1, 1] = cosh(s.r_d1), cosh(s.r_d2)
-    V[:, 0, 0] = rmul(sinh(s.r_d1), -np.exp(-1j * p.phi_d1))
-    V[:, 1, 1] = rmul(sinh(s.r_d2), -np.exp(-1j * p.phi_d2))
+    V[:, 0, 0], V[:, 1, 1] = rmul((sinh(s.r_d1), sinh(s.r_d2)),
+                                  (-np.exp(-1j * p.phi_d1), -np.exp(-1j * p.phi_d2)))
     return _bogoliubov(U, V)
 
 
@@ -132,7 +133,7 @@ def bs_map(c: BsCouplings) -> np.ndarray:
     e = cis_neg(c.phi)
     U = _zeros(len(ch))
     U[:, 0, 0] = U[:, 1, 1] = ch
-    U[:, 0, 1], U[:, 1, 0] = rmul(sh, e), rmul(-sh, e.conj())
+    U[:, 0, 1], U[:, 1, 0] = rmul((sh, -sh), (e, e.conj()))
     return _bogoliubov(U, _zeros(len(ch)))
 
 
@@ -168,30 +169,31 @@ def symplectic_frequencies(h: np.ndarray) -> SymplecticFrequencies:
 def conjugate_coupling(p: ValidatedParams, T: np.ndarray) -> np.ndarray:
     """Exact coefficients of the bare coupling -g0 a2^dag a2 (the operator
     multiplying b^dag + b) in the modes beta, alpha = T beta, for a stack of
-    maps T: the independent check for the closed-form branch coefficients.
+    maps T of shape (..., N, 4, 4): the independent check for the closed-form
+    branch coefficients.
 
-    Returns the `(7, N)` rows of COEFFICIENTS: n11, n22, n12 multiply A1^dag A1,
-    A2^dag A2, A1^dag A2; p11, p22, p12 multiply A1^2, A2^2, A1 A2 (their
-    Hermitian partners are implied); const is the scalar term.
+    Returns the `(7, ..., N)` rows of COEFFICIENTS: n11, n22, n12 multiply
+    A1^dag A1, A2^dag A2, A1^dag A2; p11, p22, p12 multiply A1^2, A2^2, A1 A2
+    (their Hermitian partners are implied); const is the scalar term.
     """
-    n = len(T)
+    n = len(p.g0)
     coupling_P = _zeros(n)
     coupling_P[:, 1, 1] = -p.g0
     # offset chosen so the normal-ordered constant of the bare coupling is 0
     offset = -0.5 * np.trace(coupling_P, axis1=1, axis2=2).real
     M = _adjoint(T) @ _bdg(coupling_P, _zeros(n)) @ T
-    P = M[:, :2, :2]
-    R = M[:, 2:, :2]  # annihilation-pair block, R = conj(Q) for symmetric Q
+    P = M[..., :2, :2]
+    R = M[..., 2:, :2]  # annihilation-pair block, R = conj(Q) for symmetric Q
     return np.array((
-        P[:, 0, 0], P[:, 1, 1], P[:, 0, 1],
-        0.5 * R[:, 0, 0], 0.5 * R[:, 1, 1], 0.5 * (R[:, 0, 1] + R[:, 1, 0]),
-        offset + 0.5 * np.trace(P, axis1=1, axis2=2),
+        P[..., 0, 0], P[..., 1, 1], P[..., 0, 1],
+        0.5 * R[..., 0, 0], 0.5 * R[..., 1, 1], 0.5 * (R[..., 0, 1] + R[..., 1, 0]),
+        offset + 0.5 * np.trace(P, axis1=-2, axis2=-1),
     ))
 
 
 def coefficient_defect(a: np.ndarray, b: np.ndarray, scale_floor) -> np.ndarray:
-    """Worst relative deviation between two `(7, N)` coefficient stacks (rows
-    in COEFFICIENTS order), per point.
+    """Worst relative deviation between two `(7, ..., N)` coefficient stacks
+    (rows in COEFFICIENTS order), per point.
 
     Each coefficient is compared relative to max(|a|, |b|, scale_floor); the
     floor (normally g0, the natural magnitude of every coupling) keeps a
@@ -234,53 +236,48 @@ class RwaErrorReport:
 def rwa_error_report(
     p: ValidatedParams,
     s: Stage1Result,
-    c: TmsCouplings | BsCouplings,
+    couplings: Sequence[TmsCouplings | BsCouplings],
     freqs: SymplecticFrequencies,
-) -> RwaErrorReport:
-    """Quantify the rotating-wave truncation of a branch, given the stage-1
-    result `s` of `p`, the branch couplings `c` (their type names the branch)
-    and the symplectic frequencies of `p`'s form.
+) -> list[RwaErrorReport]:
+    """Quantify the rotating-wave truncation of each branch in `couplings`
+    (their type names the branch), all over the points of `p`, given the
+    stage-1 result `s` and the symplectic frequencies of `p`'s form: one
+    report per couplings, in order. The branches are one batch on a leading
+    axis, through one stage-1 map, one conjugation and one metric defect.
 
     Two-mode squeezing moves -f_prime into the scalar part; the beam-splitter
     rotation is number conserving, so its scalar part stays -f_disp. Where
     the two-mode-squeezing stage is unstable the numbers mean nothing;
     callers mask those points.
     """
-    if isinstance(c, TmsCouplings):
-        T2 = tms_map(c)
-        n12, const = -c.gp12, -(s.f_disp + c.f_prime)
-        dropped_name = "coherent_hopping"
-        dropped = p.j_hop * cabs(s.lam1)
-        gap = abs(s.omega_diff)
-    else:
-        T2 = bs_map(c)
-        n12, const = c.gp12, -s.f_disp
-        dropped_name = "pair_squeezing"
-        dropped = p.j_hop * cabs(s.lam2)
-        gap = abs(s.omega_sum)
 
-    T = stage1_map(p, s) @ T2
+    def branch(c):  # dropped term, map, n12, scalar part, the dropped factor and its beat
+        if isinstance(c, TmsCouplings):
+            return ("coherent_hopping", tms_map(c), -c.gp12, -(s.f_disp + c.f_prime),
+                    s.lam1, s.omega_diff)
+        return "pair_squeezing", bs_map(c), c.gp12, -s.f_disp, s.lam2, s.omega_sum
+
+    names, maps, n12, const, factors, beats = zip(*map(branch, couplings))
+    T = stage1_map(p, s) @ np.array(maps)  # (branch, N, 4, 4)
     # np.array, not np.stack: the same cast to complex at half the fixed cost
-    analytic = np.array((-c.g1, -c.g2, n12, c.g11, c.g22, c.g12, const))
-    exact = conjugate_coupling(p, T)
-    defect = coefficient_defect(exact, analytic, scale_floor=py_max(p.g0, 1e-300))
+    analytic = np.array([(-c.g1, -c.g2, n, c.g11, c.g22, c.g12, k)
+                         for c, n, k in zip(couplings, n12, const)]).swapaxes(0, 1)
+    defect = coefficient_defect(conjugate_coupling(p, T), analytic, py_max(p.g0, 1e-300))
+    dropped = p.j_hop * cabs(np.concatenate(factors)).reshape(len(factors), -1)
+    gaps = abs(np.array(beats))
 
     # sorted by magnitude; as sorted(), an unordered (NaN) pair keeps its order
-    w1, w2 = abs(c.w1), abs(c.w2)
-    swap = w2 < w1
-    analytic = np.stack((np.where(swap, w2, w1), np.where(swap, w1, w2)))
+    w = abs(np.array([(c.w1, c.w2) for c in couplings]))
+    analytic = np.where((w[:, 1] < w[:, 0])[:, None], w[:, ::-1], w)
     exact = np.stack((freqs.nu2, freqs.nu1))
     # like `div`: an overflowing ratio is IEEE's inf, without a warning
     with np.errstate(over="ignore"):
         freq_dev = abs(analytic - exact) / py_max(abs(exact), 1e-300)
-    return RwaErrorReport(
-        dropped_name=dropped_name,
-        dropped_abs=dropped,
-        gap=gap,
-        dropped_ratio=div(dropped, gap, gap == 0.0, math.inf),
-        freq_analytic=analytic,
-        freq_exact=exact,
-        freq_dev=freq_dev,
-        coeff_defect=defect,
-        metric_defect=symplectic_defect(T),
-    )
+    return [
+        RwaErrorReport(dropped_name=name, dropped_abs=d, gap=g, dropped_ratio=r,
+                       freq_analytic=a, freq_exact=exact, freq_dev=f, coeff_defect=cd,
+                       metric_defect=md)
+        for name, d, g, r, a, f, cd, md in zip(
+            names, dropped, gaps, div(dropped, gaps, gaps == 0.0, math.inf), analytic,
+            freq_dev, defect, symplectic_defect(T))
+    ]

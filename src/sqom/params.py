@@ -130,11 +130,11 @@ def validation_errors(raw: PhysicalParams) -> np.ndarray:
     return names
 
 
-def validate(raw: PhysicalParams) -> ValidatedParams:
+def validate(raw: PhysicalParams, errors: np.ndarray | None = None) -> ValidatedParams:
     """Check stability and sign conventions; return the validated wrapper.
 
     Every point must pass; the first failing point raises the error of its
-    first failed check (`validation_errors` names them all).
+    first failed check (`validation_errors(raw)`, which a caller may pass).
 
     Raises
     ------
@@ -150,7 +150,7 @@ def validate(raw: PhysicalParams) -> ValidatedParams:
         strict with no margin: operating arbitrarily close to the boundary
         is legitimate and simply produces a large squeezing parameter.
     """
-    bad = np.flatnonzero(validation_errors(raw))
+    bad = np.flatnonzero(validation_errors(raw) if errors is None else errors)
     if bad.size:
         i = bad[0]
         error, key, value = next((e, k, v) for ok, e, k, v in _checks(raw) if not ok[i])

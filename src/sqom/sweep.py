@@ -33,7 +33,7 @@ value of a float, int, bool or str column once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterable, TextIO
 
 import numpy as np
@@ -313,22 +313,16 @@ class Table:
 _KIND = dict(COLUMN_SCHEMA)
 
 
-def _blank(name: str, n: int) -> np.ndarray:
-    """n cells of a failed point: NaN for numbers, '' for text, None (an
-    empty cell) for flags."""
-    kind = _KIND[name]
-    if kind == _F:
-        return np.full(n, math.nan)
-    return np.full(n, "" if kind == _S else None, dtype=object)
+# a failed point's cell: NaN for numbers, '' for text, None (empty) for flags
+_BLANK = {_F: math.nan, _S: np.array("", dtype=object), _B: np.array(None, dtype=object)}
 
 
 def _flatten(prefix: str, result) -> dict:
     """Columns of a stage result: prefix + field name, complex fields split
     into _re/_im; fields without a column are dropped."""
     out = {}
-    for f in fields(result):
-        value = getattr(result, f.name)
-        name = prefix + f.name
+    for field, value in vars(result).items():
+        name = prefix + field
         if value.dtype.kind == "c":
             out[name + "_re"], out[name + "_im"] = value.real, value.imag
         else:
@@ -357,7 +351,7 @@ def _blank_where(cells: dict, mask: np.ndarray, names) -> None:
     if not mask.any():
         return
     for name in names:
-        cells[name] = np.where(mask, _blank(name, 1), cells[name])
+        cells[name] = np.where(mask, _BLANK[_KIND[name]], cells[name])
 
 
 def _stage_columns(vp, s, stages, opts: PipelineOptions):
@@ -373,7 +367,7 @@ def _stage_columns(vp, s, stages, opts: PipelineOptions):
         "f1": regime.f1,
         "f2": regime.f2,
         "f1_degenerate": regime.f1_degenerate,
-        "branch": _BRANCH_NAMES[np.select([on_tms, on_bs], [0, 1], 2)],
+        "branch": _BRANCH_NAMES[np.where(on_tms, 0, np.where(on_bs, 1, 2))],
     }
     couplings = {}
     if "tms" in stages:
@@ -442,11 +436,14 @@ def _evaluate(params: PhysicalParams, opts: PipelineOptions, outputs=None):
     errors = validation_errors(params)
     valid = errors == ""
     if not stages or not valid.any():  # no stages: only `error` is asked for
-        return {name: _blank(name, len(errors)) for name in names} | {"error": errors}, None
+        blank = {name: np.full(len(errors), _BLANK[_KIND[name]]) for name in names}
+        return blank | {"error": errors}, None
+    checked = errors
     if not valid.all():  # the first valid point stands in for a failed one
-        params = take(params, np.where(valid, np.arange(len(valid)), np.argmax(valid)))
+        stand_in = np.where(valid, np.arange(len(valid)), np.argmax(valid))
+        params, checked = take(params, stand_in), errors[stand_in]
     with np.errstate(all="ignore"):
-        vp = validate(params)
+        vp = validate(params, checked)
         s = stage1_transform(vp)
         cells, couplings = _stage_columns(vp, s, stages, opts)
     columns = {name: cells[name] for name in names}
@@ -483,12 +480,10 @@ def analyze(params: PhysicalParams, opts: PipelineOptions = PipelineOptions()) -
         freqs = oracle.symplectic_frequencies(oracle.build_photonic_form(vp))
     except NumericalDegeneracy:
         return row
-    reports = {
-        member: oracle.rwa_error_report(vp, s, c, freqs) for member, c in couplings.items()
-    }
-    row["oracle_nu1"] = freqs.nu1.item()
-    row["oracle_nu2"] = freqs.nu2.item()
-    row["oracle_stable"] = freqs.stable.item()
+    # one report batch for both branches, sharing the stage-1 map
+    reports = dict(zip(couplings, oracle.rwa_error_report(vp, s, list(couplings.values()), freqs)))
+    row.update(oracle_nu1=freqs.nu1.item(), oracle_nu2=freqs.nu2.item(),
+               oracle_stable=freqs.stable.item())
     for member, report in reports.items():
         row[f"oracle_coeff_defect_{member.value}"] = report.coeff_defect.item()
     laser_frame = reports.get(Branch(row["laser_source"]))

@@ -60,18 +60,21 @@ def random_valid_params(
     tolerance is meaningful. So is a set that `accept(q1, q2, phi_d1, phi_d2)`
     refuses, where q1 and q2 are each cavity's `_squeezed` values.
 
-    Each attempt reads the generator in a fixed order: for each cavity a
-    sign, `(-1.0, 1.0)[rng.integers(2)]`, and a detuning magnitude,
-    `rng.random()`; then `rng.random(6)` for lambda1, lambda2, j_hop,
-    log10(g0), phi_d1 and phi_d2. A value uniform on [low, high) is
-    `low + (high - low) * u`, which is how `Generator.uniform` computes it,
-    so the sets are bit for bit those of `rng.choice([-1.0, 1.0])` and one
-    `rng.uniform` per value, and the generator ends in the same state.
+    Each attempt reads the generator in a fixed order: two 32-bit draws of
+    the bit generator, whose top bits are the signs of delta1 and delta2 as
+    `rng.integers(2)` computes them, then `rng.random(8)` for the detuning
+    magnitudes, lambda1, lambda2, j_hop, log10(g0), phi_d1 and phi_d2. Both
+    32-bit draws take one 64-bit word, so on a generator that keeps no half
+    word (a fresh one; each attempt leaves none) the sets and the state after
+    them are bit for bit those of `rng.choice([-1.0, 1.0])` per sign and one
+    `rng.uniform(low, high)`, which is `low + (high - low) * u`, per value.
     """
+    bits = rng.bit_generator.ctypes  # numpy's typed C function pointers and state
     while True:
-        d1 = (-1.0, 1.0)[rng.integers(2)] * (1.0 + (100.0 - 1.0) * rng.random())
-        d2 = (-1.0, 1.0)[rng.integers(2)] * (1.0 + (100.0 - 1.0) * rng.random())
-        u1, u2, uj, ug, up1, up2 = rng.random(6).tolist()
+        s1, s2 = bits.next_uint32(bits.state) >> 31, bits.next_uint32(bits.state) >> 31
+        m1, m2, u1, u2, uj, ug, up1, up2 = rng.random(8).tolist()
+        d1 = (-1.0, 1.0)[s1] * (1.0 + (100.0 - 1.0) * m1)
+        d2 = (-1.0, 1.0)[s2] * (1.0 + (100.0 - 1.0) * m2)
         lambda1 = 0.0 + (0.495 * abs(d1) - 0.0) * u1
         lambda2 = 0.0 + (0.495 * abs(d2) - 0.0) * u2
         phi_d1 = 0.0 + (2.0 * math.pi - 0.0) * up1
@@ -227,7 +230,7 @@ def run_verification(
     ):
         sets, stage1 = random_sets(rng, branch, n_random)
         freqs = oracle.symplectic_frequencies(oracle.build_photonic_form(sets))
-        report = oracle.rwa_error_report(sets, stage1, couplings(stage1, sets), freqs)
+        report, = oracle.rwa_error_report(sets, stage1, [couplings(stage1, sets)], freqs)
         add(f"oracle_coefficients[{label}]", _worst(report.coeff_defect), oracle_rtol,
             f"{n_random} random sets")
         add(f"symplectic_metric[{label}]", _worst(report.metric_defect), METRIC_TOL,
@@ -239,17 +242,17 @@ def run_verification(
         freqs, unpaired = oracle.symplectic_frequencies(oracle.build_photonic_form(vp)), ""
     except NumericalDegeneracy:
         freqs, unpaired = None, "exact frequencies cannot be paired here (NumericalDegeneracy)"
-    for branch, label, c in (
-        (Branch.TWO_MODE_SQUEEZING, "tms", tms_couplings(s, vp)),
-        (Branch.BEAM_SPLITTER, "bs", bs_couplings(s, vp)),
-    ):
-        unchecked = unpaired
-        if branch is Branch.TWO_MODE_SQUEEZING and math.isnan(c.r.item()):
-            unchecked = "branch transformation undefined here (TmsUnstable)"
+    checked = {}
+    for label, c in (("tms", tms_couplings(s, vp)), ("bs", bs_couplings(s, vp))):
+        unchecked = (label == "tms" and math.isnan(c.r.item())
+                     and "branch transformation undefined here (TmsUnstable)") or unpaired
         if unchecked:
             add(f"config_point[{label}]", math.nan, math.nan, unchecked, status="info")
-            continue
-        report = oracle.rwa_error_report(vp, s, c, freqs)
+        else:
+            checked[label] = c
+    # only the tms branch, or both, can be unchecked: the rows keep branch order
+    reports = oracle.rwa_error_report(vp, s, list(checked.values()), freqs) if checked else []
+    for label, report in zip(checked, reports):
         add(f"config_point_coefficients[{label}]", report.coeff_defect.item(), oracle_rtol)
         add(f"config_point_metric[{label}]", report.metric_defect.item(), METRIC_TOL)
         add(f"rwa_dropped_term[{label}]", report.dropped_ratio.item(), math.nan,

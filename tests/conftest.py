@@ -9,6 +9,7 @@ from sqom import (
     Branch,
     PhysicalParams,
     build_photonic_form,
+    rwa_error_report,
     stage1_transform,
     symplectic_frequencies,
 )
@@ -64,6 +65,13 @@ def oracle_stages(vp, branch):
     s = stage1_transform(vp)
     couplings = tms_couplings if branch is Branch.TWO_MODE_SQUEEZING else bs_couplings
     return s, couplings(s, vp), symplectic_frequencies(build_photonic_form(vp))
+
+
+def oracle_report(vp, branch):
+    """The oracle report of `branch` alone for a validated batch."""
+    s, c, freqs = oracle_stages(vp, branch)
+    (report,) = rwa_error_report(vp, s, [c], freqs)
+    return report
 
 
 def strong_drive_set(delta_phi: float = math.pi, lambda1: float = 1997.96) -> PhysicalParams:

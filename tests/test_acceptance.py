@@ -22,7 +22,6 @@ from sqom import (
 from sqom.branch_bs import bs_couplings
 from sqom.branch_tms import tms_couplings
 from sqom.cli import main
-from sqom.oracle import rwa_error_report
 from sqom.sweep import laser_rows
 from sqom.verify import (
     _identity_errors_bs,
@@ -37,7 +36,7 @@ from conftest import (
     boundary_set,
     laser_set,
     on_one_point,
-    oracle_stages,
+    oracle_report,
     point,
     strong_drive_set,
 )
@@ -74,7 +73,7 @@ def test_criterion_2_oracle_equivalence(rng):
     worst_coeff, worst_metric = 0.0, 0.0
     for branch in (Branch.TWO_MODE_SQUEEZING, Branch.BEAM_SPLITTER):
         vps, _ = random_sets(rng, branch, N_RANDOM)
-        report = rwa_error_report(vps, *oracle_stages(vps, branch))
+        report = oracle_report(vps, branch)
         worst_coeff = max(worst_coeff, np.max(report.coeff_defect))
         worst_metric = max(worst_metric, np.max(report.metric_defect))
     assert worst_coeff < ORACLE_RTOL, f"worst coefficient defect {worst_coeff}"
@@ -88,12 +87,12 @@ def test_criterion_2_oracle_equivalence(rng):
 
 def test_criterion_3_rwa_audit():
     vp2 = validate(batch(strong_drive_set()))
-    rep2 = rwa_error_report(vp2, *oracle_stages(vp2, Branch.TWO_MODE_SQUEEZING))
+    rep2 = oracle_report(vp2, Branch.TWO_MODE_SQUEEZING)
     devs2 = rep2.freq_dev[:, 0].tolist()
     assert all(d <= 0.01 for d in devs2), devs2
 
     vp3 = validate(batch(laser_set()))
-    rep3 = rwa_error_report(vp3, *oracle_stages(vp3, Branch.BEAM_SPLITTER))
+    rep3 = oracle_report(vp3, Branch.BEAM_SPLITTER)
     devs3 = rep3.freq_dev[:, 0].tolist()
     assert all(d <= 0.01 for d in devs3), devs3
     _report(

@@ -40,13 +40,13 @@ from sqom import (
 from sqom import elementwise
 from sqom.branch_bs import bs_couplings, mixing_angle, rwa_validity_bs
 from sqom.branch_tms import rwa_validity_tms, tms_couplings
-from sqom.elementwise import cabs, div, stack, take
+from sqom.elementwise import cabs, div, rmul, stack, take
 from sqom.errors import NumericalDegeneracy
 from sqom.params import validation_errors
 from sqom.stage1 import squeeze_param
 from sqom.validity import RESONANCE_FLOOR_DEFAULT
 
-from conftest import batch, oracle_stages
+from conftest import batch, oracle_report, oracle_stages
 
 NAN = math.nan
 PHASES = st.sampled_from([0.0, -0.0, math.pi, 2.0 * math.pi]) | st.floats(-10.0, 10.0)
@@ -253,6 +253,27 @@ def test_validity_folds_match_python_min_max(items):
             _bits(want[0]), _bits(want[1]), want[2], _bits(want[3]), want[4]], item
 
 
+def _complex(re, im):
+    z = np.empty(len(re), dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
+@given(st.lists(st.tuples(*[st.sampled_from(POOL_VALUES) | ANY_FLOAT] * 6), min_size=1,
+                max_size=16))
+@settings(max_examples=150, deadline=None)
+def test_stacked_products_equal_each_row(items):
+    """`rmul` of a tuple of rows, as the oracle's form and maps make their
+    paired entries, equals `rmul` of each row alone, bit for bit, with signed
+    zeros, infinities, NaN and subnormals among the inputs. A NaN compares
+    as NaN, as in the other `rmul` checks: which operand's payload numpy's
+    addition keeps depends on the array's length."""
+    x1, x2, re1, im1, re2, im2 = map(np.array, zip(*items))
+    z1, z2 = _complex(re1, im1), _complex(re2, im2)
+    for got, want in zip(rmul((x1, x2), (z1, z2)), (rmul(x1, z1), rmul(x2, z2))):
+        assert _bits(got.tolist()) == _bits(want.tolist())
+
+
 @given(st.lists(st.sampled_from(POOL_VALUES) | ANY_FLOAT, max_size=40))
 @settings(max_examples=100, deadline=None)
 def test_distinct_tells_floats_apart_by_bits(values):
@@ -324,12 +345,14 @@ def test_stage_functions_array_equals_pointwise(items):
 def test_oracle_batch_equals_pointwise(items):
     """The oracle report and the exact frequencies of a batch, point by
     point, for both branches; a point whose eigenvalues cannot be paired
-    fails the batch with its message."""
+    fails the batch with its message. The reports of both branches from one
+    call equal each branch's report alone."""
     good = _valid(items)
     if not good:
         return
     vp = validate(stack(PhysicalParams, good))
-    for branch in (Branch.TWO_MODE_SQUEEZING, Branch.BEAM_SPLITTER):
+    branches = (Branch.TWO_MODE_SQUEEZING, Branch.BEAM_SPLITTER)
+    for branch in branches:
         alone = []
         for i in range(len(good)):
             one = take(vp, [i])
@@ -339,12 +362,18 @@ def test_oracle_batch_equals_pointwise(items):
                 with pytest.raises(NumericalDegeneracy, match=f"^{re.escape(str(exc))}$"):
                     oracle_stages(vp, branch)
                 return
-            alone.append((rwa_error_report(one, *stages), stages[2]))
-        s, c, freqs = oracle_stages(vp, branch)
-        report = rwa_error_report(vp, s, c, freqs)
+            alone.append((oracle_report(one, branch), stages[2]))
+        report, freqs = oracle_report(vp, branch), oracle_stages(vp, branch)[2]
         for i, (one, one_freqs) in enumerate(alone):
             assert_same(report, one, i)
             assert_same(freqs, one_freqs, i)
+    s, freqs = stage1_transform(vp), oracle_stages(vp, branches[0])[2]
+    both = rwa_error_report(vp, s, [tms_couplings(s, vp), bs_couplings(s, vp)], freqs)
+    for report, alone in zip(both, (oracle_report(vp, branch) for branch in branches)):
+        for f in fields(alone):
+            a, b = getattr(report, f.name), getattr(alone, f.name)
+            for i in range(len(good)):
+                assert _bits(_element(a, i)) == _bits(_element(b, i)), (f.name, a, b)
 
 
 LASER_POINTS = st.lists(

@@ -329,6 +329,12 @@ READBACK_ERRORS = {
         _edited(), ("--field", "f2"),
         "error: --field 'f2' not among numeric grid columns ['f1']\n",
     ),
+    # a quoted cell past the csv module's field size limit (131072)
+    "oversized_cell": (
+        "\n".join([GRID_HEADER, f'0,0,0.0,0.0,1.0,bs,"{"a" * 200_000}"', "1,0,1.0,0.0,2.0,bs",
+                   "0,1,0.0,1.0,3.0,bs", "1,1,1.0,1.0,4.0,bs"]) + "\n",
+        (), "error: grid file {path}: field larger than field limit (131072)\n",
+    ),
     # rows 2 and 4 give x_index 1 a non-finite lam; row 4 wins for the index
     **{
         f"{value}_axis": (

@@ -36,6 +36,7 @@ from conftest import (
     batch,
     boundary_set,
     laser_set,
+    oracle_report,
     oracle_stages,
     point,
     points,
@@ -47,8 +48,7 @@ def _report(p, branch):
     """The oracle report of one set and its exact frequencies, as Python
     scalars."""
     vp = validate(batch(p))
-    s, c, freqs = oracle_stages(vp, branch)
-    return point(rwa_error_report(vp, s, c, freqs)), point(freqs)
+    return point(oracle_report(vp, branch)), point(symplectic_frequencies(build_photonic_form(vp)))
 
 
 def _final_map(vp, s, c):
@@ -97,23 +97,45 @@ def _reference_branch_params(rng, branch):
 
 def _draws(sampler, seed, n):
     """n sets of each branch, alternating as `run_verification` draws them,
-    as float.hex strings, and the generator state after them."""
+    each as float.hex strings with the generator state after it."""
     rng = np.random.default_rng(seed)
-    sets = [
-        sampler(rng, branch)
-        for _ in range(n)
-        for branch in (Branch.TWO_MODE_SQUEEZING, Branch.BEAM_SPLITTER)
-    ]
-    cells = [[float.hex(float(x)) for x in astuple(p) + (u,)] for p, u in sets]
-    return cells, rng.bit_generator.state
+    draws = []
+    for _ in range(n):
+        for branch in (Branch.TWO_MODE_SQUEEZING, Branch.BEAM_SPLITTER):
+            p, u = sampler(rng, branch)
+            draws.append(([float.hex(float(x)) for x in astuple(p) + (u,)],
+                          rng.bit_generator.state))
+    return draws
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_sampler_stream_is_pinned(seed):
     """The sampler reads the generator as one `rng.choice` per sign and one
     `rng.uniform` per value would: equal sets, bit for bit, and an equal
-    generator state after them."""
+    generator state after each set."""
     assert _draws(random_branch_params, seed, 500) == _draws(_reference_branch_params, seed, 500)
+
+
+def _bytes(batch_of_sets):
+    return [getattr(batch_of_sets, f).tobytes() for f in batch_of_sets.__dataclass_fields__]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_oracle_phase_runs_are_pinned(seed):
+    """`random_sets` draws a run of one branch, as the oracle phase of
+    `verify` does (two-mode squeezing, then beam splitter, after the
+    alternating identity sets), as the reference sampler does: equal stacked
+    sets and an equal generator state after each run."""
+    rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(20):
+        for branch in (Branch.TWO_MODE_SQUEEZING, Branch.BEAM_SPLITTER):
+            random_branch_params(rng, branch)
+            _reference_branch_params(reference, branch)
+    for branch in (Branch.TWO_MODE_SQUEEZING, Branch.BEAM_SPLITTER):
+        sets, stage1 = random_sets(rng, branch, 100)
+        want = stacked(branch, [_reference_branch_params(reference, branch) for _ in range(100)])
+        assert _bytes(sets) + _bytes(stage1) == _bytes(want[0]) + _bytes(want[1])
+        assert rng.bit_generator.state == reference.bit_generator.state
 
 
 def test_form_trivial_diagonal():
@@ -279,14 +301,20 @@ def test_nan_coefficient_is_no_agreement():
     assert math.isnan(coefficient_defect(one, nan, [1e-3])[0])
 
 
-def test_verify_fails_the_oracle_check_on_a_nan_defect(monkeypatch):
-    def nan_at_first_set(*args):
-        report = rwa_error_report(*args)
-        defect = report.coeff_defect.copy()
-        defect[0] = math.nan
-        return replace(report, coeff_defect=defect)
+def _nan_at_first_set(name):
+    """rwa_error_report with each report's `name` NaN at its first point."""
+    def patched(*args):
+        reports = rwa_error_report(*args)
+        for i, report in enumerate(reports):
+            defect = getattr(report, name).copy()
+            defect[0] = math.nan
+            reports[i] = replace(report, **{name: defect})
+        return reports
+    return patched
 
-    monkeypatch.setattr(verify.oracle, "rwa_error_report", nan_at_first_set)
+
+def test_verify_fails_the_oracle_check_on_a_nan_defect(monkeypatch):
+    monkeypatch.setattr(verify.oracle, "rwa_error_report", _nan_at_first_set("coeff_defect"))
     rows = {r.check: r for r in verify.run_verification(
         validate(batch(laser_set())), n_random=3, seed=0, oracle_rtol=1e-9)}
     for label in ("tms", "bs"):
@@ -305,15 +333,9 @@ def test_verify_fails_identity_and_metric_checks_on_a_nan_error(monkeypatch):
             return out
         return patched
 
-    def nan_metric_at_first_set(*args):
-        report = rwa_error_report(*args)
-        defect = report.metric_defect.copy()
-        defect[0] = math.nan
-        return replace(report, metric_defect=defect)
-
     for helper in ("_identity_errors_tms", "_identity_errors_bs"):
         monkeypatch.setattr(verify, helper, nan_at_first_set(getattr(verify, helper)))
-    monkeypatch.setattr(verify.oracle, "rwa_error_report", nan_metric_at_first_set)
+    monkeypatch.setattr(verify.oracle, "rwa_error_report", _nan_at_first_set("metric_defect"))
     rows = {r.check: r for r in verify.run_verification(
         validate(batch(laser_set())), n_random=3, seed=0, oracle_rtol=1e-9)}
     failed = [r for r in rows.values() if r.status == "fail"]

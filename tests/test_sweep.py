@@ -291,16 +291,39 @@ def test_analyze_solves_the_photonic_form_once(monkeypatch):
     assert calls == {"build_photonic_form": 1, "symplectic_frequencies": 1}
 
 
+@pytest.mark.parametrize("params", [laser_set(), boundary_set(), strong_drive_set()])
+def test_analyze_does_each_piece_of_work_once(params, monkeypatch):
+    """One `analyze` validates once, builds the stage-1 map once, solves the
+    form with one `eigvals` call and takes both branches' reports from one
+    `rwa_error_report` call, wherever the function is bound."""
+    from sqom import oracle, params as params_module, sweep
+
+    calls = dict.fromkeys(
+        ("validation_errors", "stage1_map", "eigvals", "rwa_error_report"), 0)
+    for module, name in ((sweep, "validation_errors"), (params_module, "validation_errors"),
+                         (oracle, "stage1_map"), (np.linalg, "eigvals"),
+                         (oracle, "rwa_error_report")):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    row = analyze(params)
+    assert not math.isnan(row["oracle_coeff_defect_bs"])
+    assert calls == dict.fromkeys(calls, 1)
+
+
 def test_a_nan_metric_defect_wins_the_analyze_fold(monkeypatch):
     from sqom import oracle
 
     report_of = oracle.rwa_error_report
 
     def nan_for_the_bs_report(*args):
-        report = report_of(*args)
-        if report.dropped_name == "pair_squeezing":  # the beam-splitter report
-            report = dataclasses.replace(report, metric_defect=np.array([math.nan]))
-        return report
+        return [
+            dataclasses.replace(report, metric_defect=np.array([math.nan]))
+            if report.dropped_name == "pair_squeezing" else report  # the beam-splitter report
+            for report in report_of(*args)
+        ]
 
     monkeypatch.setattr(oracle, "rwa_error_report", nan_for_the_bs_report)
     row = analyze(strong_drive_set())  # both branches give a report here
