@@ -2,82 +2,54 @@
 coupled-cavity system: two-stage mode transformations, regime
 classification, phonon-laser gain/threshold, and an exact-diagonalization
 oracle that cross-checks every closed form.
+
+`import sqom` loads no submodule: each public name is imported from its
+module on first use (PEP 562), so a process pays only for what it runs.
 """
 
-from .errors import (
-    ConfigError,
-    NegativeParameter,
-    NonPositiveParameter,
-    SqomError,
-    Stage1Unstable,
-    TmsUnstable,
-    ZeroCoupling,
-)
-from .laser import (
-    LaserInput,
-    laser_point,
-    mechanical_gain,
-    phonon_number,
-    threshold,
-)
-from .oracle import (
-    build_photonic_form,
-    conjugate_coupling,
-    rwa_error_report,
-    symplectic_frequencies,
-)
-from .params import (
-    PhysicalParams,
-    canonical_delta_phi,
-    parse_config,
-    validate,
-)
-from .regime import Branch, classify
-from .stage1 import squeeze_param, stage1_transform
-from .sweep import (
-    GridSpec,
-    PipelineOptions,
-    SweepSpec,
-    analyze,
-    evaluate_point,
-    run_grid,
-    run_sweep,
-)
-from .contours import extract_contours
+import importlib
 
-__all__ = [
-    "Branch",
-    "ConfigError",
-    "GridSpec",
-    "LaserInput",
-    "NegativeParameter",
-    "NonPositiveParameter",
-    "PhysicalParams",
-    "PipelineOptions",
-    "SqomError",
-    "Stage1Unstable",
-    "SweepSpec",
-    "TmsUnstable",
-    "ZeroCoupling",
-    "analyze",
-    "build_photonic_form",
-    "canonical_delta_phi",
-    "classify",
-    "conjugate_coupling",
-    "evaluate_point",
-    "extract_contours",
-    "laser_point",
-    "mechanical_gain",
-    "parse_config",
-    "phonon_number",
-    "run_grid",
-    "run_sweep",
-    "rwa_error_report",
-    "squeeze_param",
-    "stage1_transform",
-    "symplectic_frequencies",
-    "threshold",
-    "validate",
-]
+# public name -> the submodule that defines it
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("errors", "ConfigError NegativeParameter NonPositiveParameter SqomError "
+                   "Stage1Unstable TmsUnstable ZeroCoupling"),
+        ("laser", "LaserInput laser_point mechanical_gain phonon_number threshold"),
+        ("oracle", "build_photonic_form conjugate_coupling rwa_error_report "
+                   "symplectic_frequencies"),
+        ("params", "PhysicalParams canonical_delta_phi parse_config validate"),
+        ("regime", "Branch classify"),
+        ("stage1", "squeeze_param stage1_transform"),
+        ("sweep", "GridSpec PipelineOptions SweepSpec analyze evaluate_point run_grid "
+                  "run_sweep"),
+        ("contours", "extract_contours"),
+    )
+    for name in names.split()
+}
+
+__all__ = sorted(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def _deferred(namespace: dict, table: dict, name: str):
+    """`name` from the submodule `table` maps it to, imported when first
+    asked for and kept in `namespace`, a module's globals.
+
+    A value `namespace` holds already wins, so a wrapper set on the module
+    from outside (a tracer, a test's monkeypatch) is the one a caller gets.
+    A name `table` lacks raises AttributeError, as a missing attribute does.
+    """
+    if name not in table:
+        raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{table[name]}")
+    return namespace.setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str):
+    return _deferred(globals(), _EXPORTS, name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -7,21 +7,15 @@ or usage errors, 2 verification failure.
 from __future__ import annotations
 
 import argparse
-import csv
-import itertools
 import math
 import sys
-import warnings
 from dataclasses import asdict, fields
 
-import numpy as np
-
-from .contours import CONTOUR_COLUMNS, contour_table, extract_contours
+from . import _deferred
 from .elementwise import broadcast
 from .errors import ConfigError, SqomError
 from .params import load_config
 from .sweep import (
-    COLUMN_SCHEMA,
     COLUMNS,
     LASER_COLUMN_NAMES,
     LASER_SWEEP_OUTPUTS,
@@ -39,7 +33,19 @@ from .sweep import (
     sweep_csv_rows,
     write_csv,
 )
-from .verify import CheckRow, all_passed, run_verification
+
+# name -> module of the functions one subcommand alone calls: imported when
+# that subcommand runs (`_command`), so `grid` loads neither
+_COMMAND_MODULES = {"extract_contours": "contours", "run_verification": "verify"}
+
+
+def _command(name: str):
+    """`name` from its module, imported on first use; a call through it runs
+    whatever this module binds under that name, a wrapper included."""
+    return _deferred(globals(), _COMMAND_MODULES, name)
+
+
+__getattr__ = _command  # PEP 562: sqom.cli.run_verification before verify ran
 
 
 def _emit(rows, columns, out_path: str | None) -> None:
@@ -118,146 +124,11 @@ def cmd_laser_sweep(args) -> int:
     return 0
 
 
-def _bad_cell(path: str, name: str, cells, convert) -> ConfigError:
-    """The error for the first of `cells` (column `name`) that convert refuses."""
-    for row, cell in enumerate(cells, 1):
-        try:
-            convert(cell)
-        except ValueError:
-            kind = "an integer" if convert is int else "a number"
-            return ConfigError(
-                f"grid file {path}: {name} cell {cell!r} in data row {row} is not {kind}"
-            )
-    raise AssertionError(f"every {name} cell converts")
-
-
-def _parsed(path: str, name: str, cells, convert) -> np.ndarray:
-    """convert(cell) for each cell of column `name`, called once per distinct
-    cell; a cell it refuses is named with its column and row."""
-    try:
-        distinct = {cell: convert(cell) for cell in dict.fromkeys(cells)}
-    except ValueError:
-        raise _bad_cell(path, name, cells, convert) from None
-    return np.array(list(map(distinct.__getitem__, cells)))
-
-
-def _value_cell(cell: str) -> float:
-    """A value cell; an empty one (a failed point) is NaN, not an error."""
-    return float(cell) if cell else math.nan
-
-
-def _loadtxt_columns(path: str, usecols: list):
-    """The kept columns by numpy's C parser, or None for a file it may read
-    otherwise than csv and int()/float(): one that is not ASCII (numpy takes
-    some letters for digits), quotes, holds a separator \\x1c-\\x1f (numpy
-    strips those), keeps a column twice, or that numpy refuses or warns about
-    (numpy < 2 reads '1.0' as the integer 1 with a DeprecationWarning)."""
-    with open(path, newline="") as fh, warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            text = fh.read()
-            if (not text.isascii() or any(c in text for c in '"\x1c\x1d\x1e\x1f')
-                    or len(set(usecols)) < len(usecols)):
-                return None
-            fh.seek(0)
-            table = np.loadtxt(
-                fh, dtype="i8,i8,f8,f8,f8", delimiter=",", comments=None, quotechar=None,
-                skiprows=1, usecols=usecols, ndmin=1, converters={usecols[-1]: _value_cell},
-            )
-        except (ValueError, Warning):  # a decoding error too
-            return None
-    return [table[name] for name in table.dtype.names]
-
-
-def _csv_columns(path: str, names, usecols, rows):
-    """The kept columns of csv rows, a short row's missing cells empty; each
-    is converted when asked for, so the index checks precede the axis cells'."""
-    columns = [[] for _ in usecols]
-    kept = list(zip(usecols, columns))
-    for row in rows:
-        for i, column in kept:
-            column.append(row[i] if i < len(row) else "")
-    for name, cells, convert in zip(names, columns, (int, int, float, float, _value_cell)):
-        yield _parsed(path, name, cells, convert)
-
-
-def _read_grid_csv(path: str, field: str | None):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        names = next(reader, None)
-        if names is None:
-            raise ConfigError(f"grid file {path} is empty")
-        required = {"x_index", "y_index"}
-        if not required <= set(names):
-            raise ConfigError(
-                f"grid file {path} lacks x_index/y_index columns; "
-                "produce it with the `grid` subcommand"
-            )
-        rows = (row for row in reader if row)  # blank lines carry no row
-        first = next(rows, None)
-        if first is None:
-            raise ConfigError(f"grid file {path} has no data rows")
-        if len(names) < 4:
-            missing = " and ".join(("x axis", "y axis")[len(names) - 2:])
-            header = ",".join(names)
-            raise ConfigError(f"grid file {path} lacks the {missing} column after {header}")
-        x_axis, y_axis = names[2], names[3]
-        non_numeric = {name for name, kind in COLUMN_SCHEMA if kind != "float"}
-        numeric = [n for n in names[4:] if n not in non_numeric]
-        if field is None:
-            if len(numeric) != 1:
-                raise ConfigError(
-                    f"grid file has {len(numeric)} candidate value columns "
-                    f"({', '.join(numeric)}); pick one with --field"
-                )
-            field = numeric[0]
-        elif field not in numeric:
-            raise ConfigError(f"--field {field!r} not among numeric grid columns {numeric}")
-
-        # of a repeated name, the last column counts
-        kept = ("x_index", "y_index", x_axis, y_axis, field)
-        position = {name: i for i, name in enumerate(names)}
-        usecols = [position[name] for name in kept]
-        columns = iter(_loadtxt_columns(path, usecols)
-                       or _csv_columns(path, kept, usecols, itertools.chain([first], rows)))
-        xi, yi = next(columns), next(columns)
-    for name, index in (("x_index", xi), ("y_index", yi)):
-        if index.min() < 0:
-            raise ConfigError(f"grid file {path} has a negative {name}: {index.min()}")
-    x_cells, y_cells, field_cells = columns
-    for name, index, cells in ((x_axis, xi, x_cells), (y_axis, yi, y_cells)):
-        if not np.isfinite(cells).all():
-            # only the last row for an index counts
-            last = np.zeros(index.size, bool)
-            last[index.size - 1 - np.unique(index[::-1], return_index=True)[1]] = True
-            bad = np.flatnonzero(last & ~np.isfinite(cells))
-            if bad.size:
-                raise ConfigError(f"grid file {path}: {name} value {float(cells[bad[0]])!r} "
-                                  f"in data row {bad[0] + 1} is not finite")
-    uncovered = ConfigError(f"grid file {path} does not cover the full index range")
-    # n rows cover at most n cells: a larger index range (a sparse or diagonal
-    # file) is refused before the index-sized arrays below are allocated; the
-    # product is taken in Python ints, which do not wrap
-    if (int(xi.max()) + 1) * (int(yi.max()) + 1) > xi.size:
-        raise uncovered
-    xs = np.full(xi.max() + 1, np.nan)
-    ys = np.full(yi.max() + 1, np.nan)
-    values = np.full((ys.size, xs.size), np.nan)
-    # the last row for an index wins
-    xs[xi] = x_cells
-    ys[yi] = y_cells
-    values[yi, xi] = field_cells
-    if np.isnan(xs).any() or np.isnan(ys).any():
-        raise uncovered
-    return xs, ys, values, field
-
-
 def cmd_contours(args) -> int:
-    try:
-        xs, ys, values, field = _read_grid_csv(args.grid, args.field)
-    except csv.Error as exc:  # e.g. a cell past the csv module's field size limit
-        raise ConfigError(f"grid file {args.grid}: {exc}") from None
-    contour_set = extract_contours(xs, ys, values, args.level)
+    from .contours import CONTOUR_COLUMNS, contour_table, read_grid_file
+
+    xs, ys, values, field = read_grid_file(args.grid, args.field)
+    contour_set = _command("extract_contours")(xs, ys, values, args.level)
     for level in contour_set.empty_levels():
         print(f"note: level {level:g} never crosses field {field}", file=sys.stderr)
     _emit(contour_table(contour_set, field), CONTOUR_COLUMNS, args.out)
@@ -269,8 +140,9 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"--random must be >= 0, got {args.random}")
     cfg = load_config(args.config)
     from .params import validate
+    from .verify import CheckRow, all_passed
 
-    rows = run_verification(
+    rows = _command("run_verification")(
         validate(broadcast(cfg.params, 1)),
         n_random=args.random, seed=args.seed, oracle_rtol=args.rel_tol,
     )

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elementwise import div, exp, square
+from .params import N_MINUS_DEFAULT, N_PLUS_DEFAULT
 
 EXP_CAP = 700.0
 KAPPA_HIERARCHY = 10.0
@@ -41,8 +42,8 @@ class LaserInput:
     gp12_abs: float
     w1: float
     w2: float
-    n_plus: float = 1.0
-    n_minus: float = 0.0
+    n_plus: float = N_PLUS_DEFAULT
+    n_minus: float = N_MINUS_DEFAULT
 
 
 @dataclass(frozen=True)
@@ -79,13 +80,30 @@ class LaserResult:
     weak_sideband_hierarchy: bool
 
 
+def _require_positive(name: str, value) -> None:
+    if np.any(value <= 0.0):
+        raise ValueError(f"{name} must be > 0, got {value}")
+
+
+def _lorentzian(w1, w2, omega_m, kappa):
+    """The gain profile's denominator (W_1 - W_2 - omega_m)^2 + (kappa/2)^2."""
+    return square(w1 - w2 - omega_m) + 0.25 * square(kappa)
+
+
+def _gain(inp: LaserInput, gp12_sq, kappa, lorentz):
+    return gp12_sq * (inp.n_plus - inp.n_minus) * kappa / lorentz
+
+
 def mechanical_gain(inp: LaserInput, omega_m: float, kappa: float) -> float:
     """Lorentzian mechanical gain; the denominator is strictly positive."""
-    if np.any(kappa <= 0.0):
-        raise ValueError(f"kappa must be > 0, got {kappa}")
-    detuning = inp.w1 - inp.w2 - omega_m
-    dn = inp.n_plus - inp.n_minus
-    return square(inp.gp12_abs) * dn * kappa / (square(detuning) + 0.25 * square(kappa))
+    _require_positive("kappa", kappa)
+    return _gain(inp, square(inp.gp12_abs), kappa, _lorentzian(inp.w1, inp.w2, omega_m, kappa))
+
+
+def _phonon_number(gain, gamma_m) -> PhononNumber:
+    exponent = 2.0 * (gain - gamma_m) / gamma_m
+    capped = exponent > EXP_CAP
+    return PhononNumber(value=exp(np.where(capped, EXP_CAP, exponent)), capped=capped)
 
 
 def phonon_number(gain: float, gamma_m: float) -> PhononNumber:
@@ -95,11 +113,17 @@ def phonon_number(gain: float, gamma_m: float) -> PhononNumber:
     the formula grows astronomically immediately above threshold; the cap is
     reported via the flag.
     """
-    if np.any(gamma_m <= 0.0):
-        raise ValueError(f"gamma_m must be > 0, got {gamma_m}")
-    exponent = 2.0 * (gain - gamma_m) / gamma_m
-    capped = exponent > EXP_CAP
-    return PhononNumber(value=exp(np.where(capped, EXP_CAP, exponent)), capped=capped)
+    _require_positive("gamma_m", gamma_m)
+    return _phonon_number(gain, gamma_m)
+
+
+def _threshold(gp12_abs, gp12_sq, w1, kappa, gamma_m, lorentz) -> ThresholdResult:
+    n_th = div(gamma_m * lorentz, gp12_sq * kappa, gp12_abs == 0.0, math.nan)
+    # |gp12|^2 can underflow to 0 (an infinite threshold); inf * 0 is NaN and
+    # a product past the float range inf, as in CPython, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        p_threshold = n_th * kappa * w1
+    return ThresholdResult(n_threshold=n_th, p_threshold=p_threshold, w1_nonpositive=w1 <= 0.0)
 
 
 def threshold(
@@ -115,21 +139,10 @@ def threshold(
     At gp12_abs = 0 the threshold is infinite: such a point (ZeroCoupling in
     the sweep's laser_error column) gets NaN density and power.
     """
-    zero = gp12_abs == 0.0
     if np.any((kappa <= 0.0) | (gamma_m <= 0.0)):
         raise ValueError("kappa and gamma_m must be > 0")
-    detuning = w1 - w2 - omega_m
-    lorentz = square(detuning) + 0.25 * square(kappa)
-    n_th = div(gamma_m * lorentz, square(gp12_abs) * kappa, zero, math.nan)
-    # |gp12|^2 can underflow to 0 (an infinite threshold); inf * 0 is NaN and
-    # a product past the float range inf, as in CPython, without a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        p_threshold = n_th * kappa * w1
-    return ThresholdResult(
-        n_threshold=n_th,
-        p_threshold=p_threshold,
-        w1_nonpositive=w1 <= 0.0,
-    )
+    lorentz = _lorentzian(w1, w2, omega_m, kappa)
+    return _threshold(gp12_abs, square(gp12_abs), w1, kappa, gamma_m, lorentz)
 
 
 def laser_point(
@@ -144,9 +157,14 @@ def laser_point(
     mechanics adiabatically); the ratio is reported and flagged when it falls
     below KAPPA_HIERARCHY, without refusing the evaluation.
     """
-    gain = mechanical_gain(inp, omega_m, kappa)
-    nb = phonon_number(gain, gamma_m)
-    th = threshold(inp.gp12_abs, inp.w1, inp.w2, omega_m, kappa, gamma_m)
+    _require_positive("kappa", kappa)
+    _require_positive("gamma_m", gamma_m)
+    # the gain and the threshold share the Lorentzian and |gp12|^2
+    gp12_sq = square(inp.gp12_abs)
+    lorentz = _lorentzian(inp.w1, inp.w2, omega_m, kappa)
+    gain = _gain(inp, gp12_sq, kappa, lorentz)
+    nb = _phonon_number(gain, gamma_m)
+    th = _threshold(inp.gp12_abs, gp12_sq, inp.w1, kappa, gamma_m, lorentz)
     ratio = kappa / gamma_m
     return LaserResult(
         gain=gain,

@@ -27,6 +27,13 @@ from .regime import F1_HI_DEFAULT, F1_LO_DEFAULT
 
 TWO_PI = 2.0 * math.pi
 
+# pipeline option defaults (sweep.PipelineOptions), here because every
+# command loads this module: the supermode densities of the laser block and
+# the frequency gap below which a validity term is a resonance hit
+N_PLUS_DEFAULT = 1.0
+N_MINUS_DEFAULT = 0.0
+RESONANCE_FLOOR_DEFAULT = 1e-9
+
 
 @dataclass(frozen=True)
 class PhysicalParams:

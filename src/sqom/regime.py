@@ -25,6 +25,10 @@ if TYPE_CHECKING:  # params takes the threshold defaults from here
 F1_HI_DEFAULT = 10.0
 F1_LO_DEFAULT = 0.1
 
+# the interaction terms of either second-stage branch, in the order of the
+# rows of a validity report: two radiation-pressure terms, four parametric ones
+TERMS = ("g1", "g2", "g11", "g22", "g12", "gp12")
+
 
 class Branch(enum.Enum):
     TWO_MODE_SQUEEZING = "tms"

@@ -38,16 +38,39 @@ from typing import Iterable, TextIO
 
 import numpy as np
 
-from . import oracle
-from .branch_bs import bs_couplings, rwa_validity_bs
-from .branch_tms import rwa_validity_tms, tms_couplings
+from . import _deferred
 from .elementwise import broadcast, distinct, take
 from .errors import NumericalDegeneracy, TmsUnstable, ZeroCoupling
-from .laser import LaserInput, laser_point
-from .params import PhysicalParams, validate, validation_errors
-from .regime import F1_HI_DEFAULT, F1_LO_DEFAULT, Branch, classify
+from .params import (
+    N_MINUS_DEFAULT,
+    N_PLUS_DEFAULT,
+    RESONANCE_FLOOR_DEFAULT,
+    PhysicalParams,
+    validate,
+    validation_errors,
+)
+from .regime import F1_HI_DEFAULT, F1_LO_DEFAULT, TERMS, Branch, classify
 from .stage1 import stage1_transform
-from .validity import RESONANCE_FLOOR_DEFAULT, TERMS
+
+# name -> module of the stages a column may need: imported when the stage
+# first runs (`_stage`), so the `f1,f2,branch` map loads no branch
+_STAGE_MODULES = {
+    "tms_couplings": "branch_tms",
+    "rwa_validity_tms": "branch_tms",
+    "bs_couplings": "branch_bs",
+    "rwa_validity_bs": "branch_bs",
+    "LaserInput": "laser",
+    "laser_point": "laser",
+}
+
+
+def _stage(name: str):
+    """`name` from its stage's module, imported on first use; a call through
+    it runs whatever this module binds under that name, a wrapper included."""
+    return _deferred(globals(), _STAGE_MODULES, name)
+
+
+__getattr__ = _stage  # PEP 562: sqom.sweep.tms_couplings before the stage ran
 
 # Axes accepted by sweeps and grids. delta_phi is virtual: it moves phi_d1
 # with phi_d2 held fixed, matching how the phase difference is scanned.
@@ -245,8 +268,8 @@ class PipelineOptions:
 
     f1_hi: float = F1_HI_DEFAULT
     f1_lo: float = F1_LO_DEFAULT
-    n_plus: float = LaserInput.n_plus
-    n_minus: float = LaserInput.n_minus
+    n_plus: float = N_PLUS_DEFAULT
+    n_minus: float = N_MINUS_DEFAULT
     resonance_floor: float = RESONANCE_FLOOR_DEFAULT
 
 
@@ -371,18 +394,18 @@ def _stage_columns(vp, s, stages, opts: PipelineOptions):
     }
     couplings = {}
     if "tms" in stages:
-        tms = couplings[Branch.TWO_MODE_SQUEEZING] = tms_couplings(s, vp)
+        tms = couplings[Branch.TWO_MODE_SQUEEZING] = _stage("tms_couplings")(s, vp)
         tms_cells = _branch_columns(
-            "tms_", tms, rwa_validity_tms(tms, vp.omega_m, opts.resonance_floor)
+            "tms_", tms, _stage("rwa_validity_tms")(tms, vp.omega_m, opts.resonance_floor)
         )
         # tms_couplings marks the points where the stage is unstable with r = NaN
         unstable = np.isnan(tms.r)
         _blank_where(tms_cells, unstable, list(tms_cells))
         cells.update(tms_cells, tms_error=np.where(unstable, TmsUnstable.__name__, ""))
     if "bs" in stages:
-        bs = couplings[Branch.BEAM_SPLITTER] = bs_couplings(s, vp)
+        bs = couplings[Branch.BEAM_SPLITTER] = _stage("bs_couplings")(s, vp)
         cells.update(_branch_columns(
-            "bs_", bs, rwa_validity_bs(bs, vp.omega_m, opts.resonance_floor)
+            "bs_", bs, _stage("rwa_validity_bs")(bs, vp.omega_m, opts.resonance_floor)
         ))
     if "laser" in stages:
         cells.update(_laser_columns(vp, cells, on_tms & unstable, on_tms, opts))
@@ -396,8 +419,10 @@ def _laser_columns(vp, cells: dict, no_source, on_tms, opts: PipelineOptions) ->
     w1, w2, gp12_abs = (
         np.where(on_tms, cells["tms_" + k], cells["bs_" + k]) for k in ("w1", "w2", "gp12_abs")
     )
-    res = laser_point(
-        LaserInput(gp12_abs=gp12_abs, w1=w1, w2=w2, n_plus=opts.n_plus, n_minus=opts.n_minus),
+    res = _stage("laser_point")(
+        _stage("LaserInput")(
+            gp12_abs=gp12_abs, w1=w1, w2=w2, n_plus=opts.n_plus, n_minus=opts.n_minus
+        ),
         vp.omega_m,
         vp.kappa,
         vp.gamma_m,
@@ -465,6 +490,8 @@ def analyze(params: PhysicalParams, opts: PipelineOptions = PipelineOptions()) -
     that fails validation, and for one whose exact frequencies cannot be
     paired (`NumericalDegeneracy`, e.g. a drive at the stage-1 boundary to
     rounding); the pipeline cells are written either way."""
+    from . import oracle
+
     columns, stages = _evaluate(broadcast(params, 1), opts)
     row = Table(columns)[0]
     for name in ORACLE_COLUMNS:

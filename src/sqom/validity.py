@@ -17,11 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elementwise import cabs, div
-
-RESONANCE_FLOOR_DEFAULT = 1e-9
-
-# the rows of a report: two radiation-pressure terms, four parametric ones
-TERMS = ("g1", "g2", "g11", "g22", "g12", "gp12")
+from .params import RESONANCE_FLOOR_DEFAULT
+from .regime import TERMS  # the rows of a report
 
 
 @dataclass(frozen=True)

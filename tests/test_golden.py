@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sqom import cli
+from sqom import contours
 from sqom.cli import main
 from sqom.errors import ConfigError
 
@@ -362,7 +362,7 @@ def test_contours_grid_read_back_errors(name, tmp_path, capsys):
 # and the csv reader every file that parser might read otherwise.
 
 def test_grid_files_take_the_fast_reader(grid_files, tmp_path, capsys):
-    with mock.patch.object(cli, "_csv_columns", side_effect=AssertionError("csv reader")):
+    with mock.patch.object(contours, "_csv_columns", side_effect=AssertionError("csv reader")):
         for name, (grid, args, stderr) in sorted(CONTOUR_CASES.items()):
             out = tmp_path / f"{name}.csv"
             assert _contours(grid_files[grid], args, out, capsys) == (0, stderr)
@@ -380,8 +380,8 @@ def test_readers_agree_on_a_grid_with_nan_cells(tmp_path, capsys):
     assert main(["grid", "--config", str(config), *argv, "--out", str(grid)]) == 0
     assert ",nan\n" in grid.read_text()
     digests = set()
-    for only in (mock.patch.object(cli, "_csv_columns", side_effect=AssertionError("csv")),
-                 mock.patch.object(cli, "_loadtxt_columns", return_value=None)):
+    for only in (mock.patch.object(contours, "_csv_columns", side_effect=AssertionError("csv")),
+                 mock.patch.object(contours, "_loadtxt_columns", return_value=None)):
         out = tmp_path / "contours.csv"
         with only:
             assert _contours(grid, ("--level", "0.036"), out, capsys) == (0, "")
@@ -399,11 +399,11 @@ def test_a_loadtxt_warning_refuses_the_file(tmp_path):
         warnings.warn("string or file could not be read to its end", DeprecationWarning)
         return loadtxt(*args, **kwargs)
 
-    assert cli._loadtxt_columns(str(grid), [0, 1, 2, 3, 4]) is not None
+    assert contours._loadtxt_columns(str(grid), [0, 1, 2, 3, 4]) is not None
     # refused also where the caller's filters ignore the warning
     with mock.patch.object(np, "loadtxt", warning_loadtxt), warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        assert cli._loadtxt_columns(str(grid), [0, 1, 2, 3, 4]) is None
+        assert contours._loadtxt_columns(str(grid), [0, 1, 2, 3, 4]) is None
 
 
 class _BothRead(Exception):
@@ -415,7 +415,7 @@ def _both_readers(path, field):
     reader gives, None where the fast reader refuses the file and the error
     text where the csv reader does; (None, None) when the header is refused
     before either runs."""
-    loadtxt_columns, csv_columns = cli._loadtxt_columns, cli._csv_columns
+    loadtxt_columns, csv_columns = contours._loadtxt_columns, contours._csv_columns
     seen = {}
 
     def fast(*args):
@@ -429,10 +429,10 @@ def _both_readers(path, field):
             seen["exact"] = str(exc)
         raise _BothRead
 
-    with mock.patch.object(cli, "_loadtxt_columns", fast), \
-            mock.patch.object(cli, "_csv_columns", exact), \
+    with mock.patch.object(contours, "_loadtxt_columns", fast), \
+            mock.patch.object(contours, "_csv_columns", exact), \
             contextlib.suppress(ConfigError, _BothRead):
-        cli._read_grid_csv(str(path), field)
+        contours._read_grid_csv(str(path), field)
     return seen.get("fast"), seen.get("exact")
 
 
