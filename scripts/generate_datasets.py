@@ -42,9 +42,9 @@ from sqom import (  # noqa: E402
     stage1_transform,
     validate,
 )
-from sqom.branch_bs import bs_couplings  # noqa: E402
 from sqom.contours import CONTOUR_COLUMNS, contour_table  # noqa: E402
 from sqom.elementwise import cabs, stack  # noqa: E402
+from sqom.second_stage import bs_couplings  # noqa: E402
 from sqom.sweep import (  # noqa: E402
     LASER_COLUMN_NAMES,
     Table,

@@ -15,7 +15,7 @@ _EXPORTS = {
     for module, names in (
         ("errors", "ConfigError NegativeParameter NonPositiveParameter SqomError "
                    "Stage1Unstable TmsUnstable ZeroCoupling"),
-        ("laser", "LaserInput laser_point mechanical_gain phonon_number threshold"),
+        ("laser", "LaserInput laser_point"),
         ("oracle", "build_photonic_form conjugate_coupling rwa_error_report "
                    "symplectic_frequencies"),
         ("params", "PhysicalParams canonical_delta_phi parse_config validate"),

@@ -52,8 +52,11 @@ def _emit(rows, columns, out_path: str | None) -> None:
     if out_path is None:
         write_csv(rows, columns, sys.stdout)
     else:
-        with open(out_path, "w", newline="") as fh:
-            write_csv(rows, columns, fh)
+        try:
+            with open(out_path, "w", newline="") as fh:
+                write_csv(rows, columns, fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file {out_path}: {exc}") from exc
 
 
 def _options(args, cfg) -> PipelineOptions:

@@ -341,3 +341,5 @@ def read_grid_file(path: str, field: str | None):
         return _read_grid_csv(path, field)
     except csv.Error as exc:  # e.g. a cell past the csv module's field size limit
         raise ConfigError(f"grid file {path}: {exc}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read grid file {path}: {exc}") from exc

@@ -33,12 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# stage1_transform, tms_couplings, bs_couplings: unused here, bound for perfbench/tracing.py
-from .branch_bs import BsCouplings, bs_couplings  # noqa: F401
-from .branch_tms import TmsCouplings, tms_couplings  # noqa: F401
 from .elementwise import cabs, cis_neg, cos, cosh, div, py_max, rmul, sin, sinh
 from .errors import NumericalDegeneracy
 from .params import PhysicalParams, ValidatedParams
+# stage1_transform, tms_couplings, bs_couplings: unused here, bound for perfbench/tracing.py
+from .second_stage import BsCouplings, TmsCouplings, bs_couplings, tms_couplings  # noqa: F401
 from .stage1 import Stage1Result, stage1_transform  # noqa: F401
 
 SIGMA = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)

@@ -204,7 +204,10 @@ def parse_config(data: dict) -> Config:
         value = data.get(key, _OPTIONAL_KEYS.get(key))
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
-        values[key] = float(value)
+        try:
+            values[key] = float(value)
+        except OverflowError:  # a JSON integer past the float range
+            raise ConfigError(f"config key {key!r} is too large for a float") from None
     f1_hi = values.pop("f1_hi")
     f1_lo = values.pop("f1_lo")
     if not (0.0 <= f1_lo <= f1_hi):

@@ -55,10 +55,10 @@ from .stage1 import stage1_transform
 # name -> module of the stages a column may need: imported when the stage
 # first runs (`_stage`), so the `f1,f2,branch` map loads no branch
 _STAGE_MODULES = {
-    "tms_couplings": "branch_tms",
-    "rwa_validity_tms": "branch_tms",
-    "bs_couplings": "branch_bs",
-    "rwa_validity_bs": "branch_bs",
+    "tms_couplings": "second_stage",
+    "rwa_validity_tms": "second_stage",
+    "bs_couplings": "second_stage",
+    "rwa_validity_bs": "second_stage",
     "LaserInput": "laser",
     "laser_point": "laser",
 }

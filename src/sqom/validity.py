@@ -1,4 +1,4 @@
-"""Rotating-wave validity bookkeeping shared by both second-stage branches.
+"""Rotating-wave validity bookkeeping shared by both branches of `second_stage`.
 
 Each retained interaction term oscillates at some frequency mismatch; the
 term is negligible (or safely kept) only if its coupling magnitude is small
@@ -51,11 +51,11 @@ def rwa_validity(
 ) -> ValidityReport:
     """Ratios for every interaction term kept or dropped around a branch.
 
-    `c` is the TmsCouplings or BsCouplings of either branch; both share the
-    coupling shape (w1, w2, g1, g2, g11, g22, g12, gp12). Radiation-pressure
-    terms G_j A_j^dag A_j (b^dag + b) oscillate only via the mechanical
-    sideband, so their scale is omega_m itself. Parametric terms
-    G_jk A_j A_k beat at W_j + W_k -/+ omega_m, and the three-mode term
+    `c` is the `second_stage` TmsCouplings or BsCouplings of either branch;
+    both share the coupling shape (w1, w2, g1, g2, g11, g22, g12, gp12).
+    Radiation-pressure terms G_j A_j^dag A_j (b^dag + b) oscillate only via
+    the mechanical sideband, so their scale is omega_m itself. Parametric
+    terms G_jk A_j A_k beat at W_j + W_k -/+ omega_m, and the three-mode term
     G_p12 A_1^dag A_2 at W_1 - W_2 -/+ omega_m. For the beam-splitter branch
     a resonance hit on the gp12 term marks the triple-resonance working
     point of the phonon laser rather than a validity failure.

@@ -16,13 +16,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import oracle
-from .branch_bs import bs_couplings
-from .branch_tms import tms_couplings
 from .elementwise import cabs, cosh, hypot, py_max, square, stack, tanh
 from .errors import NumericalDegeneracy
 from .oracle import METRIC_TOL
 from .params import PhysicalParams, ValidatedParams, validate
 from .regime import Branch
+from .second_stage import bs_couplings, tms_couplings
 from .stage1 import Stage1Result, stage1_transform
 
 IDENTITY_RTOL = 1e-10

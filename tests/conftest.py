@@ -13,9 +13,8 @@ from sqom import (
     stage1_transform,
     symplectic_frequencies,
 )
-from sqom.branch_bs import bs_couplings
-from sqom.branch_tms import tms_couplings
 from sqom.elementwise import broadcast
+from sqom.second_stage import bs_couplings, tms_couplings
 
 
 def batch(p):

@@ -19,9 +19,8 @@ from sqom import (
     stage1_transform,
     validate,
 )
-from sqom.branch_bs import bs_couplings
-from sqom.branch_tms import tms_couplings
 from sqom.cli import main
+from sqom.second_stage import bs_couplings, tms_couplings
 from sqom.sweep import laser_rows
 from sqom.verify import (
     _identity_errors_bs,
@@ -41,9 +40,7 @@ from conftest import (
     strong_drive_set,
 )
 
-mechanical_gain, phonon_number, threshold = map(
-    on_one_point, (laser.mechanical_gain, laser.phonon_number, laser.threshold)
-)
+laser_point = on_one_point(laser.laser_point)
 
 N_RANDOM = 1000
 IDENTITY_RTOL = 1e-10
@@ -172,17 +169,18 @@ def test_criterion_5_threshold_dips():
 
 def test_criterion_6_laser_formula_suite():
     gm, kappa = 0.001, 0.05
-    assert phonon_number(gm, gm).value == 1.0
+    # on resonance with |gp12| = 1 and kappa = 4 the gain is N+ exactly
+    assert laser_point(LaserInput(1.0, 2.0, 1.0, n_plus=gm), 1.0, 4.0, gm).n_b == 1.0
 
-    th = threshold(0.04, 2.3, 1.0, 1.0, kappa, gm)
-    gain = mechanical_gain(
-        LaserInput(0.04, 2.3, 1.0, n_plus=th.n_threshold), 1.0, kappa
-    )
+    th = laser_point(LaserInput(0.04, 2.3, 1.0), 1.0, kappa, gm)
+    gain = laser_point(
+        LaserInput(0.04, 2.3, 1.0, n_plus=th.n_threshold), 1.0, kappa, gm
+    ).gain
     assert abs(gain - gm) <= 1e-12 * gm
     assert th.p_threshold == th.n_threshold * kappa * 2.3
 
     scan = [
-        mechanical_gain(LaserInput(0.04, 2.0 + d, 1.0, 1.0), 1.0, kappa)
+        laser_point(LaserInput(0.04, 2.0 + d, 1.0, 1.0), 1.0, kappa, gm).gain
         for d in np.linspace(-1.0, 1.0, 201)
     ]
     assert np.argmax(scan) == 100  # resonance W1 - W2 = omega_m

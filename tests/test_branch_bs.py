@@ -6,8 +6,8 @@ import pytest
 from scipy.optimize import brentq
 
 from sqom import Branch, stage1_transform, validate
-from sqom.branch_bs import bs_couplings, mixing_angle, rwa_validity_bs
-from sqom.validity import TERMS
+from sqom.second_stage import bs_couplings, mixing_angle
+from sqom.validity import TERMS, rwa_validity
 from sqom.verify import random_sets
 
 from conftest import arr, assert_rel, batch, boundary_set, laser_set, point, points
@@ -34,7 +34,7 @@ def _couplings(p):
 def _validity(p):
     """The validity report of one set; each field is a list over TERMS."""
     c, _, vp = _batch(p)
-    return point(rwa_validity_bs(c, vp.omega_m))
+    return point(rwa_validity(c, vp.omega_m))
 
 
 def _mixing_angle(j_prime_abs, omega_s1, omega_s2):

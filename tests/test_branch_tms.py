@@ -5,9 +5,9 @@ import numpy as np
 from scipy.optimize import brentq
 
 from sqom import Branch, stage1_transform, validate
-from sqom.branch_tms import rwa_validity_tms, tms_couplings
 from sqom.regime import classify
-from sqom.validity import TERMS
+from sqom.second_stage import tms_couplings
+from sqom.validity import TERMS, rwa_validity
 from sqom.verify import random_sets
 
 from conftest import assert_rel, batch, boundary_set, laser_set, point, points, strong_drive_set
@@ -34,7 +34,7 @@ def _couplings(p):
 def _validity(p):
     """The validity report of one set; each field is a list over TERMS."""
     c, _, vp = _batch(p)
-    return point(rwa_validity_tms(c, vp.omega_m))
+    return point(rwa_validity(c, vp.omega_m))
 
 
 def test_decoupled_limit():

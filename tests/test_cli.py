@@ -145,6 +145,39 @@ def test_contours_bad_cell_names_file_column_and_row(bad, message, tmp_path, cap
     assert captured.out == ""
 
 
+def test_contours_unreadable_grid_exit_1(tmp_path, capsys):
+    for grid_path in (tmp_path / "missing.csv", tmp_path):
+        assert main(["contours", "--grid", str(grid_path), "--level", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot read grid file {grid_path}: ")
+        assert captured.out == ""
+
+
+_OUT_ARGS = {
+    "analyze": [],
+    "sweep": ["--axis", "delta_phi", "--from", "0", "--to", "1", "--steps", "3"],
+    "grid": ["--x-axis", "delta_phi", "--x-from", "0", "--x-to", "1", "--x-steps", "2",
+             "--y-axis", "g0", "--y-from", "0.001", "--y-to", "0.002", "--y-steps", "2"],
+    "laser-sweep": ["--steps", "3"],
+    "verify": ["--random", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_OUT_ARGS) + ["contours"])
+def test_out_into_a_missing_directory_exit_1(command, laser_config, tmp_path, capsys):
+    out = tmp_path / "no_such_dir" / "out.csv"
+    if command == "contours":
+        grid = str(tmp_path / "grid.csv")
+        assert main(["grid", "--config", laser_config, "--out", grid, *_OUT_ARGS["grid"]]) == 0
+        argv = ["contours", "--grid", grid, "--field", "f1", "--level", "1"]
+    else:
+        argv = [command, "--config", laser_config, *_OUT_ARGS[command]]
+    assert main([*argv, "--out", str(out)]) == 1
+    # contours may note an empty level first
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith(f"error: cannot write output file {out}: ")
+
+
 def test_bad_axis_exit_1(laser_config, capsys):
     code = main([
         "sweep", "--config", laser_config, "--axis", "nope",

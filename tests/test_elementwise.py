@@ -38,13 +38,12 @@ from sqom import (
     validate,
 )
 from sqom import elementwise
-from sqom.branch_bs import bs_couplings, mixing_angle, rwa_validity_bs
-from sqom.branch_tms import rwa_validity_tms, tms_couplings
 from sqom.elementwise import cabs, div, rmul, stack, take
 from sqom.errors import NumericalDegeneracy
 from sqom.params import validation_errors
+from sqom.second_stage import bs_couplings, mixing_angle, tms_couplings
 from sqom.stage1 import squeeze_param
-from sqom.validity import RESONANCE_FLOOR_DEFAULT
+from sqom.validity import RESONANCE_FLOOR_DEFAULT, rwa_validity
 
 from conftest import batch, oracle_report, oracle_stages
 
@@ -244,7 +243,7 @@ def test_validity_folds_match_python_min_max(items):
     g11, g22, g12, gp12 = parametric
     c = SimpleNamespace(w1=w1, w2=w2, g1=g1, g2=g2, g11=g11, g22=g22, g12=g12, gp12=gp12)
     with np.errstate(all="ignore"):  # as in the pipeline: inf - inf is NaN
-        report = rwa_validity_bs(c, omega_m)
+        report = rwa_validity(c, omega_m)
     got = zip(report.gap.T.tolist(), report.ratio.T.tolist(), report.resonance_hit.T.tolist(),
               report.max_ratio.tolist(), report.any_resonance.tolist())
     for item, (gaps, ratios, hits, largest, hit) in zip(items, got):
@@ -312,8 +311,8 @@ def test_stage_functions_array_equals_pointwise(items):
     regime = classify(s, vp)
     tms = tms_couplings(s, vp)
     bs = bs_couplings(s, vp)
-    tms_validity = rwa_validity_tms(tms, vp.omega_m)
-    bs_validity = rwa_validity_bs(bs, vp.omega_m)
+    tms_validity = rwa_validity(tms, vp.omega_m)
+    bs_validity = rwa_validity(bs, vp.omega_m)
     laser = laser_point(LaserInput(cabs(bs.gp12), bs.w1, bs.w2), vp.omega_m, vp.kappa, vp.gamma_m)
     for i, p in enumerate(good):
         vpi = validate(batch(p))
@@ -327,10 +326,10 @@ def test_stage_functions_array_equals_pointwise(items):
         assert_same(regime, classify(si, vpi), i)
         tmsi = tms_couplings(si, vpi)
         assert_same(tms, tmsi, i)  # a refused point is NaN in both
-        assert_same_validity(tms_validity, rwa_validity_tms(tmsi, vpi.omega_m), i)
+        assert_same_validity(tms_validity, rwa_validity(tmsi, vpi.omega_m), i)
         bsi = bs_couplings(si, vpi)
         assert_same(bs, bsi, i)
-        assert_same_validity(bs_validity, rwa_validity_bs(bsi, vpi.omega_m), i)
+        assert_same_validity(bs_validity, rwa_validity(bsi, vpi.omega_m), i)
         theta = mixing_angle(cabs(bsi.j_prime), si.omega_s1, si.omega_s2)
         assert _bits(_element(theta, 0)) == _bits(_element(bs.theta, i))
         # j_hop = 0 gives gp12 = 0, where the threshold is NaN

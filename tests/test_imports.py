@@ -23,7 +23,7 @@ SRC = str(Path(sqom.__file__).resolve().parents[1])
 
 # what `import sqom.cli` loads, and what every subcommand needs
 BASE = {"cli", "elementwise", "errors", "params", "regime", "stage1", "sweep"}
-BRANCHES = {"branch_tms", "branch_bs", "validity"}
+BRANCHES = {"second_stage", "validity"}
 
 # subcommand -> (arguments after the subcommand, modules beyond BASE)
 CASES = {

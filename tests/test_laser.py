@@ -1,20 +1,16 @@
 """Mechanical gain, stimulated phonon number, thresholds."""
 import math
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqom import LaserInput, laser, stage1_transform, validate
-from sqom.branch_bs import bs_couplings
+from sqom.second_stage import bs_couplings
 
 from conftest import assert_rel, batch, laser_set, on_one_point, point
 
 # every test reads single working points: each call runs on a batch of one
-mechanical_gain, phonon_number, threshold, laser_point = map(
-    on_one_point,
-    (laser.mechanical_gain, laser.phonon_number, laser.threshold, laser.laser_point),
-)
+laser_point = on_one_point(laser.laser_point)
 
 LASER_DIP_LO = 2.6957770487662587
 # frozen at the dip root: |gp12|, W1, N_th, P_th (from the closed forms,
@@ -25,6 +21,24 @@ LASER_DIP_NTH = 0.005182073928757051
 LASER_DIP_PTH = 0.0006720503970812032
 
 OMEGA_M = 1.0
+
+
+def mechanical_gain(inp, omega_m, kappa):
+    """The gain of `laser_point`, which does not depend on gamma_m."""
+    return laser_point(inp, omega_m, kappa, 0.001).gain
+
+
+def phonon_number(gain, gamma_m):
+    """`laser_point` at a working point whose gain is `gain` exactly: on
+    resonance with |gp12| = 1 and kappa = 4 the Lorentzian is 4."""
+    res = laser_point(LaserInput(1.0, 2.0, 1.0, n_plus=gain), 1.0, 4.0, gamma_m)
+    assert res.gain == gain
+    return res
+
+
+def threshold(gp12_abs, w1, w2, omega_m, kappa, gamma_m):
+    """`laser_point`, read for its threshold, which does not depend on N+."""
+    return laser_point(LaserInput(gp12_abs, w1, w2), omega_m, kappa, gamma_m)
 
 
 def test_no_inversion_no_gain():
@@ -51,26 +65,26 @@ def test_gain_even_in_detuning():
 
 def test_phonon_number_fixed_points():
     gm = 0.001
-    assert phonon_number(gm, gm).value == 1.0
-    assert_rel(phonon_number(0.0, gm).value, math.exp(-2.0), 1e-14)
-    assert_rel(phonon_number(2.0 * gm, gm).value, math.exp(2.0), 1e-14)
-    assert not phonon_number(2.0 * gm, gm).capped
+    assert phonon_number(gm, gm).n_b == 1.0
+    assert_rel(phonon_number(0.0, gm).n_b, math.exp(-2.0), 1e-14)
+    assert_rel(phonon_number(2.0 * gm, gm).n_b, math.exp(2.0), 1e-14)
+    assert not phonon_number(2.0 * gm, gm).n_b_capped
 
 
 def test_phonon_number_overflow_cap():
     res = phonon_number(1.0, 1e-6)
-    assert res.capped
-    assert math.isfinite(res.value)
+    assert res.n_b_capped
+    assert math.isfinite(res.n_b)
 
 
 @given(g=st.floats(0.0, 0.01), dg=st.floats(1e-6, 0.01))
 @settings(max_examples=60, deadline=None)
 def test_phonon_number_strictly_increasing(g, dg):
     gm = 0.001
-    lo = phonon_number(g, gm).value
-    hi = phonon_number(g + dg, gm).value
+    lo = phonon_number(g, gm).n_b
+    hi = phonon_number(g + dg, gm).n_b
     assert hi > lo
-    assert (phonon_number(g, gm).value == 1.0) == (g == gm)
+    assert (phonon_number(g, gm).n_b == 1.0) == (g == gm)
 
 
 def test_threshold_on_resonance():
@@ -78,7 +92,6 @@ def test_threshold_on_resonance():
     res = threshold(0.04, 2.0, 1.0, OMEGA_M, kappa, gm)
     assert_rel(res.n_threshold, gm * kappa / (4.0 * 0.04**2), 1e-14)
     assert_rel(res.p_threshold, res.n_threshold * kappa * 2.0, 1e-14)
-    assert not res.w1_nonpositive
 
 
 def test_threshold_zero_coupling():
@@ -88,7 +101,6 @@ def test_threshold_zero_coupling():
 
 def test_threshold_negative_frequency_flagged():
     res = threshold(0.04, -2.0, -3.0, OMEGA_M, 0.05, 0.001)
-    assert res.w1_nonpositive
     assert res.p_threshold < 0.0  # reported, not hidden
 
 
@@ -101,14 +113,6 @@ def test_threshold_consistency_roundtrip():
         )
         assert_rel(gain, gm, 1e-12)
         assert_rel(res.p_threshold / res.n_threshold, kappa * (2.0 + det), 1e-12)
-
-
-def test_laser_point_flags_weak_hierarchy():
-    res = laser_point(LaserInput(0.04, 2.0, 1.0), OMEGA_M, kappa=0.005, gamma_m=0.001)
-    assert res.weak_sideband_hierarchy
-    assert res.kappa_over_gamma_m == pytest.approx(5.0)
-    strong = laser_point(LaserInput(0.04, 2.0, 1.0), OMEGA_M, kappa=0.05, gamma_m=0.001)
-    assert not strong.weak_sideband_hierarchy
 
 
 def test_dip_reaches_threshold_at_single_photon():

@@ -18,8 +18,6 @@ from sqom import (
     validate,
     verify,
 )
-from sqom.branch_bs import bs_couplings
-from sqom.branch_tms import TmsCouplings, tms_couplings
 from sqom.oracle import (
     COEFFICIENTS,
     SIGMA,
@@ -29,6 +27,7 @@ from sqom.oracle import (
     symplectic_defect,
     tms_map,
 )
+from sqom.second_stage import TmsCouplings, bs_couplings, tms_couplings
 from sqom.verify import _squeezed, random_branch_params, random_sets, stacked
 
 from conftest import (

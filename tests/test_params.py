@@ -126,6 +126,13 @@ def test_parse_config_nonnumeric():
         parse_config(data)
 
 
+def test_parse_config_integer_past_the_float_range():
+    data = dict(GOOD)
+    data["delta1"] = json.loads("1" + "0" * 400)
+    with pytest.raises(ConfigError, match="'delta1' is too large for a float"):
+        parse_config(data)
+
+
 def test_parse_config_threshold_order():
     data = dict(GOOD)
     data["f1_hi"] = 0.01  # below f1_lo default

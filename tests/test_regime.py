@@ -4,7 +4,7 @@ import math
 import numpy as np
 
 from sqom import Branch, classify, stage1_transform, validate
-from sqom.branch_tms import tms_couplings
+from sqom.second_stage import tms_couplings
 
 from conftest import arr, assert_rel, batch, boundary_set, laser_set, point, strong_drive_set
 
