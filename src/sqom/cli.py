@@ -2,14 +2,17 @@
 
 All subcommands read a JSON parameter file (see README for the schema) and
 emit CSV to stdout or to --out FILE. Exit codes: 0 success, 1 configuration
-or usage errors, 2 verification failure.
+or usage errors or a reader of stdout that closed early, 2 verification
+failure.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import math
+import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import fields
 
 from . import _deferred
 from .elementwise import broadcast
@@ -149,7 +152,7 @@ def cmd_verify(args) -> int:
         validate(broadcast(cfg.params, 1)),
         n_random=args.random, seed=args.seed, oracle_rtol=args.rel_tol,
     )
-    _emit([asdict(r) for r in rows], [f.name for f in fields(CheckRow)], args.out)
+    _emit(map(vars, rows), [f.name for f in fields(CheckRow)], args.out)
     return 0 if all_passed(rows) else 2
 
 
@@ -266,12 +269,27 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser(command: str | None) -> argparse.ArgumentParser:
+    """`build_parser(command)`, built once per process: parsing leaves no
+    state in a parser, and building one costs several times the parse."""
+    return build_parser(command)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # a command's argv leads with its name; only that subcommand is built
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    # a command's argv leads with its name; only that subcommand is built.
+    # Any other argv shares the full parser's key, so the cache stays small.
+    command = argv[0] if argv and argv[0] in SUBCOMMANDS else None
+    args = _parser(command).parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that left raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # Python docs, "Note on SIGPIPE": the flush at exit must not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -225,4 +225,6 @@ def load_config(path: str | Path) -> Config:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer longer than sys.get_int_max_str_digits()
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return parse_config(data)

@@ -594,6 +594,8 @@ def grid_csv_rows(rows: Table, spec: GridSpec) -> Table:
 
 
 def format_cell(value) -> str:
+    if type(value) is float:  # most cells of a row dict: tested first
+        return _FLOAT_CELL % value
     if isinstance(value, str):
         return value
     if value is None:

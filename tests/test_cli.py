@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import sqom
+from sqom import cli
 from sqom.cli import build_parser, main
 
 LASER_PARAMS = {
@@ -467,3 +468,88 @@ def test_verify_reports_a_config_point_whose_frequencies_cannot_be_paired(tmp_pa
         assert rows[f"oracle_coefficients[{label}]"].split(",")[1] == "pass"
         assert rows[f"symplectic_metric[{label}]"].split(",")[1] == "pass"
     assert captured.err == ""
+
+
+def _main_outcome(argv, capsys):
+    try:
+        outcome = ("returned", main(list(argv)))
+    except SystemExit as exc:
+        outcome = ("exit", exc.code)
+    return outcome, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", PARSER_CORPUS, ids=" ".join)
+def test_reused_parser_runs_as_a_fresh_one(argv, tmp_path, capsys, monkeypatch):
+    # no c.json or g.csv here: a parsed argv ends in the config or grid error
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    twice = [_main_outcome(argv, capsys) for _ in range(2)]
+    monkeypatch.setattr(cli, "_parser", build_parser)
+    fresh = _main_outcome(argv, capsys)
+    assert twice == [fresh, fresh]
+    assert not list(tmp_path.iterdir())
+
+
+def test_main_builds_one_parser_per_subcommand(laser_config, tmp_path, monkeypatch):
+    used = []  # the parsers themselves, so no two share an id
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def recording(parser, *args, **kwargs):
+        used.append(parser)
+        return parse_args(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    out = str(tmp_path / "out.csv")
+    for _ in range(10):
+        assert main(["analyze", "--config", laser_config, "--out", out]) == 0
+        assert main(["verify", "--config", laser_config, "--random", "0", "--out", out]) == 0
+    assert len(used) == 20
+    assert len({id(parser) for parser in used}) == 2
+
+
+def test_reused_contours_parser_keeps_no_level(boundary_config, tmp_path, capsys):
+    grid_path = tmp_path / "grid.csv"
+    assert main([
+        "grid", "--config", boundary_config,
+        "--x-axis", "lambda1", "--x-from", "197.5", "--x-to", "199.9", "--x-steps", "9",
+        "--y-axis", "delta_phi", "--y-from", "0", "--y-to", "6.283185307179586",
+        "--y-steps", "9", "--outputs", "f1", "--out", str(grid_path),
+    ]) == 0
+    levels = []
+    for argv in (["--level", "4", "--level", "8"], ["--level", "16"]):
+        assert main(["contours", "--grid", str(grid_path), *argv]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        levels.append({line.split(",")[1] for line in lines})
+    assert levels == [{"4", "8"}, {"16"}]
+
+
+def test_reused_analyze_parser_writes_stdout_after_out(laser_config, tmp_path, capsys):
+    assert main(["analyze", "--config", laser_config]) == 0
+    expected = capsys.readouterr().out
+    assert expected.count("\n") == 2
+    out = tmp_path / "row.csv"
+    assert main(["analyze", "--config", laser_config, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == expected
+    assert main(["analyze", "--config", laser_config]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_build_parser_returns_a_new_parser_each_call():
+    for command in (None, "analyze", "bogus"):
+        assert build_parser(command) is not build_parser(command)
+
+
+def test_closed_stdout_exits_1_without_traceback(laser_config):
+    src = str(Path(sqom.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sqom.cli", "sweep", "--config", laser_config,
+         "--axis", "delta_phi", "--from", "0", "--to", "1", "--steps", "20000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (1, "")

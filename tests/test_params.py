@@ -1,6 +1,7 @@
 """Parameter validation, phase canonicalization, config ingestion."""
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -150,5 +151,16 @@ def test_load_config_roundtrip(tmp_path):
 def test_load_config_bad_json(tmp_path):
     path = tmp_path / "params.json"
     path.write_text("{not json")
-    with pytest.raises(ConfigError, match="JSON"):
+    with pytest.raises(ConfigError) as info:
         load_config(path)
+    assert str(info.value) == (f"config file {path} is not valid JSON: Expecting property "
+                               "name enclosed in double quotes: line 1 column 2 (char 1)")
+
+
+def test_load_config_oversized_integer_names_the_file(tmp_path):
+    # json.loads raises a plain ValueError past the int-to-str digit limit
+    path = tmp_path / "params.json"
+    path.write_text('{"delta1": 1' + "0" * sys.get_int_max_str_digits() + "}")
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert str(info.value).startswith(f"cannot read config file {path}: Exceeds the limit")
