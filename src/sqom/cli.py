@@ -142,8 +142,9 @@ def cmd_contours(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.random < 0:
-        raise ConfigError(f"--random must be >= 0, got {args.random}")
+    for option, value in (("--random", args.random), ("--seed", args.seed)):
+        if value < 0:
+            raise ConfigError(f"{option} must be >= 0, got {value}")
     cfg = load_config(args.config)
     from .params import validate
     from .verify import CheckRow, all_passed

@@ -1,4 +1,5 @@
 """Exception types shared across the package."""
+import math
 
 
 class SqomError(Exception):
@@ -9,24 +10,26 @@ class ConfigError(SqomError):
     """Bad configuration input: unknown keys, wrong types, missing fields."""
 
 
+# inf passes the bounds below and NaN never compares: such a value must be finite
 class NonPositiveParameter(ConfigError):
-    """A strictly positive rate (omega_m, kappa, gamma_m) was <= 0."""
+    """A strictly positive rate (kappa, gamma_m) was <= 0 or not finite."""
 
     def __init__(self, field: str, value: float):
         self.field = field
         self.value = value
-        super().__init__(f"{field} must be > 0, got {value!r}")
+        bound = "> 0" if math.isfinite(value) else "finite"
+        super().__init__(f"{field} must be {bound}, got {value!r}")
 
 
 class NegativeParameter(ConfigError):
-    """A non-negative amplitude (lambda_j, j_hop, g0) was < 0."""
+    """A non-negative amplitude (lambda_j, j_hop, g0) was < 0 or not finite."""
 
     def __init__(self, field: str, value: float):
         self.field = field
         self.value = value
-        super().__init__(
-            f"{field} must be >= 0 (sign freedom lives in the drive phases), got {value!r}"
-        )
+        bound = (">= 0 (sign freedom lives in the drive phases)" if math.isfinite(value)
+                 else "finite")
+        super().__init__(f"{field} must be {bound}, got {value!r}")
 
 
 class Stage1Unstable(SqomError):
@@ -52,4 +55,5 @@ class ZeroCoupling(SqomError):
 
 
 class NumericalDegeneracy(SqomError):
-    """Symplectic eigenvalues could not be grouped into +/- pairs."""
+    """Symplectic eigenvalues could not be grouped into +/- pairs (named in
+    `verify`'s detail text where `SymplecticFrequencies.paired` is False)."""

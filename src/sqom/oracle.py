@@ -34,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elementwise import cabs, cis_neg, cos, cosh, div, py_max, rmul, sin, sinh
-from .errors import NumericalDegeneracy
 from .params import PhysicalParams, ValidatedParams
 # stage1_transform, tms_couplings, bs_couplings: unused here, bound for perfbench/tracing.py
 from .second_stage import BsCouplings, TmsCouplings, bs_couplings, tms_couplings  # noqa: F401
@@ -54,6 +53,7 @@ class SymplecticFrequencies:
     nu1: np.ndarray  # larger positive normal-mode frequency
     nu2: np.ndarray
     stable: np.ndarray
+    paired: np.ndarray  # False where nu1, nu2 and stable mean nothing
 
 
 def _adjoint(T: np.ndarray) -> np.ndarray:
@@ -141,12 +141,9 @@ def symplectic_frequencies(h: np.ndarray) -> SymplecticFrequencies:
 
     Eigenvalues of Sigma*M come in +/- pairs for a dynamically stable form;
     a residual imaginary part beyond IMAG_TOL marks parametric instability.
-
-    Raises
-    ------
-    NumericalDegeneracy
-        if the four eigenvalues of a point cannot be grouped into two +/-
-        pairs (the first such point is named).
+    `paired` is False at a point whose four eigenvalues cannot be grouped
+    into two +/- pairs (a `NumericalDegeneracy`); the other points of the
+    batch are unaffected.
     """
     ev = np.linalg.eigvals(SIGMA @ h)
     scale = py_max(1.0, np.max(np.abs(ev), axis=-1))
@@ -157,12 +154,7 @@ def symplectic_frequencies(h: np.ndarray) -> SymplecticFrequencies:
     # sorted as [-nu1, -nu2, nu2, nu1] (allowing zero)
     pair_tol = 1e-6 * scale
     unpaired = (abs(re[:, 0] + re[:, 3]) > pair_tol) | (abs(re[:, 1] + re[:, 2]) > pair_tol)
-    if unpaired.any():
-        i = np.argmax(unpaired)
-        raise NumericalDegeneracy(
-            f"cannot pair eigenvalues {re[i].tolist()} within {pair_tol.item(i)}"
-        )
-    return SymplecticFrequencies(nu1=re[:, 3], nu2=re[:, 2], stable=stable)
+    return SymplecticFrequencies(nu1=re[:, 3], nu2=re[:, 2], stable=stable, paired=~unpaired)
 
 
 def conjugate_coupling(p: ValidatedParams, T: np.ndarray) -> np.ndarray:

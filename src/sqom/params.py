@@ -146,12 +146,12 @@ def validate(raw: PhysicalParams, errors: np.ndarray | None = None) -> Validated
     Raises
     ------
     NonPositiveParameter
-        for kappa or gamma_m <= 0.
+        for kappa or gamma_m <= 0 or not finite.
     ConfigError
         if omega_m differs from 1 (all rates are normalized to omega_m,
         so any other value indicates an inconsistent configuration).
     NegativeParameter
-        for lambda_j, j_hop or g0 < 0.
+        for lambda_j, j_hop or g0 < 0 or not finite.
     Stage1Unstable
         when |delta_j| <= 2*lambda_j for either cavity. The inequality is
         strict with no margin: operating arbitrarily close to the boundary

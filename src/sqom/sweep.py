@@ -2,16 +2,16 @@
 
 The pipeline is columnar: a sweep or grid builds one array per parameter
 over all its points, and each stage (validate -> stage 1 -> regime -> both
-second-stage branches -> validity -> laser) runs at most once on those
-arrays. A stage runs only when a requested column needs it (`NEEDS`; a
+second-stage branches -> validity -> laser -> oracle) runs at most once on
+those arrays. A stage runs only when a requested column needs it (`NEEDS`; a
 branch runs with its validity report): the `f1,f2,branch` regime map stops
 after `classify`, and the table it returns holds only the requested columns
 plus `error`. `evaluate_point` and `analyze` are the length-1 case of the
-same evaluator with every column, so a sweep row and a single-point
-analysis of the same parameters agree field by field. Per-point failures
-(e.g. the two-mode-squeezing stage refusing) never abort a sweep: they
-become masks, numeric cells keep a NaN sentinel and the typed error name
-lands in the matching error column.
+same evaluator with every column (`analyze` adds the oracle's), so a sweep
+row and a single-point analysis of the same parameters agree field by field.
+Per-point failures (e.g. the two-mode-squeezing stage refusing) never abort
+a sweep: they become masks, numeric cells keep a NaN sentinel and the typed
+error name lands in the matching error column.
 
 Exactness rule. A row must not depend on the batch its point is evaluated
 in, and must equal CPython's float math on that point bit for bit; numpy's
@@ -40,7 +40,7 @@ import numpy as np
 
 from . import _deferred
 from .elementwise import broadcast, distinct, take
-from .errors import NumericalDegeneracy, TmsUnstable, ZeroCoupling
+from .errors import TmsUnstable, ZeroCoupling
 from .params import (
     N_MINUS_DEFAULT,
     N_PLUS_DEFAULT,
@@ -168,30 +168,32 @@ def _column_needs(name: str) -> frozenset:
 
     Every column but `error` needs stage 1, which runs with `classify`. A
     `tms_`/`bs_` column needs that branch, which runs with its validity
-    report. The `laser_` block needs both branches.
+    report. The `laser_` and `oracle_` blocks need both branches.
     """
     if name == "error":
         return frozenset()
     for branch in ("tms", "bs"):
         if name.startswith(branch + "_"):
             return frozenset({"stage1", branch})
-    if name.startswith("laser_"):
-        return frozenset({"stage1", "tms", "bs", "laser"})
+    if name.startswith(("laser_", "oracle_")):
+        return frozenset({"stage1", "tms", "bs", name.split("_")[0]})
     return frozenset({"stage1"})
 
 
-NEEDS = {name: _column_needs(name) for name in COLUMNS}
-
-ORACLE_COLUMNS = (
-    "oracle_nu1",
-    "oracle_nu2",
-    "oracle_stable",
-    "oracle_freq_dev_lo",
-    "oracle_freq_dev_hi",
-    "oracle_coeff_defect_tms",
-    "oracle_coeff_defect_bs",
-    "oracle_metric_defect",
+ORACLE_SCHEMA: tuple[tuple[str, str], ...] = (
+    ("oracle_nu1", _F),
+    ("oracle_nu2", _F),
+    ("oracle_stable", _B),
+    ("oracle_freq_dev_lo", _F),
+    ("oracle_freq_dev_hi", _F),
+    ("oracle_coeff_defect_tms", _F),
+    ("oracle_coeff_defect_bs", _F),
+    ("oracle_metric_defect", _F),
 )
+
+ORACLE_COLUMNS = tuple(name for name, _ in ORACLE_SCHEMA)
+
+NEEDS = {name: _column_needs(name) for name in COLUMNS + ORACLE_COLUMNS}
 
 # Column projection for the laser-focused sweep (fixed external names).
 LASER_SWEEP_COLUMNS = (
@@ -333,7 +335,7 @@ class Table:
         return Table(self.columns)
 
 
-_KIND = dict(COLUMN_SCHEMA)
+_KIND = dict(COLUMN_SCHEMA + ORACLE_SCHEMA)
 
 
 # a failed point's cell: NaN for numbers, '' for text, None (empty) for flags
@@ -377,10 +379,10 @@ def _blank_where(cells: dict, mask: np.ndarray, names) -> None:
         cells[name] = np.where(mask, _BLANK[_KIND[name]], cells[name])
 
 
-def _stage_columns(vp, s, stages, opts: PipelineOptions):
+def _stage_columns(vp, s, stages, opts: PipelineOptions) -> dict:
     """The columns of stage 1, the regime and the stages in `stages`, over
-    valid points, plus the couplings of each branch that ran; the cells an
-    error leaves blank are blank, and the error names are set."""
+    valid points; the cells an error leaves blank are blank, and the error
+    names are set."""
     regime = classify(s, vp, f1_hi=opts.f1_hi, f1_lo=opts.f1_lo)
     on_tms = regime.branch == Branch.TWO_MODE_SQUEEZING
     on_bs = regime.branch == Branch.BEAM_SPLITTER
@@ -392,9 +394,8 @@ def _stage_columns(vp, s, stages, opts: PipelineOptions):
         "f1_degenerate": regime.f1_degenerate,
         "branch": _BRANCH_NAMES[np.where(on_tms, 0, np.where(on_bs, 1, 2))],
     }
-    couplings = {}
     if "tms" in stages:
-        tms = couplings[Branch.TWO_MODE_SQUEEZING] = _stage("tms_couplings")(s, vp)
+        tms = _stage("tms_couplings")(s, vp)
         tms_cells = _branch_columns(
             "tms_", tms, _stage("rwa_validity_tms")(tms, vp.omega_m, opts.resonance_floor)
         )
@@ -403,13 +404,15 @@ def _stage_columns(vp, s, stages, opts: PipelineOptions):
         _blank_where(tms_cells, unstable, list(tms_cells))
         cells.update(tms_cells, tms_error=np.where(unstable, TmsUnstable.__name__, ""))
     if "bs" in stages:
-        bs = couplings[Branch.BEAM_SPLITTER] = _stage("bs_couplings")(s, vp)
+        bs = _stage("bs_couplings")(s, vp)
         cells.update(_branch_columns(
             "bs_", bs, _stage("rwa_validity_bs")(bs, vp.omega_m, opts.resonance_floor)
         ))
     if "laser" in stages:
         cells.update(_laser_columns(vp, cells, on_tms & unstable, on_tms, opts))
-    return cells, couplings
+    if "oracle" in stages:
+        cells.update(_oracle_columns(vp, s, tms, bs, unstable, on_tms))
+    return cells
 
 
 def _laser_columns(vp, cells: dict, no_source, on_tms, opts: PipelineOptions) -> dict:
@@ -443,82 +446,82 @@ def _laser_columns(vp, cells: dict, no_source, on_tms, opts: PipelineOptions) ->
     }
 
 
-def _evaluate(params: PhysicalParams, opts: PipelineOptions, outputs=None):
-    """The pipeline over parameter arrays, each stage called at most once for
-    all points, and only when one of `outputs` (None: every column) needs it
-    (`NEEDS`).
+def _oracle_columns(vp, s, tms, bs, unstable, on_tms) -> dict:
+    """The exact oracle's check of both branches: one photonic form, one
+    symplectic solve and one report batch, sharing the stage-1 map. Blank
+    are the TMS defect where that stage is unstable, the frequency
+    deviations where the laser sits on an unstable TMS frame, and every cell
+    where the exact frequencies cannot be paired."""
+    from . import oracle  # through the module: a wrapper bound there sees the call
 
-    Returns the `outputs` columns plus `error`, in COLUMN_SCHEMA order, plus
-    the validated parameters, the stage 1 result and the couplings of each
-    branch that ran, over all points (None when no stage ran). A point that
-    fails validation runs on a stand-in, the first valid point's parameters;
-    its cells are then blanked, exactly those the error would leave blank in
-    a point-by-point evaluation, and the error name lands in its column.
+    freqs = oracle.symplectic_frequencies(oracle.build_photonic_form(vp))
+    tms_report, bs_report = oracle.rwa_error_report(vp, s, [tms, bs], freqs)
+    dev_lo, dev_hi = np.where(on_tms, tms_report.freq_dev, bs_report.freq_dev)
+    # the worst report's, as verify folds it: a NaN defect wins
+    worst = np.maximum(tms_report.metric_defect, bs_report.metric_defect)
+    cells = {
+        "oracle_nu1": freqs.nu1,
+        "oracle_nu2": freqs.nu2,
+        "oracle_stable": freqs.stable,
+        "oracle_freq_dev_lo": dev_lo,
+        "oracle_freq_dev_hi": dev_hi,
+        "oracle_coeff_defect_tms": tms_report.coeff_defect,
+        "oracle_coeff_defect_bs": bs_report.coeff_defect,
+        "oracle_metric_defect": np.where(unstable, bs_report.metric_defect, worst),
+    }
+    _blank_where(cells, unstable, ["oracle_coeff_defect_tms"])
+    _blank_where(cells, on_tms & unstable, ["oracle_freq_dev_lo", "oracle_freq_dev_hi"])
+    _blank_where(cells, ~freqs.paired, list(cells))
+    return cells
+
+
+def _evaluate(params: PhysicalParams, opts: PipelineOptions, outputs=None) -> dict:
+    """The pipeline over parameter arrays, each stage called at most once for
+    all points, and only when one of `outputs` (None: COLUMNS) needs it
+    (`NEEDS`); the oracle is the last stage.
+
+    Returns the `outputs` columns plus `error`, in schema order (COLUMN_SCHEMA,
+    then ORACLE_SCHEMA). A point that fails validation runs on a stand-in, the
+    first valid point's parameters; its cells are then blanked, exactly those
+    the error would leave blank in a point-by-point evaluation, and the error
+    name lands in its column.
     """
-    wanted = set(COLUMNS if outputs is None else outputs)
-    names = [name for name in COLUMNS if name in wanted and name != "error"]
+    wanted = {"error", *(COLUMNS if outputs is None else outputs)}
+    columns = dict.fromkeys(name for name in _KIND if name in wanted)  # schema order
+    names = [name for name in columns if name != "error"]
     stages = frozenset().union(*(NEEDS[name] for name in names))
     errors = validation_errors(params)
     valid = errors == ""
     if not stages or not valid.any():  # no stages: only `error` is asked for
-        blank = {name: np.full(len(errors), _BLANK[_KIND[name]]) for name in names}
-        return blank | {"error": errors}, None
-    checked = errors
-    if not valid.all():  # the first valid point stands in for a failed one
-        stand_in = np.where(valid, np.arange(len(valid)), np.argmax(valid))
-        params, checked = take(params, stand_in), errors[stand_in]
-    with np.errstate(all="ignore"):
-        vp = validate(params, checked)
-        s = stage1_transform(vp)
-        cells, couplings = _stage_columns(vp, s, stages, opts)
-    columns = {name: cells[name] for name in names}
-    _blank_where(columns, ~valid, names)
+        columns.update((name, np.full(len(errors), _BLANK[_KIND[name]])) for name in names)
+    else:
+        checked = errors
+        if not valid.all():  # the first valid point stands in for a failed one
+            stand_in = np.where(valid, np.arange(len(valid)), np.argmax(valid))
+            params, checked = take(params, stand_in), errors[stand_in]
+        with np.errstate(all="ignore"):
+            vp = validate(params, checked)
+            cells = _stage_columns(vp, stage1_transform(vp), stages, opts)
+        columns.update((name, cells[name]) for name in names)
+        _blank_where(columns, ~valid, names)
     columns["error"] = errors
-    return columns, (vp, s, couplings)
+    return columns
 
 
 def evaluate_point(params: PhysicalParams, opts: PipelineOptions = PipelineOptions()) -> dict:
     """Full pipeline for one parameter set; never raises on physics errors."""
-    return Table(_evaluate(broadcast(params, 1), opts)[0])[0]
+    return Table(_evaluate(broadcast(params, 1), opts))[0]
 
 
 def analyze(params: PhysicalParams, opts: PipelineOptions = PipelineOptions()) -> dict:
     """Single-point report: the full pipeline row plus the oracle cross-check,
-    which reuses the evaluator's stages and solves the photonic form once.
+    the evaluator's last stage.
 
-    The oracle block stays blank (NaN, an empty `oracle_stable`) for a point
+    The oracle block is blank (NaN, an empty `oracle_stable`) for a point
     that fails validation, and for one whose exact frequencies cannot be
-    paired (`NumericalDegeneracy`, e.g. a drive at the stage-1 boundary to
-    rounding); the pipeline cells are written either way."""
-    from . import oracle
-
-    columns, stages = _evaluate(broadcast(params, 1), opts)
-    row = Table(columns)[0]
-    for name in ORACLE_COLUMNS:
-        row[name] = math.nan
-    row["oracle_stable"] = None
-    if row["error"]:
-        return row
-
-    vp, s, couplings = stages
-    if row["tms_error"]:
-        del couplings[Branch.TWO_MODE_SQUEEZING]
-    try:
-        freqs = oracle.symplectic_frequencies(oracle.build_photonic_form(vp))
-    except NumericalDegeneracy:
-        return row
-    # one report batch for both branches, sharing the stage-1 map
-    reports = dict(zip(couplings, oracle.rwa_error_report(vp, s, list(couplings.values()), freqs)))
-    row.update(oracle_nu1=freqs.nu1.item(), oracle_nu2=freqs.nu2.item(),
-               oracle_stable=freqs.stable.item())
-    for member, report in reports.items():
-        row[f"oracle_coeff_defect_{member.value}"] = report.coeff_defect.item()
-    laser_frame = reports.get(Branch(row["laser_source"]))
-    if laser_frame is not None:
-        row["oracle_freq_dev_lo"], row["oracle_freq_dev_hi"] = laser_frame.freq_dev[:, 0].tolist()
-    # the worst report's, as verify folds it: a NaN defect wins
-    row["oracle_metric_defect"] = float(np.max([r.metric_defect for r in reports.values()]))
-    return row
+    paired (`SymplecticFrequencies.paired`, e.g. a drive at the stage-1
+    boundary to rounding); the pipeline cells are written either way."""
+    return Table(_evaluate(broadcast(params, 1), opts, COLUMNS + ORACLE_COLUMNS))[0]
 
 
 def run_sweep(
@@ -536,7 +539,7 @@ def run_sweep(
     """
     values = spec.values()
     point = apply_axis(broadcast(params, len(values)), spec.axis, values)
-    table = Table(_evaluate(point, opts, spec.outputs)[0])
+    table = Table(_evaluate(point, opts, spec.outputs))
     table["axis_value"] = values
     return table
 
@@ -571,7 +574,7 @@ def run_grid(
     x = np.tile(spec.x_values(), ny)
     y = np.repeat(spec.y_values(), nx)
     point = apply_axis(apply_axis(broadcast(params, nx * ny), spec.y_axis, y), spec.x_axis, x)
-    table = Table(_evaluate(point, opts, spec.outputs)[0])
+    table = Table(_evaluate(point, opts, spec.outputs))
     table["x_index"] = np.tile(np.arange(nx), ny)
     table["y_index"] = np.repeat(np.arange(ny), nx)
     table["x_value"] = x

@@ -237,10 +237,9 @@ def run_verification(
 
     # --- the configured point: both reports share its exact frequencies -------
     s = stage1_transform(vp)
-    try:
-        freqs, unpaired = oracle.symplectic_frequencies(oracle.build_photonic_form(vp)), ""
-    except NumericalDegeneracy:
-        freqs, unpaired = None, "exact frequencies cannot be paired here (NumericalDegeneracy)"
+    freqs = oracle.symplectic_frequencies(oracle.build_photonic_form(vp))
+    unpaired = "" if freqs.paired.item() else (
+        f"exact frequencies cannot be paired here ({NumericalDegeneracy.__name__})")
     checked = {}
     for label, c in (("tms", tms_couplings(s, vp)), ("bs", bs_couplings(s, vp))):
         unchecked = (label == "tms" and math.isnan(c.r.item())

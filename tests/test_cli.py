@@ -108,6 +108,13 @@ def test_verify_rejects_negative_random(laser_config, capsys):
     assert captured.out == ""
 
 
+def test_verify_rejects_negative_seed(laser_config, capsys):
+    assert main(["verify", "--config", laser_config, "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --seed must be >= 0, got -1\n"
+    assert captured.out == ""
+
+
 def test_contours_short_header_exit_1(tmp_path, capsys):
     grid_path = tmp_path / "grid.csv"
     grid_path.write_text("x_index,y_index,f1\n0,0,1.0\n1,0,2.0\n")

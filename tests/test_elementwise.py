@@ -15,7 +15,6 @@ every batch.
 """
 import cmath
 import math
-import re
 import struct
 from dataclasses import fields
 from types import SimpleNamespace
@@ -39,7 +38,6 @@ from sqom import (
 )
 from sqom import elementwise
 from sqom.elementwise import cabs, div, rmul, stack, take
-from sqom.errors import NumericalDegeneracy
 from sqom.params import validation_errors
 from sqom.second_stage import bs_couplings, mixing_angle, tms_couplings
 from sqom.stage1 import squeeze_param
@@ -343,9 +341,8 @@ def test_stage_functions_array_equals_pointwise(items):
 @settings(max_examples=30, deadline=None)
 def test_oracle_batch_equals_pointwise(items):
     """The oracle report and the exact frequencies of a batch, point by
-    point, for both branches; a point whose eigenvalues cannot be paired
-    fails the batch with its message. The reports of both branches from one
-    call equal each branch's report alone."""
+    point, for both branches, the pairing mask included. The reports of both
+    branches from one call equal each branch's report alone."""
     good = _valid(items)
     if not good:
         return
@@ -355,13 +352,7 @@ def test_oracle_batch_equals_pointwise(items):
         alone = []
         for i in range(len(good)):
             one = take(vp, [i])
-            try:
-                stages = oracle_stages(one, branch)
-            except NumericalDegeneracy as exc:
-                with pytest.raises(NumericalDegeneracy, match=f"^{re.escape(str(exc))}$"):
-                    oracle_stages(vp, branch)
-                return
-            alone.append((oracle_report(one, branch), stages[2]))
+            alone.append((oracle_report(one, branch), oracle_stages(one, branch)[2]))
         report, freqs = oracle_report(vp, branch), oracle_stages(vp, branch)[2]
         for i, (one, one_freqs) in enumerate(alone):
             assert_same(report, one, i)

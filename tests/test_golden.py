@@ -49,6 +49,13 @@ CONFIGS = {
     "laser_nan_phase": dict(LASER, phi_d2=math.nan),
     "undriven": dict(LASER, lambda1=0.0, lambda2=0.0, delta1=2.0, delta2=1.2, j_hop=0.3),
     "laser_no_hop": dict(LASER, j_hop=0.0),
+    # both drives within about 1e-13 of the stage-1 boundary: the exact
+    # eigenvalues cannot be paired into +/- frequencies (NumericalDegeneracy)
+    "unpaired": dict(
+        LASER, delta1=445.6813207479668, lambda1=222.84066037398313,
+        delta2=-13.274826580266046, lambda2=6.637413290132873, j_hop=0.6248372277393877,
+        g0=0.05179304768804502, phi_d1=math.pi, phi_d2=math.pi,
+    ),
 }
 
 
@@ -131,6 +138,9 @@ CASES = {
     # j_hop = 0: a zero laser coupling (ZeroCoupling); the laser set at
     # delta_phi = 0 (analyze_laser) is a TmsUnstable point
     "analyze_zero_coupling": ("analyze", "laser_no_hop"),
+    # a blank oracle block, and info rows in place of the config point's checks
+    "analyze_unpaired": ("analyze", "unpaired"),
+    "verify_unpaired": ("verify", "unpaired", "--random", "5"),
 }
 
 DIGESTS = {
@@ -139,6 +149,7 @@ DIGESTS = {
     "analyze_laser_dip": "8fd80ce16177cf57ef8fb8ae4eea71f3935cc51e80ec297e80f2d02cf4f29309",
     "analyze_stage1_unstable": "96dd37fe9b8cb281ea2091a0f90380e1cdff0a98a0eab5515e666f4f322b52e7",
     "analyze_strong": "bdbc3ba1996847489653afafcdc40b2b61c0b562a1b09931c77073f08fc59dc5",
+    "analyze_unpaired": "0fbb0adfdfac7196184daed1c970e0ded4f6fb22e1a92162b85d78ef5deb64cc",
     "analyze_zero_coupling": "3969712a8cad44f16e05b6c7aaeec73dc78def44d4e02117b11d8017d5ebe698",
     "grid_boundary_109": "6b45321f1db84ce153d4dad3ebf4f3d05f6c6965b8105d5f44f1314965f4946e",
     "grid_strong_101": "3ee7f76ecbd88eb1a55620f9c534576fd9cd776f1e7e400faad568622a3b41ae",
@@ -162,6 +173,7 @@ DIGESTS = {
     "verify_boundary_random_1": "d48796f9b40412924058e637721fad00fca463a7e4d52f8fc13753621fbb9324",
     "verify_laser": "19ec0824e220aa63fc3c60487af90102e0902a2cc857bce91a67b6899e534bce",
     "verify_laser_random_0": "56b18e9e60128b6922ff817d980b70a959d2645e625eb29ca92529c4196463b0",
+    "verify_unpaired": "a16635d3199acf7d3f793dd1ecd939db5907937578a36b7c07907aac9e810ee4",
 }
 
 

@@ -60,6 +60,18 @@ def test_negative_amplitudes_rejected(field):
         validate(batch(laser_set().replace(**{field: -0.1})))
 
 
+@pytest.mark.parametrize("error, field", [(NonPositiveParameter, "kappa"), (NegativeParameter, "g0")])
+def test_a_non_finite_value_is_refused_as_non_finite(error, field):
+    # inf passes the stated bound and NaN compares false with it
+    for value in (math.inf, -math.inf, math.nan):
+        with pytest.raises(error) as exc:
+            validate(batch(laser_set().replace(**{field: value})))
+        assert str(exc.value) == f"{field} must be finite, got {value!r}"
+    with pytest.raises(error) as exc:
+        validate(batch(laser_set().replace(**{field: -1.0})))
+    assert str(exc.value).startswith(f"{field} must be >") and "got -1.0" in str(exc.value)
+
+
 def test_omega_m_pinned_to_one():
     with pytest.raises(ConfigError, match="omega_m"):
         validate(batch(laser_set().replace(omega_m=2.0)))

@@ -332,24 +332,46 @@ def test_a_nan_metric_defect_wins_the_analyze_fold(monkeypatch):
     assert math.isnan(row["oracle_metric_defect"])
 
 
-def test_analyze_writes_the_row_when_the_oracle_cannot_pair_frequencies():
-    # both drives within about 1e-13 of the stage-1 boundary: the exact
-    # eigenvalues miss the +/- pairing tolerance (NumericalDegeneracy)
-    p = laser_set().replace(
-        delta1=445.6813207479668, lambda1=222.84066037398313,
-        delta2=-13.274826580266046, lambda2=6.637413290132873,
-        j_hop=0.6248372277393877, g0=0.05179304768804502, phi_d1=math.pi, phi_d2=math.pi,
-    )
-    from sqom import oracle
-    from sqom.errors import NumericalDegeneracy
+# both drives within about 1e-13 of the stage-1 boundary: the exact
+# eigenvalues miss the +/- pairing tolerance (NumericalDegeneracy)
+UNPAIRED = laser_set().replace(
+    delta1=445.6813207479668, lambda1=222.84066037398313,
+    delta2=-13.274826580266046, lambda2=6.637413290132873,
+    j_hop=0.6248372277393877, g0=0.05179304768804502, phi_d1=math.pi, phi_d2=math.pi,
+)
 
-    with pytest.raises(NumericalDegeneracy):
-        oracle.symplectic_frequencies(oracle.build_photonic_form(batch(p)))
-    row, expected = analyze(p), evaluate_point(p)
+
+def test_analyze_writes_the_row_when_the_oracle_cannot_pair_frequencies():
+    from sqom import oracle
+
+    freqs = oracle.symplectic_frequencies(oracle.build_photonic_form(batch(UNPAIRED)))
+    assert not freqs.paired.item()
+    row, expected = analyze(UNPAIRED), evaluate_point(UNPAIRED)
     assert rows_to_csv([row], list(COLUMNS)) == rows_to_csv([expected], list(COLUMNS))
     assert row["error"] == ""
     assert all(math.isnan(row[name]) for name in ORACLE_COLUMNS if name != "oracle_stable")
     assert row["oracle_stable"] is None
+
+
+def test_oracle_columns_of_a_batch_equal_analyze_per_point():
+    from sqom import sweep
+
+    points = [
+        laser_set(2.7),  # stable, paired
+        UNPAIRED,
+        laser_set(0.0),  # TmsUnstable, the laser on the beam-splitter frame
+        laser_set().replace(lambda2=51.0),  # Stage1Unstable
+        strong_drive_set(math.pi / 20, 1996.0),  # the laser on an unstable TMS frame
+    ]
+    names = list(COLUMNS + ORACLE_COLUMNS)
+    table = Table(sweep._evaluate(stack(PhysicalParams, points), PipelineOptions(), names))
+    assert list(table.columns) == names  # `error` keeps its place before the oracle's
+    assert table["tms_error"].tolist() == ["", "TmsUnstable", "TmsUnstable", "", "TmsUnstable"]
+    assert table["laser_error"][4] == "TmsUnstable"
+    assert table["error"][3] == "Stage1Unstable"
+    for i, p in enumerate(points):
+        assert rows_to_csv([table[i]], names) == rows_to_csv([analyze(p)], names), i
+    assert [row["oracle_stable"] is None for row in table] == [False, True, False, True, False]
 
 
 # (parameters, axis, start, stop): each range crosses a per-point failure
@@ -472,9 +494,9 @@ def test_fully_valid_batch_equals_the_blank_and_fill_path(outputs, monkeypatch):
     # is blanked; projected out below
     mixed = stack(PhysicalParams, [*_VALID_POINTS[:3], laser_set().replace(lambda2=51.0),
                                    *_VALID_POINTS[3:]])
-    columns = sweep._evaluate(params, PipelineOptions(), outputs)[0]
+    columns = sweep._evaluate(params, PipelineOptions(), outputs)
     assert taken == []
-    reference = sweep._evaluate(mixed, PipelineOptions(), outputs)[0]
+    reference = sweep._evaluate(mixed, PipelineOptions(), outputs)
     assert taken == [1] and reference["error"][3] == "Stage1Unstable"
     keep = np.arange(len(_VALID_POINTS) + 1) != 3
     assert list(columns) == list(reference)
