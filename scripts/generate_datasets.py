@@ -32,7 +32,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sqom import (  # noqa: E402
     GridSpec,
-    LaserInput,
     PhysicalParams,
     SweepSpec,
     extract_contours,
@@ -172,12 +171,12 @@ def laser_datasets(outdir: Path):
     # one row per working point and density, working points outermost
     densities = np.geomspace(1e-3, 10.0, 201)
     at = np.repeat(np.arange(len(points)), densities.size)
-    inp = LaserInput(cabs(c.gp12)[at], c.w1[at], c.w2[at],
-                     n_plus=np.tile(densities, len(points)))
-    res = laser_point(inp, vp.omega_m[at], vp.kappa[at], vp.gamma_m[at])
+    n_plus = np.tile(densities, len(points))
+    res = laser_point(cabs(c.gp12)[at], c.w1[at], c.w2[at],
+                      vp.omega_m[at], vp.kappa[at], vp.gamma_m[at], n_plus=n_plus)
     table = Table(
         {"point": np.array(labels, dtype=object)[at], "delta_phi": np.array(dphis)[at],
-         "n_plus": inp.n_plus, "gain": res.gain, "n_b": res.n_b,
+         "n_plus": n_plus, "gain": res.gain, "n_b": res.n_b,
          "n_b_capped": res.n_b_capped, "n_threshold": res.n_threshold}
     )
     _write(outdir / "phonon_number.csv", table, list(table.columns))

@@ -14,15 +14,15 @@ _EXPORTS = {
     name: module
     for module, names in (
         ("errors", "ConfigError NegativeParameter NonPositiveParameter SqomError "
-                   "Stage1Unstable TmsUnstable ZeroCoupling"),
-        ("laser", "LaserInput laser_point"),
+                   "Stage1Unstable"),
+        ("laser", "laser_point"),
         ("oracle", "build_photonic_form conjugate_coupling rwa_error_report "
                    "symplectic_frequencies"),
-        ("params", "PhysicalParams canonical_delta_phi parse_config validate"),
+        ("params", "PhysicalParams PipelineOptions canonical_delta_phi parse_config "
+                   "validate"),
         ("regime", "Branch classify"),
         ("stage1", "squeeze_param stage1_transform"),
-        ("sweep", "GridSpec PipelineOptions SweepSpec analyze evaluate_point run_grid "
-                  "run_sweep"),
+        ("sweep", "GridSpec SweepSpec analyze evaluate_point run_grid run_sweep"),
         ("contours", "extract_contours"),
     )
     for name in names.split()

@@ -12,19 +12,18 @@ import functools
 import math
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 from . import _deferred
 from .elementwise import broadcast
 from .errors import ConfigError, SqomError
-from .params import load_config
+from .params import PhysicalParams, PipelineOptions, load_config
 from .sweep import (
     COLUMNS,
     LASER_COLUMN_NAMES,
     LASER_SWEEP_OUTPUTS,
     ORACLE_COLUMNS,
     GridSpec,
-    PipelineOptions,
     SweepSpec,
     analyze,
     grid_columns,
@@ -62,11 +61,23 @@ def _emit(rows, columns, out_path: str | None) -> None:
             raise ConfigError(f"cannot write output file {out_path}: {exc}") from exc
 
 
-def _options(args, cfg) -> PipelineOptions:
-    """The config's regime thresholds plus the pipeline options the
-    subcommand offers; the others keep their PipelineOptions defaults."""
+def _check_flag(flag: str, value, non_negative: bool = False) -> None:
+    """Refuse a float flag's non-finite value, and a negative one where the
+    flag must be `non_negative`."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{flag} must be finite, got {value}")
+    if non_negative and value < 0:
+        raise ConfigError(f"{flag} must be >= 0, got {value}")
+
+
+def _load(args) -> tuple[PhysicalParams, PipelineOptions]:
+    """The config's parameter point and options, with the pipeline options
+    the subcommand offers set from its flags, which must be finite."""
     knobs = {k: v for k, v in vars(args).items() if k in PipelineOptions.__dataclass_fields__}
-    return PipelineOptions(f1_hi=cfg.f1_hi, f1_lo=cfg.f1_lo, **knobs)
+    for key, value in knobs.items():
+        _check_flag("--" + key.replace("_", "-"), value)
+    params, opts = load_config(args.config)
+    return params, replace(opts, **knobs)
 
 
 def _parse_outputs(text: str | None):
@@ -76,15 +87,14 @@ def _parse_outputs(text: str | None):
 
 
 def cmd_analyze(args) -> int:
-    cfg = load_config(args.config)
-    row = analyze(cfg.params, _options(args, cfg))
+    row = analyze(*_load(args))
     columns = list(COLUMNS) + list(ORACLE_COLUMNS)
     _emit([row], columns, args.out)
     return 0
 
 
 def cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
+    params, opts = _load(args)
     spec = SweepSpec(
         axis=args.axis,
         start=args.from_,
@@ -92,13 +102,13 @@ def cmd_sweep(args) -> int:
         steps=args.steps,
         outputs=_parse_outputs(args.outputs),
     )
-    rows = run_sweep(cfg.params, spec, _options(args, cfg))
+    rows = run_sweep(params, spec, opts)
     _emit(sweep_csv_rows(rows, spec), sweep_columns(spec), args.out)
     return 0
 
 
 def cmd_grid(args) -> int:
-    cfg = load_config(args.config)
+    params, opts = _load(args)
     spec = GridSpec(
         x_axis=args.x_axis,
         x_start=args.x_from,
@@ -110,18 +120,18 @@ def cmd_grid(args) -> int:
         y_steps=args.y_steps,
         outputs=GridSpec.outputs if args.outputs is None else _parse_outputs(args.outputs),
     )
-    rows = run_grid(cfg.params, spec, _options(args, cfg))
+    rows = run_grid(params, spec, opts)
     _emit(grid_csv_rows(rows, spec), grid_columns(spec), args.out)
     return 0
 
 
 def cmd_laser_sweep(args) -> int:
-    cfg = load_config(args.config)
+    params, opts = _load(args)
     spec = SweepSpec(
         axis=args.axis, start=args.from_, stop=args.to, steps=args.steps,
         outputs=LASER_SWEEP_OUTPUTS,
     )
-    rows = run_sweep(cfg.params, spec, _options(args, cfg))
+    rows = run_sweep(params, spec, opts)
     out, columns = laser_rows(rows), LASER_COLUMN_NAMES
     if spec.axis != "delta_phi":  # delta_phi leads already, canonical
         out[spec.axis] = rows["axis_value"]
@@ -142,15 +152,15 @@ def cmd_contours(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    for option, value in (("--random", args.random), ("--seed", args.seed)):
-        if value < 0:
-            raise ConfigError(f"{option} must be >= 0, got {value}")
-    cfg = load_config(args.config)
+    for flag, value in (("--random", args.random), ("--seed", args.seed),
+                        ("--rel-tol", args.rel_tol)):
+        _check_flag(flag, value, non_negative=True)
+    params, _ = load_config(args.config)
     from .params import validate
     from .verify import CheckRow, all_passed
 
     rows = _command("run_verification")(
-        validate(broadcast(cfg.params, 1)),
+        validate(broadcast(params, 1)),
         n_random=args.random, seed=args.seed, oracle_rtol=args.rel_tol,
     )
     _emit(map(vars, rows), [f.name for f in fields(CheckRow)], args.out)

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the failure names no
+exception carries."""
 import math
 
 
@@ -45,15 +46,8 @@ class Stage1Unstable(SqomError):
         )
 
 
-class TmsUnstable(SqomError):
-    """Two-mode-squeezing stage undefined: omega_s1 + omega_s2 <= |J'| (named
-    in a row's error columns, where the stage's numbers are NaN)."""
-
-
-class ZeroCoupling(SqomError):
-    """Threshold requested with |G_p12| = 0; the threshold is infinite."""
-
-
-class NumericalDegeneracy(SqomError):
-    """Symplectic eigenvalues could not be grouped into +/- pairs (named in
-    `verify`'s detail text where `SymplecticFrequencies.paired` is False)."""
+# The names of failures a row or a verify check reports in place of its
+# numbers; none of them is raised.
+TMS_UNSTABLE = "TmsUnstable"  # omega_s1 + omega_s2 <= |J'|: no two-mode-squeezing stage
+ZERO_COUPLING = "ZeroCoupling"  # |G_p12| = 0: an infinite laser threshold
+NUMERICAL_DEGENERACY = "NumericalDegeneracy"  # SymplecticFrequencies.paired is False

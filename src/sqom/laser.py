@@ -25,24 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elementwise import div, exp, square
-from .params import N_MINUS_DEFAULT, N_PLUS_DEFAULT
+from .params import PipelineOptions
 
 EXP_CAP = 700.0  # just below the exponent where exp overflows
-
-
-@dataclass(frozen=True)
-class LaserInput:
-    """Working point of the laser interaction.
-
-    n_minus defaults to 0: with an undriven idle supermode the inversion is
-    simply the pump density.
-    """
-
-    gp12_abs: float
-    w1: float
-    w2: float
-    n_plus: float = N_PLUS_DEFAULT
-    n_minus: float = N_MINUS_DEFAULT
 
 
 @dataclass(frozen=True)
@@ -57,12 +42,22 @@ class LaserResult:
 
 
 def laser_point(
-    inp: LaserInput,
+    gp12_abs: float,
+    w1: float,
+    w2: float,
     omega_m: float,
     kappa: float,
     gamma_m: float,
+    n_plus: float = PipelineOptions.n_plus,
+    n_minus: float = PipelineOptions.n_minus,
 ) -> LaserResult:
-    """Gain, phonon number and threshold for one working point.
+    """Gain, phonon number and threshold for one working point: the laser
+    coupling |gp12| between supermodes of frequencies w1 and w2, pumped to
+    density n_plus over the idle one's n_minus.
+
+    n_minus defaults to 0: with an undriven idle supermode the inversion is
+    simply the pump density. kappa and gamma_m must be > 0 and finite, as
+    `validate` demands.
 
     The gain formula presumes kappa >> gamma_m (the optical field follows the
     mechanics adiabatically). At gp12_abs = 0 the threshold is infinite:
@@ -70,21 +65,21 @@ def laser_point(
     density and power.
     """
     for name, value in (("kappa", kappa), ("gamma_m", gamma_m)):
-        if np.any(value <= 0.0):
-            raise ValueError(f"{name} must be > 0, got {value}")
-    gp12_sq = square(inp.gp12_abs)
+        if not np.all((value > 0.0) & np.isfinite(value)):
+            raise ValueError(f"{name} must be > 0 and finite, got {value}")
+    gp12_sq = square(gp12_abs)
     # the gain profile's denominator (W_1 - W_2 - omega_m)^2 + (kappa/2)^2
-    lorentz = square(inp.w1 - inp.w2 - omega_m) + 0.25 * square(kappa)
-    gain = gp12_sq * (inp.n_plus - inp.n_minus) * kappa / lorentz
+    lorentz = square(w1 - w2 - omega_m) + 0.25 * square(kappa)
+    gain = gp12_sq * (n_plus - n_minus) * kappa / lorentz
     exponent = 2.0 * (gain - gamma_m) / gamma_m
     capped = exponent > EXP_CAP
-    n_th = div(gamma_m * lorentz, gp12_sq * kappa, inp.gp12_abs == 0.0, math.nan)
+    n_th = div(gamma_m * lorentz, gp12_sq * kappa, gp12_abs == 0.0, math.nan)
     # |gp12|^2 can underflow to 0 (an infinite threshold); inf * 0 is NaN and
     # a product past the float range inf, as in CPython, without a warning.
     # The power formula P = N kappa W_1 loses meaning for W_1 <= 0; the value
     # is still reported.
     with np.errstate(over="ignore", invalid="ignore"):
-        p_threshold = n_th * kappa * inp.w1
+        p_threshold = n_th * kappa * w1
     return LaserResult(
         gain=gain,
         n_b=exp(np.where(capped, EXP_CAP, exponent)),

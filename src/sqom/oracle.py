@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elementwise import cabs, cis_neg, cos, cosh, div, py_max, rmul, sin, sinh
-from .params import PhysicalParams, ValidatedParams
+from .params import PhysicalParams
 # stage1_transform, tms_couplings, bs_couplings: unused here, bound for perfbench/tracing.py
 from .second_stage import BsCouplings, TmsCouplings, bs_couplings, tms_couplings  # noqa: F401
 from .stage1 import Stage1Result, stage1_transform  # noqa: F401
@@ -86,7 +86,7 @@ def _bogoliubov(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     return _block(U, V, V.conj(), U.conj())
 
 
-def build_photonic_form(p: PhysicalParams | ValidatedParams) -> np.ndarray:
+def build_photonic_form(p: PhysicalParams) -> np.ndarray:
     """Exact (N, 4, 4) Hamiltonian matrices of the rotating-frame photonic
     problem, one per point.
 
@@ -94,7 +94,7 @@ def build_photonic_form(p: PhysicalParams | ValidatedParams) -> np.ndarray:
          + sum_j lambda_j (e^{-i phi_dj} a_j^dag^2 + h.c.)
          + j_hop (a1 a2^dag + a1^dag a2).
 
-    Accepts raw parameters too: deliberately unstable forms are legitimate
+    Accepts unvalidated parameters too: deliberately unstable forms are legitimate
     oracle inputs (the stability flag of `symplectic_frequencies` detects
     them).
     """
@@ -109,7 +109,7 @@ def build_photonic_form(p: PhysicalParams | ValidatedParams) -> np.ndarray:
     return _bdg(P, Q)
 
 
-def stage1_map(p: ValidatedParams, s: Stage1Result) -> np.ndarray:
+def stage1_map(p: PhysicalParams, s: Stage1Result) -> np.ndarray:
     """Per-cavity squeezing: a_j = cosh(r_dj) a_sj - e^{-i phi_dj} sinh(r_dj) a_sj^dag."""
     U, V = _zeros(len(s.r_d1)), _zeros(len(s.r_d1))
     U[:, 0, 0], U[:, 1, 1] = cosh(s.r_d1), cosh(s.r_d2)
@@ -157,7 +157,7 @@ def symplectic_frequencies(h: np.ndarray) -> SymplecticFrequencies:
     return SymplecticFrequencies(nu1=re[:, 3], nu2=re[:, 2], stable=stable, paired=~unpaired)
 
 
-def conjugate_coupling(p: ValidatedParams, T: np.ndarray) -> np.ndarray:
+def conjugate_coupling(p: PhysicalParams, T: np.ndarray) -> np.ndarray:
     """Exact coefficients of the bare coupling -g0 a2^dag a2 (the operator
     multiplying b^dag + b) in the modes beta, alpha = T beta, for a stack of
     maps T of shape (..., N, 4, 4): the independent check for the closed-form
@@ -225,7 +225,7 @@ class RwaErrorReport:
 
 
 def rwa_error_report(
-    p: ValidatedParams,
+    p: PhysicalParams,
     s: Stage1Result,
     couplings: Sequence[TmsCouplings | BsCouplings],
     freqs: SymplecticFrequencies,

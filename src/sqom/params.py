@@ -1,4 +1,4 @@
-"""Dimensionless system parameters and their validation.
+"""Dimensionless system parameters, their validation and the pipeline options.
 
 Every rate is expressed in units of the mechanical frequency, which is pinned
 to exactly 1. Cavity j carries a pump detuning delta_j, an intracavity
@@ -23,21 +23,14 @@ from .errors import (
     SqomError,
     Stage1Unstable,
 )
-from .regime import F1_HI_DEFAULT, F1_LO_DEFAULT
 
 TWO_PI = 2.0 * math.pi
-
-# pipeline option defaults (sweep.PipelineOptions), here because every
-# command loads this module: the supermode densities of the laser block and
-# the frequency gap below which a validity term is a resonance hit
-N_PLUS_DEFAULT = 1.0
-N_MINUS_DEFAULT = 0.0
-RESONANCE_FLOOR_DEFAULT = 1e-9
 
 
 @dataclass(frozen=True)
 class PhysicalParams:
-    """Raw dimensionless parameter set (units of omega_m unless stated).
+    """Dimensionless parameter set (units of omega_m unless stated); `validate`
+    checks it and returns it.
 
     A config holds floats. `validate` and the physics stages take the same
     dataclass with an equal-length numpy array in every field, one point per
@@ -61,31 +54,17 @@ class PhysicalParams:
 
 
 @dataclass(frozen=True)
-class ValidatedParams:
-    """Parameter set that passed `validate`, plus the canonical phase difference.
+class PipelineOptions:
+    """Knobs shared by every evaluation: the regime thresholds on f1 (a config
+    may set them), the supermode densities of the laser block and the
+    frequency gap below which a validity term is a resonance hit. The CLI
+    takes its defaults from here."""
 
-    delta_phi = (phi_d1 - phi_d2) mod 2*pi, in [0, 2*pi).
-    """
-
-    delta1: float
-    delta2: float
-    lambda1: float
-    lambda2: float
-    j_hop: float
-    g0: float
-    kappa: float
-    gamma_m: float
-    phi_d1: float
-    phi_d2: float
-    omega_m: float
-    delta_phi: float
-
-    def as_physical(self) -> PhysicalParams:
-        d = {k: getattr(self, k) for k in PhysicalParams.__dataclass_fields__}
-        return PhysicalParams(**d)
-
-
-_PHYSICAL_FIELDS = tuple(f.name for f in fields(PhysicalParams))
+    f1_hi: float = 10.0
+    f1_lo: float = 0.1
+    n_plus: float = 1.0
+    n_minus: float = 0.0
+    resonance_floor: float = 1e-9
 
 
 def canonical_delta_phi(phi_d1: float, phi_d2: float) -> float:
@@ -137,8 +116,8 @@ def validation_errors(raw: PhysicalParams) -> np.ndarray:
     return names
 
 
-def validate(raw: PhysicalParams, errors: np.ndarray | None = None) -> ValidatedParams:
-    """Check stability and sign conventions; return the validated wrapper.
+def validate(raw: PhysicalParams, errors: np.ndarray | None = None) -> PhysicalParams:
+    """Check stability and sign conventions; return `raw` itself.
 
     Every point must pass; the first failing point raises the error of its
     first failed check (`validation_errors(raw)`, which a caller may pass).
@@ -162,35 +141,23 @@ def validate(raw: PhysicalParams, errors: np.ndarray | None = None) -> Validated
         i = bad[0]
         error, key, value = next((e, k, v) for ok, e, k, v in _checks(raw) if not ok[i])
         raise _error(error, key, value, i)
-    return ValidatedParams(
-        **{f: getattr(raw, f) for f in _PHYSICAL_FIELDS},
-        delta_phi=canonical_delta_phi(raw.phi_d1, raw.phi_d2),
-    )
+    return raw
 
 
 # --- configuration files -----------------------------------------------------
 
-@dataclass(frozen=True)
-class Config:
-    """A parameter set plus the regime-classification thresholds."""
-
-    params: PhysicalParams
-    f1_hi: float = F1_HI_DEFAULT
-    f1_lo: float = F1_LO_DEFAULT
-
-
-# a config key is optional exactly where its field has a default
+# a config key is optional exactly where its field has a default; of the
+# pipeline options, a config sets the regime thresholds
 _REQUIRED_KEYS = tuple(f.name for f in fields(PhysicalParams) if f.default is MISSING)
-_OPTIONAL_KEYS = {
-    f.name: f.default for cls in (PhysicalParams, Config) for f in fields(cls)
-    if f.default is not MISSING
-}
+_OPTIONAL_KEYS = {f.name: f.default for f in fields(PhysicalParams) if f.default is not MISSING}
+_OPTIONAL_KEYS.update(f1_hi=PipelineOptions.f1_hi, f1_lo=PipelineOptions.f1_lo)
 # field order: an error names the first bad key, whatever the hash seed
 _KEYS = _REQUIRED_KEYS + tuple(_OPTIONAL_KEYS)
 
 
-def parse_config(data: dict) -> Config:
-    """Build a Config from a parsed JSON object; unknown keys are an error."""
+def parse_config(data: dict) -> tuple[PhysicalParams, PipelineOptions]:
+    """The parameter point and the options of a parsed JSON object; unknown
+    keys are an error."""
     if not isinstance(data, dict):
         raise ConfigError(f"config root must be a JSON object, got {type(data).__name__}")
     unknown = sorted(set(data) - set(_KEYS))
@@ -212,11 +179,12 @@ def parse_config(data: dict) -> Config:
     f1_lo = values.pop("f1_lo")
     if not (0.0 <= f1_lo <= f1_hi):
         raise ConfigError(f"need 0 <= f1_lo <= f1_hi, got f1_lo={f1_lo}, f1_hi={f1_hi}")
-    return Config(params=PhysicalParams(**values), f1_hi=f1_hi, f1_lo=f1_lo)
+    return PhysicalParams(**values), PipelineOptions(f1_hi=f1_hi, f1_lo=f1_lo)
 
 
-def load_config(path: str | Path) -> Config:
-    """Read a JSON config file (see README for the schema)."""
+def load_config(path: str | Path) -> tuple[PhysicalParams, PipelineOptions]:
+    """Read a JSON config file (see README for the schema): its parameter
+    point and its options, as `parse_config` returns them."""
     try:
         text = Path(path).read_text()
     except OSError as exc:

@@ -17,13 +17,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .elementwise import cabs, div
+from .params import PhysicalParams, PipelineOptions
 
-if TYPE_CHECKING:  # params takes the threshold defaults from here
-    from .params import ValidatedParams
+if TYPE_CHECKING:
     from .stage1 import Stage1Result
-
-F1_HI_DEFAULT = 10.0
-F1_LO_DEFAULT = 0.1
 
 # the interaction terms of either second-stage branch, in the order of the
 # rows of a validity report: two radiation-pressure terms, four parametric ones
@@ -49,9 +46,9 @@ class RegimeReport:
 
 def classify(
     s: Stage1Result,
-    p: ValidatedParams,
-    f1_hi: float = F1_HI_DEFAULT,
-    f1_lo: float = F1_LO_DEFAULT,
+    p: PhysicalParams,
+    f1_hi: float = PipelineOptions.f1_hi,
+    f1_lo: float = PipelineOptions.f1_lo,
 ) -> RegimeReport:
     """Compute f1, f2 and pick the applicable rotating-wave branch.
 

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elementwise import atan2, cabs, cis, cis_neg, cos, cosh, div, log, phase, rmul, sin, sinh
-from .params import ValidatedParams
+from .params import PhysicalParams
 from .stage1 import Stage1Result
 from .validity import rwa_validity
 
@@ -113,13 +113,13 @@ class BsCouplings:
     gp12: complex
 
 
-def _j_prime(p: ValidatedParams, lam):
+def _j_prime(p: PhysicalParams, lam):
     """J' = 2 j_hop * lam, |J'| and Phi = arg(J')."""
     j_prime = rmul(2.0 * p.j_hop, lam)
     return j_prime, cabs(j_prime), phase(j_prime)
 
 
-def _frame(s: Stage1Result, p: ValidatedParams, jp, ch, sh):
+def _frame(s: Stage1Result, p: PhysicalParams, jp, ch, sh):
     """The rows both rotations share, for cosine-like `ch` and sine-like `sh`:
     W_1, W_2 before its hopping term, that term |J'| sh ch, G_1, G_2, and
     cosh and sinh of 2 r_d2."""
@@ -133,7 +133,7 @@ def _frame(s: Stage1Result, p: ValidatedParams, jp, ch, sh):
     return w1, w2_bare, hop, g1, g2, ch2rd2, sh2rd2
 
 
-def tms_couplings(s: Stage1Result, p: ValidatedParams) -> TmsCouplings:
+def tms_couplings(s: Stage1Result, p: PhysicalParams) -> TmsCouplings:
     """Two-mode-squeezing supermode frequencies and optomechanical couplings.
 
     A point with omega_s1 + omega_s2 <= |J'| (which includes every case with
@@ -173,7 +173,7 @@ def mixing_angle(j_prime_abs: float, omega_s1: float, omega_s2: float) -> float:
     return np.where(theta > 0.5 * math.pi, theta - math.pi, theta)
 
 
-def bs_couplings(s: Stage1Result, p: ValidatedParams) -> BsCouplings:
+def bs_couplings(s: Stage1Result, p: PhysicalParams) -> BsCouplings:
     """Beam-splitter supermode frequencies and optomechanical couplings."""
     j_prime, jp, phi = _j_prime(p, s.lam1)
     theta = mixing_angle(jp, s.omega_s1, s.omega_s2)

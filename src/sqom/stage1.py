@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .elementwise import cis, cosh, div, exp, log, rmul, sinh
-from .params import ValidatedParams
+from .params import PhysicalParams
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ def squeeze_param(delta: float, lambda_amp: float) -> float:
     return 0.25 * log(ratio)
 
 
-def stage1_transform(p: ValidatedParams) -> Stage1Result:
+def stage1_transform(p: PhysicalParams) -> Stage1Result:
     """Apply the per-cavity squeezing transformation and collect coefficients.
 
     The transformed frequencies use the defining relation

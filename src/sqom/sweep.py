@@ -40,16 +40,15 @@ import numpy as np
 
 from . import _deferred
 from .elementwise import broadcast, distinct, take
-from .errors import TmsUnstable, ZeroCoupling
+from .errors import TMS_UNSTABLE, ZERO_COUPLING
 from .params import (
-    N_MINUS_DEFAULT,
-    N_PLUS_DEFAULT,
-    RESONANCE_FLOOR_DEFAULT,
     PhysicalParams,
+    PipelineOptions,
+    canonical_delta_phi,
     validate,
     validation_errors,
 )
-from .regime import F1_HI_DEFAULT, F1_LO_DEFAULT, TERMS, Branch, classify
+from .regime import TERMS, Branch, classify
 from .stage1 import stage1_transform
 
 # name -> module of the stages a column may need: imported when the stage
@@ -59,7 +58,6 @@ _STAGE_MODULES = {
     "rwa_validity_tms": "second_stage",
     "bs_couplings": "second_stage",
     "rwa_validity_bs": "second_stage",
-    "LaserInput": "laser",
     "laser_point": "laser",
 }
 
@@ -264,17 +262,6 @@ class GridSpec:
         return np.linspace(self.y_start, self.y_stop, self.y_steps)
 
 
-@dataclass(frozen=True)
-class PipelineOptions:
-    """Knobs shared by every evaluation; the CLI takes its defaults from here."""
-
-    f1_hi: float = F1_HI_DEFAULT
-    f1_lo: float = F1_LO_DEFAULT
-    n_plus: float = N_PLUS_DEFAULT
-    n_minus: float = N_MINUS_DEFAULT
-    resonance_floor: float = RESONANCE_FLOOR_DEFAULT
-
-
 def _check_axis(axis: str):
     if axis not in SWEEPABLE_AXES:
         raise ValueError(f"unknown axis {axis!r}; choose one of {', '.join(SWEEPABLE_AXES)}")
@@ -387,7 +374,7 @@ def _stage_columns(vp, s, stages, opts: PipelineOptions) -> dict:
     on_tms = regime.branch == Branch.TWO_MODE_SQUEEZING
     on_bs = regime.branch == Branch.BEAM_SPLITTER
     cells = {
-        "delta_phi": vp.delta_phi,
+        "delta_phi": canonical_delta_phi(vp.phi_d1, vp.phi_d2),
         **_flatten("", s),
         "f1": regime.f1,
         "f2": regime.f2,
@@ -402,7 +389,7 @@ def _stage_columns(vp, s, stages, opts: PipelineOptions) -> dict:
         # tms_couplings marks the points where the stage is unstable with r = NaN
         unstable = np.isnan(tms.r)
         _blank_where(tms_cells, unstable, list(tms_cells))
-        cells.update(tms_cells, tms_error=np.where(unstable, TmsUnstable.__name__, ""))
+        cells.update(tms_cells, tms_error=np.where(unstable, TMS_UNSTABLE, ""))
     if "bs" in stages:
         bs = _stage("bs_couplings")(s, vp)
         cells.update(_branch_columns(
@@ -423,12 +410,8 @@ def _laser_columns(vp, cells: dict, no_source, on_tms, opts: PipelineOptions) ->
         np.where(on_tms, cells["tms_" + k], cells["bs_" + k]) for k in ("w1", "w2", "gp12_abs")
     )
     res = _stage("laser_point")(
-        _stage("LaserInput")(
-            gp12_abs=gp12_abs, w1=w1, w2=w2, n_plus=opts.n_plus, n_minus=opts.n_minus
-        ),
-        vp.omega_m,
-        vp.kappa,
-        vp.gamma_m,
+        gp12_abs, w1, w2, vp.omega_m, vp.kappa, vp.gamma_m,
+        n_plus=opts.n_plus, n_minus=opts.n_minus,
     )
     laser = _flatten("laser_", res)
     zero = gp12_abs == 0.0  # an infinite threshold: ZeroCoupling (NaN without a source)
@@ -441,7 +424,7 @@ def _laser_columns(vp, cells: dict, no_source, on_tms, opts: PipelineOptions) ->
         "laser_gp12_abs": gp12_abs,
         **laser,
         "laser_error": np.select(
-            [no_source, zero], [TmsUnstable.__name__, ZeroCoupling.__name__], ""
+            [no_source, zero], [TMS_UNSTABLE, ZERO_COUPLING], ""
         ),
     }
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elementwise import cabs, div
-from .params import RESONANCE_FLOOR_DEFAULT
+from .params import PipelineOptions
 from .regime import TERMS  # the rows of a report
 
 
@@ -47,7 +47,7 @@ class ValidityReport:
 def rwa_validity(
     c,
     omega_m: float = 1.0,
-    resonance_floor: float = RESONANCE_FLOOR_DEFAULT,
+    resonance_floor: float = PipelineOptions.resonance_floor,
 ) -> ValidityReport:
     """Ratios for every interaction term kept or dropped around a branch.
 

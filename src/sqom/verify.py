@@ -11,15 +11,15 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import oracle
 from .elementwise import cabs, cosh, hypot, py_max, square, stack, tanh
-from .errors import NumericalDegeneracy
+from .errors import NUMERICAL_DEGENERACY, TMS_UNSTABLE
 from .oracle import METRIC_TOL
-from .params import PhysicalParams, ValidatedParams, validate
+from .params import PhysicalParams, validate
 from .regime import Branch
 from .second_stage import bs_couplings, tms_couplings
 from .stage1 import Stage1Result, stage1_transform
@@ -122,20 +122,20 @@ def random_branch_params(
     return random_valid_params(rng, _tms_exists), 0.05 + (0.95 - 0.05) * rng.random()
 
 
-def stacked(branch: Branch, drawn: list) -> tuple[ValidatedParams, Stage1Result]:
+def stacked(branch: Branch, drawn: list) -> tuple[PhysicalParams, Stage1Result]:
     """Sets drawn by `random_branch_params` as one validated batch and its
     stage 1 result; two-mode-squeezing sets get their rescaled hopping."""
     sets, u = zip(*drawn) if drawn else ((), ())
     vp = validate(stack(PhysicalParams, sets))
     s = stage1_transform(vp)
     if branch is Branch.TWO_MODE_SQUEEZING:
-        vp = replace(vp, j_hop=np.array(u) * s.omega_sum / (2.0 * cabs(s.lam2)))
+        vp = vp.replace(j_hop=np.array(u) * s.omega_sum / (2.0 * cabs(s.lam2)))
     return vp, s
 
 
 def random_sets(
     rng: np.random.Generator, branch: Branch, n: int
-) -> tuple[ValidatedParams, Stage1Result]:
+) -> tuple[PhysicalParams, Stage1Result]:
     """n random sets of `branch`, drawn one after another, as one batch."""
     return stacked(branch, [random_branch_params(rng, branch) for _ in range(n)])
 
@@ -159,7 +159,7 @@ def _worst(errors: np.ndarray) -> float:
     return float(np.max(errors, initial=0.0))
 
 
-def _identity_errors_tms(vp: ValidatedParams, s: Stage1Result) -> dict[str, np.ndarray]:
+def _identity_errors_tms(vp: PhysicalParams, s: Stage1Result) -> dict[str, np.ndarray]:
     c = tms_couplings(s, vp)
     g0, g0sq, ch2 = vp.g0, square(vp.g0), cosh(2.0 * s.r_d2)
     return {
@@ -176,7 +176,7 @@ def _identity_errors_tms(vp: ValidatedParams, s: Stage1Result) -> dict[str, np.n
     }
 
 
-def _identity_errors_bs(vp: ValidatedParams, s: Stage1Result) -> dict[str, np.ndarray]:
+def _identity_errors_bs(vp: PhysicalParams, s: Stage1Result) -> dict[str, np.ndarray]:
     c = bs_couplings(s, vp)
     g0, g0sq, ch2 = vp.g0, square(vp.g0), cosh(2.0 * s.r_d2)
     hyp = hypot(s.omega_diff, cabs(c.j_prime))
@@ -189,7 +189,7 @@ def _identity_errors_bs(vp: ValidatedParams, s: Stage1Result) -> dict[str, np.nd
 
 
 def run_verification(
-    vp: ValidatedParams, n_random: int, seed: int, oracle_rtol: float
+    vp: PhysicalParams, n_random: int, seed: int, oracle_rtol: float
 ) -> list[CheckRow]:
     """All checks at the configured point (a batch of one) plus `n_random`
     random sets per branch.
@@ -239,11 +239,11 @@ def run_verification(
     s = stage1_transform(vp)
     freqs = oracle.symplectic_frequencies(oracle.build_photonic_form(vp))
     unpaired = "" if freqs.paired.item() else (
-        f"exact frequencies cannot be paired here ({NumericalDegeneracy.__name__})")
+        f"exact frequencies cannot be paired here ({NUMERICAL_DEGENERACY})")
     checked = {}
     for label, c in (("tms", tms_couplings(s, vp)), ("bs", bs_couplings(s, vp))):
         unchecked = (label == "tms" and math.isnan(c.r.item())
-                     and "branch transformation undefined here (TmsUnstable)") or unpaired
+                     and f"branch transformation undefined here ({TMS_UNSTABLE})") or unpaired
         if unchecked:
             add(f"config_point[{label}]", math.nan, math.nan, unchecked, status="info")
         else:

@@ -10,7 +10,6 @@ from scipy.optimize import brentq
 from sqom import (
     Branch,
     GridSpec,
-    LaserInput,
     SweepSpec,
     extract_contours,
     laser,
@@ -170,17 +169,15 @@ def test_criterion_5_threshold_dips():
 def test_criterion_6_laser_formula_suite():
     gm, kappa = 0.001, 0.05
     # on resonance with |gp12| = 1 and kappa = 4 the gain is N+ exactly
-    assert laser_point(LaserInput(1.0, 2.0, 1.0, n_plus=gm), 1.0, 4.0, gm).n_b == 1.0
+    assert laser_point(1.0, 2.0, 1.0, 1.0, 4.0, gm, n_plus=gm).n_b == 1.0
 
-    th = laser_point(LaserInput(0.04, 2.3, 1.0), 1.0, kappa, gm)
-    gain = laser_point(
-        LaserInput(0.04, 2.3, 1.0, n_plus=th.n_threshold), 1.0, kappa, gm
-    ).gain
+    th = laser_point(0.04, 2.3, 1.0, 1.0, kappa, gm)
+    gain = laser_point(0.04, 2.3, 1.0, 1.0, kappa, gm, n_plus=th.n_threshold).gain
     assert abs(gain - gm) <= 1e-12 * gm
     assert th.p_threshold == th.n_threshold * kappa * 2.3
 
     scan = [
-        laser_point(LaserInput(0.04, 2.0 + d, 1.0, 1.0), 1.0, kappa, gm).gain
+        laser_point(0.04, 2.0 + d, 1.0, 1.0, kappa, gm, n_plus=1.0).gain
         for d in np.linspace(-1.0, 1.0, 201)
     ]
     assert np.argmax(scan) == 100  # resonance W1 - W2 = omega_m

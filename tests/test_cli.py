@@ -13,6 +13,7 @@ import pytest
 import sqom
 from sqom import cli
 from sqom.cli import build_parser, main
+from sqom.sweep import rows_to_csv
 
 LASER_PARAMS = {
     "delta1": 20, "delta2": 100, "lambda1": 9.94, "lambda2": 49.99,
@@ -113,6 +114,58 @@ def test_verify_rejects_negative_seed(laser_config, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: --seed must be >= 0, got -1\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("value, message", [
+    ("nan", "--rel-tol must be finite, got nan"),
+    ("inf", "--rel-tol must be finite, got inf"),
+    ("-0.5", "--rel-tol must be >= 0, got -0.5"),
+])
+def test_verify_rejects_a_non_finite_or_negative_rel_tol(value, message, laser_config, capsys):
+    assert main(["verify", "--config", laser_config, f"--rel-tol={value}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+# the arguments each pipeline subcommand needs besides its config
+PIPELINE_ARGS = {
+    "analyze": [],
+    "sweep": ["--axis", "delta_phi", "--from", "0", "--to", "1", "--steps", "3"],
+    "grid": ["--x-axis", "delta_phi", "--x-from", "0", "--x-to", "1", "--x-steps", "2",
+             "--y-axis", "g0", "--y-from", "0.001", "--y-to", "0.002", "--y-steps", "2"],
+    "laser-sweep": ["--steps", "3"],
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command in PIPELINE_ARGS
+    for flag in ("--n-plus", "--n-minus", "--resonance-floor")
+    if command != "grid" or flag == "--resonance-floor"
+])
+def test_a_pipeline_option_must_be_finite(command, flag, value, laser_config, capsys):
+    argv = [command, "--config", laser_config, *PIPELINE_ARGS[command], f"{flag}={value}"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {flag} must be finite, got {float(value)}\n"
+    assert captured.out == ""
+
+
+def test_the_config_and_the_flags_both_reach_the_pipeline(tmp_path, capsys):
+    # at delta_phi = 0 the boundary set has f1 = 1.009 and f2 > 0: intermediate
+    # under the default f1_hi = 10, two-mode squeezing under f1_hi = 1
+    path = tmp_path / "boundary.json"
+    path.write_text(json.dumps(dict(BOUNDARY_PARAMS, f1_hi=1.0)))
+    assert main(["analyze", "--config", str(path), "--n-plus", "2"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    params = sqom.PhysicalParams(**{k: float(v) for k, v in BOUNDARY_PARAMS.items()})
+    want = sqom.analyze(params, sqom.PipelineOptions(f1_hi=1.0, n_plus=2.0))
+    assert row == rows_to_csv([want], header.split(",")).splitlines()[1]
+    default = sqom.analyze(params)
+    for name in ("branch", "laser_gain"):
+        assert want[name] != default[name]
+    assert (default["branch"], want["branch"]) == ("intermediate", "tms")
 
 
 def test_contours_short_header_exit_1(tmp_path, capsys):

@@ -26,8 +26,8 @@ from hypothesis import strategies as st
 
 from sqom import (
     Branch,
-    LaserInput,
     PhysicalParams,
+    PipelineOptions,
     SqomError,
     canonical_delta_phi,
     classify,
@@ -41,7 +41,7 @@ from sqom.elementwise import cabs, div, rmul, stack, take
 from sqom.params import validation_errors
 from sqom.second_stage import bs_couplings, mixing_angle, tms_couplings
 from sqom.stage1 import squeeze_param
-from sqom.validity import RESONANCE_FLOOR_DEFAULT, rwa_validity
+from sqom.validity import rwa_validity
 
 from conftest import batch, oracle_report, oracle_stages
 
@@ -213,7 +213,7 @@ FOLD_POOL = [0.0, -0.0, NAN, math.inf, -math.inf, 5e-10, 0.5, -0.5, 1.0, 2.0, 1e
 FOLD_POINT = st.tuples(*[st.sampled_from(FOLD_POOL)] * 13)
 
 
-def _reference_validity(w1, w2, omega_m, g1, g2, *parts, floor=RESONANCE_FLOOR_DEFAULT):
+def _reference_validity(w1, w2, omega_m, g1, g2, *parts, floor=PipelineOptions.resonance_floor):
     """One point's report with Python's min() and max() on its floats: the
     gaps, ratios and hits in the order of TERMS, the largest ratio without a
     hit (0 if every term hits) and whether any term hits."""
@@ -311,12 +311,13 @@ def test_stage_functions_array_equals_pointwise(items):
     bs = bs_couplings(s, vp)
     tms_validity = rwa_validity(tms, vp.omega_m)
     bs_validity = rwa_validity(bs, vp.omega_m)
-    laser = laser_point(LaserInput(cabs(bs.gp12), bs.w1, bs.w2), vp.omega_m, vp.kappa, vp.gamma_m)
+    laser = laser_point(cabs(bs.gp12), bs.w1, bs.w2, vp.omega_m, vp.kappa, vp.gamma_m)
+    delta_phis = canonical_delta_phi(vp.phi_d1, vp.phi_d2)
     for i, p in enumerate(good):
         vpi = validate(batch(p))
         assert_same(vp, vpi, i)
         delta_phi = canonical_delta_phi(vpi.phi_d1, vpi.phi_d2)
-        assert _bits(_element(delta_phi, 0)) == _bits(_element(vp.delta_phi, i))
+        assert _bits(_element(delta_phi, 0)) == _bits(_element(delta_phis, i))
         r_d2 = squeeze_param(vpi.delta2, vpi.lambda2)
         assert _bits(_element(r_d2, 0)) == _bits(_element(s.r_d2, i))
         si = stage1_transform(vpi)
@@ -332,7 +333,7 @@ def test_stage_functions_array_equals_pointwise(items):
         assert _bits(_element(theta, 0)) == _bits(_element(bs.theta, i))
         # j_hop = 0 gives gp12 = 0, where the threshold is NaN
         laseri = laser_point(
-            LaserInput(cabs(bsi.gp12), bsi.w1, bsi.w2), vpi.omega_m, vpi.kappa, vpi.gamma_m
+            cabs(bsi.gp12), bsi.w1, bsi.w2, vpi.omega_m, vpi.kappa, vpi.gamma_m
         )
         assert_same(laser, laseri, i)
 
@@ -385,10 +386,10 @@ LASER_POINTS = st.lists(
 @settings(max_examples=60, deadline=None)
 def test_laser_array_equals_pointwise(items, n_plus, n_minus):
     g, w1, w2, kappa, gamma_m = (np.array(col) for col in zip(*items))
-    res = laser_point(LaserInput(g, w1, w2, n_plus, n_minus), 1.0, kappa, gamma_m)
+    res = laser_point(g, w1, w2, 1.0, kappa, gamma_m, n_plus, n_minus)
     for i, values in enumerate(items):
         gi, w1i, w2i, ki, gmi = (np.array([v]) for v in values)
-        want = laser_point(LaserInput(gi, w1i, w2i, n_plus, n_minus), 1.0, ki, gmi)
+        want = laser_point(gi, w1i, w2i, 1.0, ki, gmi, n_plus, n_minus)
         assert_same(res, want, i)  # |gp12| = 0: NaN threshold in both
 
 

@@ -161,7 +161,7 @@ def test_form_structure_on_random_sets(rng):
 
 def test_decoupled_frequencies_match_stage1(rng):
     vps, ss = random_sets(rng, Branch.BEAM_SPLITTER, 100)
-    vps = validate(vps.as_physical().replace(j_hop=np.zeros(100)))
+    vps = validate(vps.replace(j_hop=np.zeros(100)))
     all_freqs = symplectic_frequencies(build_photonic_form(vps))
     for s, freqs in zip(points(ss), points(all_freqs)):
         expected = sorted([abs(s.omega_s1), abs(s.omega_s2)])
@@ -373,7 +373,7 @@ def test_frequency_invariance_global_phase(rng):
     vps, _ = stacked(Branch.BEAM_SPLITTER, drawn[::2])
     shift = np.array(drawn[1::2])
     shifted = validate(
-        vps.as_physical().replace(phi_d1=vps.phi_d1 + shift, phi_d2=vps.phi_d2 + shift)
+        vps.replace(phi_d1=vps.phi_d1 + shift, phi_d2=vps.phi_d2 + shift)
     )
     f0s = points(symplectic_frequencies(build_photonic_form(vps)))
     f1s = points(symplectic_frequencies(build_photonic_form(shifted)))

@@ -23,9 +23,10 @@ from conftest import arr, batch, laser_set, point, strong_drive_set
 
 def test_strong_drive_set_is_valid():
     # 4000 > 2*1997.96 = 3995.92 on both cavities
-    vp = point(validate(batch(strong_drive_set())))
+    vpb = validate(batch(strong_drive_set()))
+    vp = point(vpb)
     assert vp.delta1 == -4000.0
-    assert vp.delta_phi == pytest.approx(math.pi)
+    assert canonical_delta_phi(vpb.phi_d1, vpb.phi_d2).item() == pytest.approx(math.pi)
 
 
 def test_laser_set_is_valid():
@@ -79,7 +80,7 @@ def test_omega_m_pinned_to_one():
 
 def test_validate_is_idempotent():
     vp = point(validate(batch(laser_set())))
-    again = point(validate(batch(vp.as_physical())))
+    again = point(validate(batch(vp)))
     assert again == vp
 
 
@@ -112,10 +113,10 @@ GOOD = {
 
 
 def test_parse_config_defaults():
-    cfg = parse_config(dict(GOOD))
-    assert cfg.params.phi_d1 == 0.0
-    assert cfg.params.omega_m == 1.0
-    assert cfg.f1_hi == 10.0 and cfg.f1_lo == 0.1
+    params, opts = parse_config(dict(GOOD))
+    assert params.phi_d1 == 0.0
+    assert params.omega_m == 1.0
+    assert opts.f1_hi == 10.0 and opts.f1_lo == 0.1
 
 
 def test_parse_config_unknown_key():
@@ -156,8 +157,8 @@ def test_parse_config_threshold_order():
 def test_load_config_roundtrip(tmp_path):
     path = tmp_path / "params.json"
     path.write_text(json.dumps(GOOD))
-    cfg = load_config(path)
-    assert cfg.params.delta2 == 100.0
+    params, _ = load_config(path)
+    assert params.delta2 == 100.0
 
 
 def test_load_config_bad_json(tmp_path):

@@ -265,11 +265,11 @@ def test_analyze_laser_block_matches_direct_laser_call():
     opts = PipelineOptions(n_plus=2.0)
     row = analyze(laser_set(), opts)
     assert row["laser_source"] == "bs"
-    from sqom import LaserInput, laser_point
+    from sqom import laser_point
 
     res = on_one_point(laser_point)(
-        LaserInput(row["bs_gp12_abs"], row["bs_w1"], row["bs_w2"], n_plus=2.0),
-        1.0, laser_set().kappa, laser_set().gamma_m,
+        row["bs_gp12_abs"], row["bs_w1"], row["bs_w2"],
+        1.0, laser_set().kappa, laser_set().gamma_m, n_plus=2.0,
     )
     assert row["laser_gain"] == res.gain
     assert row["laser_n_threshold"] == res.n_threshold
