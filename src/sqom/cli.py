@@ -29,6 +29,7 @@ from .sweep import (
     grid_columns,
     grid_csv_rows,
     laser_rows,
+    row_blocks,
     run_grid,
     run_sweep,
     sweep_columns,
@@ -50,13 +51,20 @@ def _command(name: str):
 __getattr__ = _command  # PEP 562: sqom.cli.run_verification before verify ran
 
 
-def _emit(rows, columns, out_path: str | None) -> None:
+def _emit(blocks, columns, out_path: str | None) -> None:
+    """Write `blocks`, each a Table or an iterable of row dicts, as one CSV:
+    the header, then each block's rows as soon as the block comes, so a
+    generator of blocks holds one block at a time."""
+    def write(out) -> None:
+        for i, rows in enumerate(blocks):
+            write_csv(rows, columns, out, header=i == 0)
+
     if out_path is None:
-        write_csv(rows, columns, sys.stdout)
+        write(sys.stdout)
     else:
         try:
             with open(out_path, "w", newline="") as fh:
-                write_csv(rows, columns, fh)
+                write(fh)
         except OSError as exc:
             raise ConfigError(f"cannot write output file {out_path}: {exc}") from exc
 
@@ -89,7 +97,7 @@ def _parse_outputs(text: str | None):
 def cmd_analyze(args) -> int:
     row = analyze(*_load(args))
     columns = list(COLUMNS) + list(ORACLE_COLUMNS)
-    _emit([row], columns, args.out)
+    _emit([[row]], columns, args.out)
     return 0
 
 
@@ -102,8 +110,9 @@ def cmd_sweep(args) -> int:
         steps=args.steps,
         outputs=_parse_outputs(args.outputs),
     )
-    rows = run_sweep(params, spec, opts)
-    _emit(sweep_csv_rows(rows, spec), sweep_columns(spec), args.out)
+    blocks = (sweep_csv_rows(run_sweep(params, spec, opts, rows), spec)
+              for rows in row_blocks(spec.steps, spec.outputs))
+    _emit(blocks, sweep_columns(spec), args.out)
     return 0
 
 
@@ -120,8 +129,9 @@ def cmd_grid(args) -> int:
         y_steps=args.y_steps,
         outputs=GridSpec.outputs if args.outputs is None else _parse_outputs(args.outputs),
     )
-    rows = run_grid(params, spec, opts)
-    _emit(grid_csv_rows(rows, spec), grid_columns(spec), args.out)
+    blocks = (grid_csv_rows(run_grid(params, spec, opts, rows), spec)
+              for rows in row_blocks(spec.x_steps * spec.y_steps, spec.outputs))
+    _emit(blocks, grid_columns(spec), args.out)
     return 0
 
 
@@ -131,12 +141,18 @@ def cmd_laser_sweep(args) -> int:
         axis=args.axis, start=args.from_, stop=args.to, steps=args.steps,
         outputs=LASER_SWEEP_OUTPUTS,
     )
-    rows = run_sweep(params, spec, opts)
-    out, columns = laser_rows(rows), LASER_COLUMN_NAMES
-    if spec.axis != "delta_phi":  # delta_phi leads already, canonical
-        out[spec.axis] = rows["axis_value"]
-        columns = [spec.axis] + columns
-    _emit(out, columns, args.out)
+    # delta_phi leads the projection already, canonical; another axis leads raw
+    axis = [] if spec.axis == "delta_phi" else [spec.axis]
+
+    def blocks():
+        for rows in row_blocks(spec.steps, spec.outputs):
+            table = run_sweep(params, spec, opts, rows)
+            out = laser_rows(table)
+            for name in axis:
+                out[name] = table["axis_value"]
+            yield out
+
+    _emit(blocks(), axis + LASER_COLUMN_NAMES, args.out)
     return 0
 
 
@@ -147,7 +163,7 @@ def cmd_contours(args) -> int:
     contour_set = _command("extract_contours")(xs, ys, values, args.level)
     for level in contour_set.empty_levels():
         print(f"note: level {level:g} never crosses field {field}", file=sys.stderr)
-    _emit(contour_table(contour_set, field), CONTOUR_COLUMNS, args.out)
+    _emit([contour_table(contour_set, field)], CONTOUR_COLUMNS, args.out)
     return 0
 
 
@@ -163,7 +179,7 @@ def cmd_verify(args) -> int:
         validate(broadcast(params, 1)),
         n_random=args.random, seed=args.seed, oracle_rtol=args.rel_tol,
     )
-    _emit(map(vars, rows), [f.name for f in fields(CheckRow)], args.out)
+    _emit([map(vars, rows)], [f.name for f in fields(CheckRow)], args.out)
     return 0 if all_passed(rows) else 2
 
 

@@ -105,7 +105,7 @@ def build_photonic_form(p: PhysicalParams) -> np.ndarray:
     # (1/2) a^dag Q a^dag with symmetric Q reproduces lambda e^{-i phi} a^dag^2
     # for Q_jj = 2 lambda_j e^{-i phi_dj}.
     Q[:, 0, 0], Q[:, 1, 1] = rmul((2.0 * p.lambda1, 2.0 * p.lambda2),
-                                  (np.exp(-1j * p.phi_d1), np.exp(-1j * p.phi_d2)))
+                                  (cis_neg(p.phi_d1), cis_neg(p.phi_d2)))
     return _bdg(P, Q)
 
 
@@ -114,7 +114,7 @@ def stage1_map(p: PhysicalParams, s: Stage1Result) -> np.ndarray:
     U, V = _zeros(len(s.r_d1)), _zeros(len(s.r_d1))
     U[:, 0, 0], U[:, 1, 1] = cosh(s.r_d1), cosh(s.r_d2)
     V[:, 0, 0], V[:, 1, 1] = rmul((sinh(s.r_d1), sinh(s.r_d2)),
-                                  (-np.exp(-1j * p.phi_d1), -np.exp(-1j * p.phi_d2)))
+                                  (-cis_neg(p.phi_d1), -cis_neg(p.phi_d2)))
     return _bogoliubov(U, V)
 
 

@@ -1,14 +1,20 @@
 """Single-point analysis, 1-D sweeps and 2-D grids with CSV emission.
 
-The pipeline is columnar: a sweep or grid builds one array per parameter
-over all its points, and each stage (validate -> stage 1 -> regime -> both
+The pipeline is columnar: an evaluation builds one array per parameter over
+its points, and each stage (validate -> stage 1 -> regime -> both
 second-stage branches -> validity -> laser -> oracle) runs at most once on
 those arrays. A stage runs only when a requested column needs it (`NEEDS`; a
 branch runs with its validity report): the `f1,f2,branch` regime map stops
 after `classify`, and the table it returns holds only the requested columns
-plus `error`. `evaluate_point` and `analyze` are the length-1 case of the
-same evaluator with every column (`analyze` adds the oracle's), so a sweep
-row and a single-point analysis of the same parameters agree field by field.
+plus `error`. `run_sweep` and `run_grid` evaluate the rows they are asked
+for, all by default; the CLI asks for one block of rows at a time
+(`row_blocks`: at most BLOCK_CELLS returned cells, 1927 rows of the full
+sweep, one block for a regime map of up to 32 768 points) and writes each
+block before it evaluates the next, so the stages run once per block, not
+once per sweep, and peak memory does not grow with the point count.
+`evaluate_point` and `analyze` are the length-1 case of the same evaluator
+with every column (`analyze` adds the oracle's), so a sweep row and a
+single-point analysis of the same parameters agree field by field.
 Per-point failures (e.g. the two-mode-squeezing stage refusing) never abort
 a sweep: they become masks, numeric cells keep a NaN sentinel and the typed
 error name lands in the matching error column.
@@ -26,15 +32,16 @@ bits match a call per element. See `elementwise`.
 
 CSV conventions: header row, fixed column order (see COLUMNS), '.' decimal
 separator, 17 significant digits, 'nan' sentinel, lowercase true/false.
-Identical inputs produce byte-identical output. `write_csv` formats a table
-column by column, one %-format per float column, and formats each distinct
-value of a float, int, bool or str column once.
+Identical inputs produce byte-identical output, whatever the blocks: a row
+never depends on its batch. `write_csv` formats a table column by column,
+one %-format per float column, and formats each distinct value of a float,
+int, bool or str column once.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -164,12 +171,15 @@ COLUMNS = tuple(name for name, _ in COLUMN_SCHEMA)
 def _column_needs(name: str) -> frozenset:
     """The stages column `name` needs beyond validation, read off its prefix.
 
-    Every column but `error` needs stage 1, which runs with `classify`. A
-    `tms_`/`bs_` column needs that branch, which runs with its validity
-    report. The `laser_` and `oracle_` blocks need both branches.
+    Every column but `error` needs stage 1, which runs with `classify`;
+    `delta_phi` needs the fold of the phases too. A `tms_`/`bs_` column needs
+    that branch, which runs with its validity report. The `laser_` and
+    `oracle_` blocks need both branches.
     """
     if name == "error":
         return frozenset()
+    if name == "delta_phi":
+        return frozenset({"stage1", "delta_phi"})
     for branch in ("tms", "bs"):
         if name.startswith(branch + "_"):
             return frozenset({"stage1", branch})
@@ -225,6 +235,7 @@ class SweepSpec:
 
     def __post_init__(self):
         _check_axis(self.axis)
+        _check_span(self.axis, self.start, self.stop)
         _check_steps(self.steps)
         _check_outputs(self.outputs)
 
@@ -251,6 +262,8 @@ class GridSpec:
         _check_axis(self.y_axis)
         if self.x_axis == self.y_axis:
             raise ValueError(f"grid axes must differ, both are {self.x_axis!r}")
+        _check_span(self.x_axis, self.x_start, self.x_stop)
+        _check_span(self.y_axis, self.y_start, self.y_stop)
         _check_steps(self.x_steps)
         _check_steps(self.y_steps)
         _check_outputs(self.outputs)
@@ -265,6 +278,17 @@ class GridSpec:
 def _check_axis(axis: str):
     if axis not in SWEEPABLE_AXES:
         raise ValueError(f"unknown axis {axis!r}; choose one of {', '.join(SWEEPABLE_AXES)}")
+
+
+def _check_span(axis: str, start: float, stop: float):
+    """Refuse a non-finite endpoint, and a span `stop - start` that overflows:
+    linspace would write NaN points there."""
+    start, stop = float(start), float(stop)
+    if not all(map(math.isfinite, (start, stop, stop - start))):
+        raise ValueError(
+            f"the {axis} axis from {start!r} to {stop!r}: its endpoints and their span "
+            "must be finite"
+        )
 
 
 def _check_steps(steps: int):
@@ -374,13 +398,14 @@ def _stage_columns(vp, s, stages, opts: PipelineOptions) -> dict:
     on_tms = regime.branch == Branch.TWO_MODE_SQUEEZING
     on_bs = regime.branch == Branch.BEAM_SPLITTER
     cells = {
-        "delta_phi": canonical_delta_phi(vp.phi_d1, vp.phi_d2),
         **_flatten("", s),
         "f1": regime.f1,
         "f2": regime.f2,
         "f1_degenerate": regime.f1_degenerate,
         "branch": _BRANCH_NAMES[np.where(on_tms, 0, np.where(on_bs, 1, 2))],
     }
+    if "delta_phi" in stages:
+        cells["delta_phi"] = canonical_delta_phi(vp.phi_d1, vp.phi_d2)
     if "tms" in stages:
         tms = _stage("tms_couplings")(s, vp)
         tms_cells = _branch_columns(
@@ -458,6 +483,26 @@ def _oracle_columns(vp, s, tms, bs, unstable, on_tms) -> dict:
     return cells
 
 
+def _returned_columns(outputs) -> list[str]:
+    """The columns `_evaluate` returns for `outputs`: those plus `error`, in
+    schema order."""
+    wanted = {"error", *(COLUMNS if outputs is None else outputs)}
+    return [name for name in _KIND if name in wanted]
+
+
+# The cells one block of a CLI sweep or grid may hold (`row_blocks`); its
+# stage temporaries and CSV text scale with them.
+BLOCK_CELLS = 2**17
+
+
+def row_blocks(n: int, outputs) -> Iterator[slice]:
+    """The consecutive slices of `n` points that a CLI sweep or grid with
+    `outputs` (None: COLUMNS) evaluates and writes one at a time: as many
+    rows each as BLOCK_CELLS holds of the columns `_evaluate` returns."""
+    size = max(1, BLOCK_CELLS // len(_returned_columns(outputs)))
+    return (slice(start, min(start + size, n)) for start in range(0, n, size))
+
+
 def _evaluate(params: PhysicalParams, opts: PipelineOptions, outputs=None) -> dict:
     """The pipeline over parameter arrays, each stage called at most once for
     all points, and only when one of `outputs` (None: COLUMNS) needs it
@@ -469,8 +514,7 @@ def _evaluate(params: PhysicalParams, opts: PipelineOptions, outputs=None) -> di
     the error would leave blank in a point-by-point evaluation, and the error
     name lands in its column.
     """
-    wanted = {"error", *(COLUMNS if outputs is None else outputs)}
-    columns = dict.fromkeys(name for name in _KIND if name in wanted)  # schema order
+    columns = dict.fromkeys(_returned_columns(outputs))
     names = [name for name in columns if name != "error"]
     stages = frozenset().union(*(NEEDS[name] for name in names))
     errors = validation_errors(params)
@@ -511,16 +555,18 @@ def run_sweep(
     params: PhysicalParams,
     spec: SweepSpec,
     opts: PipelineOptions = PipelineOptions(),
+    rows: slice = slice(None),
 ) -> Table:
-    """One row per axis value, all evaluated at once; the table holds the
-    spec's outputs (every column without them) plus `error`.
+    """One row per axis value that `rows` selects (all by default), evaluated
+    at once; the table holds the spec's outputs (every column without them)
+    plus `error`.
 
     The requested (raw) axis value is stored under 'axis_value'; the
     pipeline's own delta_phi column stays canonical in [0, 2*pi), so a sweep
     row agrees with the single-point analysis field by field even at the
     2*pi endpoint.
     """
-    values = spec.values()
+    values = spec.values()[rows]
     point = apply_axis(broadcast(params, len(values)), spec.axis, values)
     table = Table(_evaluate(point, opts, spec.outputs))
     table["axis_value"] = values
@@ -545,21 +591,23 @@ def run_grid(
     params: PhysicalParams,
     spec: GridSpec,
     opts: PipelineOptions = PipelineOptions(),
+    rows: slice = slice(None),
 ) -> Table:
-    """Dense row-major grid of the spec's outputs plus `error`; failed points
-    carry sentinels, never abort.
+    """Dense row-major grid of the spec's outputs plus `error`, the rows that
+    `rows` selects (all by default); failed points carry sentinels, never
+    abort.
 
     Raw axis coordinates are stored under 'x_value'/'y_value' plus the
     integer indices, so the emitted file reconstructs the exact grid
     geometry regardless of any phase canonicalization.
     """
-    nx, ny = spec.x_steps, spec.y_steps
-    x = np.tile(spec.x_values(), ny)
-    y = np.repeat(spec.y_values(), nx)
-    point = apply_axis(apply_axis(broadcast(params, nx * ny), spec.y_axis, y), spec.x_axis, x)
+    index = range(spec.x_steps * spec.y_steps)[rows]
+    y_index, x_index = np.divmod(np.arange(index.start, index.stop, index.step), spec.x_steps)
+    x, y = spec.x_values()[x_index], spec.y_values()[y_index]
+    point = apply_axis(apply_axis(broadcast(params, len(x)), spec.y_axis, y), spec.x_axis, x)
     table = Table(_evaluate(point, opts, spec.outputs))
-    table["x_index"] = np.tile(np.arange(nx), ny)
-    table["y_index"] = np.repeat(np.arange(ny), nx)
+    table["x_index"] = x_index
+    table["y_index"] = y_index
     table["x_value"] = x
     table["y_value"] = y
     return table
@@ -622,13 +670,16 @@ def _format_column(values: np.ndarray) -> list[str]:
     return list(map(text.__getitem__, inverse.tolist()))
 
 
-def write_csv(rows: Table | Iterable[dict], columns: list[str], out: TextIO) -> None:
-    """Header plus one line per row.
+def write_csv(
+    rows: Table | Iterable[dict], columns: list[str], out: TextIO, header: bool = True
+) -> None:
+    """Header (unless `header` is false) plus one line per row.
 
     `rows` is a Table, formatted column by column in chunks, or any iterable
     of row dicts, formatted row by row (a missing key is an empty cell).
     """
-    out.write(",".join(columns) + "\n")
+    if header:
+        out.write(",".join(columns) + "\n")
     if not isinstance(rows, Table):
         for row in rows:
             out.write(",".join([format_cell(row.get(c)) for c in columns]) + "\n")

@@ -248,6 +248,28 @@ def test_bad_axis_exit_1(laser_config, capsys):
     assert "axis" in capsys.readouterr().err
 
 
+_GRID_X = ["--x-axis", "lambda1", "--x-from", "198", "--x-to", "199", "--x-steps", "3"]
+_GRID_Y = ["--y-axis", "delta_phi", "--y-from", "0", "--y-to", "3", "--y-steps", "3"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--axis", "delta_phi", "--from", "nan", "--to", "1", "--steps", "3"],
+    ["sweep", "--axis", "delta_phi", "--from", "0", "--to", "inf", "--steps", "3"],
+    ["sweep", "--axis", "delta1", "--from=-1e308", "--to=1e308", "--steps", "3"],  # span overflows
+    ["grid", "--x-axis", "lambda1", "--x-from", "198", "--x-to", "nan", "--x-steps", "3",
+     *_GRID_Y],
+    ["grid", *_GRID_X, "--y-axis", "delta_phi", "--y-from=-inf", "--y-to", "3", "--y-steps", "3"],
+    ["laser-sweep", "--to", "inf", "--steps", "3"],
+    ["laser-sweep", "--axis", "g0", "--from", "0", "--to", "nan", "--steps", "3"],
+])
+def test_a_non_finite_axis_exit_1(argv, laser_config, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    code = main([argv[0], "--config", laser_config, *argv[1:], "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error: ") and err.endswith("must be finite\n"), err
+    assert not out.exists()
+
+
 def test_sweep_deterministic_bytes(laser_config, tmp_path):
     args = [
         "sweep", "--config", laser_config, "--axis", "delta_phi",

@@ -48,6 +48,20 @@ def test_spec_validation():
         )
 
 
+@pytest.mark.parametrize("start, stop", [
+    (math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0), (-1e308, 1e308),  # the span overflows
+])
+def test_spec_refuses_a_non_finite_axis(start, stop):
+    with pytest.raises(ValueError, match="must be finite"):
+        SweepSpec(axis="delta1", start=start, stop=stop, steps=3)
+    with pytest.raises(ValueError, match="must be finite"):
+        GridSpec(x_axis="delta1", x_start=start, x_stop=stop, x_steps=3,
+                 y_axis="delta_phi", y_start=0.0, y_stop=1.0, y_steps=3)
+    with pytest.raises(ValueError, match="must be finite"):
+        GridSpec(x_axis="delta_phi", x_start=0.0, x_stop=1.0, x_steps=3,
+                 y_axis="delta1", y_start=start, y_stop=stop, y_steps=3)
+
+
 def test_delta_phi_axis_moves_phi_d1_only():
     base = laser_set().replace(phi_d1=0.0, phi_d2=0.4)
     moved = apply_axis(base, "delta_phi", 1.0)
@@ -463,6 +477,43 @@ def test_only_the_needed_stages_run(stage_calls, outputs, expected):
     spec = SweepSpec(axis="delta_phi", start=0.0, stop=2.0 * math.pi, steps=7, outputs=outputs)
     run_sweep(laser_set(), spec)
     assert stage_calls == {name: expected.get(name, 0) for name in _STAGE_FUNCTIONS}
+
+
+@pytest.mark.parametrize("outputs, calls", [
+    (("f1", "f2", "branch"), 0), (("tms_g1", "error"), 0), (("delta_phi",), 1), (None, 1),
+])
+def test_the_phase_fold_runs_only_for_the_delta_phi_column(outputs, calls, monkeypatch):
+    from sqom import sweep
+
+    folds = []
+    fold = sweep.canonical_delta_phi
+    monkeypatch.setattr(sweep, "canonical_delta_phi", lambda *a: folds.append(1) or fold(*a))
+    spec = GridSpec(
+        x_axis="lambda1", x_start=197.2, x_stop=199.9, x_steps=4,
+        y_axis="delta_phi", y_start=0.0, y_stop=2.0 * math.pi, y_steps=4, outputs=COLUMNS,
+    )
+    full = run_grid(boundary_set(), spec)
+    folds.clear()
+    narrow = run_grid(boundary_set(), dataclasses.replace(spec, outputs=outputs or COLUMNS))
+    assert len(folds) == calls
+    _assert_projection(narrow, full, outputs or COLUMNS,
+                       ["x_index", "y_index", "x_value", "y_value"])
+
+
+@pytest.mark.parametrize("rows", [slice(0, 5), slice(5, 11), slice(11, 12), slice(3, 3)])
+def test_a_slice_of_rows_is_that_slice_of_the_whole_table(rows):
+    sweep_spec = SweepSpec(axis="lambda2", start=49.0, stop=51.0, steps=12)
+    grid_spec = GridSpec(
+        x_axis="delta_phi", x_start=0.0, x_stop=2.0 * math.pi, x_steps=3,
+        y_axis="lambda2", y_start=49.0, y_stop=51.0, y_steps=4, outputs=COLUMNS,
+    )
+    for run, spec in ((run_sweep, sweep_spec), (run_grid, grid_spec)):
+        whole, part = run(laser_set(), spec), run(laser_set(), spec, rows=rows)
+        names = list(whole.columns)
+        assert list(part.columns) == names
+        # a flag column is bool, or object where a point of the batch is blank
+        sliced = Table({name: column[rows] for name, column in whole.columns.items()})
+        assert rows_to_csv(part, names) == rows_to_csv(sliced, names)
 
 
 def test_regime_map_grid_runs_no_branch(stage_calls):
