@@ -10,8 +10,9 @@ chained into polylines deterministically (row-major cell order, endpoint
 matching on a rounded key).
 
 `read_grid_file` reads back the grid CSV that `sqom grid` writes: numpy's C
-parser where it reads the file as csv and int()/float() would, the csv
-module otherwise (the README gives the rules).
+parser, with no Python call per line or per cell, where it reads the file as
+csv and int()/float() would; the csv module otherwise, an empty value cell
+(a NaN) included (the README gives the rules).
 """
 from __future__ import annotations
 
@@ -137,7 +138,8 @@ def extract_contours(
     x_values, y_values : 1-D arrays of the axis sample positions.
     field : 2-D array indexed as field[y_index, x_index]; NaN marks failed
         sample points, whose surrounding cells are skipped.
-    levels : contour levels to extract.
+    levels : contour levels to extract, finite and distinct (0.0 and -0.0
+        are one level).
     """
     xs = np.asarray(x_values, dtype=float)
     ys = np.asarray(y_values, dtype=float)
@@ -148,6 +150,9 @@ def extract_contours(
         )
     if any(not np.isfinite(lv) for lv in levels):
         raise ValueError("contour levels must be finite")
+    repeated = [lv for lv in dict.fromkeys(levels) if levels.count(lv) > 1]  # 0.0 == -0.0
+    if repeated:
+        raise ValueError(f"repeated contour level(s): {', '.join(f'{lv:g}' for lv in repeated)}")
     corners = (f[:-1, :-1], f[:-1, 1:], f[1:, 1:], f[1:, :-1])
     finite = np.logical_and.reduce([np.isfinite(v) for v in corners])
     result: dict[float, list[np.ndarray]] = {}
@@ -231,19 +236,20 @@ def _loadtxt_columns(path: str, usecols: list):
     """The kept columns by numpy's C parser, or None for a file it may read
     otherwise than csv and int()/float(): one that is not ASCII (numpy takes
     some letters for digits), quotes, holds a separator \\x1c-\\x1f (numpy
-    strips those), keeps a column twice, or that numpy refuses or warns about
-    (numpy < 2 reads '1.0' as the integer 1 with a DeprecationWarning)."""
+    strips those) or \\x0b, \\x0c (splitlines ends a line there), keeps a
+    column twice, or that numpy refuses or warns about (an empty value cell;
+    numpy < 2 reads '1.0' as the integer 1 with a DeprecationWarning)."""
     with open(path, newline="") as fh, warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
             text = fh.read()
-            if (not text.isascii() or any(c in text for c in '"\x1c\x1d\x1e\x1f')
+            if (not text.isascii() or any(c in text for c in '"\x0b\x0c\x1c\x1d\x1e\x1f')
                     or len(set(usecols)) < len(usecols)):
                 return None
-            fh.seek(0)
+            # csv's rows: lines end at \r\n, \r or \n
             table = np.loadtxt(
-                fh, dtype="i8,i8,f8,f8,f8", delimiter=",", comments=None, quotechar=None,
-                skiprows=1, usecols=usecols, ndmin=1, converters={usecols[-1]: _value_cell},
+                text.splitlines(), dtype="i8,i8,f8,f8,f8", delimiter=",", comments=None,
+                quotechar=None, skiprows=1, usecols=usecols, ndmin=1,
             )
         except (ValueError, Warning):  # a decoding error too
             return None

@@ -239,8 +239,8 @@ class SweepSpec:
         _check_steps(self.steps)
         _check_outputs(self.outputs)
 
-    def values(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.steps)
+    def values(self, index=None) -> np.ndarray:
+        return _linspace(self.start, self.stop, self.steps, index)
 
 
 @dataclass(frozen=True)
@@ -268,11 +268,26 @@ class GridSpec:
         _check_steps(self.y_steps)
         _check_outputs(self.outputs)
 
-    def x_values(self) -> np.ndarray:
-        return np.linspace(self.x_start, self.x_stop, self.x_steps)
+    def x_values(self, index=None) -> np.ndarray:
+        return _linspace(self.x_start, self.x_stop, self.x_steps, index)
 
-    def y_values(self) -> np.ndarray:
-        return np.linspace(self.y_start, self.y_stop, self.y_steps)
+    def y_values(self, index=None) -> np.ndarray:
+        return _linspace(self.y_start, self.y_stop, self.y_steps, index)
+
+
+def _linspace(start: float, stop: float, steps: int, index=None) -> np.ndarray:
+    """np.linspace(start, stop, steps)[index] (all of it by default) for an
+    integer array `index`, computed at those indices only and bit for bit:
+    numpy takes i*step + start, or (i/div)*delta + start where the step
+    underflows to 0, and writes `stop` last."""
+    div = steps - 1
+    i = np.arange(steps, dtype=float) if index is None else np.asarray(index, dtype=float)
+    delta = float(stop) - float(start)
+    step = delta / div
+    values = i / div * delta if step == 0 else i * step
+    values += float(start)
+    values[i == div] = stop
+    return values
 
 
 def _check_axis(axis: str):
@@ -566,7 +581,8 @@ def run_sweep(
     row agrees with the single-point analysis field by field even at the
     2*pi endpoint.
     """
-    values = spec.values()[rows]
+    index = range(spec.steps)[rows]
+    values = spec.values(np.arange(index.start, index.stop, index.step))
     point = apply_axis(broadcast(params, len(values)), spec.axis, values)
     table = Table(_evaluate(point, opts, spec.outputs))
     table["axis_value"] = values
@@ -603,7 +619,7 @@ def run_grid(
     """
     index = range(spec.x_steps * spec.y_steps)[rows]
     y_index, x_index = np.divmod(np.arange(index.start, index.stop, index.step), spec.x_steps)
-    x, y = spec.x_values()[x_index], spec.y_values()[y_index]
+    x, y = spec.x_values(x_index), spec.y_values(y_index)
     point = apply_axis(apply_axis(broadcast(params, len(x)), spec.y_axis, y), spec.x_axis, x)
     table = Table(_evaluate(point, opts, spec.outputs))
     table["x_index"] = x_index

@@ -86,6 +86,13 @@ def test_shape_mismatch_rejected():
         extract_contours(np.arange(4.0), np.arange(3.0), np.zeros((4, 3)), [0.0])
 
 
+@pytest.mark.parametrize("levels", [[1.0, 1.0], [0.0, -0.0], [2.0, 0.5, 2.0]])
+def test_repeated_level_rejected(levels):
+    # a level asked for twice would write its polylines twice under one key
+    with pytest.raises(ValueError, match="repeated contour level"):
+        extract_contours(np.arange(4.0), np.arange(3.0), np.zeros((3, 4)), levels)
+
+
 def test_nonfinite_level_rejected():
     with pytest.raises(ValueError):
         extract_contours(np.arange(4.0), np.arange(3.0), np.zeros((3, 4)), [math.inf])
@@ -211,7 +218,8 @@ def grids(draw):
     xs = np.array(draw(st.lists(COORDS, min_size=nx, max_size=nx)))
     ys = np.array(draw(st.lists(COORDS, min_size=ny, max_size=ny)))
     field = np.array(draw(st.lists(VALUES, min_size=nx * ny, max_size=nx * ny))).reshape(ny, nx)
-    return xs, ys, field, draw(st.lists(LEVELS, min_size=1, max_size=3))
+    # distinct levels: extract_contours refuses a repeated one (0.0 == -0.0)
+    return xs, ys, field, draw(st.lists(LEVELS, min_size=1, max_size=3, unique=True))
 
 
 def _hex(line):

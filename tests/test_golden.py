@@ -418,6 +418,67 @@ def test_a_loadtxt_warning_refuses_the_file(tmp_path):
         assert contours._loadtxt_columns(str(grid), [0, 1, 2, 3, 4]) is None
 
 
+def test_the_fast_reader_runs_no_python_per_cell(grid_files, tmp_path, capsys):
+    """numpy parses every column of the files `sqom grid` writes, NaN cells
+    included: no value-cell converter and no csv reader runs."""
+    with mock.patch.object(contours, "_value_cell", side_effect=AssertionError("per cell")), \
+            mock.patch.object(contours, "_csv_columns", side_effect=AssertionError("csv reader")):
+        for name, (grid, args, stderr) in sorted(CONTOUR_CASES.items()):
+            out = tmp_path / f"{name}.csv"
+            assert _contours(grid_files[grid], args, out, capsys) == (0, stderr)
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == CONTOUR_DIGESTS[name]
+
+
+def test_an_empty_value_cell_takes_the_csv_reader(grid_files, tmp_path, capsys):
+    """numpy refuses an empty value cell; the csv reader reads it as NaN, and
+    the contours are the bytes numpy with a per-cell converter gave."""
+    lines = grid_files["grid_boundary_109"].read_text().split("\n")
+    row = 1 + 54 * 109 + 58  # x_index 58, y_index 54: next to the f1 = 10 contour
+    cells = lines[row].split(",")
+    assert cells[:2] == ["58", "54"] and lines[0].split(",")[4] == "f1"
+    lines[row] = ",".join(cells[:4] + [""] + cells[5:])
+    grid = tmp_path / "grid.csv"
+    grid.write_text("\n".join(lines))
+    csv_columns = mock.Mock(wraps=contours._csv_columns)
+    with mock.patch.object(contours, "_csv_columns", csv_columns):
+        values = contours.read_grid_file(str(grid), "f1")[2]
+    assert csv_columns.call_count == 1
+    assert np.isnan(values[54, 58]) and np.isnan(values).sum() == 1
+    out = tmp_path / "contours.csv"
+    assert _contours(grid, ("--field", "f1", "--level", "10"), out, capsys) == (0, "")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "3873b22c4ccb0d70d8d3f5be4d398a7dcbd1abc05afddecdd4631597aea721b8")
+
+
+@pytest.mark.parametrize("text, fast_reads", [
+    # csv ends a row at a lone \r, also in the header line
+    (GRID_HEADER + "\r" + "\r".join(GRID_LINES[:10]) + "\n" + "\n".join(GRID_LINES[10:]), True),
+    ("\r\n".join([GRID_HEADER, *GRID_LINES[:10]]) + "\r\r" + "\r".join(GRID_LINES[10:]), True),
+    # csv ends no row at \x0b or \x0c, str.splitlines does: refused
+    ("\n".join([GRID_HEADER, *GRID_LINES]) + "\x0b" + GRID_LINES[0], False),
+    ("\n".join([GRID_HEADER, *GRID_LINES[:-1]]) + "\x0c" + GRID_LINES[-1], False),
+], ids=["cr_in_the_header_line", "crlf_then_cr", "vertical_tab", "form_feed"])
+def test_the_fast_reader_ends_lines_where_the_csv_reader_does(text, fast_reads, tmp_path):
+    path = tmp_path / "grid.csv"
+    path.write_text(text, newline="")
+    fast, exact = _both_readers(path, "f1")
+    assert not isinstance(exact, str), exact
+    assert (fast is not None) == fast_reads
+    for a, b in zip(fast or (), exact):
+        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
+
+
+@pytest.mark.parametrize("levels, shown", [
+    (("10", "10"), "10"), (("0", "-0"), "0"), (("100", "2", "100", "2"), "100, 2"),
+])
+def test_a_repeated_level_exit_1(levels, shown, grid_files, tmp_path, capsys):
+    args = ("--field", "f1", *(arg for level in levels for arg in ("--level", level)))
+    out = tmp_path / "contours.csv"
+    assert _contours(grid_files["grid_boundary_109"], args, out, capsys) == (
+        1, f"error: repeated contour level(s): {shown}\n")
+    assert not out.exists()
+
+
 class _BothRead(Exception):
     """Ends a read-back once both readers have run."""
 

@@ -516,6 +516,33 @@ def test_a_slice_of_rows_is_that_slice_of_the_whole_table(rows):
         assert rows_to_csv(part, names) == rows_to_csv(sliced, names)
 
 
+_AXIS_END = st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310])
+
+
+@settings(max_examples=300, deadline=None)
+@given(start=_AXIS_END, stop=_AXIS_END, steps=st.integers(2, 5000), data=st.data())
+@example(start=0.0, stop=1.0, steps=2, data=None)
+@example(start=1.5, stop=1.5, steps=5, data=None)  # a zero span
+@example(start=0.0, stop=5e-324, steps=3, data=None)  # the step underflows to 0
+@example(start=0.0, stop=1e-310, steps=1000, data=None)  # a subnormal step
+@example(start=-0.0, stop=0.0, steps=4, data=None)
+def test_axis_values_of_some_rows_are_those_rows_of_linspace(start, stop, steps, data):
+    """A block's axis values are computed for its rows alone, bit for bit
+    those of the whole np.linspace; the endpoint is `stop` exactly."""
+    rows = slice(-1, None) if data is None else data.draw(st.slices(steps))
+    index = np.arange(steps)[rows]
+    want = np.linspace(start, stop, steps)
+    sweep = SweepSpec(axis="delta1", start=start, stop=stop, steps=steps)
+    grid = GridSpec(x_axis="delta1", x_start=start, x_stop=stop, x_steps=steps,
+                    y_axis="delta2", y_start=stop, y_stop=start, y_steps=steps)
+    assert sweep.values(index).tobytes() == want[rows].tobytes()
+    assert grid.x_values(index).tobytes() == want[rows].tobytes()
+    assert grid.y_values(index).tobytes() == np.linspace(stop, start, steps)[rows].tobytes()
+    assert sweep.values().tobytes() == want.tobytes()
+    if data is None:
+        assert sweep.values(index).tolist() == [stop]
+
+
 def test_regime_map_grid_runs_no_branch(stage_calls):
     spec = GridSpec(
         x_axis="lambda1", x_start=197.2, x_stop=199.9, x_steps=4,
