@@ -308,7 +308,12 @@ def main(argv=None) -> int:
     # a command's argv leads with its name; only that subcommand is built.
     # Any other argv shares the full parser's key, so the cache stays small.
     command = argv[0] if argv and argv[0] in SUBCOMMANDS else None
-    args = _parser(command).parse_args(argv)
+    try:
+        args = _parser(command).parse_args(argv)
+    except SystemExit as exc:  # argparse's: 0 after -h, 2 after a usage error
+        if exc.code == 2:  # its message is on stderr; our 2 means a failed verification
+            return 1
+        raise
     try:
         code = args.func(args)
         sys.stdout.flush()  # a reader that left raises here, not at exit

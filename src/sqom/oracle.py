@@ -9,6 +9,9 @@ frequencies; `conjugate_coupling` conjugates the bare optomechanical coupling
 through explicit transformation matrices, with no rotating-wave truncation.
 Its coefficients, and the closed forms they are checked against, are the
 rows of one `(7, N)` complex array, in the order of COEFFICIENTS.
+`rwa_error_report` gives each branch's coefficient and metric defects, with
+no form to solve; `frequency_deviation` compares a branch's |W| with the
+exact frequencies.
 
 Representation: an operator is stored as (M, offset) with
 
@@ -27,13 +30,12 @@ The oracle computes no pipeline stage: callers hand it the stages.
 """
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .elementwise import cabs, cis_neg, cos, cosh, div, py_max, rmul, sin, sinh
+from .elementwise import cabs, cis_neg, cos, cosh, py_max, rmul, sin, sinh
 from .params import PhysicalParams
 # stage1_transform, tms_couplings, bs_couplings: unused here, bound for perfbench/tracing.py
 from .second_stage import BsCouplings, TmsCouplings, bs_couplings, tms_couplings  # noqa: F401
@@ -199,27 +201,15 @@ def coefficient_defect(a: np.ndarray, b: np.ndarray, scale_floor) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RwaErrorReport:
-    """What the analytic branch dropped, and what that truncation cost.
+    """How far one branch's closed forms are from the exact conjugation.
 
-    dropped_abs is the magnitude of the discarded photonic term's coupling
-    (j_hop*|lam1| coherent hopping for the two-mode-squeezing branch,
-    j_hop*|lam2| pair term for the beam-splitter branch); gap is the
-    rotating-frame frequency it beats at. freq_analytic holds the branch's
-    supermode frequencies |W|, freq_exact the exact frequencies it was
-    handed and freq_dev their relative deviation, each as `(2, N)` rows
-    sorted by magnitude, the smaller frequency first. coeff_defect is the
-    worst relative deviation of `conjugate_coupling` from the closed forms
-    (an exact identity, reported as a numerical sanity bound). Each number
-    is an array over the points.
+    coeff_defect is the worst relative deviation of `conjugate_coupling` from
+    the closed forms (an exact identity, reported as a numerical sanity
+    bound); metric_defect is how far the branch's composed map is from
+    preserving the bosonic metric (`symplectic_defect`). Each is an array
+    over the points.
     """
 
-    dropped_name: str
-    dropped_abs: np.ndarray
-    gap: np.ndarray
-    dropped_ratio: np.ndarray
-    freq_analytic: np.ndarray
-    freq_exact: np.ndarray
-    freq_dev: np.ndarray
     coeff_defect: np.ndarray
     metric_defect: np.ndarray
 
@@ -228,13 +218,12 @@ def rwa_error_report(
     p: PhysicalParams,
     s: Stage1Result,
     couplings: Sequence[TmsCouplings | BsCouplings],
-    freqs: SymplecticFrequencies,
 ) -> list[RwaErrorReport]:
-    """Quantify the rotating-wave truncation of each branch in `couplings`
-    (their type names the branch), all over the points of `p`, given the
-    stage-1 result `s` and the symplectic frequencies of `p`'s form: one
-    report per couplings, in order. The branches are one batch on a leading
-    axis, through one stage-1 map, one conjugation and one metric defect.
+    """Check each branch in `couplings` (their type names the branch) against
+    the oracle, all over the points of `p`, given the stage-1 result `s`:
+    one report per couplings, in order. The branches are one batch on a
+    leading axis, through one stage-1 map, one conjugation and one metric
+    defect.
 
     Two-mode squeezing moves -f_prime into the scalar part; the beam-splitter
     rotation is number conserving, so its scalar part stays -f_disp. Where
@@ -242,33 +231,31 @@ def rwa_error_report(
     callers mask those points.
     """
 
-    def branch(c):  # dropped term, map, n12, scalar part, the dropped factor and its beat
+    def branch(c):  # map, n12 and scalar part
         if isinstance(c, TmsCouplings):
-            return ("coherent_hopping", tms_map(c), -c.gp12, -(s.f_disp + c.f_prime),
-                    s.lam1, s.omega_diff)
-        return "pair_squeezing", bs_map(c), c.gp12, -s.f_disp, s.lam2, s.omega_sum
+            return tms_map(c), -c.gp12, -(s.f_disp + c.f_prime)
+        return bs_map(c), c.gp12, -s.f_disp
 
-    names, maps, n12, const, factors, beats = zip(*map(branch, couplings))
+    maps, n12, const = zip(*map(branch, couplings))
     T = stage1_map(p, s) @ np.array(maps)  # (branch, N, 4, 4)
     # np.array, not np.stack: the same cast to complex at half the fixed cost
     analytic = np.array([(-c.g1, -c.g2, n, c.g11, c.g22, c.g12, k)
                          for c, n, k in zip(couplings, n12, const)]).swapaxes(0, 1)
     defect = coefficient_defect(conjugate_coupling(p, T), analytic, py_max(p.g0, 1e-300))
-    dropped = p.j_hop * cabs(np.concatenate(factors)).reshape(len(factors), -1)
-    gaps = abs(np.array(beats))
+    return [RwaErrorReport(coeff_defect=cd, metric_defect=md)
+            for cd, md in zip(defect, symplectic_defect(T))]
 
-    # sorted by magnitude; as sorted(), an unordered (NaN) pair keeps its order
-    w = abs(np.array([(c.w1, c.w2) for c in couplings]))
-    analytic = np.where((w[:, 1] < w[:, 0])[:, None], w[:, ::-1], w)
+
+def frequency_deviation(
+    w1: np.ndarray, w2: np.ndarray, freqs: SymplecticFrequencies
+) -> tuple[np.ndarray, np.ndarray]:
+    """A branch's supermode frequencies |W| and their relative deviation
+    from the exact frequencies `freqs`, each as `(2, N)` rows sorted by
+    magnitude, the smaller frequency first."""
+    w = abs(np.array((w1, w2)))
+    # as sorted(), an unordered (NaN) pair keeps its order
+    analytic = np.where(w[1] < w[0], w[::-1], w)
     exact = np.stack((freqs.nu2, freqs.nu1))
     # like `div`: an overflowing ratio is IEEE's inf, without a warning
     with np.errstate(over="ignore"):
-        freq_dev = abs(analytic - exact) / py_max(abs(exact), 1e-300)
-    return [
-        RwaErrorReport(dropped_name=name, dropped_abs=d, gap=g, dropped_ratio=r,
-                       freq_analytic=a, freq_exact=exact, freq_dev=f, coeff_defect=cd,
-                       metric_defect=md)
-        for name, d, g, r, a, f, cd, md in zip(
-            names, dropped, gaps, div(dropped, gaps, gaps == 0.0, math.inf), analytic,
-            freq_dev, defect, symplectic_defect(T))
-    ]
+        return analytic, abs(analytic - exact) / py_max(abs(exact), 1e-300)

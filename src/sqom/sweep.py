@@ -471,15 +471,18 @@ def _laser_columns(vp, cells: dict, no_source, on_tms, opts: PipelineOptions) ->
 
 def _oracle_columns(vp, s, tms, bs, unstable, on_tms) -> dict:
     """The exact oracle's check of both branches: one photonic form, one
-    symplectic solve and one report batch, sharing the stage-1 map. Blank
-    are the TMS defect where that stage is unstable, the frequency
-    deviations where the laser sits on an unstable TMS frame, and every cell
-    where the exact frequencies cannot be paired."""
+    symplectic solve and one report batch, sharing the stage-1 map. The
+    frequency deviations are those of the laser's branch, whose |W| the
+    laser block reads. Blank are the TMS defect where that stage is
+    unstable, the frequency deviations where the laser sits on an unstable
+    TMS frame, and every cell where the exact frequencies cannot be
+    paired."""
     from . import oracle  # through the module: a wrapper bound there sees the call
 
     freqs = oracle.symplectic_frequencies(oracle.build_photonic_form(vp))
-    tms_report, bs_report = oracle.rwa_error_report(vp, s, [tms, bs], freqs)
-    dev_lo, dev_hi = np.where(on_tms, tms_report.freq_dev, bs_report.freq_dev)
+    tms_report, bs_report = oracle.rwa_error_report(vp, s, [tms, bs])
+    _, (dev_lo, dev_hi) = oracle.frequency_deviation(
+        np.where(on_tms, tms.w1, bs.w1), np.where(on_tms, tms.w2, bs.w2), freqs)
     # the worst report's, as verify folds it: a NaN defect wins
     worst = np.maximum(tms_report.metric_defect, bs_report.metric_defect)
     cells = {
@@ -703,14 +706,6 @@ def write_csv(
     for start in range(0, len(rows), _CHUNK_ROWS):
         cells = [_format_column(rows[c][start : start + _CHUNK_ROWS]) for c in columns]
         out.write("\n".join(map(",".join, zip(*cells))) + "\n")
-
-
-def rows_to_csv(rows: Table | Iterable[dict], columns: list[str]) -> str:
-    import io
-
-    buf = io.StringIO()
-    write_csv(rows, columns, buf)
-    return buf.getvalue()
 
 
 def laser_rows(rows: Table) -> Table:

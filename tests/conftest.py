@@ -1,4 +1,5 @@
 """Shared fixtures: reference parameter sets and comparison helpers."""
+import io
 import math
 from dataclasses import fields, is_dataclass, replace
 
@@ -14,7 +15,9 @@ from sqom import (
     symplectic_frequencies,
 )
 from sqom.elementwise import broadcast
+from sqom.oracle import frequency_deviation
 from sqom.second_stage import bs_couplings, tms_couplings
+from sqom.sweep import write_csv
 
 
 def batch(p):
@@ -59,18 +62,26 @@ def on_one_point(fn):
 
 
 def oracle_stages(vp, branch):
-    """The stages `rwa_error_report` is handed for a validated batch: its
-    stage-1 result, the couplings of `branch` and its exact frequencies."""
+    """The stages the oracle is handed for a validated batch: its stage-1
+    result, the couplings of `branch` and its exact frequencies."""
     s = stage1_transform(vp)
     couplings = tms_couplings if branch is Branch.TWO_MODE_SQUEEZING else bs_couplings
     return s, couplings(s, vp), symplectic_frequencies(build_photonic_form(vp))
 
 
 def oracle_report(vp, branch):
-    """The oracle report of `branch` alone for a validated batch."""
+    """The oracle report of `branch` alone for a validated batch, and the
+    `(2, N)` deviation of the branch's |W| from the exact frequencies."""
     s, c, freqs = oracle_stages(vp, branch)
-    (report,) = rwa_error_report(vp, s, [c], freqs)
-    return report
+    (report,) = rwa_error_report(vp, s, [c])
+    return report, frequency_deviation(c.w1, c.w2, freqs)[1]
+
+
+def rows_to_csv(rows, columns):
+    """`write_csv` of `rows` (a Table or row dicts) under `columns`, as text."""
+    buf = io.StringIO()
+    write_csv(rows, columns, buf)
+    return buf.getvalue()
 
 
 def strong_drive_set(delta_phi: float = math.pi, lambda1: float = 1997.96) -> PhysicalParams:

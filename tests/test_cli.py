@@ -13,7 +13,8 @@ import pytest
 import sqom
 from sqom import cli
 from sqom.cli import build_parser, main
-from sqom.sweep import rows_to_csv
+
+from conftest import rows_to_csv
 
 LASER_PARAMS = {
     "delta1": 20, "delta2": 100, "lambda1": 9.94, "lambda2": 49.99,
@@ -414,6 +415,27 @@ def test_verify_pass_and_fail_exit_codes(laser_config, capsys):
     ]) == 2
     out = capsys.readouterr().out
     assert ",fail," in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--random", "abc"], "argument --random: invalid int value: 'abc'"),
+    ([], "the following arguments are required: --config"),
+    (["--bogus"], "unrecognized arguments: --bogus"),
+])
+def test_a_usage_error_exits_1(argv, message, laser_config, capsys):
+    """A usage error exits 1, as a configuration error does: 2 is kept for
+    a failed verification. The message is argparse's own."""
+    argv = ["verify", *([] if not argv else ["--config", laser_config]), *argv]
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    told = capsys.readouterr().err
+    assert told.startswith("usage: sqom") and told.endswith(f"error: {message}\n")
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", told)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "-h"])
+    assert exc.value.code == 0
 
 
 def test_resonance_floor_flags_the_laser_dips(laser_config, capsys):

@@ -341,9 +341,10 @@ def test_stage_functions_array_equals_pointwise(items):
 @given(POINT_LISTS)
 @settings(max_examples=30, deadline=None)
 def test_oracle_batch_equals_pointwise(items):
-    """The oracle report and the exact frequencies of a batch, point by
-    point, for both branches, the pairing mask included. The reports of both
-    branches from one call equal each branch's report alone."""
+    """The oracle report, the frequency deviation and the exact frequencies
+    of a batch, point by point, for both branches, the pairing mask
+    included. The reports of both branches from one call equal each
+    branch's report alone."""
     good = _valid(items)
     if not good:
         return
@@ -353,14 +354,15 @@ def test_oracle_batch_equals_pointwise(items):
         alone = []
         for i in range(len(good)):
             one = take(vp, [i])
-            alone.append((oracle_report(one, branch), oracle_stages(one, branch)[2]))
-        report, freqs = oracle_report(vp, branch), oracle_stages(vp, branch)[2]
-        for i, (one, one_freqs) in enumerate(alone):
+            alone.append((*oracle_report(one, branch), oracle_stages(one, branch)[2]))
+        (report, dev), freqs = oracle_report(vp, branch), oracle_stages(vp, branch)[2]
+        for i, (one, one_dev, one_freqs) in enumerate(alone):
             assert_same(report, one, i)
+            assert _bits(_element(dev, i)) == _bits(_element(one_dev, 0)), (dev, one_dev)
             assert_same(freqs, one_freqs, i)
-    s, freqs = stage1_transform(vp), oracle_stages(vp, branches[0])[2]
-    both = rwa_error_report(vp, s, [tms_couplings(s, vp), bs_couplings(s, vp)], freqs)
-    for report, alone in zip(both, (oracle_report(vp, branch) for branch in branches)):
+    s = stage1_transform(vp)
+    both = rwa_error_report(vp, s, [tms_couplings(s, vp), bs_couplings(s, vp)])
+    for report, (alone, _) in zip(both, (oracle_report(vp, branch) for branch in branches)):
         for f in fields(alone):
             a, b = getattr(report, f.name), getattr(alone, f.name)
             for i in range(len(good)):

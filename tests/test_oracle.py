@@ -44,10 +44,19 @@ from conftest import (
 
 
 def _report(p, branch):
-    """The oracle report of one set and its exact frequencies, as Python
-    scalars."""
+    """The oracle report of one set, the deviation of the branch's |W| from
+    the exact frequencies and those frequencies, as Python scalars."""
     vp = validate(batch(p))
-    return point(oracle_report(vp, branch)), point(symplectic_frequencies(build_photonic_form(vp)))
+    report, dev = oracle_report(vp, branch)
+    return point(report), dev[:, 0].tolist(), point(symplectic_frequencies(build_photonic_form(vp)))
+
+
+def _dropped_term(p, label):
+    """`verify`'s info row on the term the `label` branch drops at the
+    configured point `p`: the dropped coupling over its gap, and the detail."""
+    rows = verify.run_verification(validate(batch(p)), n_random=0, seed=0, oracle_rtol=1e-9)
+    (row,) = [r for r in rows if r.check == f"rwa_dropped_term[{label}]"]
+    return row.max_error, row.detail
 
 
 def _final_map(vp, s, c):
@@ -349,6 +358,23 @@ def test_verify_fails_identity_and_metric_checks_on_a_nan_error(monkeypatch):
     assert not verify.all_passed(list(rows.values()))
 
 
+@pytest.mark.parametrize("n_random", [0, 1, 5])
+def test_verify_solves_only_the_configured_point(n_random, monkeypatch):
+    """`verify` builds one photonic form and makes one `eigvals` call, for
+    its configured point: the random sets' checks read no frequency."""
+    calls = dict.fromkeys(("build_photonic_form", "eigvals"), 0)
+    for module, name in ((oracle, "build_photonic_form"), (np.linalg, "eigvals")):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    rows = verify.run_verification(validate(batch(boundary_set())), n_random=n_random, seed=0,
+                                   oracle_rtol=1e-9)
+    assert verify.all_passed(rows)
+    assert calls == dict.fromkeys(calls, 1)
+
+
 def test_conjugation_displacement_bookkeeping():
     """Scalar part: -(f_disp + f_prime) after two-mode squeezing, -f_disp
     after beam-splitter mixing (number conserving)."""
@@ -384,24 +410,36 @@ def test_frequency_invariance_global_phase(rng):
 
 def test_rwa_report_trivial_zero_dropped_weight():
     p = laser_set().replace(lambda1=0.0, lambda2=0.0)
-    report, _ = _report(p, Branch.BEAM_SPLITTER)
-    assert report.dropped_abs == 0.0
-    assert report.dropped_ratio == 0.0
+    report, _, _ = _report(p, Branch.BEAM_SPLITTER)
+    ratio, detail = _dropped_term(p, "bs")
+    assert detail.startswith("pair_squeezing: |coupling|=0,")  # the dropped coupling is 0.0
+    assert ratio == 0.0
     assert report.coeff_defect < 1e-12
 
 
+def test_a_zero_gap_makes_the_dropped_ratio_infinite():
+    """Opposite undriven detunings: the pair term beats at omega_sum = 0, so
+    its ratio is inf, also with no coupling to drop."""
+    p = laser_set().replace(delta1=2.0, delta2=-2.0, lambda1=0.0, lambda2=0.0)
+    assert _dropped_term(p, "bs") == (math.inf, "pair_squeezing: |coupling|=0, gap=0")
+
+
 def test_rwa_report_strong_drive_within_1pc():
-    report, freqs = _report(strong_drive_set(), Branch.TWO_MODE_SQUEEZING)
+    _, dev, freqs = _report(strong_drive_set(), Branch.TWO_MODE_SQUEEZING)
     assert freqs.stable
-    assert all(d <= 0.01 for d in report.freq_dev)
-    assert report.dropped_ratio < 0.1  # dropped coherent hopping vs its gap
+    assert all(d <= 0.01 for d in dev)
+    ratio, detail = _dropped_term(strong_drive_set(), "tms")
+    assert detail.startswith("coherent_hopping:")
+    assert ratio < 0.1  # dropped coherent hopping vs its gap
 
 
 def test_rwa_report_laser_set_within_1pc():
-    report, freqs = _report(laser_set(), Branch.BEAM_SPLITTER)
+    _, dev, freqs = _report(laser_set(), Branch.BEAM_SPLITTER)
     assert freqs.stable
-    assert all(d <= 0.01 for d in report.freq_dev)
-    assert report.dropped_ratio < 0.1  # dropped pair term vs its gap
+    assert all(d <= 0.01 for d in dev)
+    ratio, detail = _dropped_term(laser_set(), "bs")
+    assert detail.startswith("pair_squeezing:")
+    assert ratio < 0.1  # dropped pair term vs its gap
 
 
 def test_sigma_metric_definition():

@@ -19,14 +19,13 @@ from sqom.sweep import (
     grid_columns,
     grid_csv_rows,
     laser_rows,
-    rows_to_csv,
     run_grid,
     run_sweep,
     sweep_columns,
     sweep_csv_rows,
 )
 
-from conftest import laser_set
+from conftest import laser_set, rows_to_csv
 
 
 @pytest.fixture

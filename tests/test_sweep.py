@@ -26,12 +26,18 @@ from sqom.sweep import (
     apply_axis,
     grid_columns,
     laser_rows,
-    rows_to_csv,
     sweep_columns,
     sweep_csv_rows,
 )
 
-from conftest import batch, boundary_set, laser_set, on_one_point, strong_drive_set
+from conftest import (
+    batch,
+    boundary_set,
+    laser_set,
+    on_one_point,
+    rows_to_csv,
+    strong_drive_set,
+)
 
 
 def test_spec_validation():
@@ -333,11 +339,8 @@ def test_a_nan_metric_defect_wins_the_analyze_fold(monkeypatch):
     report_of = oracle.rwa_error_report
 
     def nan_for_the_bs_report(*args):
-        return [
-            dataclasses.replace(report, metric_defect=np.array([math.nan]))
-            if report.dropped_name == "pair_squeezing" else report  # the beam-splitter report
-            for report in report_of(*args)
-        ]
+        tms_report, bs_report = report_of(*args)  # the branch order `analyze` asks for
+        return [tms_report, dataclasses.replace(bs_report, metric_defect=np.array([math.nan]))]
 
     monkeypatch.setattr(oracle, "rwa_error_report", nan_for_the_bs_report)
     row = analyze(strong_drive_set())  # both branches give a report here
