@@ -45,10 +45,11 @@ from sqom.contours import CONTOUR_COLUMNS, contour_table  # noqa: E402
 from sqom.elementwise import cabs, stack  # noqa: E402
 from sqom.second_stage import bs_couplings  # noqa: E402
 from sqom.sweep import (  # noqa: E402
-    LASER_COLUMN_NAMES,
+    LASER_SWEEP_OUTPUTS,
     Table,
     grid_columns,
     grid_csv_rows,
+    laser_columns,
     laser_rows,
     sweep_columns,
     sweep_csv_rows,
@@ -142,12 +143,12 @@ def boundary_datasets(outdir: Path):
 
 
 def laser_datasets(outdir: Path):
-    spec = SweepSpec(axis="delta_phi", start=0.0, stop=TWO_PI, steps=721)
-    rows = run_sweep(LASER, spec)
-    _write(outdir / "laser_threshold.csv", laser_rows(rows), LASER_COLUMN_NAMES)
+    spec = SweepSpec(axis="delta_phi", start=0.0, stop=TWO_PI, steps=721,
+                     outputs=LASER_SWEEP_OUTPUTS)
+    projected = laser_rows(run_sweep(LASER, spec), spec)
+    _write(outdir / "laser_threshold.csv", projected, laser_columns(spec))
 
     # stimulated phonon number vs pump density at selected working points
-    projected = laser_rows(rows)
     pth = projected["p_threshold"].tolist()
     dips = [
         i for i in range(1, len(pth) - 1) if pth[i] < pth[i - 1] and pth[i] < pth[i + 1]

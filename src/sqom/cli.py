@@ -19,15 +19,13 @@ from .elementwise import broadcast
 from .errors import ConfigError, SqomError
 from .params import PhysicalParams, PipelineOptions, load_config
 from .sweep import (
-    COLUMNS,
-    LASER_COLUMN_NAMES,
     LASER_SWEEP_OUTPUTS,
-    ORACLE_COLUMNS,
     GridSpec,
     SweepSpec,
     analyze,
     grid_columns,
     grid_csv_rows,
+    laser_columns,
     laser_rows,
     row_blocks,
     run_grid,
@@ -38,8 +36,10 @@ from .sweep import (
 )
 
 # name -> module of the functions one subcommand alone calls: imported when
-# that subcommand runs (`_command`), so `grid` loads neither
-_COMMAND_MODULES = {"extract_contours": "contours", "run_verification": "verify"}
+# that subcommand runs (`_command`), so `grid` loads neither; and of COLUMNS,
+# which perfbench/run.py reads as `sqom.cli.COLUMNS`
+_COMMAND_MODULES = {"extract_contours": "contours", "run_verification": "verify",
+                    "COLUMNS": "sweep"}
 
 
 def _command(name: str):
@@ -88,16 +88,16 @@ def _load(args) -> tuple[PhysicalParams, PipelineOptions]:
     return params, replace(opts, **knobs)
 
 
-def _parse_outputs(text: str | None):
-    if text is None:
-        return None
-    return tuple(s.strip() for s in text.split(",") if s.strip())
+def _outputs(args) -> dict:
+    """`outputs=` from --outputs, a comma-separated list; without it, the spec's default."""
+    if args.outputs is None:
+        return {}
+    return {"outputs": tuple(s.strip() for s in args.outputs.split(",") if s.strip())}
 
 
 def cmd_analyze(args) -> int:
     row = analyze(*_load(args))
-    columns = list(COLUMNS) + list(ORACLE_COLUMNS)
-    _emit([[row]], columns, args.out)
+    _emit([[row]], list(row), args.out)
     return 0
 
 
@@ -108,7 +108,7 @@ def cmd_sweep(args) -> int:
         start=args.from_,
         stop=args.to,
         steps=args.steps,
-        outputs=_parse_outputs(args.outputs),
+        **_outputs(args),
     )
     blocks = (sweep_csv_rows(run_sweep(params, spec, opts, rows), spec)
               for rows in row_blocks(spec.steps, spec.outputs))
@@ -127,7 +127,7 @@ def cmd_grid(args) -> int:
         y_start=args.y_from,
         y_stop=args.y_to,
         y_steps=args.y_steps,
-        outputs=GridSpec.outputs if args.outputs is None else _parse_outputs(args.outputs),
+        **_outputs(args),
     )
     blocks = (grid_csv_rows(run_grid(params, spec, opts, rows), spec)
               for rows in row_blocks(spec.x_steps * spec.y_steps, spec.outputs))
@@ -141,18 +141,9 @@ def cmd_laser_sweep(args) -> int:
         axis=args.axis, start=args.from_, stop=args.to, steps=args.steps,
         outputs=LASER_SWEEP_OUTPUTS,
     )
-    # delta_phi leads the projection already, canonical; another axis leads raw
-    axis = [] if spec.axis == "delta_phi" else [spec.axis]
-
-    def blocks():
-        for rows in row_blocks(spec.steps, spec.outputs):
-            table = run_sweep(params, spec, opts, rows)
-            out = laser_rows(table)
-            for name in axis:
-                out[name] = table["axis_value"]
-            yield out
-
-    _emit(blocks(), axis + LASER_COLUMN_NAMES, args.out)
+    blocks = (laser_rows(run_sweep(params, spec, opts, rows), spec)
+              for rows in row_blocks(spec.steps, spec.outputs))
+    _emit(blocks, laser_columns(spec), args.out)
     return 0
 
 

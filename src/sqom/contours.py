@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -232,17 +233,16 @@ def _value_cell(cell: str) -> float:
     return float(cell) if cell else math.nan
 
 
-def _loadtxt_columns(path: str, usecols: list):
-    """The kept columns by numpy's C parser, or None for a file it may read
-    otherwise than csv and int()/float(): one that is not ASCII (numpy takes
-    some letters for digits), quotes, holds a separator \\x1c-\\x1f (numpy
-    strips those) or \\x0b, \\x0c (splitlines ends a line there), keeps a
-    column twice, or that numpy refuses or warns about (an empty value cell;
-    numpy < 2 reads '1.0' as the integer 1 with a DeprecationWarning)."""
-    with open(path, newline="") as fh, warnings.catch_warnings():
+def _loadtxt_columns(text: str, usecols: list):
+    """The kept columns of a grid file's `text` by numpy's C parser, or None
+    for a file it may read otherwise than csv and int()/float(): one that is
+    not ASCII (numpy takes some letters for digits), quotes, holds a separator
+    \\x1c-\\x1f (numpy strips those) or \\x0b, \\x0c (splitlines ends a line
+    there), keeps a column twice, or that numpy refuses or warns about (an empty
+    value cell; numpy < 2 reads '1.0' as the integer 1 with a DeprecationWarning)."""
+    with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            text = fh.read()
             if (not text.isascii() or any(c in text for c in '"\x0b\x0c\x1c\x1d\x1e\x1f')
                     or len(set(usecols)) < len(usecols)):
                 return None
@@ -251,7 +251,7 @@ def _loadtxt_columns(path: str, usecols: list):
                 text.splitlines(), dtype="i8,i8,f8,f8,f8", delimiter=",", comments=None,
                 quotechar=None, skiprows=1, usecols=usecols, ndmin=1,
             )
-        except (ValueError, Warning):  # a decoding error too
+        except (ValueError, Warning):
             return None
     return [table[name] for name in table.dtype.names]
 
@@ -270,44 +270,47 @@ def _csv_columns(path: str, names, usecols, rows):
 
 def _read_grid_csv(path: str, field: str | None):
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        names = next(reader, None)
-        if names is None:
-            raise ConfigError(f"grid file {path} is empty")
-        required = {"x_index", "y_index"}
-        if not required <= set(names):
+        text = fh.read()  # decoded once, for the header, numpy and the csv reader
+    # the lines one by one, as the file gives them (io.StringIO would copy the text 4-fold)
+    lines = re.finditer(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+", text)
+    reader = csv.reader(line.group() for line in lines)
+    names = next(reader, None)
+    if names is None:
+        raise ConfigError(f"grid file {path} is empty")
+    required = {"x_index", "y_index"}
+    if not required <= set(names):
+        raise ConfigError(
+            f"grid file {path} lacks x_index/y_index columns; "
+            "produce it with the `grid` subcommand"
+        )
+    rows = (row for row in reader if row)  # blank lines carry no row
+    first = next(rows, None)
+    if first is None:
+        raise ConfigError(f"grid file {path} has no data rows")
+    if len(names) < 4:
+        missing = " and ".join(("x axis", "y axis")[len(names) - 2:])
+        header = ",".join(names)
+        raise ConfigError(f"grid file {path} lacks the {missing} column after {header}")
+    x_axis, y_axis = names[2], names[3]
+    non_numeric = {name for name, kind in COLUMN_SCHEMA if kind != "float"}
+    numeric = [n for n in names[4:] if n not in non_numeric]
+    if field is None:
+        if len(numeric) != 1:
             raise ConfigError(
-                f"grid file {path} lacks x_index/y_index columns; "
-                "produce it with the `grid` subcommand"
+                f"grid file has {len(numeric)} candidate value columns "
+                f"({', '.join(numeric)}); pick one with --field"
             )
-        rows = (row for row in reader if row)  # blank lines carry no row
-        first = next(rows, None)
-        if first is None:
-            raise ConfigError(f"grid file {path} has no data rows")
-        if len(names) < 4:
-            missing = " and ".join(("x axis", "y axis")[len(names) - 2:])
-            header = ",".join(names)
-            raise ConfigError(f"grid file {path} lacks the {missing} column after {header}")
-        x_axis, y_axis = names[2], names[3]
-        non_numeric = {name for name, kind in COLUMN_SCHEMA if kind != "float"}
-        numeric = [n for n in names[4:] if n not in non_numeric]
-        if field is None:
-            if len(numeric) != 1:
-                raise ConfigError(
-                    f"grid file has {len(numeric)} candidate value columns "
-                    f"({', '.join(numeric)}); pick one with --field"
-                )
-            field = numeric[0]
-        elif field not in numeric:
-            raise ConfigError(f"--field {field!r} not among numeric grid columns {numeric}")
+        field = numeric[0]
+    elif field not in numeric:
+        raise ConfigError(f"--field {field!r} not among numeric grid columns {numeric}")
 
-        # of a repeated name, the last column counts
-        kept = ("x_index", "y_index", x_axis, y_axis, field)
-        position = {name: i for i, name in enumerate(names)}
-        usecols = [position[name] for name in kept]
-        columns = iter(_loadtxt_columns(path, usecols)
-                       or _csv_columns(path, kept, usecols, itertools.chain([first], rows)))
-        xi, yi = next(columns), next(columns)
+    # of a repeated name, the last column counts
+    kept = ("x_index", "y_index", x_axis, y_axis, field)
+    position = {name: i for i, name in enumerate(names)}
+    usecols = [position[name] for name in kept]
+    columns = iter(_loadtxt_columns(text, usecols)
+                   or _csv_columns(path, kept, usecols, itertools.chain([first], rows)))
+    xi, yi = next(columns), next(columns)
     for name, index in (("x_index", xi), ("y_index", yi)):
         if index.min() < 0:
             raise ConfigError(f"grid file {path} has a negative {name}: {index.min()}")
@@ -345,7 +348,8 @@ def read_grid_file(path: str, field: str | None):
     column); a file that is not such a grid is a ConfigError."""
     try:
         return _read_grid_csv(path, field)
-    except csv.Error as exc:  # e.g. a cell past the csv module's field size limit
+    # e.g. a cell past the csv module's field size limit, a byte the encoding refuses
+    except (csv.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"grid file {path}: {exc}") from None
     except OSError as exc:
         raise ConfigError(f"cannot read grid file {path}: {exc}") from exc

@@ -187,7 +187,7 @@ def load_config(path: str | Path) -> tuple[PhysicalParams, PipelineOptions]:
     point and its options, as `parse_config` returns them."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         data = json.loads(text)

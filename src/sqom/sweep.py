@@ -6,12 +6,15 @@ second-stage branches -> validity -> laser -> oracle) runs at most once on
 those arrays. A stage runs only when a requested column needs it (`NEEDS`; a
 branch runs with its validity report): the `f1,f2,branch` regime map stops
 after `classify`, and the table it returns holds only the requested columns
-plus `error`. `run_sweep` and `run_grid` evaluate the rows they are asked
-for, all by default; the CLI asks for one block of rows at a time
-(`row_blocks`: at most BLOCK_CELLS returned cells, 1927 rows of the full
-sweep, one block for a regime map of up to 32 768 points) and writes each
-block before it evaluates the next, so the stages run once per block, not
-once per sweep, and peak memory does not grow with the point count.
+plus `error`: a spec's `outputs`, by default every column (COLUMNS) for a
+SweepSpec and the regime map for a GridSpec. `run_sweep` and `run_grid`
+evaluate the rows they are asked for, all by default; the CLI asks for one
+block of rows at a time (`row_blocks`: at most BLOCK_CELLS returned cells,
+1927 rows of the full sweep, one block for a regime map of up to 32 768
+points) and writes each block before it evaluates the next, so the stages
+run once per block, not once per sweep, and peak memory does not grow with
+the point count. A command's header is `sweep_columns`, `grid_columns` or
+`laser_columns` (of `laser_rows`) of its spec, or an `analyze` row's keys.
 `evaluate_point` and `analyze` are the length-1 case of the same evaluator
 with every column (`analyze` adds the oracle's), so a sweep row and a
 single-point analysis of the same parameters agree field by field.
@@ -231,7 +234,7 @@ class SweepSpec:
     start: float
     stop: float
     steps: int
-    outputs: tuple[str, ...] | None = None
+    outputs: tuple[str, ...] = COLUMNS
 
     def __post_init__(self):
         _check_axis(self.axis)
@@ -312,8 +315,6 @@ def _check_steps(steps: int):
 
 
 def _check_outputs(outputs):
-    if outputs is None:
-        return
     bad = [o for o in outputs if o not in COLUMNS]
     if bad:
         raise ValueError(f"unknown output column(s): {', '.join(bad)}")
@@ -504,7 +505,7 @@ def _oracle_columns(vp, s, tms, bs, unstable, on_tms) -> dict:
 def _returned_columns(outputs) -> list[str]:
     """The columns `_evaluate` returns for `outputs`: those plus `error`, in
     schema order."""
-    wanted = {"error", *(COLUMNS if outputs is None else outputs)}
+    wanted = {"error", *outputs}
     return [name for name in _KIND if name in wanted]
 
 
@@ -515,16 +516,16 @@ BLOCK_CELLS = 2**17
 
 def row_blocks(n: int, outputs) -> Iterator[slice]:
     """The consecutive slices of `n` points that a CLI sweep or grid with
-    `outputs` (None: COLUMNS) evaluates and writes one at a time: as many
-    rows each as BLOCK_CELLS holds of the columns `_evaluate` returns."""
+    `outputs` evaluates and writes one at a time: as many rows each as
+    BLOCK_CELLS holds of the columns `_evaluate` returns."""
     size = max(1, BLOCK_CELLS // len(_returned_columns(outputs)))
     return (slice(start, min(start + size, n)) for start in range(0, n, size))
 
 
-def _evaluate(params: PhysicalParams, opts: PipelineOptions, outputs=None) -> dict:
+def _evaluate(params: PhysicalParams, opts: PipelineOptions, outputs) -> dict:
     """The pipeline over parameter arrays, each stage called at most once for
-    all points, and only when one of `outputs` (None: COLUMNS) needs it
-    (`NEEDS`); the oracle is the last stage.
+    all points, and only when one of `outputs` needs it (`NEEDS`); the
+    oracle is the last stage.
 
     Returns the `outputs` columns plus `error`, in schema order (COLUMN_SCHEMA,
     then ORACLE_SCHEMA). A point that fails validation runs on a stand-in, the
@@ -555,7 +556,7 @@ def _evaluate(params: PhysicalParams, opts: PipelineOptions, outputs=None) -> di
 
 def evaluate_point(params: PhysicalParams, opts: PipelineOptions = PipelineOptions()) -> dict:
     """Full pipeline for one parameter set; never raises on physics errors."""
-    return Table(_evaluate(broadcast(params, 1), opts))[0]
+    return Table(_evaluate(broadcast(params, 1), opts, COLUMNS))[0]
 
 
 def analyze(params: PhysicalParams, opts: PipelineOptions = PipelineOptions()) -> dict:
@@ -576,8 +577,7 @@ def run_sweep(
     rows: slice = slice(None),
 ) -> Table:
     """One row per axis value that `rows` selects (all by default), evaluated
-    at once; the table holds the spec's outputs (every column without them)
-    plus `error`.
+    at once; the table holds the spec's outputs plus `error`.
 
     The requested (raw) axis value is stored under 'axis_value'; the
     pipeline's own delta_phi column stays canonical in [0, 2*pi), so a sweep
@@ -593,8 +593,7 @@ def run_sweep(
 
 
 def sweep_columns(spec: SweepSpec) -> list[str]:
-    wanted = spec.outputs if spec.outputs is not None else COLUMNS
-    return [spec.axis] + [c for c in wanted if c != spec.axis]
+    return [spec.axis] + [c for c in spec.outputs if c != spec.axis]
 
 
 def sweep_csv_rows(rows: Table, spec: SweepSpec) -> Table:
@@ -708,11 +707,15 @@ def write_csv(
         out.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
-def laser_rows(rows: Table) -> Table:
-    """Project full pipeline rows onto the laser sweep's external columns."""
-    out = Table({ext: rows[key] for ext, key in LASER_SWEEP_COLUMNS})
+def laser_columns(spec: SweepSpec) -> list[str]:
+    """The laser sweep's header: its external columns, led by the raw swept
+    value unless the axis is one of them (delta_phi, which stays canonical)."""
+    names = [ext for ext, _ in LASER_SWEEP_COLUMNS]
+    return names if spec.axis in names else [spec.axis] + names
+
+
+def laser_rows(rows: Table, spec: SweepSpec) -> Table:
+    """Sweep rows of LASER_SWEEP_OUTPUTS projected onto `laser_columns(spec)`."""
+    out = {ext: rows[key] for ext, key in LASER_SWEEP_COLUMNS}
     out["error"] = np.where(rows["error"] != "", rows["error"], rows["laser_error"])
-    return out
-
-
-LASER_COLUMN_NAMES = [ext for ext, _ in LASER_SWEEP_COLUMNS]
+    return Table({name: out.get(name, rows["axis_value"]) for name in laser_columns(spec)})

@@ -123,12 +123,8 @@ def test_criterion_4_strong_drive_coupling_curves():
 
 def test_criterion_5_threshold_dips():
     steps = 721
-    rows = laser_rows(
-        run_sweep(
-            laser_set(),
-            SweepSpec(axis="delta_phi", start=0.0, stop=2.0 * math.pi, steps=steps),
-        )
-    )
+    spec = SweepSpec(axis="delta_phi", start=0.0, stop=2.0 * math.pi, steps=steps)
+    rows = laser_rows(run_sweep(laser_set(), spec), spec)
     dphi = np.array([r["delta_phi"] for r in rows])
     pth = np.array([r["p_threshold"] for r in rows])
     det = np.array([r["detuning"] for r in rows])

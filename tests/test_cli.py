@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, file round-trips."""
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -13,18 +14,21 @@ import pytest
 import sqom
 from sqom import cli
 from sqom.cli import build_parser, main
+from sqom.sweep import (
+    COLUMNS,
+    LASER_SWEEP_OUTPUTS,
+    ORACLE_COLUMNS,
+    GridSpec,
+    SweepSpec,
+    grid_columns,
+    laser_columns,
+    sweep_columns,
+)
 
-from conftest import rows_to_csv
+from conftest import boundary_set, laser_set, rows_to_csv
 
-LASER_PARAMS = {
-    "delta1": 20, "delta2": 100, "lambda1": 9.94, "lambda2": 49.99,
-    "j_hop": 0.1, "g0": 0.002, "kappa": 0.05, "gamma_m": 0.001,
-}
-
-BOUNDARY_PARAMS = {
-    "delta1": -400, "delta2": 400, "lambda1": 198.305, "lambda2": 198,
-    "j_hop": 0.3, "g0": 0.005, "kappa": 0.05, "gamma_m": 0.001,
-}
+LASER_PARAMS = dataclasses.asdict(laser_set(0.0))
+BOUNDARY_PARAMS = dataclasses.asdict(boundary_set(0.0))
 
 
 # both drives within about 1e-13 of the stage-1 boundary: a valid point whose
@@ -160,7 +164,7 @@ def test_the_config_and_the_flags_both_reach_the_pipeline(tmp_path, capsys):
     path.write_text(json.dumps(dict(BOUNDARY_PARAMS, f1_hi=1.0)))
     assert main(["analyze", "--config", str(path), "--n-plus", "2"]) == 0
     header, row = capsys.readouterr().out.splitlines()
-    params = sqom.PhysicalParams(**{k: float(v) for k, v in BOUNDARY_PARAMS.items()})
+    params = boundary_set(0.0)
     want = sqom.analyze(params, sqom.PipelineOptions(f1_hi=1.0, n_plus=2.0))
     assert row == rows_to_csv([want], header.split(",")).splitlines()[1]
     default = sqom.analyze(params)
@@ -204,6 +208,16 @@ def test_contours_bad_cell_names_file_column_and_row(bad, message, tmp_path, cap
     assert main(["contours", "--grid", str(grid_path), "--level", "2.5"]) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: grid file {grid_path}: {message}\n"
+    assert captured.out == ""
+
+
+def test_a_config_file_that_is_not_utf8_is_named(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"delta1": 20\xff}')
+    assert main(["analyze", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: cannot read config file {path}: 'utf-8' codec can't decode "
+                            "byte 0xff in position 13: invalid start byte\n")
     assert captured.out == ""
 
 
@@ -341,6 +355,42 @@ def test_laser_sweep_other_axis_leads_with_raw_value(laser_config, capsys):
         "n_threshold,p_threshold,branch,f1,error"
     )
     assert [line.split(",")[0] for line in lines[1:]] == ["0.001", "0.002", "0.0030000000000000001"]
+
+
+_SWEEP_AXIS = ["--axis", "delta_phi", "--from", "0", "--to", "1", "--steps", "3"]
+_SWEEP = SweepSpec("delta_phi", 0.0, 1.0, 3)
+_GRID_AXES = ["--x-axis", "lambda1", "--x-from", "9", "--x-to", "9.5", "--x-steps", "2",
+              "--y-axis", "delta_phi", "--y-from", "0", "--y-to", "1", "--y-steps", "2"]
+_GRID = GridSpec("lambda1", 9.0, 9.5, 2, "delta_phi", 0.0, 1.0, 2)
+
+# name -> (argv after the command's --config, the header sweep gives for it)
+HEADERS = {
+    "sweep": (["sweep", *_SWEEP_AXIS], sweep_columns(_SWEEP)),
+    "sweep_outputs": (["sweep", *_SWEEP_AXIS, "--outputs", "tms_g1, f1,delta_phi"],
+                      sweep_columns(dataclasses.replace(
+                          _SWEEP, outputs=("tms_g1", "f1", "delta_phi")))),
+    "sweep_outputs_empty": (["sweep", *_SWEEP_AXIS, "--outputs", ""],
+                            sweep_columns(dataclasses.replace(_SWEEP, outputs=()))),
+    "grid": (["grid", *_GRID_AXES], grid_columns(_GRID)),
+    "grid_outputs": (["grid", *_GRID_AXES, "--outputs", "laser_gain,f1"],
+                     grid_columns(dataclasses.replace(_GRID, outputs=("laser_gain", "f1")))),
+    "grid_outputs_empty": (["grid", *_GRID_AXES, "--outputs", ""],
+                           grid_columns(dataclasses.replace(_GRID, outputs=()))),
+    "laser_sweep_delta_phi": (["laser-sweep", "--steps", "3"], laser_columns(
+        SweepSpec("delta_phi", 0.0, 2.0 * math.pi, 3, LASER_SWEEP_OUTPUTS))),
+    "laser_sweep_g0": (
+        ["laser-sweep", "--axis", "g0", "--from", "0.001", "--to", "0.003", "--steps", "3"],
+        laser_columns(SweepSpec("g0", 0.001, 0.003, 3, LASER_SWEEP_OUTPUTS)),
+    ),
+    "analyze": (["analyze"], list(COLUMNS + ORACLE_COLUMNS)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HEADERS))
+def test_each_header_is_the_list_in_sweep(name, laser_config, capsys):
+    (command, *args), want = HEADERS[name]
+    assert main([command, "--config", laser_config, *args]) == 0
+    assert capsys.readouterr().out.splitlines()[0].split(",") == want
 
 
 def test_grid_empty_outputs_writes_head_columns(boundary_config, capsys):

@@ -7,6 +7,7 @@ digit, a signed zero, a moved sentinel) fails here. Rewrite a digest only
 for a deliberate output change, and say so where the change is recorded.
 """
 import contextlib
+import dataclasses
 import hashlib
 import json
 import math
@@ -25,20 +26,14 @@ from sqom import contours
 from sqom.cli import main
 from sqom.errors import ConfigError
 
+from conftest import boundary_set, laser_set, strong_drive_set
+
 TWO_PI = repr(2.0 * math.pi)
 
-LASER = {
-    "delta1": 20.0, "delta2": 100.0, "lambda1": 9.94, "lambda2": 49.99,
-    "j_hop": 0.1, "g0": 0.002, "kappa": 0.05, "gamma_m": 0.001,
-}
-BOUNDARY = {
-    "delta1": -400.0, "delta2": 400.0, "lambda1": 198.305, "lambda2": 198.0,
-    "j_hop": 0.3, "g0": 0.005, "kappa": 0.05, "gamma_m": 0.001,
-}
-STRONG = {
-    "delta1": -4000.0, "delta2": 4000.0, "lambda1": 1997.96, "lambda2": 1997.0,
-    "j_hop": 0.95, "g0": 0.005, "kappa": 0.05, "gamma_m": 0.001,
-}
+# the reference sets at delta_phi = 0, as config dicts
+LASER, BOUNDARY, STRONG = (
+    dataclasses.asdict(reference(0.0)) for reference in (laser_set, boundary_set, strong_drive_set)
+)
 CONFIGS = {
     "laser": LASER,
     "boundary": BOUNDARY,
@@ -370,6 +365,20 @@ def test_contours_grid_read_back_errors(name, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_grid_file_that_is_not_utf8_is_named(grid_files, tmp_path, capsys):
+    # the file is decoded once: the position is the byte's offset in the file
+    lines = grid_files["grid_boundary_109"].read_bytes().split(b"\n")
+    offset = sum(len(line) + 1 for line in lines[:5000]) + 10
+    lines[5000] = lines[5000][:10] + b"\xff" + lines[5000][10:]
+    grid = tmp_path / "grid.csv"
+    grid.write_bytes(b"\n".join(lines))
+    out = tmp_path / "contours.csv"
+    assert _contours(grid, ("--field", "f1", "--level", "10"), out, capsys) == (
+        1, f"error: grid file {grid}: 'utf-8' codec can't decode byte 0xff in position "
+           f"{offset}: invalid start byte\n")
+    assert not out.exists()
+
+
 # The two grid readers: numpy's C parser reads the files `sqom grid` writes,
 # and the csv reader every file that parser might read otherwise.
 
@@ -401,21 +410,20 @@ def test_readers_agree_on_a_grid_with_nan_cells(tmp_path, capsys):
     assert len(digests) == 1
 
 
-def test_a_loadtxt_warning_refuses_the_file(tmp_path):
+def test_a_loadtxt_warning_refuses_the_file():
     # numpy < 2 reads '1.0' in an integer column as 1 with a DeprecationWarning
-    grid = tmp_path / "grid.csv"
-    grid.write_text(_edited())
+    text = _edited()
     loadtxt = np.loadtxt
 
     def warning_loadtxt(*args, **kwargs):
         warnings.warn("string or file could not be read to its end", DeprecationWarning)
         return loadtxt(*args, **kwargs)
 
-    assert contours._loadtxt_columns(str(grid), [0, 1, 2, 3, 4]) is not None
+    assert contours._loadtxt_columns(text, [0, 1, 2, 3, 4]) is not None
     # refused also where the caller's filters ignore the warning
     with mock.patch.object(np, "loadtxt", warning_loadtxt), warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        assert contours._loadtxt_columns(str(grid), [0, 1, 2, 3, 4]) is None
+        assert contours._loadtxt_columns(text, [0, 1, 2, 3, 4]) is None
 
 
 def test_the_fast_reader_runs_no_python_per_cell(grid_files, tmp_path, capsys):

@@ -12,12 +12,12 @@ from sqom import cli, sweep
 from sqom.params import load_config
 from sqom.sweep import (
     COLUMNS,
-    LASER_COLUMN_NAMES,
     LASER_SWEEP_OUTPUTS,
     GridSpec,
     SweepSpec,
     grid_columns,
     grid_csv_rows,
+    laser_columns,
     laser_rows,
     run_grid,
     run_sweep,
@@ -70,17 +70,18 @@ BLOCK = 4
 @pytest.mark.parametrize("outputs", [None, ("f1", "branch", "tms_g1", "laser_n_threshold")])
 def test_sweep_blocks_write_the_whole_table(n, outputs, config, blocks, tmp_path):
     # the first block mixes valid and Stage1Unstable points; from n = BLOCK + 1
-    # on, a later block holds only Stage1Unstable points
-    calls = blocks(BLOCK, outputs)
+    # on, a later block holds only Stage1Unstable points. None: no --outputs
     start, stop = _lambda2_axis(n)
     argv = ["sweep", "--config", config, "--axis", "lambda2", "--from", start, "--to", stop,
             "--steps", str(n)]
+    spec = SweepSpec("lambda2", float(start), float(stop), n)
     if outputs is not None:
         argv += ["--outputs", ",".join(outputs)]
+        spec = dataclasses.replace(spec, outputs=outputs)
+    calls = blocks(BLOCK, spec.outputs)
     got = _cli_csv(argv, tmp_path)
     assert len(calls) == math.ceil(n / BLOCK)
     params, opts = load_config(config)
-    spec = SweepSpec("lambda2", float(start), float(stop), n, outputs)
     assert got == rows_to_csv(sweep_csv_rows(run_sweep(params, spec, opts), spec),
                               sweep_columns(spec))
 
@@ -121,17 +122,13 @@ def test_laser_sweep_blocks_write_the_whole_table(n, axis, config, blocks, tmp_p
                     "--to", stop, "--steps", str(n)], tmp_path)
     assert len(calls) == math.ceil(n / BLOCK)
     params, opts = load_config(config)
-    rows = run_sweep(params, SweepSpec(axis, float(start), float(stop), n, LASER_SWEEP_OUTPUTS),
-                     opts)
-    table, columns = laser_rows(rows), LASER_COLUMN_NAMES
-    if axis != "delta_phi":
-        table[axis] = rows["axis_value"]
-        columns = [axis] + columns
-    assert got == rows_to_csv(table, columns)
+    spec = SweepSpec(axis, float(start), float(stop), n, LASER_SWEEP_OUTPUTS)
+    assert got == rows_to_csv(laser_rows(run_sweep(params, spec, opts), spec),
+                              laser_columns(spec))
 
 
 def test_a_sweeps_allocation_peak_does_not_grow_with_its_points(config, blocks, tmp_path):
-    blocks(32, None)
+    blocks(32, COLUMNS)
 
     def peak(n: int) -> int:
         tracemalloc.start()

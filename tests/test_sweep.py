@@ -155,12 +155,15 @@ def test_outputs_subset_and_column_order():
         axis="delta_phi", start=0.0, stop=1.0, steps=3, outputs=("f1", "branch")
     )
     assert sweep_columns(spec) == ["delta_phi", "f1", "branch"]
+    assert sweep_columns(dataclasses.replace(spec, outputs=())) == ["delta_phi"]
     gspec = GridSpec(
         x_axis="lambda1", x_start=1.0, x_stop=2.0, x_steps=2,
         y_axis="delta_phi", y_start=0.0, y_stop=1.0, y_steps=2,
         outputs=("f1", "f2"),
     )
     assert grid_columns(gspec) == ["x_index", "y_index", "lambda1", "delta_phi", "f1", "f2"]
+    assert grid_columns(dataclasses.replace(gspec, outputs=())) == [
+        "x_index", "y_index", "lambda1", "delta_phi"]
 
 
 def test_axis_column_not_duplicated():
@@ -232,7 +235,7 @@ def test_table_csv_equals_row_dict_csv(seed, n, repeated):
 
 def test_laser_projection_columns():
     spec = SweepSpec(axis="delta_phi", start=0.0, stop=2.0 * math.pi, steps=5)
-    rows = laser_rows(run_sweep(laser_set(), spec))
+    rows = laser_rows(run_sweep(laser_set(), spec), spec)
     assert list(rows[0].keys()) == [
         "delta_phi", "w1", "w2", "detuning", "gp12_abs", "gain", "n_b",
         "n_threshold", "p_threshold", "branch", "f1", "error",
@@ -477,7 +480,10 @@ def stage_calls(monkeypatch):
     (None, dict.fromkeys(_STAGE_FUNCTIONS, 1)),
 ])
 def test_only_the_needed_stages_run(stage_calls, outputs, expected):
-    spec = SweepSpec(axis="delta_phi", start=0.0, stop=2.0 * math.pi, steps=7, outputs=outputs)
+    # None: the spec's default, every column
+    spec = SweepSpec(axis="delta_phi", start=0.0, stop=2.0 * math.pi, steps=7)
+    if outputs is not None:
+        spec = dataclasses.replace(spec, outputs=outputs)
     run_sweep(laser_set(), spec)
     assert stage_calls == {name: expected.get(name, 0) for name in _STAGE_FUNCTIONS}
 
@@ -568,6 +574,7 @@ _VALID_POINTS = [
 def test_fully_valid_batch_equals_the_blank_and_fill_path(outputs, monkeypatch):
     from sqom import sweep
 
+    outputs = COLUMNS if outputs is None else outputs  # None: what evaluate_point asks for
     taken = []
     monkeypatch.setattr(sweep, "take", lambda *a: taken.append(1) or take(*a))
     params = stack(PhysicalParams, _VALID_POINTS)
