@@ -6,19 +6,20 @@ brute-force conjugation oracle. This module samples random valid parameter
 sets, runs both families of checks plus the symplectic-metric preservation
 test, and reports one row per check for the `verify` CLI subcommand. The
 random sets' oracle checks read no frequency, so they solve no form; the
-configured point's one form gives its frequency-deviation rows.
+configured point's one form gives its frequency-deviation rows. The random
+sets are read from look-ahead blocks of the generator's raw 64-bit words.
 """
 from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Callable
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import oracle
-from .elementwise import cabs, cosh, hypot, py_max, square, stack, tanh
+from .elementwise import cabs, cosh, hypot, py_max, square, tanh
 from .errors import NUMERICAL_DEGENERACY, TMS_UNSTABLE
 from .oracle import METRIC_TOL
 from .params import PhysicalParams, validate
@@ -29,109 +30,115 @@ from .stage1 import Stage1Result, stage1_transform
 IDENTITY_RTOL = 1e-10
 
 
-def _squeezed(delta: float, lambda_amp: float) -> tuple[float, float, float]:
-    """omega_s, cosh(r_d) and sinh(r_d) of one cavity, as stage1_transform
-    computes them, on floats."""
-    r = 0.25 * math.log((delta + 2.0 * lambda_amp) / (delta - 2.0 * lambda_amp))
-    return (delta - 2.0 * lambda_amp) * math.exp(2.0 * r), math.cosh(r), math.sinh(r)
-
-
-def _tms_exists(q1: tuple, q2: tuple, phi_d1: float, phi_d2: float) -> bool:
-    """Whether the two-mode-squeezing transformation can be drawn on a set,
-    given each cavity's `_squeezed` values and drive phase: the frequency sum
-    must not nearly cancel and the pair coupling lam2 must not vanish."""
-    (w1, c1, s1), (w2, c2, s2) = q1, q2
-    if w1 + w2 < 0.01 * max(1.0, abs(w1) + abs(w2)):
-        return False
-    lam2 = c1 * s2 * cmath.exp(1j * phi_d2) + s1 * c2 * cmath.exp(1j * phi_d1)
-    return abs(lam2) >= 1e-9
+# an attempt at a set reads at most ten words (one for both signs, eight
+# doubles, a two-mode-squeezing set's hopping fraction); blocks are read ahead
+_ATTEMPT_WORDS, _BLOCK_WORDS = 10, 1024
 
 
 def random_valid_params(
-    rng: np.random.Generator, accept: Callable[..., bool] | None = None
-) -> PhysicalParams:
-    """A random stable parameter set (floats) with well-separated squeezed
-    frequencies.
+    rng: np.random.Generator, branches: Sequence[Branch]
+) -> dict[Branch, tuple[PhysicalParams, np.ndarray]]:
+    """One random set per entry of `branches`, drawn in order, on which that
+    branch's transformation exists; per branch, the sets as one batch and
+    their hopping fractions u (NaN for the beam-splitter branch).
 
     Detunings of either sign in [1, 100], drives up to 0.495|delta| (so the
-    squeezing parameters stay moderate and the exact identities are probed
-    far from float cancellation), uniform phases, log-uniform g0. Sets whose
-    squeezed frequencies nearly coincide are resampled: there the label
-    split omega_s1 - omega_s2 is dominated by rounding and no finite
-    tolerance is meaningful. So is a set that `accept(q1, q2, phi_d1, phi_d2)`
-    refuses, where q1 and q2 are each cavity's `_squeezed` values.
+    squeezing stays moderate and the exact identities are probed far from
+    float cancellation), uniform phases, log-uniform g0. A set is redrawn
+    where its squeezed frequencies nearly coincide (the label split
+    omega_s1 - omega_s2 is then rounding), a two-mode-squeezing set also
+    where their sum nearly cancels (it then carries only ~1e-11 relative
+    accuracy) or lam2 vanishes. `validated` puts |J'| = 2*j_hop*|lam2| at
+    the fraction u, inside (0.05, 0.95), of the stability interval
+    (0, omega_s1+omega_s2).
 
-    Each attempt reads the generator in a fixed order: two 32-bit draws of
-    the bit generator, whose top bits are the signs of delta1 and delta2 as
-    `rng.integers(2)` computes them, then `rng.random(8)` for the detuning
-    magnitudes, lambda1, lambda2, j_hop, log10(g0), phi_d1 and phi_d2. Both
-    32-bit draws take one 64-bit word, so on a generator that keeps no half
-    word (a fresh one; each attempt leaves none) the sets and the state after
-    them are bit for bit those of `rng.choice([-1.0, 1.0])` per sign and one
-    `rng.uniform(low, high)`, which is `low + (high - low) * u`, per value.
+    Each attempt reads two 32-bit draws, whose top bits are the signs as
+    `rng.integers(2)` takes them, then eight doubles; an accepted
+    two-mode-squeezing set reads one more double for u. So from a fresh
+    generator the sets and the state after them are bit for bit those of one
+    `rng.choice([-1.0, 1.0])` per sign and one `rng.uniform(low, high)`,
+    `low + (high - low) * u`, per value. The words come from `random_raw`
+    blocks: a double is `(w >> 11) * 2**-53`; a 32-bit draw takes the
+    pending half word, else the low half of a fresh word, keeping its high
+    half pending. At the end the state saved before the last block is
+    restored with the reader's half word, and the words of that block that
+    were used are read again. A bit generator with no half word (MT19937)
+    raises TypeError.
     """
-    bits = rng.bit_generator.ctypes  # numpy's typed C function pointers and state
-    while True:
-        s1, s2 = bits.next_uint32(bits.state) >> 31, bits.next_uint32(bits.state) >> 31
-        m1, m2, u1, u2, uj, ug, up1, up2 = rng.random(8).tolist()
-        d1 = (-1.0, 1.0)[s1] * (1.0 + (100.0 - 1.0) * m1)
-        d2 = (-1.0, 1.0)[s2] * (1.0 + (100.0 - 1.0) * m2)
-        lambda1 = 0.0 + (0.495 * abs(d1) - 0.0) * u1
-        lambda2 = 0.0 + (0.495 * abs(d2) - 0.0) * u2
-        phi_d1 = 0.0 + (2.0 * math.pi - 0.0) * up1
-        phi_d2 = 0.0 + (2.0 * math.pi - 0.0) * up2
-        q1 = _squeezed(d1, lambda1)
-        q2 = _squeezed(d2, lambda2)
-        w1, w2 = q1[0], q2[0]
-        if abs(w1 - w2) < 0.01 * max(1.0, abs(w1) + abs(w2)):
-            continue
-        if accept is None or accept(q1, q2, phi_d1, phi_d2):
-            return PhysicalParams(
-                delta1=d1,
-                delta2=d2,
-                lambda1=lambda1,
-                lambda2=lambda2,
-                j_hop=0.0 + (2.0 - 0.0) * uj,
-                g0=10.0 ** (-4.0 + (-1.0 - -4.0) * ug),
-                kappa=0.05,
-                gamma_m=0.001,
-                phi_d1=phi_d1,
-                phi_d2=phi_d2,
-            )
+    bits = rng.bit_generator
+    saved = bits.state
+    if "has_uint32" not in saved:
+        raise TypeError(f"{saved['bit_generator']} keeps no half word (PCG64 does)")
+    pending, half = saved["has_uint32"], saved["uinteger"]
+    drawn = {Branch.TWO_MODE_SQUEEZING: [], Branch.BEAM_SPLITTER: []}
+    words = []  # each word as its double
+    i = tail = 0  # the next word of the block, the words it kept from the last one
+    for branch in branches:
+        tms = branch is Branch.TWO_MODE_SQUEEZING
+        while True:
+            if len(words) - i < _ATTEMPT_WORDS:
+                saved, tail = bits.state, len(words) - i
+                words = words[i:] + ((bits.random_raw(_BLOCK_WORDS) >> 11) * 2.0**-53).tolist()
+                i = 0
+            # a double keeps the top 53 bits of its word: bit 31 is bit 20 there
+            top = int(words[i] * 2.0**53)
+            s1, s2 = (half >> 31, (top >> 20) & 1) if pending else ((top >> 20) & 1, top >> 52)
+            half = top >> 21
+            m1, m2, u1, u2, uj, ug, up1, up2 = words[i + 1:i + 9]
+            i += 9
+            d1 = (-1.0, 1.0)[s1] * (1.0 + (100.0 - 1.0) * m1)
+            d2 = (-1.0, 1.0)[s2] * (1.0 + (100.0 - 1.0) * m2)
+            lambda1 = 0.0 + (0.495 * abs(d1) - 0.0) * u1
+            lambda2 = 0.0 + (0.495 * abs(d2) - 0.0) * u2
+            # r_d and omega_s of each cavity, as stage1_transform computes them
+            a1, a2 = d1 - 2.0 * lambda1, d2 - 2.0 * lambda2
+            r1 = 0.25 * math.log((d1 + 2.0 * lambda1) / a1)
+            r2 = 0.25 * math.log((d2 + 2.0 * lambda2) / a2)
+            w1, w2 = a1 * math.exp(2.0 * r1), a2 * math.exp(2.0 * r2)
+            near = 0.01 * max(1.0, abs(w1) + abs(w2))
+            if abs(w1 - w2) < near:
+                continue
+            phi_d1 = 0.0 + (2.0 * math.pi - 0.0) * up1
+            phi_d2 = 0.0 + (2.0 * math.pi - 0.0) * up2
+            u = math.nan
+            if tms:
+                if w1 + w2 < near:
+                    continue
+                lam2 = (math.cosh(r1) * math.sinh(r2) * cmath.exp(1j * phi_d2)
+                        + math.sinh(r1) * math.cosh(r2) * cmath.exp(1j * phi_d1))
+                if abs(lam2) < 1e-9:
+                    continue
+                u = 0.05 + (0.95 - 0.05) * words[i]
+                i += 1
+            drawn[branch].append((
+                d1, d2, lambda1, lambda2, 0.0 + (2.0 - 0.0) * uj,
+                10.0 ** (-4.0 + (-1.0 - -4.0) * ug), 0.05, 0.001, phi_d1, phi_d2, 1.0, u,
+            ))
+            break
+    if words:
+        saved.update(has_uint32=pending, uinteger=half)
+        bits.state = saved
+        bits.random_raw(i - tail)
+    # one row per field of PhysicalParams, in field order, then u
+    columns = {b: np.array(rows).reshape(-1, 12).T.copy() for b, rows in drawn.items()}
+    return {b: (PhysicalParams(*c[:-1]), c[-1]) for b, c in columns.items()}
 
 
-def random_branch_params(
-    rng: np.random.Generator, branch: Branch
-) -> tuple[PhysicalParams, float]:
-    """A random set on which the requested second-stage transformation
-    exists, and the hopping fraction u (NaN for the beam-splitter branch).
-
-    For the two-mode-squeezing branch `random_sets` rescales the hopping so
-    that |J'| = 2*j_hop*|lam2| lands at the fraction u, strictly inside
-    (0.05, 0.95), of the stability interval (0, omega_s1+omega_s2). Sets
-    whose frequency sum nearly cancels are skipped for the same reason
-    near-degenerate differences are: the sum then carries only ~1e-11
-    relative accuracy and no identity built on it can be checked tighter
-    than that.
-
-    A beam-splitter set is one `random_valid_params` draw. A
-    two-mode-squeezing set is drawn the same way, a refused set redrawn,
-    and u is then `0.05 + (0.95 - 0.05) * rng.random()`, as
-    `rng.uniform(0.05, 0.95)` computes it.
-    """
-    if branch is Branch.BEAM_SPLITTER:
-        return random_valid_params(rng), math.nan
-    return random_valid_params(rng, _tms_exists), 0.05 + (0.95 - 0.05) * rng.random()
+def random_branch_params(rng: np.random.Generator, branch: Branch) -> tuple[PhysicalParams, float]:
+    """One `random_valid_params` set of `branch`, as floats, and its u."""
+    sets, u = random_valid_params(rng, [branch])[branch]
+    return PhysicalParams(**{k: v.item() for k, v in vars(sets).items()}), u.item()
 
 
-def stacked(branch: Branch, drawn: list) -> tuple[PhysicalParams, Stage1Result]:
-    """Sets drawn by `random_branch_params` as one validated batch and its
+def validated(
+    branch: Branch, sets: PhysicalParams, u: np.ndarray
+) -> tuple[PhysicalParams, Stage1Result]:
+    """Sets drawn by `random_valid_params` as one validated batch and its
     stage 1 result; two-mode-squeezing sets get their rescaled hopping."""
-    sets, u = zip(*drawn) if drawn else ((), ())
-    vp = validate(stack(PhysicalParams, sets))
+    vp = validate(sets)
     s = stage1_transform(vp)
     if branch is Branch.TWO_MODE_SQUEEZING:
-        vp = vp.replace(j_hop=np.array(u) * s.omega_sum / (2.0 * cabs(s.lam2)))
+        vp = vp.replace(j_hop=u * s.omega_sum / (2.0 * cabs(s.lam2)))
     return vp, s
 
 
@@ -139,7 +146,7 @@ def random_sets(
     rng: np.random.Generator, branch: Branch, n: int
 ) -> tuple[PhysicalParams, Stage1Result]:
     """n random sets of `branch`, drawn one after another, as one batch."""
-    return stacked(branch, [random_branch_params(rng, branch) for _ in range(n)])
+    return validated(branch, *random_valid_params(rng, [branch] * n)[branch])
 
 
 @dataclass(frozen=True)
@@ -196,10 +203,10 @@ def run_verification(
     """All checks at the configured point (a batch of one) plus `n_random`
     random sets per branch.
 
-    The sets are drawn one at a time with plain floats, so the random stream
-    is read in a fixed order: the identity sets of both branches alternately,
-    then the oracle sets of each branch. Each family of checks then runs once
-    on the stacked sets of a branch.
+    Each phase draws its sets in one `random_valid_params` call, so the
+    random stream is read in a fixed order: the identity sets of both
+    branches alternately, then the oracle sets of each branch. Each family
+    of checks then runs once on the batch of a branch.
     """
     rng = np.random.default_rng(seed)
     rows: list[CheckRow] = []
@@ -210,25 +217,18 @@ def run_verification(
         rows.append(CheckRow(check, status, err, tol, detail))
 
     # --- exact identities on random sets ------------------------------------
-    drawn = [
-        (random_branch_params(rng, Branch.TWO_MODE_SQUEEZING),
-         random_branch_params(rng, Branch.BEAM_SPLITTER))
-        for _ in range(n_random)
-    ]
-    if drawn:
-        tms_sets, bs_sets = zip(*drawn)
+    tms, bs = Branch.TWO_MODE_SQUEEZING, Branch.BEAM_SPLITTER
+    drawn = random_valid_params(rng, [tms, bs] * n_random)
+    if n_random:
         errors = {
-            **_identity_errors_tms(*stacked(Branch.TWO_MODE_SQUEEZING, tms_sets)),
-            **_identity_errors_bs(*stacked(Branch.BEAM_SPLITTER, bs_sets)),
+            **_identity_errors_tms(*validated(tms, *drawn[tms])),
+            **_identity_errors_bs(*validated(bs, *drawn[bs])),
         }
         for name, err in sorted(errors.items()):
             add(f"identity[{name}]", _worst(err), IDENTITY_RTOL, f"{n_random} random sets")
 
     # --- oracle agreement: the two defects, no form to solve ------------------
-    for branch, label, couplings in (
-        (Branch.TWO_MODE_SQUEEZING, "tms", tms_couplings),
-        (Branch.BEAM_SPLITTER, "bs", bs_couplings),
-    ):
+    for branch, label, couplings in ((tms, "tms", tms_couplings), (bs, "bs", bs_couplings)):
         sets, stage1 = random_sets(rng, branch, n_random)
         report, = oracle.rwa_error_report(sets, stage1, [couplings(stage1, sets)])
         add(f"oracle_coefficients[{label}]", _worst(report.coeff_defect), oracle_rtol,

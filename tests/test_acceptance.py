@@ -24,9 +24,9 @@ from sqom.sweep import laser_rows
 from sqom.verify import (
     _identity_errors_bs,
     _identity_errors_tms,
-    random_branch_params,
     random_sets,
-    stacked,
+    random_valid_params,
+    validated,
 )
 
 from conftest import (
@@ -52,13 +52,11 @@ def _report(n, label):
 
 
 def test_criterion_1_exact_identity_suite(rng):
-    tms_sets, bs_sets = [], []
-    for _ in range(N_RANDOM):  # the sets of both branches drawn alternately
-        tms_sets.append(random_branch_params(rng, Branch.TWO_MODE_SQUEEZING))
-        bs_sets.append(random_branch_params(rng, Branch.BEAM_SPLITTER))
+    tms, bs = Branch.TWO_MODE_SQUEEZING, Branch.BEAM_SPLITTER
+    drawn = random_valid_params(rng, [tms, bs] * N_RANDOM)  # both branches alternately
     errors = {
-        **_identity_errors_tms(*stacked(Branch.TWO_MODE_SQUEEZING, tms_sets)),
-        **_identity_errors_bs(*stacked(Branch.BEAM_SPLITTER, bs_sets)),
+        **_identity_errors_tms(*validated(tms, *drawn[tms])),
+        **_identity_errors_bs(*validated(bs, *drawn[bs])),
     }
     worst = max(np.max(err) for err in errors.values())
     assert worst < IDENTITY_RTOL, f"worst identity error {worst}"

@@ -18,6 +18,7 @@ from sqom import (
     validate,
     verify,
 )
+from sqom.elementwise import stack
 from sqom.oracle import (
     COEFFICIENTS,
     SIGMA,
@@ -28,7 +29,7 @@ from sqom.oracle import (
     tms_map,
 )
 from sqom.second_stage import TmsCouplings, bs_couplings, tms_couplings
-from sqom.verify import _squeezed, random_branch_params, random_sets, stacked
+from sqom.verify import random_branch_params, random_sets, random_valid_params, validated
 
 from conftest import (
     assert_rel,
@@ -62,6 +63,20 @@ def _dropped_term(p, label):
 def _final_map(vp, s, c):
     """Stage-1 squeezing composed with the rotation of the branch of `c`."""
     return stage1_map(vp, s) @ (tms_map(c) if isinstance(c, TmsCouplings) else bs_map(c))
+
+
+def _squeezed(delta, lambda_amp):
+    """omega_s, cosh(r_d) and sinh(r_d) of one cavity, as stage1_transform
+    computes them, on floats."""
+    r = 0.25 * math.log((delta + 2.0 * lambda_amp) / (delta - 2.0 * lambda_amp))
+    return (delta - 2.0 * lambda_amp) * math.exp(2.0 * r), math.cosh(r), math.sinh(r)
+
+
+def stacked(branch, drawn):
+    """Sets drawn one at a time, as (set, u) pairs, as one validated batch and
+    its stage 1 result."""
+    sets, u = zip(*drawn) if drawn else ((), ())
+    return validated(branch, stack(PhysicalParams, sets), np.array(u, dtype=float))
 
 
 def _reference_valid_params(rng):
@@ -146,6 +161,106 @@ def test_oracle_phase_runs_are_pinned(seed):
         assert rng.bit_generator.state == reference.bit_generator.state
 
 
+def _per_attempt_valid_params(rng, tms):
+    """The per-attempt sampler the look-ahead reader replaces: each attempt
+    makes two 32-bit draws through the bit generator's `next_uint32`, then
+    one `rng.random(8)`."""
+    bits = rng.bit_generator.ctypes
+    while True:
+        s1, s2 = bits.next_uint32(bits.state) >> 31, bits.next_uint32(bits.state) >> 31
+        m1, m2, u1, u2, uj, ug, up1, up2 = rng.random(8).tolist()
+        d1 = (-1.0, 1.0)[s1] * (1.0 + (100.0 - 1.0) * m1)
+        d2 = (-1.0, 1.0)[s2] * (1.0 + (100.0 - 1.0) * m2)
+        lambda1 = 0.0 + (0.495 * abs(d1) - 0.0) * u1
+        lambda2 = 0.0 + (0.495 * abs(d2) - 0.0) * u2
+        phi_d1 = 0.0 + (2.0 * math.pi - 0.0) * up1
+        phi_d2 = 0.0 + (2.0 * math.pi - 0.0) * up2
+        (w1, c1, s1), (w2, c2, s2) = _squeezed(d1, lambda1), _squeezed(d2, lambda2)
+        near = 0.01 * max(1.0, abs(w1) + abs(w2))
+        if abs(w1 - w2) < near:
+            continue
+        if tms:
+            if w1 + w2 < near:
+                continue
+            lam2 = c1 * s2 * cmath.exp(1j * phi_d2) + s1 * c2 * cmath.exp(1j * phi_d1)
+            if abs(lam2) < 1e-9:
+                continue
+        return PhysicalParams(
+            delta1=d1, delta2=d2, lambda1=lambda1, lambda2=lambda2,
+            j_hop=0.0 + (2.0 - 0.0) * uj, g0=10.0 ** (-4.0 + (-1.0 - -4.0) * ug),
+            kappa=0.05, gamma_m=0.001, phi_d1=phi_d1, phi_d2=phi_d2,
+        )
+
+
+def _per_attempt_branch_params(rng, branch):
+    tms = branch is Branch.TWO_MODE_SQUEEZING
+    p = _per_attempt_valid_params(rng, tms)
+    return p, 0.05 + (0.95 - 0.05) * rng.random() if tms else math.nan
+
+
+def _plain(state):
+    """A bit generator's state with its arrays as lists, so states compare."""
+    return {k: _plain(v) if isinstance(v, dict) else np.asarray(v).tolist()
+            for k, v in state.items()}
+
+
+def _assert_reader_is_per_attempt(bit_generator, n, prior_draws=0):
+    """The phases of a `verify` run of n sets per branch (both branches
+    alternately, then each branch alone) drawn by the reader and by the
+    per-attempt sampler: equal sets, bit for bit, and an equal full
+    generator state after each phase. `prior_draws` calls of
+    `rng.integers(2)` come first, so an odd number leaves a half word
+    pending."""
+    rng, reference = (np.random.Generator(bit_generator(2024)) for _ in range(2))
+    for _ in range(prior_draws):
+        assert rng.integers(2) == reference.integers(2)
+    tms, bs = Branch.TWO_MODE_SQUEEZING, Branch.BEAM_SPLITTER
+    for phase in ([tms, bs] * n, [tms] * n, [bs] * n):
+        drawn = random_valid_params(rng, phase)
+        want = {tms: [], bs: []}
+        for branch in phase:
+            want[branch].append(_per_attempt_branch_params(reference, branch))
+        for branch, sets in want.items():
+            p, u = zip(*sets) if sets else ((), ())
+            got, got_u = drawn[branch]
+            assert _bytes(got) + [got_u.tobytes()] == (
+                _bytes(stack(PhysicalParams, p)) + [np.array(u, dtype=float).tobytes()])
+        assert _plain(rng.bit_generator.state) == _plain(reference.bit_generator.state)
+
+
+def test_reader_crosses_look_ahead_blocks():
+    """2000 sets per branch read dozens of look-ahead blocks a phase."""
+    _assert_reader_is_per_attempt(np.random.PCG64, 2000)
+
+
+@pytest.mark.parametrize("prior_draws", [1, 2, 3])
+def test_reader_keeps_a_pending_half_word(prior_draws):
+    _assert_reader_is_per_attempt(np.random.PCG64, 300, prior_draws)
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64DXSM, np.random.Philox,
+                                           np.random.SFC64])
+@pytest.mark.parametrize("prior_draws", [0, 1])
+def test_reader_reads_every_half_word_bit_generator(bit_generator, prior_draws):
+    _assert_reader_is_per_attempt(bit_generator, 300, prior_draws)
+
+
+def test_no_sets_leave_the_generator_alone():
+    rng = np.random.default_rng(5)
+    rng.integers(2)
+    before = rng.bit_generator.state
+    drawn = random_valid_params(rng, [])
+    assert rng.bit_generator.state == before
+    assert all(len(sets.delta1) == len(u) == 0 for sets, u in drawn.values())
+
+
+def test_a_bit_generator_without_a_half_word_is_refused():
+    """MT19937 makes a double of two 32-bit outputs, not of one 64-bit word."""
+    rng = np.random.Generator(np.random.MT19937(0))
+    with pytest.raises(TypeError, match="MT19937"):
+        random_sets(rng, Branch.BEAM_SPLITTER, 1)
+
+
 def test_form_trivial_diagonal():
     p = PhysicalParams(
         delta1=3.0, delta2=7.0, lambda1=0.0, lambda2=0.0,
@@ -217,13 +332,11 @@ def test_identity_map_recovers_bare_coupling():
 
 def test_branch_transformations_diagonalize_their_hamiltonian(rng):
     """The rotation must cancel the photonic term it was built to remove."""
-    tms_sets, bs_sets = [], []
-    for _ in range(100):  # the sets of both branches drawn alternately
-        tms_sets.append(random_branch_params(rng, Branch.TWO_MODE_SQUEEZING))
-        bs_sets.append(random_branch_params(rng, Branch.BEAM_SPLITTER))
-    vps, ss = stacked(Branch.TWO_MODE_SQUEEZING, tms_sets)
+    tms, bs = Branch.TWO_MODE_SQUEEZING, Branch.BEAM_SPLITTER
+    drawn = random_valid_params(rng, [tms, bs] * 100)  # both branches alternately
+    vps, ss = validated(tms, *drawn[tms])
     cs = tms_couplings(ss, vps)
-    bvps, bss = stacked(Branch.BEAM_SPLITTER, bs_sets)
+    bvps, bss = validated(bs, *drawn[bs])
     bcs = bs_couplings(bss, bvps)
     tms_rows = zip(points(vps), points(ss), points(cs), tms_map(cs))
     bs_rows = zip(points(bvps), points(bss), points(bcs), bs_map(bcs))

@@ -54,6 +54,8 @@ def test_deferred_functions_run_through_the_tracer(tmp_path):
     grid = str(tmp_path / "grid.csv")
     common = ["--config", str(config), "--out"]
     assert "verify" in _layers(["verify", *common, out, "--random", "1"])
+    # the sampler's draws run through a name the tracer wraps
+    assert "verify.sample" in _layers(["verify", *common, out, "--random", "2"])
     assert {"branch_tms", "branch_bs", "laser"} <= _layers(
         ["sweep", *common, out, "--axis", "delta_phi", "--from", "0", "--to", "1",
          "--steps", "3"])
