@@ -43,6 +43,7 @@ from sqom import (  # noqa: E402
 )
 from sqom.contours import CONTOUR_COLUMNS, contour_table  # noqa: E402
 from sqom.elementwise import cabs, stack  # noqa: E402
+from sqom.params import load_config  # noqa: E402
 from sqom.second_stage import bs_couplings  # noqa: E402
 from sqom.sweep import (  # noqa: E402
     LASER_SWEEP_OUTPUTS,
@@ -56,20 +57,13 @@ from sqom.sweep import (  # noqa: E402
     write_csv,
 )
 
-STRONG_DRIVE = PhysicalParams(
-    delta1=-4000.0, delta2=4000.0, lambda1=1997.96, lambda2=1997.0,
-    j_hop=0.95, g0=0.005, kappa=0.05, gamma_m=0.001,
-)
-BOUNDARY = PhysicalParams(
-    delta1=-400.0, delta2=400.0, lambda1=198.305, lambda2=198.0,
-    j_hop=0.3, g0=0.005, kappa=0.05, gamma_m=0.001,
-)
-LASER = PhysicalParams(
-    delta1=20.0, delta2=100.0, lambda1=9.94, lambda2=49.99,
-    j_hop=0.1, g0=0.002, kappa=0.05, gamma_m=0.001,
-)
-
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 TWO_PI = 2.0 * math.pi
+
+
+def _reference(name: str) -> PhysicalParams:
+    """The reference parameter set configs/<name>.json (drive phases 0)."""
+    return load_config(CONFIGS / f"{name}.json")[0]
 
 
 def _write(path: Path, rows, columns):
@@ -99,12 +93,13 @@ def _contours(grows, spec, levels_by_field):
 
 
 def strong_drive_datasets(outdir: Path):
+    params = _reference("strong_drive")
     spec = SweepSpec(
         axis="delta_phi", start=0.0, stop=TWO_PI, steps=401,
         outputs=("tms_r", "tms_w1", "tms_w2", "tms_g1", "tms_g2", "tms_eta",
                  "f1", "f2", "branch", "tms_error"),
     )
-    rows = run_sweep(STRONG_DRIVE, spec)
+    rows = run_sweep(params, spec)
     _write(outdir / "strong_drive_couplings.csv", sweep_csv_rows(rows, spec), sweep_columns(spec))
 
     gspec = GridSpec(
@@ -112,7 +107,7 @@ def strong_drive_datasets(outdir: Path):
         y_axis="delta_phi", y_start=0.0, y_stop=TWO_PI, y_steps=101,
         outputs=("f1", "f2", "tms_g1", "tms_g2", "tms_eta", "branch"),
     )
-    grows = run_grid(STRONG_DRIVE, gspec)
+    grows = run_grid(params, gspec)
     _write(outdir / "strong_drive_grid.csv", grid_csv_rows(grows, gspec), grid_columns(gspec))
 
     crows = _contours(grows, gspec, [("f1", [10.0]), ("tms_g2", [0.1]), ("tms_eta", [0.05])])
@@ -120,12 +115,13 @@ def strong_drive_datasets(outdir: Path):
 
 
 def boundary_datasets(outdir: Path):
+    params = _reference("boundary")
     gspec = GridSpec(
         x_axis="lambda1", x_start=197.2, x_stop=199.9, x_steps=109,
         y_axis="delta_phi", y_start=0.0, y_stop=TWO_PI, y_steps=109,
         outputs=("f1", "f2", "branch"),
     )
-    grows = run_grid(BOUNDARY, gspec)
+    grows = run_grid(params, gspec)
     _write(outdir / "boundary_grid.csv", grid_csv_rows(grows, gspec), grid_columns(gspec))
 
     crows = _contours(grows, gspec, [("f1", [10.0]), ("f2", [0.0])])
@@ -136,16 +132,17 @@ def boundary_datasets(outdir: Path):
         outputs=("tms_w1", "tms_w2", "tms_g2", "tms_g12_re", "tms_g12_im",
                  "tms_gp12_abs", "tms_resonance", "f1", "f2", "tms_error"),
     )
-    rows = run_sweep(BOUNDARY, spec)
+    rows = run_sweep(params, spec)
     rows["w_sum"] = rows["tms_w1"] + rows["tms_w2"]
     _write(outdir / "boundary_resonance.csv", sweep_csv_rows(rows, spec),
            sweep_columns(spec) + ["w_sum"])
 
 
 def laser_datasets(outdir: Path):
+    laser = _reference("laser")
     spec = SweepSpec(axis="delta_phi", start=0.0, stop=TWO_PI, steps=721,
                      outputs=LASER_SWEEP_OUTPUTS)
-    projected = laser_rows(run_sweep(LASER, spec), spec)
+    projected = laser_rows(run_sweep(laser, spec), spec)
     _write(outdir / "laser_threshold.csv", projected, laser_columns(spec))
 
     # stimulated phonon number vs pump density at selected working points
@@ -156,14 +153,14 @@ def laser_datasets(outdir: Path):
     working_points = {f"dip_{k}": projected[i]["delta_phi"] for k, i in enumerate(dips)}
     working_points["pi"] = math.pi
     points = [
-        (label, dphi, LASER.replace(phi_d1=LASER.phi_d2 + dphi))
+        (label, dphi, laser.replace(phi_d1=laser.phi_d2 + dphi))
         for label, dphi in sorted(working_points.items())
     ]
     # undriven baseline: no parametric drives, hopping retuned so the
     # supermode splitting sits exactly on the mechanical resonance
     points.append((
         "undriven_baseline", 0.0,
-        LASER.replace(lambda1=0.0, lambda2=0.0, delta1=20.0, delta2=19.2, j_hop=0.3),
+        laser.replace(lambda1=0.0, lambda2=0.0, delta1=20.0, delta2=19.2, j_hop=0.3),
     ))
 
     labels, dphis, params = zip(*points)

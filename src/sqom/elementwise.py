@@ -50,6 +50,13 @@ def _square(x):
         return math.inf
 
 
+def _phase(z):
+    try:
+        return cmath.phase(z)
+    except OverflowError:  # CPython's raise where libm atan2 underflowed
+        return math.atan2(z.imag, z.real)
+
+
 def distinct(x: np.ndarray):
     """(values, inverse) with `values[inverse]` equal to the 1-D array `x`,
     `values` its distinct elements; None when no element repeats, or `x` has
@@ -112,7 +119,7 @@ sin = _mapped(math.sin)
 atan2 = _mapped2(math.atan2)
 hypot = _mapped2(math.hypot)
 cabs = _mapped(abs)
-phase = _mapped(cmath.phase)
+phase = _mapped(_phase)  # arg(z)
 cis = _mapped(_cis, complex)  # exp(1j*x)
 cis_neg = _mapped(_cis_neg, complex)  # exp(-1j*x)
 square = _mapped(_square)  # x**2 is libm pow, which differs from x*x

@@ -18,9 +18,9 @@ the point count. A command's header is `sweep_columns`, `grid_columns` or
 `evaluate_point` and `analyze` are the length-1 case of the same evaluator
 with every column (`analyze` adds the oracle's), so a sweep row and a
 single-point analysis of the same parameters agree field by field.
-Per-point failures (e.g. the two-mode-squeezing stage refusing) never abort
-a sweep: they become masks, numeric cells keep a NaN sentinel and the typed
-error name lands in the matching error column.
+Per-point failures never abort a sweep: the typed error name lands in its
+error column, and a blank cell is NaN in a float64 column and ''/None in a
+text/flag column, which is `object` (Python str/bool) whatever the batch.
 
 Exactness rule. A row must not depend on the batch its point is evaluated
 in, and must equal CPython's float math on that point bit for bit; numpy's
@@ -98,7 +98,7 @@ SWEEPABLE_AXES = (
 
 _F, _S, _B = "float", "str", "bool"
 
-# (name, kind) in emission order; kind picks the sentinel for failed rows.
+# (name, kind) in emission order; kind picks the dtype and the blank of failed rows.
 COLUMN_SCHEMA: tuple[tuple[str, str], ...] = (
     ("delta_phi", _F),
     ("r_d1", _F),
@@ -265,6 +265,8 @@ class GridSpec:
         _check_axis(self.y_axis)
         if self.x_axis == self.y_axis:
             raise ValueError(f"grid axes must differ, both are {self.x_axis!r}")
+        if {self.x_axis, self.y_axis} == {"delta_phi", "phi_d1"}:
+            raise ValueError("grid axes delta_phi and phi_d1 both move phi_d1; choose one")
         _check_span(self.x_axis, self.x_start, self.x_stop)
         _check_span(self.y_axis, self.y_start, self.y_stop)
         _check_steps(self.x_steps)
@@ -334,8 +336,8 @@ def apply_axis(params: PhysicalParams, axis: str, value: float) -> PhysicalParam
 class Table:
     """Equal-length columns by name.
 
-    `table[name]` is a column (a numpy array); `table[i]` and iteration give
-    row dicts of Python values, so a table reads like a list of rows.
+    `table[name]` is a column (an evaluated one float64, or object for text
+    and flags); `table[i]` and iteration give row dicts of Python values.
     """
 
     def __init__(self, columns: dict):
@@ -365,7 +367,7 @@ class Table:
 _KIND = dict(COLUMN_SCHEMA + ORACLE_SCHEMA)
 
 
-# a failed point's cell: NaN for numbers, '' for text, None (empty) for flags
+# a failed point's cell: NaN in a float64 column, '' (text) or None (flag) in an object one
 _BLANK = {_F: math.nan, _S: np.array("", dtype=object), _B: np.array(None, dtype=object)}
 
 
@@ -400,10 +402,10 @@ _BRANCH_NAMES = np.array(
 
 
 def _blank_where(cells: dict, mask: np.ndarray, names) -> None:
-    if not mask.any():
-        return
+    blank = mask.any()  # a text or flag column becomes `object` even with no blank
     for name in names:
-        cells[name] = np.where(mask, _BLANK[_KIND[name]], cells[name])
+        if blank or _KIND[name] != _F:
+            cells[name] = np.where(mask, _BLANK[_KIND[name]], cells[name])
 
 
 def _stage_columns(vp, s, stages, opts: PipelineOptions) -> dict:
@@ -539,7 +541,7 @@ def _evaluate(params: PhysicalParams, opts: PipelineOptions, outputs) -> dict:
     errors = validation_errors(params)
     valid = errors == ""
     if not stages or not valid.any():  # no stages: only `error` is asked for
-        columns.update((name, np.full(len(errors), _BLANK[_KIND[name]])) for name in names)
+        columns.update((name, np.zeros(len(errors))) for name in names)  # blanked below
     else:
         checked = errors
         if not valid.all():  # the first valid point stands in for a failed one
@@ -549,7 +551,7 @@ def _evaluate(params: PhysicalParams, opts: PipelineOptions, outputs) -> dict:
             vp = validate(params, checked)
             cells = _stage_columns(vp, stage1_transform(vp), stages, opts)
         columns.update((name, cells[name]) for name in names)
-        _blank_where(columns, ~valid, names)
+    _blank_where(columns, ~valid, names)
     columns["error"] = errors
     return columns
 
@@ -622,7 +624,9 @@ def run_grid(
     index = range(spec.x_steps * spec.y_steps)[rows]
     y_index, x_index = np.divmod(np.arange(index.start, index.stop, index.step), spec.x_steps)
     x, y = spec.x_values(x_index), spec.y_values(y_index)
-    point = apply_axis(apply_axis(broadcast(params, len(x)), spec.y_axis, y), spec.x_axis, x)
+    # y, then x; delta_phi reads phi_d2, so it goes after the other axis
+    first, last = sorted([(spec.y_axis, y), (spec.x_axis, x)], key=lambda a: a[0] == "delta_phi")
+    point = apply_axis(apply_axis(broadcast(params, len(x)), *first), *last)
     table = Table(_evaluate(point, opts, spec.outputs))
     table["x_index"] = x_index
     table["y_index"] = y_index

@@ -2,6 +2,7 @@
 import io
 import math
 from dataclasses import fields, is_dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from sqom import (
 )
 from sqom.elementwise import broadcast
 from sqom.oracle import frequency_deviation
+from sqom.params import load_config
 from sqom.second_stage import bs_couplings, tms_couplings
 from sqom.sweep import write_csv
 
@@ -84,52 +86,26 @@ def rows_to_csv(rows, columns):
     return buf.getvalue()
 
 
+# The reference sets, one home for tests, scripts and CI: drive phases 0.
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+STRONG_DRIVE, BOUNDARY, LASER = (
+    load_config(CONFIGS / f"{name}.json")[0] for name in ("strong_drive", "boundary", "laser")
+)
+
+
 def strong_drive_set(delta_phi: float = math.pi, lambda1: float = 1997.96) -> PhysicalParams:
     """Strong-drive set with opposite detunings (two-mode-squeezing regime)."""
-    return PhysicalParams(
-        delta1=-4000.0,
-        delta2=4000.0,
-        lambda1=lambda1,
-        lambda2=1997.0,
-        j_hop=0.95,
-        g0=0.005,
-        kappa=0.05,
-        gamma_m=0.001,
-        phi_d1=delta_phi,
-        phi_d2=0.0,
-    )
+    return STRONG_DRIVE.replace(phi_d1=delta_phi, lambda1=lambda1)
 
 
 def laser_set(delta_phi: float = math.pi) -> PhysicalParams:
     """Moderate-drive set with same-sign detunings (beam-splitter regime)."""
-    return PhysicalParams(
-        delta1=20.0,
-        delta2=100.0,
-        lambda1=9.94,
-        lambda2=49.99,
-        j_hop=0.1,
-        g0=0.002,
-        kappa=0.05,
-        gamma_m=0.001,
-        phi_d1=delta_phi,
-        phi_d2=0.0,
-    )
+    return LASER.replace(phi_d1=delta_phi)
 
 
 def boundary_set(delta_phi: float = math.pi, lambda1: float = 198.305) -> PhysicalParams:
     """Set used for the regime-boundary grid and the pair-resonance hunt."""
-    return PhysicalParams(
-        delta1=-400.0,
-        delta2=400.0,
-        lambda1=lambda1,
-        lambda2=198.0,
-        j_hop=0.3,
-        g0=0.005,
-        kappa=0.05,
-        gamma_m=0.001,
-        phi_d1=delta_phi,
-        phi_d2=0.0,
-    )
+    return BOUNDARY.replace(phi_d1=delta_phi, lambda1=lambda1)
 
 
 @pytest.fixture

@@ -30,6 +30,7 @@ from sqom.verify import (
 )
 
 from conftest import (
+    CONFIGS,
     batch,
     boundary_set,
     laser_set,
@@ -240,19 +241,8 @@ def test_criterion_8_single_opa_limits():
 
 
 def test_criterion_9_determinism(tmp_path):
-    import json
-
-    config = tmp_path / "params.json"
-    config.write_text(
-        json.dumps(
-            {
-                "delta1": 20, "delta2": 100, "lambda1": 9.94, "lambda2": 49.99,
-                "j_hop": 0.1, "g0": 0.002, "kappa": 0.05, "gamma_m": 0.001,
-            }
-        )
-    )
     args = [
-        "sweep", "--config", str(config), "--axis", "delta_phi",
+        "sweep", "--config", str(CONFIGS / "laser.json"), "--axis", "delta_phi",
         "--from", "0", "--to", "6.283185307179586", "--steps", "101",
     ]
     out1, out2 = tmp_path / "run1.csv", tmp_path / "run2.csv"

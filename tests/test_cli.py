@@ -157,6 +157,17 @@ def test_a_pipeline_option_must_be_finite(command, flag, value, laser_config, ca
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("x_axis, y_axis", [("delta_phi", "phi_d1"), ("phi_d1", "delta_phi")])
+def test_grid_axis_pair_delta_phi_and_phi_d1_exits_1(x_axis, y_axis, laser_config, capsys):
+    argv = ["grid", "--config", laser_config,
+            "--x-axis", x_axis, "--x-from", "0", "--x-to", "1", "--x-steps", "2",
+            "--y-axis", y_axis, "--y-from", "2", "--y-to", "3", "--y-steps", "2"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: grid axes delta_phi and phi_d1 both move phi_d1; choose one\n"
+    assert captured.out == ""
+
+
 def test_the_config_and_the_flags_both_reach_the_pipeline(tmp_path, capsys):
     # at delta_phi = 0 the boundary set has f1 = 1.009 and f2 > 0: intermediate
     # under the default f1_hi = 10, two-mode squeezing under f1_hi = 1

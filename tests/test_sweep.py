@@ -19,9 +19,11 @@ from sqom import (
 )
 from sqom.elementwise import stack, take
 from sqom.sweep import (
+    COLUMN_SCHEMA,
     COLUMNS,
     LASER_SWEEP_OUTPUTS,
     ORACLE_COLUMNS,
+    ORACLE_SCHEMA,
     Table,
     apply_axis,
     grid_columns,
@@ -444,6 +446,36 @@ def test_narrow_grid_is_a_projection_of_the_full_grid(x_steps, y_steps, outputs)
     _assert_projection(narrow, full, outputs, ["x_index", "y_index", "x_value", "y_value"])
 
 
+@pytest.mark.parametrize("phase_is_x", [True, False])
+def test_grid_axis_delta_phi_is_set_after_phi_d2(phase_is_x):
+    """Each row of a (phi_d2, delta_phi) grid, in either order, is the point
+    with that phi_d2 and phi_d1 = phi_d2 + delta_phi."""
+    phase, diff = ("phi_d2", 0.5, 1.0, 2), ("delta_phi", 2.0, 3.0, 2)
+    (x_axis, x_start, x_stop, x_steps), (y_axis, y_start, y_stop, y_steps) = (
+        (phase, diff) if phase_is_x else (diff, phase)
+    )
+    spec = GridSpec(x_axis, x_start, x_stop, x_steps, y_axis, y_start, y_stop, y_steps,
+                    outputs=COLUMNS)
+    table = run_grid(laser_set(), spec)
+    phi_d2, dphi = (
+        (table["x_value"], table["y_value"]) if phase_is_x
+        else (table["y_value"], table["x_value"])
+    )
+    assert table["delta_phi"].tolist() == pytest.approx(dphi.tolist(), rel=1e-15)
+    assert sorted(set(zip(phi_d2.tolist(), dphi.tolist()))) == [
+        (0.5, 2.0), (0.5, 3.0), (1.0, 2.0), (1.0, 3.0)]
+    for i, (p2, d) in enumerate(zip(phi_d2.tolist(), dphi.tolist())):
+        point = laser_set().replace(phi_d2=p2, phi_d1=p2 + d)
+        assert rows_to_csv([table[i]], COLUMNS) == rows_to_csv([evaluate_point(point)], COLUMNS)
+
+
+@pytest.mark.parametrize("x_axis, y_axis", [("delta_phi", "phi_d1"), ("phi_d1", "delta_phi")])
+def test_grid_axis_pair_delta_phi_and_phi_d1_is_refused(x_axis, y_axis):
+    # both move phi_d1: the second axis would overwrite the first
+    with pytest.raises(ValueError, match="delta_phi and phi_d1 both move phi_d1"):
+        GridSpec(x_axis, 0.0, 1.0, 2, y_axis, 2.0, 3.0, 2)
+
+
 def test_narrow_table_has_no_unrequested_column():
     spec = SweepSpec(axis="delta_phi", start=0.0, stop=1.0, steps=3, outputs=("f1",))
     rows = run_sweep(laser_set(), spec)
@@ -509,7 +541,23 @@ def test_the_phase_fold_runs_only_for_the_delta_phi_column(outputs, calls, monke
                        ["x_index", "y_index", "x_value", "y_value"])
 
 
-@pytest.mark.parametrize("rows", [slice(0, 5), slice(5, 11), slice(11, 12), slice(3, 3)])
+def _assert_kind_dtypes(columns):
+    """Each evaluated column has its kind's dtype: float64 for numbers,
+    object for text and flags, whatever its batch."""
+    for name, kind in COLUMN_SCHEMA + ORACLE_SCHEMA:
+        if name in columns:
+            want = np.float64 if kind == "float" else object
+            assert columns[name].dtype == want, name
+
+
+# 12 lambda2 values from 49 to 51 (the grid's 4 slowest): Stage1Unstable from row 6 on
+@pytest.mark.parametrize("rows", [
+    slice(0, 5),  # every point valid
+    slice(5, 11),  # valid and invalid points
+    slice(6, 12),  # no valid point: the all-blank path
+    slice(11, 12),
+    slice(3, 3),  # no row
+])
 def test_a_slice_of_rows_is_that_slice_of_the_whole_table(rows):
     sweep_spec = SweepSpec(axis="lambda2", start=49.0, stop=51.0, steps=12)
     grid_spec = GridSpec(
@@ -520,9 +568,51 @@ def test_a_slice_of_rows_is_that_slice_of_the_whole_table(rows):
         whole, part = run(laser_set(), spec), run(laser_set(), spec, rows=rows)
         names = list(whole.columns)
         assert list(part.columns) == names
-        # a flag column is bool, or object where a point of the batch is blank
         sliced = Table({name: column[rows] for name, column in whole.columns.items()})
+        _assert_projection(part, sliced, names, [])
+        _assert_kind_dtypes(part.columns)
         assert rows_to_csv(part, names) == rows_to_csv(sliced, names)
+
+
+@pytest.mark.parametrize("p", [laser_set(), laser_set(0.0), laser_set().replace(lambda2=51.0)])
+def test_a_one_point_evaluation_has_the_dtype_of_its_kind(p):
+    # valid, TmsUnstable, Stage1Unstable: the batches of evaluate_point and analyze
+    from sqom import sweep
+
+    _assert_kind_dtypes(sweep._evaluate(batch(p), PipelineOptions(), COLUMNS + ORACLE_COLUMNS))
+    _assert_kind_dtypes(sweep._evaluate(batch(p), PipelineOptions(), COLUMNS))
+
+
+# a flag's own error column: where it is set, the flag cell is blank too
+_FLAG_ERROR = {"tms_resonance": "tms_error", "laser_n_b_capped": "laser_error"}
+
+
+def _assert_flag_cells(row, flags):
+    """A flag cell is None where the row or the flag's stage has an error,
+    else a Python bool (never np.bool_, which would print True, not true)."""
+    for name in flags:
+        blank = row["error"] != "" or row.get(_FLAG_ERROR.get(name), "") != ""
+        assert row[name] is None if blank else type(row[name]) is bool, name
+
+
+@pytest.mark.parametrize("axis, start, stop, steps", [
+    ("delta_phi", 0.0, 2.0 * math.pi, 12),  # TmsUnstable at both ends
+    ("g0", 0.0, 0.004, 5),  # ZeroCoupling at g0 = 0
+    ("lambda2", 49.0, 51.0, 12),  # Stage1Unstable from row 6 on
+])
+def test_a_flag_cell_is_a_python_bool_or_none(axis, start, stop, steps):
+    flags = [name for name, kind in COLUMN_SCHEMA if kind == "bool"]
+    spec = SweepSpec(axis=axis, start=start, stop=stop, steps=steps)
+    for rows in (slice(1, 5), slice(None)):  # every point valid, then a blank in each case
+        table = run_sweep(laser_set(), spec, rows=rows)
+        for i, row in enumerate(table):
+            _assert_flag_cells(row, flags)
+            _assert_flag_cells(table[i], flags)
+    # valid, TmsUnstable, ZeroCoupling (each with paired frequencies), Stage1Unstable
+    for p in (laser_set(), laser_set(0.0), laser_set().replace(g0=0.0),
+              laser_set().replace(lambda2=51.0)):
+        _assert_flag_cells(evaluate_point(p), flags)
+        _assert_flag_cells(analyze(p), flags + ["oracle_stable"])
 
 
 _AXIS_END = st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310])
@@ -591,11 +681,13 @@ def test_fully_valid_batch_equals_the_blank_and_fill_path(outputs, monkeypatch):
     for name, column in columns.items():
         expected = reference[name][keep]
         assert len(column) == len(_VALID_POINTS), name
+        assert column.dtype == expected.dtype, name
         if expected.dtype.kind == "f":
             assert column.dtype == np.float64, name
             assert np.array_equal(column.view(np.int64), expected.view(np.int64)), name
         else:
             assert column.tolist() == expected.tolist(), name
+    _assert_kind_dtypes(columns)
     names = list(columns)
     for i, name in enumerate(names):
         for other in names[i + 1:]:
@@ -645,6 +737,10 @@ def _domain_points(draw):
     delta1=1.0821473844320759e-293, delta2=4.023806653587475e+244, lambda1=0.0, lambda2=0.0,
     j_hop=3.037557298636246e+197, g0=0.0, kappa=1.2111533654996346e+291,
     gamma_m=1.4333800811831704e-100, phi_d1=-2.5237097209841703, phi_d2=-8.365970948436372,
+))
+@example(PhysicalParams(  # arg(J') underflows: cmath.phase raises where atan2 gives -0.0
+    delta1=-1e-300, delta2=-1e-300, lambda1=2.5e-301, lambda2=4.999999999999999e-301,
+    j_hop=1e300, g0=0.0, kappa=1e-300, gamma_m=1e-300, phi_d1=0.0, phi_d2=5e-324,
 ))
 def test_rows_never_raise_over_the_valid_domain(p):
     """Magnitudes from 1e-300 to 1e300, negative detunings, drives at the
