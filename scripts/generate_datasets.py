@@ -41,18 +41,15 @@ from sqom import (  # noqa: E402
     stage1_transform,
     validate,
 )
-from sqom.contours import CONTOUR_COLUMNS, contour_table  # noqa: E402
+from sqom.contours import contour_table  # noqa: E402
 from sqom.elementwise import cabs, stack  # noqa: E402
 from sqom.params import load_config  # noqa: E402
 from sqom.second_stage import bs_couplings  # noqa: E402
 from sqom.sweep import (  # noqa: E402
     LASER_SWEEP_OUTPUTS,
     Table,
-    grid_columns,
     grid_csv_rows,
-    laser_columns,
     laser_rows,
-    sweep_columns,
     sweep_csv_rows,
     write_csv,
 )
@@ -66,9 +63,9 @@ def _reference(name: str) -> PhysicalParams:
     return load_config(CONFIGS / f"{name}.json")[0]
 
 
-def _write(path: Path, rows, columns):
+def _write(path: Path, rows):
     with open(path, "w", newline="") as fh:
-        write_csv(rows, columns, fh)
+        write_csv(rows, fh)
     print(f"wrote {path} ({len(rows)} rows)")
 
 
@@ -77,9 +74,10 @@ def _grid_field(rows, spec, name):
     return rows[name].reshape(spec.y_steps, spec.x_steps)
 
 
-def _stacked(tables, columns):
-    """The rows of several tables, one table after another."""
-    return Table({c: np.concatenate([t[c] for t in tables]) for c in columns})
+def _stacked(tables):
+    """The rows of several tables with the same columns, one table after
+    another."""
+    return Table({c: np.concatenate([t[c] for t in tables]) for c in tables[0].columns})
 
 
 def _contours(grows, spec, levels_by_field):
@@ -89,7 +87,7 @@ def _contours(grows, spec, levels_by_field):
         contour_table(extract_contours(xs, ys, _grid_field(grows, spec, name), levels), name)
         for name, levels in levels_by_field
     ]
-    return _stacked(tables, CONTOUR_COLUMNS)
+    return _stacked(tables)
 
 
 def strong_drive_datasets(outdir: Path):
@@ -100,7 +98,7 @@ def strong_drive_datasets(outdir: Path):
                  "f1", "f2", "branch", "tms_error"),
     )
     rows = run_sweep(params, spec)
-    _write(outdir / "strong_drive_couplings.csv", sweep_csv_rows(rows, spec), sweep_columns(spec))
+    _write(outdir / "strong_drive_couplings.csv", sweep_csv_rows(rows, spec))
 
     gspec = GridSpec(
         x_axis="lambda1", x_start=1995.0, x_stop=1999.95, x_steps=101,
@@ -108,10 +106,10 @@ def strong_drive_datasets(outdir: Path):
         outputs=("f1", "f2", "tms_g1", "tms_g2", "tms_eta", "branch"),
     )
     grows = run_grid(params, gspec)
-    _write(outdir / "strong_drive_grid.csv", grid_csv_rows(grows, gspec), grid_columns(gspec))
+    _write(outdir / "strong_drive_grid.csv", grid_csv_rows(grows, gspec))
 
     crows = _contours(grows, gspec, [("f1", [10.0]), ("tms_g2", [0.1]), ("tms_eta", [0.05])])
-    _write(outdir / "strong_drive_contours.csv", crows, CONTOUR_COLUMNS)
+    _write(outdir / "strong_drive_contours.csv", crows)
 
 
 def boundary_datasets(outdir: Path):
@@ -122,20 +120,19 @@ def boundary_datasets(outdir: Path):
         outputs=("f1", "f2", "branch"),
     )
     grows = run_grid(params, gspec)
-    _write(outdir / "boundary_grid.csv", grid_csv_rows(grows, gspec), grid_columns(gspec))
+    _write(outdir / "boundary_grid.csv", grid_csv_rows(grows, gspec))
 
     crows = _contours(grows, gspec, [("f1", [10.0]), ("f2", [0.0])])
-    _write(outdir / "boundary_contours.csv", crows, CONTOUR_COLUMNS)
+    _write(outdir / "boundary_contours.csv", crows)
 
     spec = SweepSpec(
         axis="delta_phi", start=0.0, stop=TWO_PI, steps=401,
         outputs=("tms_w1", "tms_w2", "tms_g2", "tms_g12_re", "tms_g12_im",
                  "tms_gp12_abs", "tms_resonance", "f1", "f2", "tms_error"),
     )
-    rows = run_sweep(params, spec)
+    rows = sweep_csv_rows(run_sweep(params, spec), spec)
     rows["w_sum"] = rows["tms_w1"] + rows["tms_w2"]
-    _write(outdir / "boundary_resonance.csv", sweep_csv_rows(rows, spec),
-           sweep_columns(spec) + ["w_sum"])
+    _write(outdir / "boundary_resonance.csv", rows)
 
 
 def laser_datasets(outdir: Path):
@@ -143,7 +140,7 @@ def laser_datasets(outdir: Path):
     spec = SweepSpec(axis="delta_phi", start=0.0, stop=TWO_PI, steps=721,
                      outputs=LASER_SWEEP_OUTPUTS)
     projected = laser_rows(run_sweep(laser, spec), spec)
-    _write(outdir / "laser_threshold.csv", projected, laser_columns(spec))
+    _write(outdir / "laser_threshold.csv", projected)
 
     # stimulated phonon number vs pump density at selected working points
     pth = projected["p_threshold"].tolist()
@@ -177,7 +174,7 @@ def laser_datasets(outdir: Path):
          "n_plus": n_plus, "gain": res.gain, "n_b": res.n_b,
          "n_b_capped": res.n_b_capped, "n_threshold": res.n_threshold}
     )
-    _write(outdir / "phonon_number.csv", table, list(table.columns))
+    _write(outdir / "phonon_number.csv", table)
 
 
 def main(argv=None) -> int:

@@ -12,7 +12,7 @@ import functools
 import math
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 
 from . import _deferred
 from .elementwise import broadcast
@@ -23,14 +23,11 @@ from .sweep import (
     GridSpec,
     SweepSpec,
     analyze,
-    grid_columns,
     grid_csv_rows,
-    laser_columns,
     laser_rows,
     row_blocks,
     run_grid,
     run_sweep,
-    sweep_columns,
     sweep_csv_rows,
     write_csv,
 )
@@ -51,13 +48,14 @@ def _command(name: str):
 __getattr__ = _command  # PEP 562: sqom.cli.run_verification before verify ran
 
 
-def _emit(blocks, columns, out_path: str | None) -> None:
-    """Write `blocks`, each a Table or an iterable of row dicts, as one CSV:
-    the header, then each block's rows as soon as the block comes, so a
-    generator of blocks holds one block at a time."""
+def _emit(blocks, out_path: str | None) -> None:
+    """Write `blocks`, each a Table or a list of row dicts with the same
+    columns, as one CSV: the first block's header, then each block's rows as
+    soon as the block comes, so a generator of blocks holds one block at a
+    time."""
     def write(out) -> None:
         for i, rows in enumerate(blocks):
-            write_csv(rows, columns, out, header=i == 0)
+            write_csv(rows, out, header=i == 0)
 
     if out_path is None:
         write(sys.stdout)
@@ -97,7 +95,7 @@ def _outputs(args) -> dict:
 
 def cmd_analyze(args) -> int:
     row = analyze(*_load(args))
-    _emit([[row]], list(row), args.out)
+    _emit([[row]], args.out)
     return 0
 
 
@@ -112,7 +110,7 @@ def cmd_sweep(args) -> int:
     )
     blocks = (sweep_csv_rows(run_sweep(params, spec, opts, rows), spec)
               for rows in row_blocks(spec.steps, spec.outputs))
-    _emit(blocks, sweep_columns(spec), args.out)
+    _emit(blocks, args.out)
     return 0
 
 
@@ -131,7 +129,7 @@ def cmd_grid(args) -> int:
     )
     blocks = (grid_csv_rows(run_grid(params, spec, opts, rows), spec)
               for rows in row_blocks(spec.x_steps * spec.y_steps, spec.outputs))
-    _emit(blocks, grid_columns(spec), args.out)
+    _emit(blocks, args.out)
     return 0
 
 
@@ -143,18 +141,18 @@ def cmd_laser_sweep(args) -> int:
     )
     blocks = (laser_rows(run_sweep(params, spec, opts, rows), spec)
               for rows in row_blocks(spec.steps, spec.outputs))
-    _emit(blocks, laser_columns(spec), args.out)
+    _emit(blocks, args.out)
     return 0
 
 
 def cmd_contours(args) -> int:
-    from .contours import CONTOUR_COLUMNS, contour_table, read_grid_file
+    from .contours import contour_table, read_grid_file
 
     xs, ys, values, field = read_grid_file(args.grid, args.field)
     contour_set = _command("extract_contours")(xs, ys, values, args.level)
     for level in contour_set.empty_levels():
         print(f"note: level {level:g} never crosses field {field}", file=sys.stderr)
-    _emit([contour_table(contour_set, field)], CONTOUR_COLUMNS, args.out)
+    _emit([contour_table(contour_set, field)], args.out)
     return 0
 
 
@@ -164,13 +162,13 @@ def cmd_verify(args) -> int:
         _check_flag(flag, value, non_negative=True)
     params, _ = load_config(args.config)
     from .params import validate
-    from .verify import CheckRow, all_passed
+    from .verify import all_passed
 
     rows = _command("run_verification")(
         validate(broadcast(params, 1)),
         n_random=args.random, seed=args.seed, oracle_rtol=args.rel_tol,
     )
-    _emit([map(vars, rows)], [f.name for f in fields(CheckRow)], args.out)
+    _emit([list(map(vars, rows))], args.out)
     return 0 if all_passed(rows) else 2
 
 

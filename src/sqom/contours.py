@@ -28,8 +28,6 @@ import numpy as np
 from .errors import ConfigError
 from .sweep import COLUMN_SCHEMA, Table
 
-CONTOUR_COLUMNS = ("field", "level", "polyline", "vertex", "x", "y")
-
 
 @dataclass(frozen=True)
 class ContourSet:
@@ -181,8 +179,9 @@ def extract_contours(
 
 
 def contour_table(contour_set: ContourSet, field: str) -> Table:
-    """One row per polyline vertex, in CONTOUR_COLUMNS; polylines are
-    numbered from 0 within each level, vertices from 0 within each polyline."""
+    """One row per polyline vertex, in the columns field, level, polyline,
+    vertex, x, y; polylines are numbered from 0 within each level, vertices
+    from 0 within each polyline."""
     lines = [
         (level, number, line)
         for level in contour_set.levels

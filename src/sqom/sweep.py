@@ -13,8 +13,9 @@ block of rows at a time (`row_blocks`: at most BLOCK_CELLS returned cells,
 1927 rows of the full sweep, one block for a regime map of up to 32 768
 points) and writes each block before it evaluates the next, so the stages
 run once per block, not once per sweep, and peak memory does not grow with
-the point count. A command's header is `sweep_columns`, `grid_columns` or
-`laser_columns` (of `laser_rows`) of its spec, or an `analyze` row's keys.
+the point count. A command's CSV is the table its projection returns
+(`sweep_csv_rows`, `grid_csv_rows`, `laser_rows`), header and all, or an
+`analyze` row.
 `evaluate_point` and `analyze` are the length-1 case of the same evaluator
 with every column (`analyze` adds the oracle's), so a sweep row and a
 single-point analysis of the same parameters agree field by field.
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, TextIO
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -360,9 +361,6 @@ class Table:
         for values in zip(*(col.tolist() for col in self.columns.values())):
             yield dict(zip(names, values))
 
-    def copy(self) -> "Table":
-        return Table(self.columns)
-
 
 _KIND = dict(COLUMN_SCHEMA + ORACLE_SCHEMA)
 
@@ -594,17 +592,12 @@ def run_sweep(
     return table
 
 
-def sweep_columns(spec: SweepSpec) -> list[str]:
-    return [spec.axis] + [c for c in spec.outputs if c != spec.axis]
-
-
 def sweep_csv_rows(rows: Table, spec: SweepSpec) -> Table:
-    """Project sweep rows for emission: the axis column carries the raw
-    requested value (so e.g. a delta_phi sweep ends at 2*pi, not at its
-    canonical image 0)."""
-    out = rows.copy()
-    out[spec.axis] = rows["axis_value"]
-    return out
+    """The sweep's CSV columns: the axis, which carries the raw requested
+    value (so e.g. a delta_phi sweep ends at 2*pi, not at its canonical
+    image 0), then the spec's outputs in their order."""
+    outputs = {c: rows[c] for c in spec.outputs if c != spec.axis}
+    return Table({spec.axis: rows["axis_value"], **outputs})
 
 
 def run_grid(
@@ -635,22 +628,17 @@ def run_grid(
     return table
 
 
-def grid_columns(spec: GridSpec) -> list[str]:
-    head = ["x_index", "y_index", spec.x_axis, spec.y_axis]
-    return head + [c for c in spec.outputs if c not in head]
-
-
 def grid_csv_rows(rows: Table, spec: GridSpec) -> Table:
-    """Project grid rows for emission: axis-name columns carry the raw
-    coordinates."""
-    out = rows.copy()
-    out[spec.x_axis] = rows["x_value"]
-    out[spec.y_axis] = rows["y_value"]
-    return out
+    """The grid's CSV columns: the indices and the axis-name columns, which
+    carry the raw coordinates, then the spec's outputs in their order."""
+    head = {"x_index": rows["x_index"], "y_index": rows["y_index"],
+            spec.x_axis: rows["x_value"], spec.y_axis: rows["y_value"]}
+    return Table({**head, **{c: rows[c] for c in spec.outputs if c not in head}})
 
 
 def format_cell(value) -> str:
-    if type(value) is float:  # most cells of a row dict: tested first
+    """The CSV text of one Python value (a row dict's or `tolist()`'s)."""
+    if isinstance(value, float):  # most cells of a row dict: tested first
         return _FLOAT_CELL % value
     if isinstance(value, str):
         return value
@@ -658,10 +646,6 @@ def format_cell(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _FLOAT_CELL % float(value)
     return str(value)
 
 
@@ -692,34 +676,29 @@ def _format_column(values: np.ndarray) -> list[str]:
     return list(map(text.__getitem__, inverse.tolist()))
 
 
-def write_csv(
-    rows: Table | Iterable[dict], columns: list[str], out: TextIO, header: bool = True
-) -> None:
-    """Header (unless `header` is false) plus one line per row.
+def write_csv(rows: Table | list[dict], out: TextIO, header: bool = True) -> None:
+    """Header (unless `header` is false) plus one line per row, of every
+    column of `rows` in its order.
 
-    `rows` is a Table, formatted column by column in chunks, or any iterable
-    of row dicts, formatted row by row (a missing key is an empty cell).
+    `rows` is a Table, formatted column by column in chunks, or a non-empty
+    list of row dicts with the first row's keys, formatted row by row: the
+    faster path for a row or a few.
     """
     if header:
-        out.write(",".join(columns) + "\n")
+        out.write(",".join(rows.columns if isinstance(rows, Table) else rows[0]) + "\n")
     if not isinstance(rows, Table):
         for row in rows:
-            out.write(",".join([format_cell(row.get(c)) for c in columns]) + "\n")
+            out.write(",".join([format_cell(v) for v in row.values()]) + "\n")
         return
     for start in range(0, len(rows), _CHUNK_ROWS):
-        cells = [_format_column(rows[c][start : start + _CHUNK_ROWS]) for c in columns]
+        cells = [_format_column(col[start : start + _CHUNK_ROWS]) for col in rows.columns.values()]
         out.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
-def laser_columns(spec: SweepSpec) -> list[str]:
-    """The laser sweep's header: its external columns, led by the raw swept
-    value unless the axis is one of them (delta_phi, which stays canonical)."""
-    names = [ext for ext, _ in LASER_SWEEP_COLUMNS]
-    return names if spec.axis in names else [spec.axis] + names
-
-
 def laser_rows(rows: Table, spec: SweepSpec) -> Table:
-    """Sweep rows of LASER_SWEEP_OUTPUTS projected onto `laser_columns(spec)`."""
+    """Sweep rows of LASER_SWEEP_OUTPUTS projected onto the laser sweep's
+    external columns, led by the raw swept value unless the axis is one of
+    them (delta_phi, which stays canonical)."""
     out = {ext: rows[key] for ext, key in LASER_SWEEP_COLUMNS}
     out["error"] = np.where(rows["error"] != "", rows["error"], rows["laser_error"])
-    return Table({name: out.get(name, rows["axis_value"]) for name in laser_columns(spec)})
+    return Table(out if spec.axis in out else {spec.axis: rows["axis_value"], **out})

@@ -19,7 +19,7 @@ from sqom.elementwise import broadcast
 from sqom.oracle import frequency_deviation
 from sqom.params import load_config
 from sqom.second_stage import bs_couplings, tms_couplings
-from sqom.sweep import write_csv
+from sqom.sweep import Table, write_csv
 
 
 def batch(p):
@@ -79,10 +79,14 @@ def oracle_report(vp, branch):
     return report, frequency_deviation(c.w1, c.w2, freqs)[1]
 
 
-def rows_to_csv(rows, columns):
-    """`write_csv` of `rows` (a Table or row dicts) under `columns`, as text."""
+def rows_to_csv(rows, columns=None):
+    """`write_csv` of `rows` (a Table or row dicts) under `columns`, all of
+    them by default, as text; a key a row dict lacks is an empty cell."""
+    if columns is not None:
+        rows = (Table({c: rows[c] for c in columns}) if isinstance(rows, Table)
+                else [{c: row.get(c) for c in columns} for row in rows])
     buf = io.StringIO()
-    write_csv(rows, columns, buf)
+    write_csv(rows, buf)
     return buf.getvalue()
 
 

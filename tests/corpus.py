@@ -30,17 +30,14 @@ digest `test_corpus.py` pins, as JSON.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
 import math
 import random
 import sys
-import tempfile
-from pathlib import Path
 
-from conftest import boundary_set, laser_set
+from conftest import CONFIGS
 
 from sqom.cli import main
 from sqom.elementwise import stack
@@ -125,7 +122,7 @@ def column_digests(columns: dict) -> dict[str, str]:
     """Per column of `columns` (name -> array), the SHA-256 of its CSV cells,
     each followed by a newline."""
     buf = io.StringIO()
-    write_csv(Table(columns), list(columns), buf, header=False)
+    write_csv(Table(columns), buf, header=False)
     cells = zip(*(line.split(",") for line in buf.getvalue().splitlines()))
     return {name: hashlib.sha256("".join(c + "\n" for c in column).encode()).hexdigest()
             for name, column in zip(columns, cells)}
@@ -141,21 +138,17 @@ VERIFY_CASES = {
     f"{name}_seed{seed}": (name, ("--random", "30", "--seed", str(seed)))
     for name in ("laser", "boundary") for seed in range(3)
 }
-_CONFIGS = {"laser": laser_set(0.0), "boundary": boundary_set(0.0)}
 
 
 def verify_digests() -> dict[str, list]:
     """Per case of VERIFY_CASES, `sqom verify`'s exit code and the SHA-256
-    of its stdout."""
+    of its stdout on configs/<reference set>.json."""
     found = {}
-    with tempfile.TemporaryDirectory() as work:
-        for case, (name, argv) in VERIFY_CASES.items():
-            config = Path(work) / f"{name}.json"
-            config.write_text(json.dumps(dataclasses.asdict(_CONFIGS[name])))
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                code = main(["verify", "--config", str(config), *argv])
-            found[case] = [code, hashlib.sha256(out.getvalue().encode()).hexdigest()]
+    for case, (name, argv) in VERIFY_CASES.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["verify", "--config", str(CONFIGS / f"{name}.json"), *argv])
+        found[case] = [code, hashlib.sha256(out.getvalue().encode()).hexdigest()]
     return found
 
 

@@ -14,18 +14,8 @@ import pytest
 import sqom
 from sqom import cli
 from sqom.cli import build_parser, main
-from sqom.sweep import (
-    COLUMNS,
-    LASER_SWEEP_OUTPUTS,
-    ORACLE_COLUMNS,
-    GridSpec,
-    SweepSpec,
-    grid_columns,
-    laser_columns,
-    sweep_columns,
-)
 
-from conftest import boundary_set, laser_set, rows_to_csv
+from conftest import CONFIGS, boundary_set, laser_set, rows_to_csv
 
 LASER_PARAMS = dataclasses.asdict(laser_set(0.0))
 BOUNDARY_PARAMS = dataclasses.asdict(boundary_set(0.0))
@@ -40,18 +30,15 @@ UNPAIRED_PARAMS = dict(
 )
 
 
+# the reference sets' configs: LASER_PARAMS and BOUNDARY_PARAMS
 @pytest.fixture
-def laser_config(tmp_path):
-    path = tmp_path / "laser.json"
-    path.write_text(json.dumps(LASER_PARAMS))
-    return str(path)
+def laser_config():
+    return str(CONFIGS / "laser.json")
 
 
 @pytest.fixture
-def boundary_config(tmp_path):
-    path = tmp_path / "boundary.json"
-    path.write_text(json.dumps(BOUNDARY_PARAMS))
-    return str(path)
+def boundary_config():
+    return str(CONFIGS / "boundary.json")
 
 
 def test_analyze_stdout(laser_config, capsys):
@@ -369,39 +356,58 @@ def test_laser_sweep_other_axis_leads_with_raw_value(laser_config, capsys):
 
 
 _SWEEP_AXIS = ["--axis", "delta_phi", "--from", "0", "--to", "1", "--steps", "3"]
-_SWEEP = SweepSpec("delta_phi", 0.0, 1.0, 3)
 _GRID_AXES = ["--x-axis", "lambda1", "--x-from", "9", "--x-to", "9.5", "--x-steps", "2",
               "--y-axis", "delta_phi", "--y-from", "0", "--y-to", "1", "--y-steps", "2"]
-_GRID = GridSpec("lambda1", 9.0, 9.5, 2, "delta_phi", 0.0, 1.0, 2)
 
-# name -> (argv after the command's --config, the header sweep gives for it)
+# every column, in emission order: the header of a full delta_phi sweep
+FULL_HEADER = (
+    "delta_phi,r_d1,r_d2,omega_s1,omega_s2,g_s2,g_p2,lam1_re,lam1_im,lam2_re,lam2_im,f_disp,"
+    "c_const,f1,f2,f1_degenerate,branch,"
+    "tms_r,tms_phi,tms_w1,tms_w2,tms_g1,tms_g2,tms_g11_re,tms_g11_im,tms_g22_re,tms_g22_im,"
+    "tms_g12_re,tms_g12_im,tms_gp12_re,tms_gp12_im,tms_gp12_abs,tms_f_prime,tms_c_prime,"
+    "tms_eta,tms_max_rwa_ratio,tms_resonance,tms_error,"
+    "bs_theta,bs_phi,bs_w1,bs_w2,bs_g1,bs_g2,bs_g11_re,bs_g11_im,bs_g22_re,bs_g22_im,"
+    "bs_g12_re,bs_g12_im,bs_gp12_re,bs_gp12_im,bs_gp12_abs,bs_max_rwa_ratio,bs_resonance,"
+    "laser_source,laser_w1,laser_w2,laser_detuning,laser_gp12_abs,laser_gain,laser_n_b,"
+    "laser_n_b_capped,laser_n_threshold,laser_p_threshold,laser_error,error"
+)
+LASER_HEADER = "delta_phi,w1,w2,detuning,gp12_abs,gain,n_b,n_threshold,p_threshold,branch,f1,error"
+
+# name -> (argv after the command's --config, or --grid for contours, and the
+# header the command writes)
 HEADERS = {
-    "sweep": (["sweep", *_SWEEP_AXIS], sweep_columns(_SWEEP)),
+    "sweep": (["sweep", *_SWEEP_AXIS], FULL_HEADER),
     "sweep_outputs": (["sweep", *_SWEEP_AXIS, "--outputs", "tms_g1, f1,delta_phi"],
-                      sweep_columns(dataclasses.replace(
-                          _SWEEP, outputs=("tms_g1", "f1", "delta_phi")))),
-    "sweep_outputs_empty": (["sweep", *_SWEEP_AXIS, "--outputs", ""],
-                            sweep_columns(dataclasses.replace(_SWEEP, outputs=()))),
-    "grid": (["grid", *_GRID_AXES], grid_columns(_GRID)),
+                      "delta_phi,tms_g1,f1"),
+    "sweep_outputs_empty": (["sweep", *_SWEEP_AXIS, "--outputs", ""], "delta_phi"),
+    "grid": (["grid", *_GRID_AXES], "x_index,y_index,lambda1,delta_phi,f1,f2,branch"),
     "grid_outputs": (["grid", *_GRID_AXES, "--outputs", "laser_gain,f1"],
-                     grid_columns(dataclasses.replace(_GRID, outputs=("laser_gain", "f1")))),
+                     "x_index,y_index,lambda1,delta_phi,laser_gain,f1"),
     "grid_outputs_empty": (["grid", *_GRID_AXES, "--outputs", ""],
-                           grid_columns(dataclasses.replace(_GRID, outputs=()))),
-    "laser_sweep_delta_phi": (["laser-sweep", "--steps", "3"], laser_columns(
-        SweepSpec("delta_phi", 0.0, 2.0 * math.pi, 3, LASER_SWEEP_OUTPUTS))),
+                           "x_index,y_index,lambda1,delta_phi"),
+    "laser_sweep_delta_phi": (["laser-sweep", "--steps", "3"], LASER_HEADER),
     "laser_sweep_g0": (
         ["laser-sweep", "--axis", "g0", "--from", "0.001", "--to", "0.003", "--steps", "3"],
-        laser_columns(SweepSpec("g0", 0.001, 0.003, 3, LASER_SWEEP_OUTPUTS)),
+        "g0," + LASER_HEADER,
     ),
-    "analyze": (["analyze"], list(COLUMNS + ORACLE_COLUMNS)),
+    "analyze": (["analyze"], FULL_HEADER + ",oracle_nu1,oracle_nu2,oracle_stable,"
+                "oracle_freq_dev_lo,oracle_freq_dev_hi,oracle_coeff_defect_tms,"
+                "oracle_coeff_defect_bs,oracle_metric_defect"),
+    "verify": (["verify", "--random", "1"], "check,status,max_error,tolerance,detail"),
+    "contours": (["contours", "--field", "f1", "--level", "1"], "field,level,polyline,vertex,x,y"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(HEADERS))
-def test_each_header_is_the_list_in_sweep(name, laser_config, capsys):
+def test_each_header_is_the_list_in_sweep(name, laser_config, tmp_path, capsys):
     (command, *args), want = HEADERS[name]
-    assert main([command, "--config", laser_config, *args]) == 0
-    assert capsys.readouterr().out.splitlines()[0].split(",") == want
+    source = ["--config", laser_config]
+    if command == "contours":  # of the grid case's file
+        grid = str(tmp_path / "grid.csv")
+        assert main(["grid", *source, *_GRID_AXES, "--out", grid]) == 0
+        source = ["--grid", grid]
+    assert main([command, *source, *args]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == want
 
 
 def test_grid_empty_outputs_writes_head_columns(boundary_config, capsys):

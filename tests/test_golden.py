@@ -593,9 +593,56 @@ DATASET_DIGESTS = {
 }
 
 
-def test_dataset_script_bytes(tmp_path):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "generate_datasets.py"
-    subprocess.run([sys.executable, str(script), "--outdir", str(tmp_path)],
-                   check=True, capture_output=True)
-    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="module")
+def datasets(tmp_path_factory):
+    """The directory scripts/generate_datasets.py writes, written once per module."""
+    outdir = tmp_path_factory.mktemp("datasets")
+    subprocess.run([sys.executable, str(ROOT / "scripts" / "generate_datasets.py"),
+                    "--outdir", str(outdir)], check=True, capture_output=True)
+    return outdir
+
+
+def test_dataset_script_bytes(datasets):
+    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in datasets.iterdir()}
     assert digests == DATASET_DIGESTS
+
+
+# dataset file -> the `sqom` call with its spec, a configs/ name in place of --config PATH
+DATASET_CALLS = {
+    "strong_drive_couplings.csv": (
+        "sweep", "strong_drive", "--axis", "delta_phi", "--from", "0", "--to", TWO_PI,
+        "--steps", "401", "--outputs", "tms_r,tms_w1,tms_w2,tms_g1,tms_g2,tms_eta,f1,f2,branch,"
+        "tms_error",
+    ),
+    "strong_drive_grid.csv": (
+        "grid", "strong_drive", "--x-axis", "lambda1", "--x-from", "1995", "--x-to", "1999.95",
+        "--x-steps", "101", "--y-axis", "delta_phi", "--y-from", "0", "--y-to", TWO_PI,
+        "--y-steps", "101", "--outputs", "f1,f2,tms_g1,tms_g2,tms_eta,branch",
+    ),
+    "boundary_grid.csv": (
+        "grid", "boundary", "--x-axis", "lambda1", "--x-from", "197.2", "--x-to", "199.9",
+        "--x-steps", "109", "--y-axis", "delta_phi", "--y-from", "0", "--y-to", TWO_PI,
+        "--y-steps", "109", "--outputs", "f1,f2,branch",
+    ),
+    "laser_threshold.csv": ("laser-sweep", "laser", "--steps", "721"),
+}
+
+
+def test_the_datasets_are_the_cli_outputs_of_their_specs(datasets, tmp_path):
+    for name, (command, config, *args) in DATASET_CALLS.items():
+        out = tmp_path / name
+        argv = [command, "--config", str(ROOT / "configs" / f"{config}.json"), *args]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert out.read_bytes() == (datasets / name).read_bytes(), name
+    # boundary_contours.csv: the two contour calls on that grid, under one header
+    parts = []
+    for field, level in (("f1", "10"), ("f2", "0")):
+        out = tmp_path / f"contours_{field}.csv"
+        assert main(["contours", "--grid", str(tmp_path / "boundary_grid.csv"),
+                     "--field", field, "--level", level, "--out", str(out)]) == 0
+        parts.append(out.read_bytes())
+    joined = parts[0] + parts[1].split(b"\n", 1)[1]
+    assert joined == (datasets / "boundary_contours.csv").read_bytes()

@@ -15,13 +15,10 @@ from sqom.sweep import (
     LASER_SWEEP_OUTPUTS,
     GridSpec,
     SweepSpec,
-    grid_columns,
     grid_csv_rows,
-    laser_columns,
     laser_rows,
     run_grid,
     run_sweep,
-    sweep_columns,
     sweep_csv_rows,
 )
 
@@ -82,8 +79,7 @@ def test_sweep_blocks_write_the_whole_table(n, outputs, config, blocks, tmp_path
     got = _cli_csv(argv, tmp_path)
     assert len(calls) == math.ceil(n / BLOCK)
     params, opts = load_config(config)
-    assert got == rows_to_csv(sweep_csv_rows(run_sweep(params, spec, opts), spec),
-                              sweep_columns(spec))
+    assert got == rows_to_csv(sweep_csv_rows(run_sweep(params, spec, opts), spec))
 
 
 # (x_steps, y_steps) for N = block - 1, block, block + 1 and 2 * block + 1
@@ -109,8 +105,7 @@ def test_grid_blocks_write_the_whole_table(shape, outputs, config, blocks, tmp_p
     params, opts = load_config(config)
     spec = GridSpec("delta_phi", 0.0, 2.0 * math.pi, nx, "lambda2", float(start), float(stop),
                     ny, outputs)
-    assert got == rows_to_csv(grid_csv_rows(run_grid(params, spec, opts), spec),
-                              grid_columns(spec))
+    assert got == rows_to_csv(grid_csv_rows(run_grid(params, spec, opts), spec))
 
 
 @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
@@ -123,8 +118,7 @@ def test_laser_sweep_blocks_write_the_whole_table(n, axis, config, blocks, tmp_p
     assert len(calls) == math.ceil(n / BLOCK)
     params, opts = load_config(config)
     spec = SweepSpec(axis, float(start), float(stop), n, LASER_SWEEP_OUTPUTS)
-    assert got == rows_to_csv(laser_rows(run_sweep(params, spec, opts), spec),
-                              laser_columns(spec))
+    assert got == rows_to_csv(laser_rows(run_sweep(params, spec, opts), spec))
 
 
 def test_a_sweeps_allocation_peak_does_not_grow_with_its_points(config, blocks, tmp_path):

@@ -26,9 +26,8 @@ from sqom.sweep import (
     ORACLE_SCHEMA,
     Table,
     apply_axis,
-    grid_columns,
+    grid_csv_rows,
     laser_rows,
-    sweep_columns,
     sweep_csv_rows,
 )
 
@@ -152,33 +151,44 @@ def test_grid_sentinel_region():
     assert rows[6]["y_index"] == 1
 
 
+def _sweep_header(spec: SweepSpec) -> list[str]:
+    return list(sweep_csv_rows(run_sweep(laser_set(), spec), spec).columns)
+
+
+def _grid_header(spec: GridSpec) -> list[str]:
+    return list(grid_csv_rows(run_grid(laser_set(), spec), spec).columns)
+
+
 def test_outputs_subset_and_column_order():
     spec = SweepSpec(
         axis="delta_phi", start=0.0, stop=1.0, steps=3, outputs=("f1", "branch")
     )
-    assert sweep_columns(spec) == ["delta_phi", "f1", "branch"]
-    assert sweep_columns(dataclasses.replace(spec, outputs=())) == ["delta_phi"]
+    assert _sweep_header(spec) == ["delta_phi", "f1", "branch"]
+    assert _sweep_header(dataclasses.replace(spec, outputs=())) == ["delta_phi"]
+    # the outputs' order, not the schema's; the raw axis leads
+    assert _sweep_header(dataclasses.replace(spec, outputs=("branch", "delta_phi", "f1"))) == [
+        "delta_phi", "branch", "f1"]
     gspec = GridSpec(
         x_axis="lambda1", x_start=1.0, x_stop=2.0, x_steps=2,
         y_axis="delta_phi", y_start=0.0, y_stop=1.0, y_steps=2,
-        outputs=("f1", "f2"),
+        outputs=("f2", "f1"),
     )
-    assert grid_columns(gspec) == ["x_index", "y_index", "lambda1", "delta_phi", "f1", "f2"]
-    assert grid_columns(dataclasses.replace(gspec, outputs=())) == [
+    assert _grid_header(gspec) == ["x_index", "y_index", "lambda1", "delta_phi", "f2", "f1"]
+    assert _grid_header(dataclasses.replace(gspec, outputs=())) == [
         "x_index", "y_index", "lambda1", "delta_phi"]
 
 
 def test_axis_column_not_duplicated():
     spec = SweepSpec(axis="delta_phi", start=0.0, stop=1.0, steps=3)
-    cols = sweep_columns(spec)
+    cols = _sweep_header(spec)
     assert cols.count("delta_phi") == 1
     assert cols[0] == "delta_phi"
 
 
 def test_csv_determinism():
     spec = SweepSpec(axis="delta_phi", start=0.0, stop=2.0 * math.pi, steps=21)
-    a = rows_to_csv(sweep_csv_rows(run_sweep(laser_set(), spec), spec), sweep_columns(spec))
-    b = rows_to_csv(sweep_csv_rows(run_sweep(laser_set(), spec), spec), sweep_columns(spec))
+    a = rows_to_csv(sweep_csv_rows(run_sweep(laser_set(), spec), spec))
+    b = rows_to_csv(sweep_csv_rows(run_sweep(laser_set(), spec), spec))
     assert a == b
     assert a.count("\n") == 22  # header + 21 rows
     # the emitted axis column keeps the raw requested endpoint, 2*pi
@@ -187,7 +197,7 @@ def test_csv_determinism():
 
 def test_csv_17_significant_digits():
     spec = SweepSpec(axis="delta_phi", start=0.0, stop=1.0, steps=2, outputs=("f1",))
-    text = rows_to_csv(sweep_csv_rows(run_sweep(laser_set(), spec), spec), sweep_columns(spec))
+    text = rows_to_csv(sweep_csv_rows(run_sweep(laser_set(), spec), spec))
     value = text.splitlines()[2].split(",")[1]
     assert float(value) == evaluate_point(apply_axis(laser_set(), "delta_phi", 1.0))["f1"]
     assert len(value.replace(".", "").replace("-", "").lstrip("0")) >= 16
