@@ -43,8 +43,9 @@ def _deferred(namespace: dict, table: dict, name: str):
     """
     if name not in table:
         raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
-    module = importlib.import_module(f"{__name__}.{table[name]}")
-    return namespace.setdefault(name, getattr(module, name))
+    if name not in namespace:
+        namespace[name] = getattr(importlib.import_module(f"{__name__}.{table[name]}"), name)
+    return namespace[name]
 
 
 def __getattr__(name: str):

@@ -170,5 +170,6 @@ def stack(cls, items):
 
 
 def broadcast(obj, n: int):
-    """A dataclass of scalars as the same dataclass of length-n arrays."""
-    return replace(obj, **{f.name: np.full(n, getattr(obj, f.name)) for f in fields(obj)})
+    """A dataclass of scalars as the same dataclass of length-n arrays, each
+    of the dtype `np.full` gives its scalar."""
+    return type(obj)(**{name: np.array(value).repeat(n) for name, value in vars(obj).items()})

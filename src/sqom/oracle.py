@@ -65,7 +65,7 @@ def _adjoint(T: np.ndarray) -> np.ndarray:
 def symplectic_defect(T: np.ndarray) -> np.ndarray:
     """How far each map of a stack is from preserving the bosonic metric,
     max|T Sigma T^dag - Sigma|."""
-    return np.max(np.abs(T @ SIGMA @ _adjoint(T) - SIGMA), axis=(-2, -1))
+    return abs(T @ SIGMA @ _adjoint(T) - SIGMA).max(axis=(-2, -1))
 
 
 def _zeros(n: int) -> np.ndarray:
@@ -148,14 +148,13 @@ def symplectic_frequencies(h: np.ndarray) -> SymplecticFrequencies:
     batch are unaffected.
     """
     ev = np.linalg.eigvals(SIGMA @ h)
-    scale = py_max(1.0, np.max(np.abs(ev), axis=-1))
+    scale = py_max(1.0, abs(ev).max(axis=-1))
     # absolute floor, relaxed proportionally for very large frequency scales
     # where eigvals itself leaves larger imaginary rounding residue
-    stable = np.max(np.abs(ev.imag), axis=-1) <= IMAG_TOL * py_max(1.0, 1e-3 * scale)
+    stable = abs(ev.imag).max(axis=-1) <= IMAG_TOL * py_max(1.0, 1e-3 * scale)
     re = np.sort(ev.real, axis=-1)
-    # sorted as [-nu1, -nu2, nu2, nu1] (allowing zero)
-    pair_tol = 1e-6 * scale
-    unpaired = (abs(re[:, 0] + re[:, 3]) > pair_tol) | (abs(re[:, 1] + re[:, 2]) > pair_tol)
+    # sorted as [-nu1, -nu2, nu2, nu1] (allowing zero): -nu1 + nu1, -nu2 + nu2
+    unpaired = (abs(re[:, :2] + re[:, :1:-1]) > (1e-6 * scale)[:, None]).any(axis=-1)
     return SymplecticFrequencies(nu1=re[:, 3], nu2=re[:, 2], stable=stable, paired=~unpaired)
 
 
@@ -173,14 +172,14 @@ def conjugate_coupling(p: PhysicalParams, T: np.ndarray) -> np.ndarray:
     coupling_P = _zeros(n)
     coupling_P[:, 1, 1] = -p.g0
     # offset chosen so the normal-ordered constant of the bare coupling is 0
-    offset = -0.5 * np.trace(coupling_P, axis1=1, axis2=2).real
+    offset = -0.5 * coupling_P.trace(axis1=1, axis2=2).real
     M = _adjoint(T) @ _bdg(coupling_P, _zeros(n)) @ T
     P = M[..., :2, :2]
     R = M[..., 2:, :2]  # annihilation-pair block, R = conj(Q) for symmetric Q
     return np.array((
         P[..., 0, 0], P[..., 1, 1], P[..., 0, 1],
         0.5 * R[..., 0, 0], 0.5 * R[..., 1, 1], 0.5 * (R[..., 0, 1] + R[..., 1, 0]),
-        offset + 0.5 * np.trace(P, axis1=-2, axis2=-1),
+        offset + 0.5 * P.trace(axis1=-2, axis2=-1),
     ))
 
 
@@ -196,7 +195,7 @@ def coefficient_defect(a: np.ndarray, b: np.ndarray, scale_floor) -> np.ndarray:
     """
     x, y = a.ravel(), b.ravel()
     denom = py_max(py_max(cabs(x), cabs(y)).reshape(a.shape), scale_floor)
-    return np.max(cabs(x - y).reshape(a.shape) / denom, axis=0, initial=0.0)
+    return (cabs(x - y).reshape(a.shape) / denom).max(axis=0, initial=0.0)
 
 
 @dataclass(frozen=True)
@@ -238,9 +237,9 @@ def rwa_error_report(
 
     maps, n12, const = zip(*map(branch, couplings))
     T = stage1_map(p, s) @ np.array(maps)  # (branch, N, 4, 4)
-    # np.array, not np.stack: the same cast to complex at half the fixed cost
-    analytic = np.array([(-c.g1, -c.g2, n, c.g11, c.g22, c.g12, k)
-                         for c, n, k in zip(couplings, n12, const)]).swapaxes(0, 1)
+    analytic = np.empty((len(COEFFICIENTS), len(couplings), len(p.g0)), dtype=complex)
+    for b, (c, n, k) in enumerate(zip(couplings, n12, const)):
+        analytic[:, b] = (-c.g1, -c.g2, n, c.g11, c.g22, c.g12, k)
     defect = coefficient_defect(conjugate_coupling(p, T), analytic, py_max(p.g0, 1e-300))
     return [RwaErrorReport(coeff_defect=cd, metric_defect=md)
             for cd, md in zip(defect, symplectic_defect(T))]
@@ -255,7 +254,7 @@ def frequency_deviation(
     w = abs(np.array((w1, w2)))
     # as sorted(), an unordered (NaN) pair keeps its order
     analytic = np.where(w[1] < w[0], w[::-1], w)
-    exact = np.stack((freqs.nu2, freqs.nu1))
+    exact = np.array((freqs.nu2, freqs.nu1))
     # like `div`: an overflowing ratio is IEEE's inf, without a warning
     with np.errstate(over="ignore"):
         return analytic, abs(analytic - exact) / py_max(abs(exact), 1e-300)

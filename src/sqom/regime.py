@@ -33,6 +33,10 @@ class Branch(enum.Enum):
     INTERMEDIATE = "intermediate"
 
 
+# the members by code 0, 1, 2, so that numpy coerces none (each would probe the class)
+_BRANCHES = np.array(list(Branch), dtype=object)
+
+
 @dataclass(frozen=True)
 class RegimeReport:
     f1: float
@@ -65,9 +69,5 @@ def classify(
     f1 = div(num, den, degenerate, math.inf)
     f2 = abs(s.omega_sum) - 2.0 * p.j_hop * lam2_abs
 
-    branch = np.where(
-        (f1 >= f1_hi) & (f2 > 0.0),
-        Branch.TWO_MODE_SQUEEZING,
-        np.where(f1 <= f1_lo, Branch.BEAM_SPLITTER, Branch.INTERMEDIATE),
-    )
+    branch = _BRANCHES[np.where((f1 >= f1_hi) & (f2 > 0.0), 0, np.where(f1 <= f1_lo, 1, 2))]
     return RegimeReport(f1=f1, f2=f2, branch=branch, f1_degenerate=degenerate)

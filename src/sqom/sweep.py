@@ -43,6 +43,7 @@ int, bool or str column once.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, TextIO
@@ -351,7 +352,7 @@ class Table:
         if isinstance(key, str):
             return self.columns[key]
         i = range(len(self))[key]
-        return {name: col[i : i + 1].tolist()[0] for name, col in self.columns.items()}
+        return {name: col.item(i) for name, col in self.columns.items()}
 
     def __setitem__(self, name: str, column) -> None:
         self.columns[name] = column
@@ -375,11 +376,11 @@ def _flatten(prefix: str, result) -> dict:
     out = {}
     for field, value in vars(result).items():
         name = prefix + field
-        if value.dtype.kind == "c":
+        if name + "_re" in _KIND:
             out[name + "_re"], out[name + "_im"] = value.real, value.imag
-        else:
+        elif name in _KIND:
             out[name] = value
-    return {name: value for name, value in out.items() if name in _KIND}
+    return out
 
 
 def _branch_columns(prefix: str, c, validity) -> dict:
@@ -393,16 +394,19 @@ def _branch_columns(prefix: str, c, validity) -> dict:
 
 
 # The branch column's cells: each point shares one of three str objects.
-_BRANCH_NAMES = np.array(
-    [Branch.TWO_MODE_SQUEEZING.value, Branch.BEAM_SPLITTER.value, Branch.INTERMEDIATE.value],
-    dtype=object,
-)
+_BRANCH_NAMES = np.array([b.value for b in Branch], dtype=object)
+# compared with classify's branch as 0-d object arrays: a bare member costs probes of its class
+_TMS, _BS = (np.array(b, dtype=object) for b in (Branch.TWO_MODE_SQUEEZING, Branch.BEAM_SPLITTER))
 
 
 def _blank_where(cells: dict, mask: np.ndarray, names) -> None:
-    blank = mask.any()  # a text or flag column becomes `object` even with no blank
+    if not np.count_nonzero(mask):
+        return
+    floats = [name for name in names if _KIND[name] == _F]
+    if floats:  # in one `where`, as the rows of one array
+        cells.update(zip(floats, np.where(mask, math.nan, [cells[name] for name in floats])))
     for name in names:
-        if blank or _KIND[name] != _F:
+        if _KIND[name] != _F:
             cells[name] = np.where(mask, _BLANK[_KIND[name]], cells[name])
 
 
@@ -411,8 +415,7 @@ def _stage_columns(vp, s, stages, opts: PipelineOptions) -> dict:
     valid points; the cells an error leaves blank are blank, and the error
     names are set."""
     regime = classify(s, vp, f1_hi=opts.f1_hi, f1_lo=opts.f1_lo)
-    on_tms = regime.branch == Branch.TWO_MODE_SQUEEZING
-    on_bs = regime.branch == Branch.BEAM_SPLITTER
+    on_tms, on_bs = regime.branch == _TMS, regime.branch == _BS
     cells = {
         **_flatten("", s),
         "f1": regime.f1,
@@ -447,9 +450,9 @@ def _laser_columns(vp, cells: dict, no_source, on_tms, opts: PipelineOptions) ->
     """The laser block from the branch columns. The laser interaction lives
     on the classified branch; the beam-splitter frame hosts it in the
     intermediate band too (flagged via laser_source)."""
-    w1, w2, gp12_abs = (
-        np.where(on_tms, cells["tms_" + k], cells["bs_" + k]) for k in ("w1", "w2", "gp12_abs")
-    )
+    keys = ("w1", "w2", "gp12_abs")
+    w1, w2, gp12_abs = np.where(on_tms, [cells["tms_" + k] for k in keys],
+                                [cells["bs_" + k] for k in keys])
     res = _stage("laser_point")(
         gp12_abs, w1, w2, vp.omega_m, vp.kappa, vp.gamma_m,
         n_plus=opts.n_plus, n_minus=opts.n_minus,
@@ -464,9 +467,7 @@ def _laser_columns(vp, cells: dict, no_source, on_tms, opts: PipelineOptions) ->
         "laser_detuning": w1 - w2 - vp.omega_m,
         "laser_gp12_abs": gp12_abs,
         **laser,
-        "laser_error": np.select(
-            [no_source, zero], [TMS_UNSTABLE, ZERO_COUPLING], ""
-        ),
+        "laser_error": np.where(no_source, TMS_UNSTABLE, np.where(zero, ZERO_COUPLING, "")),
     }
 
 
@@ -483,7 +484,7 @@ def _oracle_columns(vp, s, tms, bs, unstable, on_tms) -> dict:
     freqs = oracle.symplectic_frequencies(oracle.build_photonic_form(vp))
     tms_report, bs_report = oracle.rwa_error_report(vp, s, [tms, bs])
     _, (dev_lo, dev_hi) = oracle.frequency_deviation(
-        np.where(on_tms, tms.w1, bs.w1), np.where(on_tms, tms.w2, bs.w2), freqs)
+        *np.where(on_tms, (tms.w1, tms.w2), (bs.w1, bs.w2)), freqs)
     # the worst report's, as verify folds it: a NaN defect wins
     worst = np.maximum(tms_report.metric_defect, bs_report.metric_defect)
     cells = {
@@ -502,11 +503,16 @@ def _oracle_columns(vp, s, tms, bs, unstable, on_tms) -> dict:
     return cells
 
 
-def _returned_columns(outputs) -> list[str]:
-    """The columns `_evaluate` returns for `outputs`: those plus `error`, in
-    schema order."""
+@functools.cache
+def _plan(outputs: tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
+    """The columns `_evaluate` returns for `outputs` (those plus `error`, in
+    schema order), those but `error`, the text and flag columns among them
+    and the stages they need (`NEEDS`)."""
     wanted = {"error", *outputs}
-    return [name for name in _KIND if name in wanted]
+    returned = tuple(name for name in _KIND if name in wanted)
+    names = tuple(name for name in returned if name != "error")
+    objects = tuple(name for name in names if _KIND[name] != _F)
+    return returned, names, objects, frozenset().union(*(NEEDS[name] for name in names))
 
 
 # The cells one block of a CLI sweep or grid may hold (`row_blocks`); its
@@ -518,7 +524,7 @@ def row_blocks(n: int, outputs) -> Iterator[slice]:
     """The consecutive slices of `n` points that a CLI sweep or grid with
     `outputs` evaluates and writes one at a time: as many rows each as
     BLOCK_CELLS holds of the columns `_evaluate` returns."""
-    size = max(1, BLOCK_CELLS // len(_returned_columns(outputs)))
+    size = max(1, BLOCK_CELLS // len(_plan(tuple(outputs))[0]))
     return (slice(start, min(start + size, n)) for start in range(0, n, size))
 
 
@@ -533,12 +539,11 @@ def _evaluate(params: PhysicalParams, opts: PipelineOptions, outputs) -> dict:
     the error would leave blank in a point-by-point evaluation, and the error
     name lands in its column.
     """
-    columns = dict.fromkeys(_returned_columns(outputs))
-    names = [name for name in columns if name != "error"]
-    stages = frozenset().union(*(NEEDS[name] for name in names))
+    returned, names, objects, stages = _plan(tuple(outputs))
+    columns = dict.fromkeys(returned)
     errors = validation_errors(params)
     valid = errors == ""
-    if not stages or not valid.any():  # no stages: only `error` is asked for
+    if not stages or not np.count_nonzero(valid):  # no stages: only `error` is asked for
         columns.update((name, np.zeros(len(errors))) for name in names)  # blanked below
     else:
         checked = errors
@@ -548,8 +553,10 @@ def _evaluate(params: PhysicalParams, opts: PipelineOptions, outputs) -> dict:
         with np.errstate(all="ignore"):
             vp = validate(params, checked)
             cells = _stage_columns(vp, stage1_transform(vp), stages, opts)
-        columns.update((name, cells[name]) for name in names)
+        columns.update({name: cells[name] for name in names})
     _blank_where(columns, ~valid, names)
+    for name in objects:  # a text or flag column is `object` even with no blank
+        columns[name] = columns[name].astype(object, copy=False)
     columns["error"] = errors
     return columns
 

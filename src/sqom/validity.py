@@ -34,14 +34,18 @@ class ValidityReport:
 
     @property
     def max_ratio(self) -> np.ndarray:
-        """Largest ratio over the terms without a resonance hit, 0 if none."""
-        best, seen = 0.0, np.False_
-        for ratio, hit in zip(self.ratio, self.resonance_hit):
-            # as max(): the first candidate, then any strictly larger one
-            take = ~hit & (~seen | (ratio > best))
-            best = np.where(take, ratio, best)
-            seen = seen | ~hit
-        return best
+        """max() over the ratios of the terms without a resonance hit, in the
+        order of TERMS; 0 where every term hits. As max(): a NaN first
+        candidate stays, a later NaN never wins, and of equal maxima the
+        first is kept (-0.0 before 0.0)."""
+        ratio, hit = self.ratio, self.resonance_hit
+        points = np.arange(ratio.shape[1])
+        first = hit.argmin(axis=0)  # the first candidate; 0 where every term hits
+        # argmax takes the first NaN, else the first maximum: a hit and a later NaN lose
+        lose = hit | np.isnan(ratio)
+        lose[first, points] = False
+        best = np.where(lose, -math.inf, ratio)
+        return np.where(hit[first, points], 0.0, best[best.argmax(axis=0), points])
 
 
 def rwa_validity(
@@ -61,13 +65,13 @@ def rwa_validity(
     point of the phonon laser rather than a validity failure.
     """
     w1, w2, n = c.w1, c.w2, len(c.w1)
-    beats = np.stack((2 * w1, 2 * w2, w1 + w2, w1 - w2))
+    beats = np.array((2 * w1, 2 * w2, w1 + w2, w1 - w2))
     below, above = abs(beats - omega_m), abs(beats + omega_m)
-    sideband = np.broadcast_to(abs(omega_m), (2, n))
+    gap = np.empty((6, n))
     # as min(): keep the first of equal gaps
-    gap = np.concatenate((sideband, np.where(above < below, above, below)))
-    parametric = cabs(np.concatenate((c.g11, c.g22, c.g12, c.gp12))).reshape(4, n)
-    coupling_abs = np.concatenate((np.stack((c.g1, c.g2)), parametric))
+    gap[:2], gap[2:] = abs(omega_m), np.where(above < below, above, below)
+    parametric = cabs(np.concatenate((c.g11, c.g22, c.g12, c.gp12)))
+    coupling_abs = np.concatenate((c.g1, c.g2, parametric)).reshape(6, n)
     hit = gap < resonance_floor
     return ValidityReport(
         coupling_abs=coupling_abs,

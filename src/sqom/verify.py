@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle
-from .elementwise import cabs, cosh, hypot, py_max, square, tanh
+from .elementwise import cabs, cosh, hypot, py_max, square, stack, tanh
 from .errors import NUMERICAL_DEGENERACY, TMS_UNSTABLE
 from .oracle import METRIC_TOL
 from .params import PhysicalParams, validate
@@ -39,8 +39,8 @@ def random_valid_params(
     rng: np.random.Generator, branches: Sequence[Branch]
 ) -> dict[Branch, tuple[PhysicalParams, np.ndarray]]:
     """One random set per entry of `branches`, drawn in order, on which that
-    branch's transformation exists; per branch, the sets as one batch and
-    their hopping fractions u (NaN for the beam-splitter branch).
+    branch's transformation exists; per branch drawn, the sets as one batch
+    and their hopping fractions u (NaN for the beam-splitter branch).
 
     Detunings of either sign in [1, 100], drives up to 0.495|delta| (so the
     squeezing stays moderate and the exact identities are probed far from
@@ -58,27 +58,28 @@ def random_valid_params(
     generator the sets and the state after them are bit for bit those of one
     `rng.choice([-1.0, 1.0])` per sign and one `rng.uniform(low, high)`,
     `low + (high - low) * u`, per value. The words come from `random_raw`
-    blocks: a double is `(w >> 11) * 2**-53`; a 32-bit draw takes the
-    pending half word, else the low half of a fresh word, keeping its high
-    half pending. At the end the state saved before the last block is
-    restored with the reader's half word, and the words of that block that
-    were used are read again. A bit generator with no half word (MT19937)
-    raises TypeError.
+    blocks, each no larger than the sets left can use, at most `_BLOCK_WORDS`:
+    a double is `(w >> 11) * 2**-53`; a 32-bit draw takes the pending half
+    word, else the low half of a fresh word, keeping its high half pending.
+    At the end the state saved before the last block is restored with the
+    reader's half word, and the words of that block that were used are read
+    again. A bit generator with no half word (MT19937) raises TypeError.
     """
     bits = rng.bit_generator
     saved = bits.state
     if "has_uint32" not in saved:
         raise TypeError(f"{saved['bit_generator']} keeps no half word (PCG64 does)")
     pending, half = saved["has_uint32"], saved["uinteger"]
-    drawn = {Branch.TWO_MODE_SQUEEZING: [], Branch.BEAM_SPLITTER: []}
+    drawn = {branch: [] for branch in branches}
     words = []  # each word as its double
     i = tail = 0  # the next word of the block, the words it kept from the last one
-    for branch in branches:
+    for k, branch in enumerate(branches):
         tms = branch is Branch.TWO_MODE_SQUEEZING
         while True:
             if len(words) - i < _ATTEMPT_WORDS:
                 saved, tail = bits.state, len(words) - i
-                words = words[i:] + ((bits.random_raw(_BLOCK_WORDS) >> 11) * 2.0**-53).tolist()
+                size = min(_BLOCK_WORDS, _ATTEMPT_WORDS * (len(branches) - k))
+                words = words[i:] + ((bits.random_raw(size) >> 11) * 2.0**-53).tolist()
                 i = 0
             # a double keeps the top 53 bits of its word: bit 31 is bit 20 there
             top = int(words[i] * 2.0**53)
@@ -146,7 +147,8 @@ def random_sets(
     rng: np.random.Generator, branch: Branch, n: int
 ) -> tuple[PhysicalParams, Stage1Result]:
     """n random sets of `branch`, drawn one after another, as one batch."""
-    return validated(branch, *random_valid_params(rng, [branch] * n)[branch])
+    drawn = random_valid_params(rng, [branch] * n).get(branch)
+    return validated(branch, *(drawn or (stack(PhysicalParams, []), np.empty(0))))
 
 
 @dataclass(frozen=True)

@@ -217,11 +217,12 @@ def _assert_reader_is_per_attempt(bit_generator, n, prior_draws=0):
     tms, bs = Branch.TWO_MODE_SQUEEZING, Branch.BEAM_SPLITTER
     for phase in ([tms, bs] * n, [tms] * n, [bs] * n):
         drawn = random_valid_params(rng, phase)
-        want = {tms: [], bs: []}
+        want = {branch: [] for branch in phase}  # a batch per branch drawn
         for branch in phase:
             want[branch].append(_per_attempt_branch_params(reference, branch))
+        assert list(drawn) == list(want)
         for branch, sets in want.items():
-            p, u = zip(*sets) if sets else ((), ())
+            p, u = zip(*sets)
             got, got_u = drawn[branch]
             assert _bytes(got) + [got_u.tobytes()] == (
                 _bytes(stack(PhysicalParams, p)) + [np.array(u, dtype=float).tobytes()])

@@ -42,7 +42,7 @@ def blocks(monkeypatch):
         monkeypatch.setattr(cli, name, lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
 
     def size(rows: int, outputs) -> list:
-        monkeypatch.setattr(sweep, "BLOCK_CELLS", rows * len(sweep._returned_columns(outputs)))
+        monkeypatch.setattr(sweep, "BLOCK_CELLS", rows * len(sweep._plan(tuple(outputs))[0]))
         return calls
 
     return size

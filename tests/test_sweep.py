@@ -1,6 +1,7 @@
 """Sweep/grid mechanics: consistency, sentinels, determinism."""
 import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -758,3 +759,67 @@ def test_rows_never_raise_over_the_valid_domain(p):
     turns RuntimeWarnings into errors, no floating-point warning."""
     assert evaluate_point(p)["error"] in ("", "Stage1Unstable")
     analyze(p)
+
+
+def _cell(value):
+    """A Python cell by its type and its bits: a float by its IEEE pattern,
+    so -0.0 and each NaN payload stay apart."""
+    return type(value), struct.pack("<d", value) if type(value) is float else value
+
+
+def test_table_row_is_the_tolist_of_each_column():
+    """`table[i]` is `{name: col.tolist()[i]}` for every column kind, by type
+    and bits: float64 cells with -0.0 and NaN payloads, int64 grid indices,
+    and str, bool and None cells of the object columns; negative i too."""
+    # lambda2 past 50 is Stage1Unstable: blank '' and None cells in the object columns
+    spec = GridSpec(x_axis="delta_phi", x_start=0.0, x_stop=2.0 * math.pi, x_steps=3,
+                    y_axis="lambda2", y_start=49.0, y_stop=51.0, y_steps=4, outputs=COLUMNS)
+    table = run_grid(laser_set(), spec)
+    payloads = np.array([0x7FF8000000000001, -0x7FF4000000000000, 0], dtype=np.int64)
+    table["signed"] = np.resize(np.concatenate((payloads.view(float), [-0.0, 0.0])), len(table))
+    assert table["x_index"].dtype == np.int64
+    kinds = {name: {_cell(v)[0] for v in col.tolist()} for name, col in table.columns.items()}
+    assert kinds["x_index"] == {int} and kinds["signed"] == {float}
+    assert kinds["tms_resonance"] == {bool, type(None)} and kinds["tms_error"] == {str}
+    for i in range(-len(table), len(table)):
+        row = table[i]
+        assert list(row) == list(table.columns)
+        for name, col in table.columns.items():
+            assert _cell(row[name]) == _cell(col.tolist()[i]), (name, i)
+
+
+def _csv_and_dtypes(table):
+    return rows_to_csv(table), {name: col.dtype for name, col in table.columns.items()}
+
+
+def test_outputs_as_a_list_give_the_table_of_the_tuple():
+    from sqom import sweep
+
+    outputs = ["laser_error", "tms_g1", "f1", "tms_resonance", "branch"]
+    spec = SweepSpec(axis="delta_phi", start=0.0, stop=2.0 * math.pi, steps=5)
+    as_list = run_sweep(laser_set(), dataclasses.replace(spec, outputs=outputs))
+    as_tuple = run_sweep(laser_set(), dataclasses.replace(spec, outputs=tuple(outputs)))
+    assert _csv_and_dtypes(as_list) == _csv_and_dtypes(as_tuple)
+    outputs.append("oracle_stable")
+    point = batch(strong_drive_set())
+    assert _csv_and_dtypes(Table(sweep._evaluate(point, PipelineOptions(), outputs))) == (
+        _csv_and_dtypes(Table(sweep._evaluate(point, PipelineOptions(), tuple(outputs)))))
+
+
+def test_each_output_set_gets_its_own_columns_and_stages(stage_calls):
+    """Output sets evaluated one after another in one process, the regime map
+    among them, each return their own columns and run only their stages."""
+    spec = SweepSpec(axis="delta_phi", start=0.0, stop=2.0 * math.pi, steps=5)
+    cases = [
+        (("tms_g1",), {"tms_couplings": 1, "rwa_validity_tms": 1}),
+        (("f1", "f2", "branch"), {}),
+        (("bs_resonance", "f1"), {"bs_couplings": 1, "rwa_validity_bs": 1}),
+        (("tms_g1",), {"tms_couplings": 1, "rwa_validity_tms": 1}),
+        (("f1", "f2", "branch"), {}),
+    ]
+    for outputs, expected in cases:
+        table = run_sweep(laser_set(), dataclasses.replace(spec, outputs=outputs))
+        order = [name for name in COLUMNS if name in {*outputs, "error"}]
+        assert list(table.columns) == order + ["axis_value"], outputs
+        assert stage_calls == {name: expected.get(name, 0) for name in _STAGE_FUNCTIONS}, outputs
+        stage_calls.update(dict.fromkeys(stage_calls, 0))
