@@ -258,13 +258,8 @@ SUBCOMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of `command` alone when it names a subcommand, else of all.
-
-    A parser of one subcommand parses that subcommand's argv as the full one
-    does, with the same messages: its usage line still lists every command.
-    `-h`, an empty argv and an unknown command need the full parser.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """A new parser of every subcommand in `SUBCOMMANDS`."""
     parser = argparse.ArgumentParser(
         prog="sqom",
         description=(
@@ -273,32 +268,23 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             "and an exact-diagonalization self-check."
         ),
     )
-    narrow = command in SUBCOMMANDS
-    # without a metavar, argparse lists only the registered commands in usage
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        metavar="{" + ",".join(SUBCOMMANDS) + "}" if narrow else None,
-    )
-    for name in [command] if narrow else SUBCOMMANDS:
-        help_text, add_arguments = SUBCOMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in SUBCOMMANDS.items():
         add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 @functools.cache
-def _parser(command: str | None) -> argparse.ArgumentParser:
-    """`build_parser(command)`, built once per process: parsing leaves no
-    state in a parser, and building one costs several times the parse."""
-    return build_parser(command)
+def _parser() -> argparse.ArgumentParser:
+    """`build_parser()`, built once per process: parsing leaves no state in
+    a parser, and building one costs several times the parse."""
+    return build_parser()
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # a command's argv leads with its name; only that subcommand is built.
-    # Any other argv shares the full parser's key, so the cache stays small.
-    command = argv[0] if argv and argv[0] in SUBCOMMANDS else None
     try:
-        args = _parser(command).parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse's: 0 after -h, 2 after a usage error
         if exc.code == 2:  # its message is on stderr; our 2 means a failed verification
             return 1

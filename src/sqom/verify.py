@@ -238,22 +238,19 @@ def run_verification(
         add(f"symplectic_metric[{label}]", _worst(report.metric_defect), METRIC_TOL,
             f"{n_random} random sets")
 
-    # --- the configured point: both branches share its exact frequencies ------
+    # --- the configured point: both branches, one oracle batch, one form -----
     s = stage1_transform(vp)
     freqs = oracle.symplectic_frequencies(oracle.build_photonic_form(vp))
     unpaired = "" if freqs.paired.item() else (
         f"exact frequencies cannot be paired here ({NUMERICAL_DEGENERACY})")
-    checked = {}
-    for label, c in (("tms", tms_couplings(s, vp)), ("bs", bs_couplings(s, vp))):
+    couplings = {"tms": tms_couplings(s, vp), "bs": bs_couplings(s, vp)}
+    reports = oracle.rwa_error_report(vp, s, list(couplings.values()))
+    for (label, c), report in zip(couplings.items(), reports):
         unchecked = (label == "tms" and math.isnan(c.r.item())
                      and f"branch transformation undefined here ({TMS_UNSTABLE})") or unpaired
         if unchecked:
             add(f"config_point[{label}]", math.nan, math.nan, unchecked, status="info")
-        else:
-            checked[label] = c
-    # only the tms branch, or both, can be unchecked: the rows keep branch order
-    reports = oracle.rwa_error_report(vp, s, list(checked.values())) if checked else []
-    for (label, c), report in zip(checked.items(), reports):
+            continue
         add(f"config_point_coefficients[{label}]", report.coeff_defect.item(), oracle_rtol)
         add(f"config_point_metric[{label}]", report.metric_defect.item(), METRIC_TOL)
         # the term the branch drops: coherent hopping beats at the frequency

@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, file round-trips."""
 import argparse
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -552,7 +553,7 @@ _SWEEP = ("--axis", "delta_phi", "--from", "0", "--to", "1", "--steps", "3")
 _GRID = ("--x-axis", "lambda1", "--x-from", "197", "--x-to", "199", "--x-steps", "3",
          "--y-axis", "delta_phi", "--y-from", "0", "--y-to", "1", "--y-steps", "3")
 
-# argv that one-subcommand and full parsers must treat alike
+# argv of every command, its help, and its usage errors
 PARSER_CORPUS = [
     ("analyze", "--config", "c.json"),
     ("analyze", "--config", "c.json", "--out", "o.csv", "--n-plus", "2",
@@ -583,28 +584,6 @@ PARSER_CORPUS = [
     ("--config", "c.json", "analyze"),
     (),
 ]
-
-
-def _parse(parser, argv, capsys):
-    try:
-        outcome = ("parsed", parser.parse_args(argv))
-    except SystemExit as exc:
-        outcome = ("exit", exc.code)
-    return outcome, capsys.readouterr()
-
-
-@pytest.mark.parametrize("argv", PARSER_CORPUS, ids=" ".join)
-def test_one_subcommand_parser_equals_full(argv, capsys, monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")
-    argv = list(argv)
-    narrow = _parse(build_parser(argv[0] if argv else None), argv, capsys)
-    assert narrow == _parse(build_parser(), argv, capsys)
-
-
-def test_one_subcommand_parser_builds_only_that_command():
-    (subcommands,) = [a for a in build_parser("grid")._actions
-                      if isinstance(a, argparse._SubParsersAction)]
-    assert list(subcommands.choices) == ["grid"]
 
 
 def test_analyze_writes_the_row_when_the_oracle_cannot_pair_frequencies(tmp_path, capsys):
@@ -649,6 +628,85 @@ def _main_outcome(argv, capsys):
     return outcome, capsys.readouterr()
 
 
+# " ".join(argv) -> SHA-256 of the JSON list [how main ended, its code or
+# exit status, stdout, stderr], with COLUMNS=80 in an empty directory; argparse's
+# wording changes between Python versions, so these are Python 3.11's
+CLI_TEXT_DIGESTS = {
+    "analyze --config c.json":
+        "9ecf021456f1bb1121d3d4368a5861b893611c65f85a04841354a1105462c6c9",
+    "analyze --config c.json --out o.csv --n-plus 2 --n-minus 0.5 --resonance-floor 0.1":
+        "9ecf021456f1bb1121d3d4368a5861b893611c65f85a04841354a1105462c6c9",
+    "sweep --config c.json --axis delta_phi --from 0 --to 1 --steps 3 --outputs f1,branch":
+        "9ecf021456f1bb1121d3d4368a5861b893611c65f85a04841354a1105462c6c9",
+    "grid --config c.json --x-axis lambda1 --x-from 197 --x-to 199 --x-steps 3 --y-axis delta_phi --y-from 0 --y-to 1 --y-steps 3 --resonance-floor 1e-3":
+        "9ecf021456f1bb1121d3d4368a5861b893611c65f85a04841354a1105462c6c9",
+    "contours --grid g.csv --level 1 --level 2 --field f1":
+        "cdae9d721077819a5ad024d9e5b9dfc46e419804152d4a12cb675e6795fc55c7",
+    "laser-sweep --config c.json --steps 5 --axis g0":
+        "9ecf021456f1bb1121d3d4368a5861b893611c65f85a04841354a1105462c6c9",
+    "verify --config c.json --random 3 --seed 7 --rel-tol 1e-8":
+        "9ecf021456f1bb1121d3d4368a5861b893611c65f85a04841354a1105462c6c9",
+    "-h":
+        "b469eb6e15132651687e0ee5b65c1f621282322e5699e311dee1e0aa2623e7ee",
+    "--help":
+        "b469eb6e15132651687e0ee5b65c1f621282322e5699e311dee1e0aa2623e7ee",
+    "analyze -h":
+        "4a86d6fe5554e81c5b145b54cd5800ec71b95f7c1bf7916259bc4a9a7774611a",
+    "sweep -h":
+        "70a3c2a1d9c72a4dc3ba175d3e9439097570730bd02a8089076d4932c4e44dd9",
+    "grid -h":
+        "5624680131bf20ad4b079a576b60507835529da2496a024fd3f6762279c04840",
+    "contours -h":
+        "538dbb19b78c66f2a422acf530551fc98415b55e78b3f872611ffa60cdcdb9cb",
+    "laser-sweep -h":
+        "b305d4b431f7363de84eaf11e1df215666fe6139e2f1b45a54b1ff79cf908921",
+    "verify -h":
+        "f197adaa41494a59a73a22d709fbbb9340dfbc9d7cc08fda76161ac21df16e2b",
+    "analyze":
+        "5acbf1c00695e89a7f58d9939b1d9273d9e9d56c36b52c38fe5d5688d263e754",
+    "sweep --config c.json --axis g0 --from 0 --to 1":
+        "e54ff7f8e001d540d05c078cad5f0affa3cc2675d02020c2764544f47e21d6e2",
+    "contours --grid g.csv":
+        "5105b2bbe0cd704b8a1a2f9c6723a0f898322d82b9e3649b678b59dc02649e55",
+    "sweep --config c.json --axis delta_phi --from 0 --to 1 --steps three":
+        "08619da44120081216f02a09bb655c1ca353abda2240ef087ed8a3198ba30415",
+    "verify --config c.json --random 1.5":
+        "c43cc2d79ba397ed0f68420f1c301bdd2188ffaade827cbafa83ef2505ac12f4",
+    "grid --config c.json --x-axis lambda1 --x-from 197 --x-to 199 --x-steps 3 --y-axis delta_phi --y-from 0 --y-to 1 --y-steps x":
+        "01d8e877750d16866ad0a39b75cd33b83681aba21739ee1f05900e4f3431a3d0",
+    "analyze --conf c.json":
+        "9ecf021456f1bb1121d3d4368a5861b893611c65f85a04841354a1105462c6c9",
+    "verify --conf c.json --ran 3":
+        "9ecf021456f1bb1121d3d4368a5861b893611c65f85a04841354a1105462c6c9",
+    "laser-sweep --config c.json --steps 5 --n 1":
+        "1b86e299fc5fc92b2deb8d7a9d718d16023e065fa7da612e96c277bb8cdd9d46",
+    "analyze --config c.json --bogus":
+        "5a50d983871fc3d996da6f821ef67ee003d2ddc79f42836046cd931cd0b557bd",
+    "contours --grid g.csv --level 1 extra":
+        "319e9ec52c316e4c5ab022b3e14c17b0f636a414d5f7bf9a130088fe74fb4d34",
+    "analyze --config c.json analyze":
+        "80e9e0d063b48a9c1844941d84a19a2e695d7c2428fa5d4612762d51c1d5a727",
+    "bogus":
+        "f1e138ad809d613ea929020b6b5d3f8e388f08e4c85a84a8cf24515b9a5f05d7",
+    "anal --config c.json":
+        "dbe4c721a8929898a972ab519a18ea62130f6f8e01c72a7407bf45b5de6f807f",
+    "--config c.json analyze":
+        "efb1e73e307666d315ca71fa7b2df46f1ad997ede29ebb4ded60eeb948cdd2fc",
+    "":
+        "fcc0eea67e16ade06d1b145276a9ef3dffc0527219755406a5b9c1e1c3cc882e",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="digests of Python 3.11's argparse")
+@pytest.mark.parametrize("argv", PARSER_CORPUS, ids=" ".join)
+def test_cli_text_is_pinned(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    outcome, (out, err) = _main_outcome(argv, capsys)
+    text = json.dumps([*outcome, out, err])
+    assert hashlib.sha256(text.encode()).hexdigest() == CLI_TEXT_DIGESTS[" ".join(argv)]
+
+
 @pytest.mark.parametrize("argv", PARSER_CORPUS, ids=" ".join)
 def test_reused_parser_runs_as_a_fresh_one(argv, tmp_path, capsys, monkeypatch):
     # no c.json or g.csv here: a parsed argv ends in the config or grid error
@@ -661,21 +719,36 @@ def test_reused_parser_runs_as_a_fresh_one(argv, tmp_path, capsys, monkeypatch):
     assert not list(tmp_path.iterdir())
 
 
-def test_main_builds_one_parser_per_subcommand(laser_config, tmp_path, monkeypatch):
-    used = []  # the parsers themselves, so no two share an id
+def test_main_builds_one_parser_per_process(laser_config, boundary_config, tmp_path,
+                                            monkeypatch):
+    built, used = [], []  # the parsers themselves, so no two share an id
     parse_args = argparse.ArgumentParser.parse_args
+
+    def building():
+        built.append(build_parser())
+        return built[-1]
 
     def recording(parser, *args, **kwargs):
         used.append(parser)
         return parse_args(parser, *args, **kwargs)
 
+    monkeypatch.setattr(cli, "build_parser", building)
     monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
-    out = str(tmp_path / "out.csv")
-    for _ in range(10):
-        assert main(["analyze", "--config", laser_config, "--out", out]) == 0
-        assert main(["verify", "--config", laser_config, "--random", "0", "--out", out]) == 0
-    assert len(used) == 20
-    assert len({id(parser) for parser in used}) == 2
+    cli._parser.cache_clear()
+    grid, out = str(tmp_path / "grid.csv"), str(tmp_path / "out.csv")
+    config = ("--config", laser_config)
+    for _ in range(2):
+        for argv in (
+            ("analyze", *config),
+            ("sweep", *config, *_SWEEP),
+            ("grid", "--config", boundary_config, *_GRID, "--outputs", "f1"),
+            ("contours", "--grid", grid, "--level", "8"),
+            ("laser-sweep", *config, "--steps", "3"),
+            ("verify", *config, "--random", "0"),
+        ):
+            assert main([*argv, "--out", grid if argv[0] == "grid" else out]) == 0
+    assert len(built) == 1
+    assert len(used) == 12 and {id(parser) for parser in used} == {id(built[0])}
 
 
 def test_reused_contours_parser_keeps_no_level(boundary_config, tmp_path, capsys):
@@ -707,8 +780,7 @@ def test_reused_analyze_parser_writes_stdout_after_out(laser_config, tmp_path, c
 
 
 def test_build_parser_returns_a_new_parser_each_call():
-    for command in (None, "analyze", "bogus"):
-        assert build_parser(command) is not build_parser(command)
+    assert build_parser() is not build_parser()
 
 
 def test_closed_stdout_exits_1_without_traceback(laser_config):
