@@ -10,7 +10,7 @@ plus `error`: a spec's `outputs`, by default every column (COLUMNS) for a
 SweepSpec and the regime map for a GridSpec. `run_sweep` and `run_grid`
 evaluate the rows they are asked for, all by default; the CLI asks for one
 block of rows at a time (`row_blocks`: at most BLOCK_CELLS returned cells,
-1927 rows of the full sweep, one block for a regime map of up to 32 768
+1956 rows of the full sweep, one block for a regime map of up to 32 768
 points) and writes each block before it evaluates the next, so the stages
 run once per block, not once per sweep, and peak memory does not grow with
 the point count. A command's CSV is the table its projection returns
@@ -516,8 +516,13 @@ def _plan(outputs: tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
 
 
 # The cells one block of a CLI sweep or grid may hold (`row_blocks`); its
-# stage temporaries and CSV text scale with them.
+# stage temporaries scale with them.
 BLOCK_CELLS = 2**17
+# The cells `write_csv` formats at a time. A float64 cell is 8 B in a block,
+# but in flight its text is about 70 B of `str`, a list slot and its share of
+# the joined and encoded chunk, so the text has its own, smaller budget: 122
+# rows of the full sweep, 1170 of a 7-column regime-map grid.
+CSV_CHUNK_CELLS = 2**13
 
 
 def row_blocks(n: int, outputs) -> Iterator[slice]:
@@ -657,7 +662,6 @@ def format_cell(value) -> str:
 
 
 _FLOAT_CELL = "%.17g"
-_CHUNK_ROWS = 1024
 
 
 def _cells(values: np.ndarray) -> list[str]:
@@ -687,9 +691,10 @@ def write_csv(rows: Table | list[dict], out: TextIO, header: bool = True) -> Non
     """Header (unless `header` is false) plus one line per row, of every
     column of `rows` in its order.
 
-    `rows` is a Table, formatted column by column in chunks, or a non-empty
-    list of row dicts with the first row's keys, formatted row by row: the
-    faster path for a row or a few.
+    `rows` is a Table, formatted column by column in chunks of at most
+    CSV_CHUNK_CELLS cells (one row at least), or a non-empty list of row
+    dicts with the first row's keys, formatted row by row: the faster path
+    for a row or a few.
     """
     if header:
         out.write(",".join(rows.columns if isinstance(rows, Table) else rows[0]) + "\n")
@@ -697,8 +702,9 @@ def write_csv(rows: Table | list[dict], out: TextIO, header: bool = True) -> Non
         for row in rows:
             out.write(",".join([format_cell(v) for v in row.values()]) + "\n")
         return
-    for start in range(0, len(rows), _CHUNK_ROWS):
-        cells = [_format_column(col[start : start + _CHUNK_ROWS]) for col in rows.columns.values()]
+    size = max(1, CSV_CHUNK_CELLS // max(1, len(rows.columns)))
+    for start in range(0, len(rows), size):
+        cells = [_format_column(col[start : start + size]) for col in rows.columns.values()]
         out.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 

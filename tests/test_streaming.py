@@ -2,7 +2,6 @@
 at a time: the bytes equal those of the whole table, and the allocation peak
 does not grow with the point count."""
 import dataclasses
-import json
 import math
 import tracemalloc
 
@@ -22,14 +21,12 @@ from sqom.sweep import (
     sweep_csv_rows,
 )
 
-from conftest import laser_set, rows_to_csv
+from conftest import CONFIGS, rows_to_csv
 
 
 @pytest.fixture
-def config(tmp_path):
-    path = tmp_path / "laser.json"
-    path.write_text(json.dumps(dataclasses.asdict(laser_set(0.0))))
-    return str(path)
+def config():
+    return str(CONFIGS / "laser.json")
 
 
 @pytest.fixture

@@ -1,7 +1,9 @@
 """Sweep/grid mechanics: consistency, sentinels, determinism."""
 import dataclasses
 import math
+import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from sqom import (
     run_grid,
     run_sweep,
 )
+from sqom import sweep
 from sqom.elementwise import stack, take
 from sqom.sweep import (
     COLUMN_SCHEMA,
@@ -244,6 +247,51 @@ def test_table_csv_equals_row_dict_csv(seed, n, repeated):
     names = list(columns)
     table = Table(columns)
     assert rows_to_csv(table, names) == rows_to_csv(list(table), names)
+
+
+# a table of every column kind the writer sees: 1.5 and 'bs' repeat across
+# any chunk boundary, and each text or flag column has its blank
+CHUNKED = Table({
+    "float": np.array([1.5, math.nan, -0.0, 1.5, 0.0, 1.5, math.nan]),
+    "int": np.array([3, 3, -1, 0, 3, 2**40, -1]),
+    "text": np.array(["bs", "", "tms", "bs", "", "bs", "TmsUnstable"], dtype=object),
+    "flag": np.array([True, None, False, True, None, True, False], dtype=object),
+    "fixed": np.array(["bs", "", "x", "bs", "bs", "", "x"]),
+})
+WIDTH = len(CHUNKED.columns)
+
+
+@pytest.mark.parametrize("cells", [1, WIDTH - 1, WIDTH + 1, 2 * WIDTH + 1, 3 * WIDTH, 10**6])
+def test_table_csv_bytes_do_not_depend_on_the_chunk_budget(cells, monkeypatch):
+    """One row a chunk, a few rows or the whole table: the same text, that of
+    the row dicts, since a cell is formatted the same whatever its chunk."""
+    want = rows_to_csv(list(CHUNKED))
+    assert "nan" in want and "-0" in want and ",," in want
+    monkeypatch.setattr(sweep, "CSV_CHUNK_CELLS", cells)
+    assert rows_to_csv(CHUNKED) == want
+    # a table of no columns, and one of no rows: the header line alone
+    assert rows_to_csv(Table({})) == "\n"
+    empty = Table({name: col[:0] for name, col in CHUNKED.columns.items()})
+    assert rows_to_csv(empty) == want.splitlines(keepends=True)[0]
+
+
+def test_table_csv_allocation_peak_does_not_grow_with_width():
+    """A chunk holds a number of cells, not of rows: a 64-column and a
+    4-column table of as many distinct floats peak alike while written."""
+    values = np.random.default_rng(7).random(2**17)
+
+    def peak(width: int) -> int:
+        table = Table({f"c{i}": col for i, col in enumerate(values.reshape(width, -1))})
+        with open(os.devnull, "w") as out:
+            tracemalloc.start()
+            try:
+                sweep.write_csv(table, out)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    wide, narrow = peak(64), peak(4)
+    assert max(wide, narrow) < 2 * min(wide, narrow), (wide, narrow)
 
 
 def test_laser_projection_columns():
