@@ -20,7 +20,7 @@ _EXPORTS = {
                    "symplectic_frequencies"),
         ("params", "PhysicalParams PipelineOptions canonical_delta_phi parse_config "
                    "validate"),
-        ("regime", "Branch classify"),
+        ("regime", "classify"),
         ("stage1", "squeeze_param stage1_transform"),
         ("sweep", "GridSpec SweepSpec analyze evaluate_point run_grid run_sweep"),
         ("contours", "extract_contours"),

@@ -168,7 +168,7 @@ def cmd_verify(args) -> int:
         validate(broadcast(params, 1)),
         n_random=args.random, seed=args.seed, oracle_rtol=args.rel_tol,
     )
-    _emit([list(map(vars, rows))], args.out)
+    _emit([rows], args.out)
     return 0 if all_passed(rows) else 2
 
 

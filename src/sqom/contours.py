@@ -204,27 +204,19 @@ def contour_table(contour_set: ContourSet, field: str) -> Table:
 
 # --- grid files --------------------------------------------------------------
 
-def _bad_cell(path: str, name: str, cells, convert) -> ConfigError:
-    """The error for the first of `cells` (column `name`) that convert refuses."""
+def _parsed(path: str, name: str, cells, convert) -> np.ndarray:
+    """convert(cell) for each cell of column `name`; the first cell it
+    refuses is named with its column and data row."""
+    values = []
     for row, cell in enumerate(cells, 1):
         try:
-            convert(cell)
+            values.append(convert(cell))
         except ValueError:
             kind = "an integer" if convert is int else "a number"
-            return ConfigError(
+            raise ConfigError(
                 f"grid file {path}: {name} cell {cell!r} in data row {row} is not {kind}"
-            )
-    raise AssertionError(f"every {name} cell converts")
-
-
-def _parsed(path: str, name: str, cells, convert) -> np.ndarray:
-    """convert(cell) for each cell of column `name`, called once per distinct
-    cell; a cell it refuses is named with its column and row."""
-    try:
-        distinct = {cell: convert(cell) for cell in dict.fromkeys(cells)}
-    except ValueError:
-        raise _bad_cell(path, name, cells, convert) from None
-    return np.array(list(map(distinct.__getitem__, cells)))
+            ) from None
+    return np.array(values)
 
 
 def _value_cell(cell: str) -> float:

@@ -9,9 +9,9 @@ frequencies; `conjugate_coupling` conjugates the bare optomechanical coupling
 through explicit transformation matrices, with no rotating-wave truncation.
 Its coefficients, and the closed forms they are checked against, are the
 rows of one `(7, N)` complex array, in the order of COEFFICIENTS.
-`rwa_error_report` gives each branch's coefficient and metric defects, with
-no form to solve; `frequency_deviation` compares a branch's |W| with the
-exact frequencies.
+`rwa_error_report` gives each branch's coefficient and metric defects as the
+rows of two `(B, N)` arrays, with no form to solve; `frequency_deviation`
+compares a branch's |W| with the exact frequencies.
 
 Representation: an operator is stored as (M, offset) with
 
@@ -198,31 +198,21 @@ def coefficient_defect(a: np.ndarray, b: np.ndarray, scale_floor) -> np.ndarray:
     return (cabs(x - y).reshape(a.shape) / denom).max(axis=0, initial=0.0)
 
 
-@dataclass(frozen=True)
-class RwaErrorReport:
-    """How far one branch's closed forms are from the exact conjugation.
-
-    coeff_defect is the worst relative deviation of `conjugate_coupling` from
-    the closed forms (an exact identity, reported as a numerical sanity
-    bound); metric_defect is how far the branch's composed map is from
-    preserving the bosonic metric (`symplectic_defect`). Each is an array
-    over the points.
-    """
-
-    coeff_defect: np.ndarray
-    metric_defect: np.ndarray
-
-
 def rwa_error_report(
     p: PhysicalParams,
     s: Stage1Result,
     couplings: Sequence[TmsCouplings | BsCouplings],
-) -> list[RwaErrorReport]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Check each branch in `couplings` (their type names the branch) against
-    the oracle, all over the points of `p`, given the stage-1 result `s`:
-    one report per couplings, in order. The branches are one batch on a
-    leading axis, through one stage-1 map, one conjugation and one metric
-    defect.
+    the oracle, all over the points of `p`, given the stage-1 result `s`.
+
+    Returns `(coeff_defect, metric_defect)`, each of shape `(B, N)`, a row
+    per couplings in order. coeff_defect is the worst relative deviation of
+    `conjugate_coupling` from the closed forms (an exact identity, reported
+    as a numerical sanity bound); metric_defect is how far the branch's
+    composed map is from preserving the bosonic metric (`symplectic_defect`).
+    The branches are one batch on a leading axis, through one stage-1 map,
+    one conjugation and one metric defect.
 
     Two-mode squeezing moves -f_prime into the scalar part; the beam-splitter
     rotation is number conserving, so its scalar part stays -f_disp. Where
@@ -241,8 +231,7 @@ def rwa_error_report(
     for b, (c, n, k) in enumerate(zip(couplings, n12, const)):
         analytic[:, b] = (-c.g1, -c.g2, n, c.g11, c.g22, c.g12, k)
     defect = coefficient_defect(conjugate_coupling(p, T), analytic, py_max(p.g0, 1e-300))
-    return [RwaErrorReport(coeff_defect=cd, metric_defect=md)
-            for cd, md in zip(defect, symplectic_defect(T))]
+    return defect, symplectic_defect(T)
 
 
 def frequency_deviation(

@@ -9,7 +9,6 @@ stage.
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -27,21 +26,15 @@ if TYPE_CHECKING:
 TERMS = ("g1", "g2", "g11", "g22", "g12", "gp12")
 
 
-class Branch(enum.Enum):
-    TWO_MODE_SQUEEZING = "tms"
-    BEAM_SPLITTER = "bs"
-    INTERMEDIATE = "intermediate"
-
-
-# the members by code 0, 1, 2, so that numpy coerces none (each would probe the class)
-_BRANCHES = np.array(list(Branch), dtype=object)
+# the branch names by code 0, 1, 2: each point's cell shares one of three str objects
+_BRANCHES = np.array(("tms", "bs", "intermediate"), dtype=object)
 
 
 @dataclass(frozen=True)
 class RegimeReport:
     f1: float
     f2: float
-    branch: Branch
+    branch: np.ndarray  # "tms", "bs" or "intermediate", as the CSV's branch column
     # f1 is reported as +inf with this flag set when its denominator
     # vanishes (omega_s1 + omega_s2 = 0); |lam1| >= 1 always, so the
     # hopping factor itself can never degenerate.
@@ -57,10 +50,11 @@ def classify(
     """Compute f1, f2 and pick the applicable rotating-wave branch.
 
     The thresholds default to the equipotential levels used to delimit the
-    two validity regions; the band in between is reported as INTERMEDIATE,
+    two validity regions: "tms" (two-mode squeezing) where f1 >= f1_hi and
+    f2 > 0, "bs" (beam splitter) where f1 <= f1_lo, "intermediate" elsewhere,
     a first-class outcome (both branches can still be evaluated there, each
-    carrying its own validity ratios). `branch` is an object array of Branch
-    members.
+    carrying its own validity ratios). `branch` is an object array of those
+    `str` names, the cells of the CSV's branch column.
     """
     lam2_abs = cabs(s.lam2)
     num = lam2_abs * abs(s.omega_diff)

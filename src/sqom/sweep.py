@@ -9,8 +9,9 @@ after `classify`, and the table it returns holds only the requested columns
 plus `error`: a spec's `outputs`, by default every column (COLUMNS) for a
 SweepSpec and the regime map for a GridSpec. `run_sweep` and `run_grid`
 evaluate the rows they are asked for, all by default; the CLI asks for one
-block of rows at a time (`row_blocks`: at most BLOCK_CELLS returned cells,
-1956 rows of the full sweep, one block for a regime map of up to 32 768
+block of rows at a time (`row_blocks`: at most BLOCK_CELLS cells, of every
+column where a branch runs and of the returned ones otherwise, so 1956 rows
+of any output set with a branch, one block for a regime map of up to 32 768
 points) and writes each block before it evaluates the next, so the stages
 run once per block, not once per sweep, and peak memory does not grow with
 the point count. A command's CSV is the table its projection returns
@@ -60,7 +61,7 @@ from .params import (
     validate,
     validation_errors,
 )
-from .regime import TERMS, Branch, classify
+from .regime import TERMS, classify
 from .stage1 import stage1_transform
 
 # name -> module of the stages a column may need: imported when the stage
@@ -393,12 +394,6 @@ def _branch_columns(prefix: str, c, validity) -> dict:
     }
 
 
-# The branch column's cells: each point shares one of three str objects.
-_BRANCH_NAMES = np.array([b.value for b in Branch], dtype=object)
-# compared with classify's branch as 0-d object arrays: a bare member costs probes of its class
-_TMS, _BS = (np.array(b, dtype=object) for b in (Branch.TWO_MODE_SQUEEZING, Branch.BEAM_SPLITTER))
-
-
 def _blank_where(cells: dict, mask: np.ndarray, names) -> None:
     if not np.count_nonzero(mask):
         return
@@ -415,13 +410,13 @@ def _stage_columns(vp, s, stages, opts: PipelineOptions) -> dict:
     valid points; the cells an error leaves blank are blank, and the error
     names are set."""
     regime = classify(s, vp, f1_hi=opts.f1_hi, f1_lo=opts.f1_lo)
-    on_tms, on_bs = regime.branch == _TMS, regime.branch == _BS
+    on_tms = regime.branch == "tms"
     cells = {
         **_flatten("", s),
         "f1": regime.f1,
         "f2": regime.f2,
         "f1_degenerate": regime.f1_degenerate,
-        "branch": _BRANCH_NAMES[np.where(on_tms, 0, np.where(on_bs, 1, 2))],
+        "branch": regime.branch,
     }
     if "delta_phi" in stages:
         cells["delta_phi"] = canonical_delta_phi(vp.phi_d1, vp.phi_d2)
@@ -482,20 +477,20 @@ def _oracle_columns(vp, s, tms, bs, unstable, on_tms) -> dict:
     from . import oracle  # through the module: a wrapper bound there sees the call
 
     freqs = oracle.symplectic_frequencies(oracle.build_photonic_form(vp))
-    tms_report, bs_report = oracle.rwa_error_report(vp, s, [tms, bs])
+    (tms_coeff, bs_coeff), (tms_metric, bs_metric) = oracle.rwa_error_report(vp, s, [tms, bs])
     _, (dev_lo, dev_hi) = oracle.frequency_deviation(
         *np.where(on_tms, (tms.w1, tms.w2), (bs.w1, bs.w2)), freqs)
-    # the worst report's, as verify folds it: a NaN defect wins
-    worst = np.maximum(tms_report.metric_defect, bs_report.metric_defect)
+    # the worst branch's, as verify folds it: a NaN defect wins
+    worst = np.maximum(tms_metric, bs_metric)
     cells = {
         "oracle_nu1": freqs.nu1,
         "oracle_nu2": freqs.nu2,
         "oracle_stable": freqs.stable,
         "oracle_freq_dev_lo": dev_lo,
         "oracle_freq_dev_hi": dev_hi,
-        "oracle_coeff_defect_tms": tms_report.coeff_defect,
-        "oracle_coeff_defect_bs": bs_report.coeff_defect,
-        "oracle_metric_defect": np.where(unstable, bs_report.metric_defect, worst),
+        "oracle_coeff_defect_tms": tms_coeff,
+        "oracle_coeff_defect_bs": bs_coeff,
+        "oracle_metric_defect": np.where(unstable, bs_metric, worst),
     }
     _blank_where(cells, unstable, ["oracle_coeff_defect_tms"])
     _blank_where(cells, on_tms & unstable, ["oracle_freq_dev_lo", "oracle_freq_dev_hi"])
@@ -515,8 +510,10 @@ def _plan(outputs: tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
     return returned, names, objects, frozenset().union(*(NEEDS[name] for name in names))
 
 
-# The cells one block of a CLI sweep or grid may hold (`row_blocks`); its
-# stage temporaries scale with them.
+# The cells one block of a CLI sweep or grid may hold (`row_blocks`). A
+# block that runs a branch counts the cells of every column, returned or not:
+# its stage temporaries, about 1 kB a point, do not shrink with the columns
+# it returns.
 BLOCK_CELLS = 2**17
 # The cells `write_csv` formats at a time. A float64 cell is 8 B in a block,
 # but in flight its text is about 70 B of `str`, a list slot and its share of
@@ -528,8 +525,10 @@ CSV_CHUNK_CELLS = 2**13
 def row_blocks(n: int, outputs) -> Iterator[slice]:
     """The consecutive slices of `n` points that a CLI sweep or grid with
     `outputs` evaluates and writes one at a time: as many rows each as
-    BLOCK_CELLS holds of the columns `_evaluate` returns."""
-    size = max(1, BLOCK_CELLS // len(_plan(tuple(outputs))[0]))
+    BLOCK_CELLS holds of every column (COLUMNS) where a branch runs, else of
+    the columns `_evaluate` returns."""
+    returned, _, _, stages = _plan(tuple(outputs))
+    size = max(1, BLOCK_CELLS // len(COLUMNS if stages & {"tms", "bs"} else returned))
     return (slice(start, min(start + size, n)) for start in range(0, n, size))
 
 

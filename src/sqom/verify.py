@@ -4,17 +4,18 @@ The closed-form couplings obey exact algebraic identities (independent of
 any rotating-wave argument), and every coefficient must agree with the
 brute-force conjugation oracle. This module samples random valid parameter
 sets, runs both families of checks plus the symplectic-metric preservation
-test, and reports one row per check for the `verify` CLI subcommand. The
-random sets' oracle checks read no frequency, so they solve no form; the
-configured point's one form gives its frequency-deviation rows. The random
-sets are read from look-ahead blocks of the generator's raw 64-bit words.
+test, and reports one row per check for the `verify` CLI subcommand: a dict
+keyed in the CSV's column order. The sampler takes a branch by its CSV name,
+"tms" (two-mode squeezing) or "bs" (beam splitter). The random sets' oracle
+checks read no frequency, so they solve no form; the configured point's one
+form gives its frequency-deviation rows. The random sets are read from
+look-ahead blocks of the generator's raw 64-bit words.
 """
 from __future__ import annotations
 
 import cmath
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +24,6 @@ from .elementwise import cabs, cosh, hypot, py_max, square, stack, tanh
 from .errors import NUMERICAL_DEGENERACY, TMS_UNSTABLE
 from .oracle import METRIC_TOL
 from .params import PhysicalParams, validate
-from .regime import Branch
 from .second_stage import bs_couplings, tms_couplings
 from .stage1 import Stage1Result, stage1_transform
 
@@ -36,8 +36,8 @@ _ATTEMPT_WORDS, _BLOCK_WORDS = 10, 1024
 
 
 def random_valid_params(
-    rng: np.random.Generator, branches: Sequence[Branch]
-) -> dict[Branch, tuple[PhysicalParams, np.ndarray]]:
+    rng: np.random.Generator, branches: Sequence[str]
+) -> dict[str, tuple[PhysicalParams, np.ndarray]]:
     """One random set per entry of `branches`, drawn in order, on which that
     branch's transformation exists; per branch drawn, the sets as one batch
     and their hopping fractions u (NaN for the beam-splitter branch).
@@ -74,7 +74,7 @@ def random_valid_params(
     words = []  # each word as its double
     i = tail = 0  # the next word of the block, the words it kept from the last one
     for k, branch in enumerate(branches):
-        tms = branch is Branch.TWO_MODE_SQUEEZING
+        tms = branch == "tms"
         while True:
             if len(words) - i < _ATTEMPT_WORDS:
                 saved, tail = bits.state, len(words) - i
@@ -125,39 +125,30 @@ def random_valid_params(
     return {b: (PhysicalParams(*c[:-1]), c[-1]) for b, c in columns.items()}
 
 
-def random_branch_params(rng: np.random.Generator, branch: Branch) -> tuple[PhysicalParams, float]:
+def random_branch_params(rng: np.random.Generator, branch: str) -> tuple[PhysicalParams, float]:
     """One `random_valid_params` set of `branch`, as floats, and its u."""
     sets, u = random_valid_params(rng, [branch])[branch]
     return PhysicalParams(**{k: v.item() for k, v in vars(sets).items()}), u.item()
 
 
 def validated(
-    branch: Branch, sets: PhysicalParams, u: np.ndarray
+    branch: str, sets: PhysicalParams, u: np.ndarray
 ) -> tuple[PhysicalParams, Stage1Result]:
     """Sets drawn by `random_valid_params` as one validated batch and its
     stage 1 result; two-mode-squeezing sets get their rescaled hopping."""
     vp = validate(sets)
     s = stage1_transform(vp)
-    if branch is Branch.TWO_MODE_SQUEEZING:
+    if branch == "tms":
         vp = vp.replace(j_hop=u * s.omega_sum / (2.0 * cabs(s.lam2)))
     return vp, s
 
 
 def random_sets(
-    rng: np.random.Generator, branch: Branch, n: int
+    rng: np.random.Generator, branch: str, n: int
 ) -> tuple[PhysicalParams, Stage1Result]:
     """n random sets of `branch`, drawn one after another, as one batch."""
     drawn = random_valid_params(rng, [branch] * n).get(branch)
     return validated(branch, *(drawn or (stack(PhysicalParams, []), np.empty(0))))
-
-
-@dataclass(frozen=True)
-class CheckRow:
-    check: str
-    status: str  # pass / fail / info
-    max_error: float
-    tolerance: float
-    detail: str
 
 
 def _rel(err, scale):
@@ -201,7 +192,7 @@ def _identity_errors_bs(vp: PhysicalParams, s: Stage1Result) -> dict[str, np.nda
 
 def run_verification(
     vp: PhysicalParams, n_random: int, seed: int, oracle_rtol: float
-) -> list[CheckRow]:
+) -> list[dict]:
     """All checks at the configured point (a batch of one) plus `n_random`
     random sets per branch.
 
@@ -211,32 +202,30 @@ def run_verification(
     of checks then runs once on the batch of a branch.
     """
     rng = np.random.default_rng(seed)
-    rows: list[CheckRow] = []
+    rows: list[dict] = []
 
     def add(check: str, err: float, tol: float, detail: str = "", status: str | None = None):
-        if status is None:
+        if status is None:  # pass / fail / info
             status = "pass" if err <= tol else "fail"
-        rows.append(CheckRow(check, status, err, tol, detail))
+        rows.append({"check": check, "status": status, "max_error": err, "tolerance": tol,
+                     "detail": detail})
 
     # --- exact identities on random sets ------------------------------------
-    tms, bs = Branch.TWO_MODE_SQUEEZING, Branch.BEAM_SPLITTER
-    drawn = random_valid_params(rng, [tms, bs] * n_random)
+    drawn = random_valid_params(rng, ["tms", "bs"] * n_random)
     if n_random:
         errors = {
-            **_identity_errors_tms(*validated(tms, *drawn[tms])),
-            **_identity_errors_bs(*validated(bs, *drawn[bs])),
+            **_identity_errors_tms(*validated("tms", *drawn["tms"])),
+            **_identity_errors_bs(*validated("bs", *drawn["bs"])),
         }
         for name, err in sorted(errors.items()):
             add(f"identity[{name}]", _worst(err), IDENTITY_RTOL, f"{n_random} random sets")
 
     # --- oracle agreement: the two defects, no form to solve ------------------
-    for branch, label, couplings in ((tms, "tms", tms_couplings), (bs, "bs", bs_couplings)):
-        sets, stage1 = random_sets(rng, branch, n_random)
-        report, = oracle.rwa_error_report(sets, stage1, [couplings(stage1, sets)])
-        add(f"oracle_coefficients[{label}]", _worst(report.coeff_defect), oracle_rtol,
-            f"{n_random} random sets")
-        add(f"symplectic_metric[{label}]", _worst(report.metric_defect), METRIC_TOL,
-            f"{n_random} random sets")
+    for label, couplings in (("tms", tms_couplings), ("bs", bs_couplings)):
+        sets, stage1 = random_sets(rng, label, n_random)
+        coeff, metric = oracle.rwa_error_report(sets, stage1, [couplings(stage1, sets)])
+        add(f"oracle_coefficients[{label}]", _worst(coeff), oracle_rtol, f"{n_random} random sets")
+        add(f"symplectic_metric[{label}]", _worst(metric), METRIC_TOL, f"{n_random} random sets")
 
     # --- the configured point: both branches, one oracle batch, one form -----
     s = stage1_transform(vp)
@@ -244,15 +233,15 @@ def run_verification(
     unpaired = "" if freqs.paired.item() else (
         f"exact frequencies cannot be paired here ({NUMERICAL_DEGENERACY})")
     couplings = {"tms": tms_couplings(s, vp), "bs": bs_couplings(s, vp)}
-    reports = oracle.rwa_error_report(vp, s, list(couplings.values()))
-    for (label, c), report in zip(couplings.items(), reports):
+    defects = zip(*oracle.rwa_error_report(vp, s, list(couplings.values())))
+    for (label, c), (coeff, metric) in zip(couplings.items(), defects):
         unchecked = (label == "tms" and math.isnan(c.r.item())
                      and f"branch transformation undefined here ({TMS_UNSTABLE})") or unpaired
         if unchecked:
             add(f"config_point[{label}]", math.nan, math.nan, unchecked, status="info")
             continue
-        add(f"config_point_coefficients[{label}]", report.coeff_defect.item(), oracle_rtol)
-        add(f"config_point_metric[{label}]", report.metric_defect.item(), METRIC_TOL)
+        add(f"config_point_coefficients[{label}]", coeff.item(), oracle_rtol)
+        add(f"config_point_metric[{label}]", metric.item(), METRIC_TOL)
         # the term the branch drops: coherent hopping beats at the frequency
         # difference, the pair term at the sum
         name, factor, beat = (("coherent_hopping", s.lam1, s.omega_diff) if label == "tms"
@@ -269,5 +258,5 @@ def run_verification(
     return rows
 
 
-def all_passed(rows: list[CheckRow]) -> bool:
-    return all(r.status != "fail" for r in rows)
+def all_passed(rows: list[dict]) -> bool:
+    return all(r["status"] != "fail" for r in rows)

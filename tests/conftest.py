@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from sqom import (
-    Branch,
     PhysicalParams,
     build_photonic_form,
     rwa_error_report,
@@ -67,16 +66,17 @@ def oracle_stages(vp, branch):
     """The stages the oracle is handed for a validated batch: its stage-1
     result, the couplings of `branch` and its exact frequencies."""
     s = stage1_transform(vp)
-    couplings = tms_couplings if branch is Branch.TWO_MODE_SQUEEZING else bs_couplings
+    couplings = tms_couplings if branch == "tms" else bs_couplings
     return s, couplings(s, vp), symplectic_frequencies(build_photonic_form(vp))
 
 
 def oracle_report(vp, branch):
-    """The oracle report of `branch` alone for a validated batch, and the
-    `(2, N)` deviation of the branch's |W| from the exact frequencies."""
+    """The oracle's coefficient and metric defects of `branch` alone for a
+    validated batch, each over the points, and the `(2, N)` deviation of the
+    branch's |W| from the exact frequencies."""
     s, c, freqs = oracle_stages(vp, branch)
-    (report,) = rwa_error_report(vp, s, [c])
-    return report, frequency_deviation(c.w1, c.w2, freqs)[1]
+    (coeff,), (metric,) = rwa_error_report(vp, s, [c])
+    return (coeff, metric), frequency_deviation(c.w1, c.w2, freqs)[1]
 
 
 def rows_to_csv(rows, columns=None):

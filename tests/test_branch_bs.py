@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from sqom import Branch, stage1_transform, validate
+from sqom import stage1_transform, validate
 from sqom.second_stage import bs_couplings, mixing_angle
 from sqom.validity import TERMS, rwa_validity
 from sqom.verify import random_sets
@@ -85,7 +85,7 @@ def test_gp12_weak_phase_dependence():
 
 def test_exact_identities_on_random_sets(rng):
     worst = 0.0
-    vps, ss = random_sets(rng, Branch.BEAM_SPLITTER, 1000)
+    vps, ss = random_sets(rng, "bs", 1000)
     for vp, s, c in zip(points(vps), points(ss), points(bs_couplings(ss, vps))):
         ch2 = vp.g0 * math.cosh(2.0 * s.r_d2)
         hyp = math.hypot(s.omega_diff, abs(c.j_prime))
@@ -105,7 +105,7 @@ def test_exact_identities_on_random_sets(rng):
 
 
 def test_wdiff_sign_follows_parent_modes(rng):
-    vps, ss = random_sets(rng, Branch.BEAM_SPLITTER, 300)
+    vps, ss = random_sets(rng, "bs", 300)
     for vp, s, c in zip(points(vps), points(ss), points(bs_couplings(ss, vps))):
         if vp.j_hop > 0:
             assert (c.w1 - c.w2) * s.omega_diff > 0.0

@@ -25,7 +25,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sqom import (
-    Branch,
     PhysicalParams,
     PipelineOptions,
     SqomError,
@@ -359,24 +358,24 @@ def test_oracle_batch_equals_pointwise(items):
     if not good:
         return
     vp = validate(stack(PhysicalParams, good))
-    branches = (Branch.TWO_MODE_SQUEEZING, Branch.BEAM_SPLITTER)
+    branches = ("tms", "bs")
     for branch in branches:
         alone = []
         for i in range(len(good)):
             one = take(vp, [i])
             alone.append((*oracle_report(one, branch), oracle_stages(one, branch)[2]))
-        (report, dev), freqs = oracle_report(vp, branch), oracle_stages(vp, branch)[2]
+        (defects, dev), freqs = oracle_report(vp, branch), oracle_stages(vp, branch)[2]
         for i, (one, one_dev, one_freqs) in enumerate(alone):
-            assert_same(report, one, i)
+            for a, b in zip(defects, one):
+                assert _bits(_element(a, i)) == _bits(_element(b, 0)), (a, b)
             assert _bits(_element(dev, i)) == _bits(_element(one_dev, 0)), (dev, one_dev)
             assert_same(freqs, one_freqs, i)
     s = stage1_transform(vp)
     both = rwa_error_report(vp, s, [tms_couplings(s, vp), bs_couplings(s, vp)])
-    for report, (alone, _) in zip(both, (oracle_report(vp, branch) for branch in branches)):
-        for f in fields(alone):
-            a, b = getattr(report, f.name), getattr(alone, f.name)
+    for k, (alone, _) in enumerate(oracle_report(vp, branch) for branch in branches):
+        for name, a, b in zip(("coeff_defect", "metric_defect"), both, alone):
             for i in range(len(good)):
-                assert _bits(_element(a, i)) == _bits(_element(b, i)), (f.name, a, b)
+                assert _bits(_element(a[k], i)) == _bits(_element(b, i)), (name, a[k], b)
 
 
 LASER_POINTS = st.lists(

@@ -7,6 +7,7 @@ digit, a signed zero, a moved sentinel) fails here. Rewrite a digest only
 for a deliberate output change, and say so where the change is recorded.
 """
 import contextlib
+import csv
 import dataclasses
 import hashlib
 import json
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sqom import contours
+from sqom import analyze, contours
 from sqom.cli import main
 from sqom.errors import ConfigError
 
@@ -608,6 +609,28 @@ def datasets(tmp_path_factory):
 def test_dataset_script_bytes(datasets):
     digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in datasets.iterdir()}
     assert digests == DATASET_DIGESTS
+
+
+def test_the_phonon_number_points_are_beam_splitter_points(datasets):
+    """The script evaluates phonon_number.csv on the beam-splitter branch at
+    every working point: there `analyze` classifies the point `bs`, hosts
+    its laser on that branch and gives the threshold the file holds."""
+    with open(datasets / "phonon_number.csv", newline="") as fh:
+        thresholds = {}
+        for row in csv.DictReader(fh):
+            thresholds.setdefault((row["point"], row["delta_phi"]), set()).add(row["n_threshold"])
+    assert sorted(label for label, _ in thresholds) == ["dip_0", "dip_1", "pi",
+                                                        "undriven_baseline"]
+    laser = laser_set(0.0)
+    for (label, delta_phi), cells in thresholds.items():
+        # the script's working point: the laser set at its phase difference,
+        # or the undriven baseline tuned to the supermode resonance
+        params = (laser.replace(lambda1=0.0, lambda2=0.0, delta1=20.0, delta2=19.2, j_hop=0.3)
+                  if label == "undriven_baseline"
+                  else laser.replace(phi_d1=laser.phi_d2 + float(delta_phi)))
+        row = analyze(params)
+        assert (row["branch"], row["laser_source"]) == ("bs", "bs"), label
+        assert cells == {"%.17g" % row["laser_n_threshold"]}, (label, cells)
 
 
 # dataset file -> the `sqom` call with its spec, a configs/ name in place of --config PATH

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqom import Branch, squeeze_param, stage1_transform, validate
+from sqom import squeeze_param, stage1_transform, validate
 from sqom.verify import random_sets
 
 from conftest import arr, assert_rel, batch, boundary_set, laser_set, point, points
@@ -92,7 +92,7 @@ def test_signs_follow_detunings():
 
 
 def test_defining_relation_s_sign(rng):
-    vps, ss = random_sets(rng, Branch.BEAM_SPLITTER, 200)
+    vps, ss = random_sets(rng, "bs", 200)
     for vp, s in zip(points(vps), points(ss)):
         # omega_s * exp(-2 r_d) recovers delta - 2 lambda
         assert_rel(
@@ -105,7 +105,7 @@ def test_defining_relation_s_sign(rng):
 
 def test_exact_identities_on_random_sets(rng):
     worst_g, worst_lam = 0.0, 0.0
-    vps, ss = random_sets(rng, Branch.BEAM_SPLITTER, 1000)
+    vps, ss = random_sets(rng, "bs", 1000)
     for vp, s in zip(points(vps), points(ss)):
         worst_g = max(
             worst_g, abs(s.g_s2**2 - 4.0 * s.g_p2**2 - vp.g0**2) / vp.g0**2

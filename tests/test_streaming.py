@@ -16,6 +16,7 @@ from sqom.sweep import (
     SweepSpec,
     grid_csv_rows,
     laser_rows,
+    row_blocks,
     run_grid,
     run_sweep,
     sweep_csv_rows,
@@ -39,7 +40,10 @@ def blocks(monkeypatch):
         monkeypatch.setattr(cli, name, lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
 
     def size(rows: int, outputs) -> list:
-        monkeypatch.setattr(sweep, "BLOCK_CELLS", rows * len(sweep._plan(tuple(outputs))[0]))
+        # row_blocks counts every column where a branch runs
+        returned, _, _, stages = sweep._plan(tuple(outputs))
+        width = len(COLUMNS if stages & {"tms", "bs"} else returned)
+        monkeypatch.setattr(sweep, "BLOCK_CELLS", rows * width)
         return calls
 
     return size
@@ -135,3 +139,37 @@ def test_a_sweeps_allocation_peak_does_not_grow_with_its_points(config, blocks, 
     small, large = peak(128), peak(8 * 128)
     # a table of all 1024 rows would hold several times the 128-row peak
     assert large < 1.15 * small, (small, large)
+
+
+def test_a_block_holds_as_many_rows_as_the_stages_it_runs_allow():
+    """BLOCK_CELLS // 67 rows wherever a branch runs, however few columns
+    are returned; the regime map, which stops after `classify`, fills the
+    budget with its 4 returned columns."""
+    def sizes(n: int, outputs) -> list:
+        return [block.stop - block.start for block in row_blocks(n, outputs)]
+
+    assert sizes(10_000, COLUMNS) == [1956] * 5 + [220]
+    assert sizes(10_000, LASER_SWEEP_OUTPUTS) == [1956] * 5 + [220]
+    assert sizes(10_000, ("tms_r", "bs_w1")) == [1956] * 5 + [220]
+    assert sizes(40_000, ("f1", "f2", "branch")) == [32_768, 7232]
+
+
+def test_a_laser_sweep_block_peaks_as_a_full_sweep_block(config):
+    """The stage temporaries of a block, not its returned columns, set its
+    allocation peak: a laser-sweep block (13 returned columns, both branches
+    and the laser) peaks within 2x of a full-sweep block."""
+    params, opts = load_config(config)
+
+    def peak(outputs) -> int:
+        spec = SweepSpec("delta_phi", 0.0, 2.0 * math.pi, 20_000, outputs)
+        rows = next(row_blocks(spec.steps, outputs))
+        tracemalloc.start()
+        try:
+            run_sweep(params, spec, opts, rows)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(LASER_SWEEP_OUTPUTS)  # imports the stages
+    full, laser = peak(COLUMNS), peak(LASER_SWEEP_OUTPUTS)
+    assert laser < 2 * full, (full, laser)

@@ -403,8 +403,10 @@ def test_a_nan_metric_defect_wins_the_analyze_fold(monkeypatch):
     report_of = oracle.rwa_error_report
 
     def nan_for_the_bs_report(*args):
-        tms_report, bs_report = report_of(*args)  # the branch order `analyze` asks for
-        return [tms_report, dataclasses.replace(bs_report, metric_defect=np.array([math.nan]))]
+        coeff, metric = report_of(*args)  # rows in the branch order `analyze` asks for
+        metric = metric.copy()
+        metric[1] = math.nan
+        return coeff, metric
 
     monkeypatch.setattr(oracle, "rwa_error_report", nan_for_the_bs_report)
     row = analyze(strong_drive_set())  # both branches give a report here
