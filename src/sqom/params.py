@@ -58,7 +58,11 @@ class PipelineOptions:
     """Knobs shared by every evaluation: the regime thresholds on f1 (a config
     may set them), the supermode densities of the laser block and the
     frequency gap below which a validity term is a resonance hit. The CLI
-    takes its defaults from here."""
+    takes its defaults from here.
+
+    `n_plus` and `n_minus` may each be a float or an array of one value per
+    point of the evaluated batch: the laser block is elementwise, so a point
+    gets the cells it gets when evaluated alone with its own densities."""
 
     f1_hi: float = 10.0
     f1_lo: float = 0.1

@@ -23,9 +23,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sqom import analyze, contours
+from sqom import PipelineOptions, analyze, contours
 from sqom.cli import main
 from sqom.errors import ConfigError
+from sqom.sweep import format_cell
 
 from conftest import boundary_set, laser_set, strong_drive_set
 
@@ -601,8 +602,9 @@ ROOT = Path(__file__).resolve().parents[1]
 def datasets(tmp_path_factory):
     """The directory scripts/generate_datasets.py writes, written once per module."""
     outdir = tmp_path_factory.mktemp("datasets")
-    subprocess.run([sys.executable, str(ROOT / "scripts" / "generate_datasets.py"),
-                    "--outdir", str(outdir)], check=True, capture_output=True)
+    run = subprocess.run([sys.executable, str(ROOT / "scripts" / "generate_datasets.py"),
+                          "--outdir", str(outdir)], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr  # a failed `sqom` call's `error:` line
     return outdir
 
 
@@ -611,18 +613,24 @@ def test_dataset_script_bytes(datasets):
     assert digests == DATASET_DIGESTS
 
 
+# phonon_number.csv's columns of the laser block, each `laser_<name>` of a row
+PHONON_CELLS = ("gain", "n_b", "n_b_capped", "n_threshold")
+
+
 def test_the_phonon_number_points_are_beam_splitter_points(datasets):
-    """The script evaluates phonon_number.csv on the beam-splitter branch at
-    every working point: there `analyze` classifies the point `bs`, hosts
-    its laser on that branch and gives the threshold the file holds."""
+    """The script reads phonon_number.csv's laser cells from the branch
+    `classify` picks at each working point. At these points that branch is
+    `bs`, hosting the laser, and a row is `analyze` of its point at its
+    density: checked at each point's first and last density, and at its
+    first row with a capped n_b."""
     with open(datasets / "phonon_number.csv", newline="") as fh:
-        thresholds = {}
+        rows = {}
         for row in csv.DictReader(fh):
-            thresholds.setdefault((row["point"], row["delta_phi"]), set()).add(row["n_threshold"])
-    assert sorted(label for label, _ in thresholds) == ["dip_0", "dip_1", "pi",
-                                                        "undriven_baseline"]
+            rows.setdefault((row["point"], row["delta_phi"]), []).append(row)
+    assert sorted(label for label, _ in rows) == ["dip_0", "dip_1", "pi", "undriven_baseline"]
     laser = laser_set(0.0)
-    for (label, delta_phi), cells in thresholds.items():
+    capped = 0
+    for (label, delta_phi), point_rows in rows.items():
         # the script's working point: the laser set at its phase difference,
         # or the undriven baseline tuned to the supermode resonance
         params = (laser.replace(lambda1=0.0, lambda2=0.0, delta1=20.0, delta2=19.2, j_hop=0.3)
@@ -630,7 +638,17 @@ def test_the_phonon_number_points_are_beam_splitter_points(datasets):
                   else laser.replace(phi_d1=laser.phi_d2 + float(delta_phi)))
         row = analyze(params)
         assert (row["branch"], row["laser_source"]) == ("bs", "bs"), label
-        assert cells == {"%.17g" % row["laser_n_threshold"]}, (label, cells)
+        thresholds = {r["n_threshold"] for r in point_rows}
+        assert thresholds == {"%.17g" % row["laser_n_threshold"]}, (label, thresholds)
+        checked = [point_rows[0], point_rows[-1],
+                   *[r for r in point_rows if r["n_b_capped"] == "true"][:1]]
+        capped += checked[-1]["n_b_capped"] == "true"
+        for r in checked:
+            at_density = analyze(params, PipelineOptions(n_plus=float(r["n_plus"])))
+            assert [r[key] for key in PHONON_CELLS] == [
+                format_cell(at_density["laser_" + key]) for key in PHONON_CELLS
+            ], (label, r["n_plus"])
+    assert capped  # a capped row was checked
 
 
 # dataset file -> the `sqom` call with its spec, a configs/ name in place of --config PATH
@@ -654,18 +672,39 @@ DATASET_CALLS = {
 }
 
 
+# boundary_resonance.csv less its last column, w_sum, is this call's output
+RESONANCE_CALL = (
+    "sweep", "boundary", "--axis", "delta_phi", "--from", "0", "--to", TWO_PI, "--steps", "401",
+    "--outputs", "tms_w1,tms_w2,tms_g2,tms_g12_re,tms_g12_im,tms_gp12_abs,tms_resonance,f1,f2,"
+    "tms_error",
+)
+# contour file -> the grid file it contours and its (field, level) pairs, in order
+DATASET_CONTOURS = {
+    "strong_drive_contours.csv": (
+        "strong_drive_grid.csv", (("f1", "10"), ("tms_g2", "0.1"), ("tms_eta", "0.05")),
+    ),
+    "boundary_contours.csv": ("boundary_grid.csv", (("f1", "10"), ("f2", "0"))),
+}
+
+
 def test_the_datasets_are_the_cli_outputs_of_their_specs(datasets, tmp_path):
-    for name, (command, config, *args) in DATASET_CALLS.items():
+    calls = {**DATASET_CALLS, "boundary_resonance.csv": RESONANCE_CALL}
+    for name, (command, config, *args) in calls.items():
         out = tmp_path / name
         argv = [command, "--config", str(ROOT / "configs" / f"{config}.json"), *args]
         assert main([*argv, "--out", str(out)]) == 0
-        assert out.read_bytes() == (datasets / name).read_bytes(), name
-    # boundary_contours.csv: the two contour calls on that grid, under one header
-    parts = []
-    for field, level in (("f1", "10"), ("f2", "0")):
-        out = tmp_path / f"contours_{field}.csv"
-        assert main(["contours", "--grid", str(tmp_path / "boundary_grid.csv"),
-                     "--field", field, "--level", level, "--out", str(out)]) == 0
-        parts.append(out.read_bytes())
-    joined = parts[0] + parts[1].split(b"\n", 1)[1]
-    assert joined == (datasets / "boundary_contours.csv").read_bytes()
+        expected = (datasets / name).read_bytes()
+        if name == "boundary_resonance.csv":
+            expected = b"".join(line.rsplit(b",", 1)[0] + b"\n"
+                                for line in expected.splitlines())
+        assert out.read_bytes() == expected, name
+    # a contour file: the contour calls on its grid, under one header
+    for name, (grid, fields) in DATASET_CONTOURS.items():
+        parts = []
+        for field, level in fields:
+            out = tmp_path / f"contours_{field}.csv"
+            assert main(["contours", "--grid", str(tmp_path / grid),
+                         "--field", field, "--level", level, "--out", str(out)]) == 0
+            parts.append(out.read_bytes())
+        joined = parts[0] + b"".join(part.split(b"\n", 1)[1] for part in parts[1:])
+        assert joined == (datasets / name).read_bytes(), name

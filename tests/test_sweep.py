@@ -359,6 +359,33 @@ def test_analyze_laser_block_matches_direct_laser_call():
     assert row["laser_n_threshold"] == res.n_threshold
 
 
+def test_per_point_densities_give_each_point_its_scalar_laser_cells():
+    """`n_plus` and `n_minus` may hold one value per point: each laser cell
+    of the batch is, by type and bits, that point's evaluation with its own
+    densities as floats, a point that fails validation in the batch too."""
+    points = [
+        laser_set(2.6957770487662587),  # the threshold dip: n_b capped at this n_plus
+        laser_set(0.0),  # TmsUnstable, the laser on the beam-splitter frame
+        laser_set().replace(lambda2=51.0),  # Stage1Unstable: runs on a stand-in
+        strong_drive_set(),  # the laser on the two-mode-squeezing frame
+        strong_drive_set(math.pi / 20, 1996.0),  # the laser on an unstable TMS frame
+        laser_set().replace(g0=0.0),  # ZeroCoupling
+        boundary_set(),
+    ]
+    n_plus = np.array([1e3, 2.0, 3.0, 0.5, 1.0, 4.0, 7.25])
+    n_minus = np.array([0.0, 0.25, 1.0, 0.125, 0.0, 2.0, 8.0])
+    names = [name for name in COLUMNS if name.startswith("laser_")]
+    table = Table(sweep._evaluate(stack(PhysicalParams, points),
+                                  PipelineOptions(n_plus=n_plus, n_minus=n_minus), names))
+    assert table["error"][2] == "Stage1Unstable"
+    assert table["laser_n_b_capped"][0] is True
+    assert table["laser_error"][4:6].tolist() == ["TmsUnstable", "ZeroCoupling"]
+    for i, p in enumerate(points):
+        row = evaluate_point(p, PipelineOptions(n_plus=float(n_plus[i]),
+                                                n_minus=float(n_minus[i])))
+        assert [_cell(table[i][name]) for name in names] == [_cell(row[name]) for name in names], i
+
+
 def test_analyze_solves_the_photonic_form_once(monkeypatch):
     from sqom import oracle
 
