@@ -11,12 +11,15 @@ matching on a rounded key).
 
 `read_grid_file` reads back the grid CSV that `sqom grid` writes: numpy's C
 parser, with no Python call per line or per cell, where it reads the file as
-csv and int()/float() would; the csv module otherwise, an empty value cell
-(a NaN) included (the README gives the rules).
+csv and int()/float() would, and float() once per axis index on the bytes of
+that index's axis cells; the csv module otherwise, an empty value cell (a
+NaN) and axis cells of one index that differ in a byte included (the README
+gives the rules).
 """
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 import re
@@ -224,27 +227,54 @@ def _value_cell(cell: str) -> float:
     return float(cell) if cell else math.nan
 
 
+_AXIS_BYTES = 25  # an axis cell's field: '%.17g' writes at most 24 characters
+
+
 def _loadtxt_columns(text: str, usecols: list):
     """The kept columns of a grid file's `text` by numpy's C parser, or None
     for a file it may read otherwise than csv and int()/float(): one that is
     not ASCII (numpy takes some letters for digits), quotes, holds a separator
-    \\x1c-\\x1f (numpy strips those) or \\x0b, \\x0c (splitlines ends a line
-    there), keeps a column twice, or that numpy refuses or warns about (an empty
-    value cell; numpy < 2 reads '1.0' as the integer 1 with a DeprecationWarning)."""
+    \\x1c-\\x1f, \\x0b or \\x0c (numpy strips those from a number) or \\x00 (a
+    bytes field drops it), keeps a column twice, or that numpy refuses or
+    warns about (an empty value cell, an index beyond int32; numpy < 2 reads
+    '1.0' as the integer 1 with a DeprecationWarning).
+
+    numpy reads the axis cells as bytes, and float() converts each axis index
+    once, from its cells' bytes. So a file is also refused where the axis
+    cells of one index differ in a byte (' 2 ' and '2', '1_0' and '10', a
+    non-finite cell a later row overrides), an axis cell is empty or fills
+    its field (it may have been cut), or an index is negative or not below
+    the row count."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            if (not text.isascii() or any(c in text for c in '"\x0b\x0c\x1c\x1d\x1e\x1f')
+            if (not text.isascii() or any(c in text for c in '"\x00\x0b\x0c\x1c\x1d\x1e\x1f')
                     or len(set(usecols)) < len(usecols)):
                 return None
-            # csv's rows: lines end at \r\n, \r or \n
+            # csv's rows: a text stream ends lines at \r\n, \r or \n, and its
+            # bytes take less memory than a list of the lines
             table = np.loadtxt(
-                text.splitlines(), dtype="i8,i8,f8,f8,f8", delimiter=",", comments=None,
+                io.TextIOWrapper(io.BytesIO(text.encode("ascii")), "ascii"),
+                dtype=f"i4,i4,S{_AXIS_BYTES},S{_AXIS_BYTES},f8", delimiter=",", comments=None,
                 quotechar=None, skiprows=1, usecols=usecols, ndmin=1,
             )
+            xi, yi, x_cells, y_cells, values = (table[name] for name in table.dtype.names)
+            axes = []
+            for index, cells in ((xi, x_cells), (yi, y_cells)):
+                if index.min() < 0 or index.max() >= index.size:
+                    return None
+                last = np.zeros(index.max() + 1, cells.dtype)
+                last[index] = cells
+                if not (last[index] == cells).all():  # an index's cells differ
+                    return None
+                last = last.tolist()
+                if max(map(len, last)) == _AXIS_BYTES:
+                    return None
+                # an empty cell, and an index no row has, read b'': float() refuses it
+                axes.append(np.array([float(cell) for cell in last])[index])
         except (ValueError, Warning):
             return None
-    return [table[name] for name in table.dtype.names]
+    return [xi.astype(np.int64), yi.astype(np.int64), *axes, values]
 
 
 def _csv_columns(path: str, names, usecols, rows):

@@ -14,6 +14,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -353,6 +354,15 @@ READBACK_ERRORS = {
         )
         for value in ("inf", "nan")
     },
+    # a later row gives x_index 3 a non-finite lam: the axis cells of the
+    # index differ, so the csv reader, not the fast one, names the row
+    **{
+        f"{value}_axis_overriding": (
+            _edited(append=[f"3,0,{value},0.0,3.0,bs"]), (),
+            f"error: grid file {{path}}: lam value {value} in data row 21 is not finite\n",
+        )
+        for value in ("inf", "nan")
+    },
 }
 
 
@@ -464,7 +474,7 @@ def test_an_empty_value_cell_takes_the_csv_reader(grid_files, tmp_path, capsys):
     # csv ends a row at a lone \r, also in the header line
     (GRID_HEADER + "\r" + "\r".join(GRID_LINES[:10]) + "\n" + "\n".join(GRID_LINES[10:]), True),
     ("\r\n".join([GRID_HEADER, *GRID_LINES[:10]]) + "\r\r" + "\r".join(GRID_LINES[10:]), True),
-    # csv ends no row at \x0b or \x0c, str.splitlines does: refused
+    # csv ends no row at \x0b or \x0c, and numpy strips them from a number: refused
     ("\n".join([GRID_HEADER, *GRID_LINES]) + "\x0b" + GRID_LINES[0], False),
     ("\n".join([GRID_HEADER, *GRID_LINES[:-1]]) + "\x0c" + GRID_LINES[-1], False),
 ], ids=["cr_in_the_header_line", "crlf_then_cr", "vertical_tab", "form_feed"])
@@ -475,6 +485,19 @@ def test_the_fast_reader_ends_lines_where_the_csv_reader_does(text, fast_reads, 
     assert not isinstance(exact, str), exact
     assert (fast is not None) == fast_reads
     for a, b in zip(fast or (), exact):
+        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"])
+def test_the_fast_reader_ends_the_lines_of_a_whole_grid_where_the_csv_reader_does(
+        end, grid_files, tmp_path):
+    """The 109x109 grid with every line end replaced: its text streams to
+    numpy in chunks, and a CR LF pair may straddle two of them."""
+    path = tmp_path / "grid.csv"
+    path.write_text(grid_files["grid_boundary_109"].read_text().replace("\n", end), newline="")
+    fast, exact = _both_readers(path, "f1")
+    assert fast is not None and not isinstance(exact, str), exact
+    for a, b in zip(fast, exact):
         assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
 
 
@@ -541,7 +564,58 @@ _edit = st.one_of(
     st.tuples(st.just("cell"), st.integers(0, 19), st.integers(0, 6), _cell),
     st.tuples(st.just("cut"), st.integers(0, 19), st.integers(0, 5)),
     st.tuples(st.just("line"), st.integers(0, 20), st.sampled_from(["", " ", "\t ", "#", "#0,0"])),
+    # a copy of a row, inserted anywhere, with its lam or phase cell kept or changed
+    st.tuples(st.just("repeat"), st.integers(0, 19), st.integers(0, 20), st.sampled_from([2, 3]),
+              st.none() | _cell),
 )
+
+
+def _grid_text(header, extra, edits, ends):
+    """GRID_LINES with `extra` cells on each row, `edits` applied in order,
+    under `header`; line k ends with ends[k % len(ends)]."""
+    rows = [line.split(",") + extra for line in GRID_LINES]
+    for edit in edits:
+        kind, k = edit[:2]
+        if kind == "cell":
+            row, (column, cell) = rows[k], edit[2:]
+            row[column:column + 1] = [cell]
+        elif kind == "cut":
+            rows[k] = rows[k][:edit[2]]
+        elif kind == "line":
+            rows.insert(k, [edit[2]])
+        else:
+            row, (at, column, cell) = list(rows[k]), edit[2:]
+            if cell is not None:
+                row[column:column + 1] = [cell]
+            rows.insert(at, row)
+    lines = [header] + [",".join(row) for row in rows]
+    return "".join(line + ends[k % len(ends)] for k, line in enumerate(lines))
+
+
+# edits after which the fast reader cannot prove its axis values equal to
+# float() of every cell; row k of GRID_LINES has x_index k % 5, lam 0.5 * (k % 5)
+REFUSED_EDITS = {
+    "blank_padded_repeat": [("cell", 4, 2, "2"), ("repeat", 4, 20, 2, " 2 ")],
+    "underscore_repeat": [("cell", 4, 2, "10"), ("repeat", 4, 20, 2, "1_0")],
+    "overridden_infinite_axis": [("repeat", 1, 0, 2, "inf")],
+    "infinite_last_axis": [("repeat", 1, 20, 2, "inf")],
+    "empty_axis_cell": [("cell", 3, 2, "")],
+    # every lam cell of x_index 3, of 25 and of 26 characters; numpy's field
+    # keeps 25, which would read 1.5 where the csv reader reads 15.0
+    "axis_cell_fills_the_field": [("cell", k, 2, "1.5" + "0" * 22) for k in (3, 8, 13, 18)],
+    "axis_cell_cut": [("cell", k, 2, "1.5e" + "0" * 21 + "1") for k in (3, 8, 13, 18)],
+    "negative_index": [("cell", 3, 0, "-30")],
+    "index_past_the_rows": [("cell", 3, 0, "20")],
+    "nul_in_an_axis_cell": [("cell", 3, 2, "1.5\x00")],
+    "nul_in_a_value_cell": [("cell", 3, 4, "3.0\x00")],
+}
+
+
+def _each_refused_edit(test):
+    """`test` with an explicit example of each REFUSED_EDITS file."""
+    for edits in REFUSED_EDITS.values():
+        test = example(header=GRID_HEADER, extra=[], edits=edits, ends=["\n"])(test)
+    return test
 
 
 @settings(max_examples=300, deadline=None)
@@ -558,28 +632,51 @@ _edit = st.one_of(
 @example(header=GRID_HEADER, extra=[], edits=[("cell", 1, 0, "\u01fe1")], ends=["\n"])
 @example(header=GRID_HEADER, extra=[], edits=[("cell", 1, 0, "\x1c1")], ends=["\n"])
 @example(header="x_index,y_index,lam,phase,x_index,branch", extra=[], edits=[], ends=["\n"])
+# a repeated index whose axis cells are equal byte for byte: read by the fast reader
+@example(header=GRID_HEADER, extra=[], edits=[("repeat", 3, 20, 2, None)], ends=["\n"])
+@example(header=GRID_HEADER, extra=[], edits=[("repeat", 8, 0, 3, None)], ends=["\r\n"])
+@_each_refused_edit
 def test_fast_reader_refuses_or_matches_the_csv_reader(
         header, extra, edits, ends, tmp_path_factory):
-    rows = [line.split(",") + extra for line in GRID_LINES]
-    for edit in edits:
-        kind, k = edit[:2]
-        if kind == "cell":
-            row, (column, cell) = rows[k], edit[2:]
-            row[column:column + 1] = [cell]
-        elif kind == "cut":
-            rows[k] = rows[k][:edit[2]]
-        else:
-            rows.insert(k, [edit[2]])
-    lines = [header] + [",".join(row) for row in rows]
     path = tmp_path_factory.mktemp("readers") / "grid.csv"
-    path.write_text("".join(line + ends[k % len(ends)] for k, line in enumerate(lines)),
-                    newline="")
+    path.write_text(_grid_text(header, extra, edits, ends), newline="")
     fast, exact = _both_readers(path, HEADERS[header])
     if fast is None:
         return
     assert not isinstance(exact, str), exact
     for a, b in zip(fast, exact):
         assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED_EDITS))
+def test_the_fast_reader_refuses_axis_cells_it_cannot_prove(name, tmp_path):
+    path = tmp_path / "grid.csv"
+    path.write_text(_grid_text(GRID_HEADER, [], REFUSED_EDITS[name], ["\n"]), newline="")
+    fast, exact = _both_readers(path, "f1")
+    assert fast is None and exact is not None
+
+
+def _peak(call, *args) -> int:
+    """The traced allocation peak of call(*args), in bytes."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_fast_reader_peaks_below_the_grid_call(grid_files, tmp_path):
+    """Reading back the 109x109 regime grid allocates less at its peak than
+    the `sqom grid` call that writes it."""
+    command, label, *rest = CASES["grid_boundary_109"]
+    config = tmp_path / f"{label}.json"
+    config.write_text(json.dumps(CONFIGS[label]))
+    argv = [command, "--config", str(config), *rest, "--out", str(tmp_path / "grid.csv")]
+    with mock.patch.object(contours, "_csv_columns", side_effect=AssertionError("csv reader")):
+        grid = _peak(main, argv)
+        read = _peak(contours.read_grid_file, str(grid_files["grid_boundary_109"]), "f1")
+    assert read < grid, (grid, read)
 
 
 # the reference datasets of scripts/generate_datasets.py, by file name
@@ -611,6 +708,32 @@ def datasets(tmp_path_factory):
 def test_dataset_script_bytes(datasets):
     digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in datasets.iterdir()}
     assert digests == DATASET_DIGESTS
+
+
+def test_the_fast_reader_converts_each_axis_index_once(grid_files, datasets):
+    """The grids of CONTOUR_CASES and the dataset grids take the fast reader:
+    its columns are the bits of numpy's all-f8 parse, and float() runs once
+    per axis index, not once per row."""
+    grids = [grid_files[grid] for grid in sorted({grid for grid, *_ in CONTOUR_CASES.values()})]
+    for path in [*grids, datasets / "boundary_grid.csv", datasets / "strong_drive_grid.csv"]:
+        text = path.read_text()
+        usecols = [0, 1, 2, 3, 4]  # x_index, y_index, the two axes, the first output
+        parsed = np.loadtxt(text.splitlines(), dtype="i8,i8,f8,f8,f8", delimiter=",",
+                            skiprows=1, usecols=usecols)
+        converted = []
+
+        def counted(cell):
+            converted.append(cell)
+            return float(cell)
+
+        with mock.patch.object(contours, "float", counted, create=True):
+            columns = contours._loadtxt_columns(text, usecols)
+        assert columns is not None, path.name
+        for column, name in zip(columns, parsed.dtype.names):
+            assert (column.dtype, column.tobytes()) == (
+                parsed[name].dtype, parsed[name].tobytes()), (path.name, name)
+        x_steps, y_steps = (int(parsed[name].max()) + 1 for name in parsed.dtype.names[:2])
+        assert len(converted) == x_steps + y_steps < parsed.size, path.name
 
 
 # phonon_number.csv's columns of the laser block, each `laser_<name>` of a row
