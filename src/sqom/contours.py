@@ -234,10 +234,10 @@ def _loadtxt_columns(text: str, usecols: list):
     """The kept columns of a grid file's `text` by numpy's C parser, or None
     for a file it may read otherwise than csv and int()/float(): one that is
     not ASCII (numpy takes some letters for digits), quotes, holds a separator
-    \\x1c-\\x1f, \\x0b or \\x0c (numpy strips those from a number) or \\x00 (a
-    bytes field drops it), keeps a column twice, or that numpy refuses or
-    warns about (an empty value cell, an index beyond int32; numpy < 2 reads
-    '1.0' as the integer 1 with a DeprecationWarning).
+    \\x1c-\\x1f (numpy strips those from a number) or \\x00 (a bytes field
+    drops it), keeps a column twice, or that numpy refuses or warns about (an
+    empty value cell, an index beyond int32; numpy < 2 reads '1.0' as the
+    integer 1 with a DeprecationWarning).
 
     numpy reads the axis cells as bytes, and float() converts each axis index
     once, from its cells' bytes. So a file is also refused where the axis
@@ -248,7 +248,7 @@ def _loadtxt_columns(text: str, usecols: list):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            if (not text.isascii() or any(c in text for c in '"\x00\x0b\x0c\x1c\x1d\x1e\x1f')
+            if (not text.isascii() or any(c in text for c in '"\x00\x1c\x1d\x1e\x1f')
                     or len(set(usecols)) < len(usecols)):
                 return None
             # csv's rows: a text stream ends lines at \r\n, \r or \n, and its

@@ -40,7 +40,8 @@ separator, 17 significant digits, 'nan' sentinel, lowercase true/false.
 Identical inputs produce byte-identical output, whatever the blocks: a row
 never depends on its batch. `write_csv` formats a table column by column,
 one %-format per float column, and formats each distinct value of a float,
-int, bool or str column once.
+int, bool or str column once; within a chunk of rows, a column that repeats
+an earlier one bit for bit (same dtype, same bytes) reuses its text.
 """
 from __future__ import annotations
 
@@ -694,6 +695,12 @@ def write_csv(rows: Table | list[dict], out: TextIO, header: bool = True) -> Non
     CSV_CHUNK_CELLS cells (one row at least), or a non-empty list of row
     dicts with the first row's keys, formatted row by row: the faster path
     for a row or a few.
+
+    A chunk's column is formatted once: one equal to an earlier column of the
+    chunk in dtype and bytes takes that column's text, which is the same,
+    since `_format_column` reads nothing else. An `object` column's bytes are
+    its cells' addresses, so it repeats a column of the same Python objects,
+    which the table keeps alive while it is written.
     """
     if header:
         out.write(",".join(rows.columns if isinstance(rows, Table) else rows[0]) + "\n")
@@ -703,7 +710,16 @@ def write_csv(rows: Table | list[dict], out: TextIO, header: bool = True) -> Non
         return
     size = max(1, CSV_CHUNK_CELLS // max(1, len(rows.columns)))
     for start in range(0, len(rows), size):
-        cells = [_format_column(col[start : start + size]) for col in rows.columns.values()]
+        # (dtype, bytes) -> text, for this chunk's columns; the dtype, not
+        # its `str`, since any two record dtypes of 8 bytes are both '|V8'
+        formatted = {}
+        cells = []
+        for col in rows.columns.values():
+            part = col[start : start + size]
+            key = (part.dtype, part.tobytes())
+            if key not in formatted:
+                formatted[key] = _format_column(part)
+            cells.append(formatted[key])
         out.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 

@@ -474,9 +474,9 @@ def test_an_empty_value_cell_takes_the_csv_reader(grid_files, tmp_path, capsys):
     # csv ends a row at a lone \r, also in the header line
     (GRID_HEADER + "\r" + "\r".join(GRID_LINES[:10]) + "\n" + "\n".join(GRID_LINES[10:]), True),
     ("\r\n".join([GRID_HEADER, *GRID_LINES[:10]]) + "\r\r" + "\r".join(GRID_LINES[10:]), True),
-    # csv ends no row at \x0b or \x0c, and numpy strips them from a number: refused
-    ("\n".join([GRID_HEADER, *GRID_LINES]) + "\x0b" + GRID_LINES[0], False),
-    ("\n".join([GRID_HEADER, *GRID_LINES[:-1]]) + "\x0c" + GRID_LINES[-1], False),
+    # neither reader ends a row at \x0b or \x0c: the last row gains cells
+    ("\n".join([GRID_HEADER, *GRID_LINES]) + "\x0b" + GRID_LINES[0], True),
+    ("\n".join([GRID_HEADER, *GRID_LINES[:-1]]) + "\x0c" + GRID_LINES[-1], True),
 ], ids=["cr_in_the_header_line", "crlf_then_cr", "vertical_tab", "form_feed"])
 def test_the_fast_reader_ends_lines_where_the_csv_reader_does(text, fast_reads, tmp_path):
     path = tmp_path / "grid.csv"
@@ -635,6 +635,13 @@ def _each_refused_edit(test):
 # a repeated index whose axis cells are equal byte for byte: read by the fast reader
 @example(header=GRID_HEADER, extra=[], edits=[("repeat", 3, 20, 2, None)], ends=["\n"])
 @example(header=GRID_HEADER, extra=[], edits=[("repeat", 8, 0, 3, None)], ends=["\r\n"])
+# numpy strips \x0b and \x0c from an index or value cell as int() and float() do
+@example(header=GRID_HEADER, extra=[],
+         edits=[("cell", 3, 4, "3.0\x0b"), ("cell", 7, 0, "\x0b2"), ("cell", 19, 5, "bs\x0b0")],
+         ends=["\n"])
+@example(header=GRID_HEADER, extra=[],
+         edits=[("cell", 3, 4, "\x0c3.0"), ("cell", 7, 1, "1\x0c"), ("cell", 18, 5, "bs\x0c3")],
+         ends=["\r\n"])
 @_each_refused_edit
 def test_fast_reader_refuses_or_matches_the_csv_reader(
         header, extra, edits, ends, tmp_path_factory):

@@ -236,7 +236,8 @@ def _all_distinct(kind, gen, n):
 @settings(max_examples=30, deadline=None)
 def test_table_csv_equals_row_dict_csv(seed, n, repeated):
     """The column-wise Table path formats every cell as `format_cell` does on
-    the row dicts, for repeated and all-distinct columns of each kind."""
+    the row dicts, for repeated and all-distinct columns of each kind, and
+    for columns that do and do not share an earlier column's dtype and bytes."""
     gen = np.random.default_rng(seed)
     columns = {}
     for kind, pool in CELL_POOLS.items():
@@ -244,6 +245,25 @@ def test_table_csv_equals_row_dict_csv(seed, n, repeated):
             pool[gen.integers(0, len(pool), n)] if repeated else _all_distinct(kind, gen, n)
         )
         columns[kind + "_constant"] = np.repeat(pool[gen.integers(0, len(pool), 1)], n)
+    floats, text = columns["float"], columns["str"]
+    nan = np.full(n, math.nan)
+    columns.update({
+        "float_again": floats,  # one array as two columns
+        "float_copy": floats.copy(),
+        "float_bits": floats.view(np.int64),  # an int64 column of the float column's bits
+        "zero": np.zeros(n),
+        "negative_zero": np.full(n, -0.0),
+        "int_zero": np.zeros(n, np.int64),  # the bytes of the float zeros
+        "nan": nan,
+        "nan_payload": (nan.view(np.int64) | 1).view(float),
+        "str_again": text.copy(),
+        "str_wider": text.astype(f"<U{text.itemsize // 4 + 1}"),
+        "object_same_cells": columns["object"].copy(),  # a copy holds the same Python objects
+        "halves": np.full(n, 1.5, dtype=object),  # one object in every cell
+        "other_halves": np.array([float("1.5") for _ in range(n)], dtype=object),
+        "trues": np.full(n, True, dtype=object),
+        "ones": np.full(n, 1, dtype=object),  # equal to True, and another object
+    })
     names = list(columns)
     table = Table(columns)
     assert rows_to_csv(table, names) == rows_to_csv(list(table), names)
@@ -273,6 +293,49 @@ def test_table_csv_bytes_do_not_depend_on_the_chunk_budget(cells, monkeypatch):
     assert rows_to_csv(Table({})) == "\n"
     empty = Table({name: col[:0] for name, col in CHUNKED.columns.items()})
     assert rows_to_csv(empty) == want.splitlines(keepends=True)[0]
+
+
+def test_table_csv_formats_a_repeated_column_once(monkeypatch):
+    """Within a chunk, each distinct (dtype, bytes) column is formatted once:
+    on a laser-set delta_phi sweep the `laser_` copies of the beam-splitter
+    columns, and the all-False flag and all-'' error columns, take an earlier
+    column's text."""
+    spec = SweepSpec(axis="delta_phi", start=0.0, stop=2.0 * math.pi, steps=300)
+    table = sweep_csv_rows(run_sweep(laser_set(), spec), spec)
+
+    def key(values):
+        return values.dtype, values.tobytes()
+
+    formatted = []  # per line write: the keys of the columns formatted after it
+
+    class Out:
+        def write(self, text):
+            formatted.append([])
+
+    format_column = sweep._format_column
+    monkeypatch.setattr(sweep, "_format_column",
+                        lambda values: formatted[-1].append(key(values)) or format_column(values))
+    sweep.write_csv(table, Out())
+    size = sweep.CSV_CHUNK_CELLS // len(table.columns)
+    starts = range(0, len(table), size)
+    # one list after the header line and one after each chunk's lines, the last empty
+    assert len(formatted) == len(starts) + 1 > 3 and not formatted[-1]
+    shared_flags = shared_errors = 0
+    for start, calls in zip(starts, formatted):
+        part = {name: col[start : start + size] for name, col in table.columns.items()}
+        keys = {name: key(values) for name, values in part.items()}
+        assert calls == list(dict.fromkeys(keys.values()))  # each once, in column order
+        for name in ("w1", "w2", "gp12_abs"):
+            assert keys["laser_" + name] == keys["bs_" + name]
+        flags = [name for name in ("f1_degenerate", "tms_resonance", "bs_resonance",
+                                   "laser_n_b_capped") if all(v is False for v in part[name])]
+        errors = [name for name in ("tms_error", "laser_error", "error")
+                  if all(v == "" for v in part[name])]
+        for blank in (flags, errors):
+            assert len({keys[name] for name in blank}) <= 1
+        shared_flags += len(flags) > 1
+        shared_errors += len(errors) > 1
+    assert shared_flags and shared_errors
 
 
 def test_table_csv_allocation_peak_does_not_grow_with_width():
