@@ -40,7 +40,7 @@ from sqom.cli import main as sqom  # noqa: E402
 from sqom.elementwise import stack, take  # noqa: E402
 from sqom.params import PhysicalParams, PipelineOptions, load_config  # noqa: E402
 from sqom.sweep import (  # noqa: E402
-    SweepSpec, Table, _evaluate, run_sweep, sweep_csv_rows, write_csv,
+    Axis, SweepSpec, Table, _evaluate, run_sweep, sweep_csv_rows, write_csv,
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -98,7 +98,7 @@ def _write(path: Path, rows: str | Table) -> None:
 def boundary_resonance() -> Table:
     """The boundary set's phase sweep plus its derived w_sum column."""
     spec = SweepSpec(
-        axis="delta_phi", start=0.0, stop=TWO_PI, steps=401,
+        Axis("delta_phi", 0.0, TWO_PI, 401),
         outputs=("tms_w1", "tms_w2", "tms_g2", "tms_g12_re", "tms_g12_im",
                  "tms_gp12_abs", "tms_resonance", "f1", "f2", "tms_error"),
     )

@@ -22,7 +22,7 @@ _EXPORTS = {
                    "validate"),
         ("regime", "classify"),
         ("stage1", "squeeze_param stage1_transform"),
-        ("sweep", "GridSpec SweepSpec analyze evaluate_point run_grid run_sweep"),
+        ("sweep", "Axis GridSpec SweepSpec analyze evaluate_point run_grid run_sweep"),
         ("contours", "extract_contours"),
     )
     for name in names.split()

@@ -20,6 +20,7 @@ from .errors import ConfigError, SqomError
 from .params import PhysicalParams, PipelineOptions, load_config
 from .sweep import (
     LASER_SWEEP_OUTPUTS,
+    Axis,
     GridSpec,
     SweepSpec,
     analyze,
@@ -101,46 +102,28 @@ def cmd_analyze(args) -> int:
 
 def cmd_sweep(args) -> int:
     params, opts = _load(args)
-    spec = SweepSpec(
-        axis=args.axis,
-        start=args.from_,
-        stop=args.to,
-        steps=args.steps,
-        **_outputs(args),
-    )
+    spec = SweepSpec(Axis(args.axis, args.from_, args.to, args.steps), **_outputs(args))
     blocks = (sweep_csv_rows(run_sweep(params, spec, opts, rows), spec)
-              for rows in row_blocks(spec.steps, spec.outputs))
+              for rows in row_blocks(spec.axis.steps, spec.outputs))
     _emit(blocks, args.out)
     return 0
 
 
 def cmd_grid(args) -> int:
     params, opts = _load(args)
-    spec = GridSpec(
-        x_axis=args.x_axis,
-        x_start=args.x_from,
-        x_stop=args.x_to,
-        x_steps=args.x_steps,
-        y_axis=args.y_axis,
-        y_start=args.y_from,
-        y_stop=args.y_to,
-        y_steps=args.y_steps,
-        **_outputs(args),
-    )
+    spec = GridSpec(Axis(args.x_axis, args.x_from, args.x_to, args.x_steps),
+                    Axis(args.y_axis, args.y_from, args.y_to, args.y_steps), **_outputs(args))
     blocks = (grid_csv_rows(run_grid(params, spec, opts, rows), spec)
-              for rows in row_blocks(spec.x_steps * spec.y_steps, spec.outputs))
+              for rows in row_blocks(spec.x.steps * spec.y.steps, spec.outputs))
     _emit(blocks, args.out)
     return 0
 
 
 def cmd_laser_sweep(args) -> int:
     params, opts = _load(args)
-    spec = SweepSpec(
-        axis=args.axis, start=args.from_, stop=args.to, steps=args.steps,
-        outputs=LASER_SWEEP_OUTPUTS,
-    )
+    spec = SweepSpec(Axis(args.axis, args.from_, args.to, args.steps), LASER_SWEEP_OUTPUTS)
     blocks = (laser_rows(run_sweep(params, spec, opts, rows), spec)
-              for rows in row_blocks(spec.steps, spec.outputs))
+              for rows in row_blocks(spec.axis.steps, spec.outputs))
     _emit(blocks, args.out)
     return 0
 

@@ -354,11 +354,14 @@ def _read_grid_csv(path: str, field: str | None):
     xs = np.full(xi.max() + 1, np.nan)
     ys = np.full(yi.max() + 1, np.nan)
     values = np.full((ys.size, xs.size), np.nan)
+    covered = np.zeros(values.shape, bool)
     # the last row for an index wins
     xs[xi] = x_cells
     ys[yi] = y_cells
     values[yi, xi] = field_cells
-    if np.isnan(xs).any() or np.isnan(ys).any():
+    covered[yi, xi] = True
+    # each cell needs a row: a missing one would read NaN, like a failed point
+    if not covered.all():
         raise uncovered
     return xs, ys, values, field
 

@@ -7,7 +7,9 @@ those arrays. A stage runs only when a requested column needs it (`NEEDS`; a
 branch runs with its validity report): the `f1,f2,branch` regime map stops
 after `classify`, and the table it returns holds only the requested columns
 plus `error`: a spec's `outputs`, by default every column (COLUMNS) for a
-SweepSpec and the regime map for a GridSpec. `run_sweep` and `run_grid`
+SweepSpec and the regime map for a GridSpec. A SweepSpec scans one `Axis`
+(a parameter, its endpoints and its step count), a GridSpec two (`x`, `y`),
+each at np.linspace's values. `run_sweep` and `run_grid`
 evaluate the rows they are asked for, all by default; the CLI asks for one
 block of rows at a time (`row_blocks`: at most BLOCK_CELLS cells, of every
 column where a branch runs and of the returned ones otherwise, so 1956 rows
@@ -231,93 +233,73 @@ LASER_SWEEP_OUTPUTS = tuple(key for _, key in LASER_SWEEP_COLUMNS) + ("laser_err
 
 
 @dataclass(frozen=True)
-class SweepSpec:
-    """One swept axis, inclusive endpoints, `steps` evenly spaced samples."""
+class Axis:
+    """One swept parameter (SWEEPABLE_AXES): `steps` evenly spaced values
+    from `start` to `stop`, both included."""
 
-    axis: str
+    name: str
     start: float
     stop: float
     steps: int
+
+    def __post_init__(self):
+        _check_axis(self.name)
+        # a non-finite endpoint or span would make linspace write NaN points
+        start, stop = float(self.start), float(self.stop)
+        if not all(map(math.isfinite, (start, stop, stop - start))):
+            raise ValueError(
+                f"the {self.name} axis from {start!r} to {stop!r}: its endpoints and their "
+                "span must be finite"
+            )
+        if self.steps < 2:
+            raise ValueError(f"steps must be >= 2, got {self.steps}")
+
+    def values(self, index=None) -> np.ndarray:
+        """np.linspace(start, stop, steps)[index] (all of it by default) for
+        an integer array `index`, computed at those indices only and bit for
+        bit: numpy takes i*step + start, or (i/div)*delta + start where the
+        step underflows to 0, and writes `stop` last."""
+        div = self.steps - 1
+        i = np.arange(self.steps, dtype=float) if index is None else np.asarray(index, dtype=float)
+        delta = float(self.stop) - float(self.start)
+        step = delta / div
+        values = i / div * delta if step == 0 else i * step
+        values += float(self.start)
+        values[i == div] = self.stop
+        return values
+
+
+@dataclass(frozen=True)
+class SweepSpec:
+    """One swept axis and the columns to emit."""
+
+    axis: Axis
     outputs: tuple[str, ...] = COLUMNS
 
     def __post_init__(self):
-        _check_axis(self.axis)
-        _check_span(self.axis, self.start, self.stop)
-        _check_steps(self.steps)
         _check_outputs(self.outputs)
-
-    def values(self, index=None) -> np.ndarray:
-        return _linspace(self.start, self.stop, self.steps, index)
 
 
 @dataclass(frozen=True)
 class GridSpec:
     """Two swept axes; the y axis varies slowest in the emitted rows."""
 
-    x_axis: str
-    x_start: float
-    x_stop: float
-    x_steps: int
-    y_axis: str
-    y_start: float
-    y_stop: float
-    y_steps: int
+    x: Axis
+    y: Axis
     outputs: tuple[str, ...] = ("f1", "f2", "branch")
 
     def __post_init__(self):
-        _check_axis(self.x_axis)
-        _check_axis(self.y_axis)
-        if self.x_axis == self.y_axis:
-            raise ValueError(f"grid axes must differ, both are {self.x_axis!r}")
-        if {self.x_axis, self.y_axis} == {"delta_phi", "phi_d1"}:
+        # each axis checked itself when built: only the rules of the pair are left
+        if self.x.name == self.y.name:
+            raise ValueError(f"grid axes must differ, both are {self.x.name!r}")
+        if {self.x.name, self.y.name} == {"delta_phi", "phi_d1"}:
             raise ValueError("grid axes delta_phi and phi_d1 both move phi_d1; choose one")
-        _check_span(self.x_axis, self.x_start, self.x_stop)
-        _check_span(self.y_axis, self.y_start, self.y_stop)
-        _check_steps(self.x_steps)
-        _check_steps(self.y_steps)
         _check_outputs(self.outputs)
-
-    def x_values(self, index=None) -> np.ndarray:
-        return _linspace(self.x_start, self.x_stop, self.x_steps, index)
-
-    def y_values(self, index=None) -> np.ndarray:
-        return _linspace(self.y_start, self.y_stop, self.y_steps, index)
-
-
-def _linspace(start: float, stop: float, steps: int, index=None) -> np.ndarray:
-    """np.linspace(start, stop, steps)[index] (all of it by default) for an
-    integer array `index`, computed at those indices only and bit for bit:
-    numpy takes i*step + start, or (i/div)*delta + start where the step
-    underflows to 0, and writes `stop` last."""
-    div = steps - 1
-    i = np.arange(steps, dtype=float) if index is None else np.asarray(index, dtype=float)
-    delta = float(stop) - float(start)
-    step = delta / div
-    values = i / div * delta if step == 0 else i * step
-    values += float(start)
-    values[i == div] = stop
-    return values
 
 
 def _check_axis(axis: str):
     if axis not in SWEEPABLE_AXES:
         raise ValueError(f"unknown axis {axis!r}; choose one of {', '.join(SWEEPABLE_AXES)}")
-
-
-def _check_span(axis: str, start: float, stop: float):
-    """Refuse a non-finite endpoint, and a span `stop - start` that overflows:
-    linspace would write NaN points there."""
-    start, stop = float(start), float(stop)
-    if not all(map(math.isfinite, (start, stop, stop - start))):
-        raise ValueError(
-            f"the {axis} axis from {start!r} to {stop!r}: its endpoints and their span "
-            "must be finite"
-        )
-
-
-def _check_steps(steps: int):
-    if steps < 2:
-        raise ValueError(f"steps must be >= 2, got {steps}")
 
 
 def _check_outputs(outputs):
@@ -412,13 +394,7 @@ def _stage_columns(vp, s, stages, opts: PipelineOptions) -> dict:
     names are set."""
     regime = classify(s, vp, f1_hi=opts.f1_hi, f1_lo=opts.f1_lo)
     on_tms = regime.branch == "tms"
-    cells = {
-        **_flatten("", s),
-        "f1": regime.f1,
-        "f2": regime.f2,
-        "f1_degenerate": regime.f1_degenerate,
-        "branch": regime.branch,
-    }
+    cells = {**_flatten("", s), **_flatten("", regime)}
     if "delta_phi" in stages:
         cells["delta_phi"] = canonical_delta_phi(vp.phi_d1, vp.phi_d2)
     if "tms" in stages:
@@ -596,9 +572,9 @@ def run_sweep(
     row agrees with the single-point analysis field by field even at the
     2*pi endpoint.
     """
-    index = range(spec.steps)[rows]
-    values = spec.values(np.arange(index.start, index.stop, index.step))
-    point = apply_axis(broadcast(params, len(values)), spec.axis, values)
+    index = range(spec.axis.steps)[rows]
+    values = spec.axis.values(np.arange(index.start, index.stop, index.step))
+    point = apply_axis(broadcast(params, len(values)), spec.axis.name, values)
     table = Table(_evaluate(point, opts, spec.outputs))
     table["axis_value"] = values
     return table
@@ -608,8 +584,8 @@ def sweep_csv_rows(rows: Table, spec: SweepSpec) -> Table:
     """The sweep's CSV columns: the axis, which carries the raw requested
     value (so e.g. a delta_phi sweep ends at 2*pi, not at its canonical
     image 0), then the spec's outputs in their order."""
-    outputs = {c: rows[c] for c in spec.outputs if c != spec.axis}
-    return Table({spec.axis: rows["axis_value"], **outputs})
+    outputs = {c: rows[c] for c in spec.outputs if c != spec.axis.name}
+    return Table({spec.axis.name: rows["axis_value"], **outputs})
 
 
 def run_grid(
@@ -626,11 +602,11 @@ def run_grid(
     integer indices, so the emitted file reconstructs the exact grid
     geometry regardless of any phase canonicalization.
     """
-    index = range(spec.x_steps * spec.y_steps)[rows]
-    y_index, x_index = np.divmod(np.arange(index.start, index.stop, index.step), spec.x_steps)
-    x, y = spec.x_values(x_index), spec.y_values(y_index)
+    index = range(spec.x.steps * spec.y.steps)[rows]
+    y_index, x_index = np.divmod(np.arange(index.start, index.stop, index.step), spec.x.steps)
+    x, y = spec.x.values(x_index), spec.y.values(y_index)
     # y, then x; delta_phi reads phi_d2, so it goes after the other axis
-    first, last = sorted([(spec.y_axis, y), (spec.x_axis, x)], key=lambda a: a[0] == "delta_phi")
+    first, last = sorted([(spec.y.name, y), (spec.x.name, x)], key=lambda a: a[0] == "delta_phi")
     point = apply_axis(apply_axis(broadcast(params, len(x)), *first), *last)
     table = Table(_evaluate(point, opts, spec.outputs))
     table["x_index"] = x_index
@@ -644,7 +620,7 @@ def grid_csv_rows(rows: Table, spec: GridSpec) -> Table:
     """The grid's CSV columns: the indices and the axis-name columns, which
     carry the raw coordinates, then the spec's outputs in their order."""
     head = {"x_index": rows["x_index"], "y_index": rows["y_index"],
-            spec.x_axis: rows["x_value"], spec.y_axis: rows["y_value"]}
+            spec.x.name: rows["x_value"], spec.y.name: rows["y_value"]}
     return Table({**head, **{c: rows[c] for c in spec.outputs if c not in head}})
 
 
@@ -729,4 +705,4 @@ def laser_rows(rows: Table, spec: SweepSpec) -> Table:
     them (delta_phi, which stays canonical)."""
     out = {ext: rows[key] for ext, key in LASER_SWEEP_COLUMNS}
     out["error"] = np.where(rows["error"] != "", rows["error"], rows["laser_error"])
-    return Table(out if spec.axis in out else {spec.axis: rows["axis_value"], **out})
+    return Table(out if spec.axis.name in out else {spec.axis.name: rows["axis_value"], **out})

@@ -8,6 +8,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from sqom import (
+    Axis,
     GridSpec,
     SweepSpec,
     extract_contours,
@@ -98,7 +99,7 @@ def test_criterion_3_rwa_audit():
 def test_criterion_4_strong_drive_coupling_curves():
     steps = 81  # odd: pi is a grid point, samples mirror exactly
     rows = run_sweep(
-        strong_drive_set(), SweepSpec(axis="delta_phi", start=0.0, stop=2.0 * math.pi, steps=steps)
+        strong_drive_set(), SweepSpec(Axis("delta_phi", 0.0, 2.0 * math.pi, steps))
     )
     g1 = np.array([r["tms_g1"] for r in rows])
     g2 = np.array([r["tms_g2"] for r in rows])
@@ -120,7 +121,7 @@ def test_criterion_4_strong_drive_coupling_curves():
 
 def test_criterion_5_threshold_dips():
     steps = 721
-    spec = SweepSpec(axis="delta_phi", start=0.0, stop=2.0 * math.pi, steps=steps)
+    spec = SweepSpec(Axis("delta_phi", 0.0, 2.0 * math.pi, steps))
     rows = laser_rows(run_sweep(laser_set(), spec), spec)
     dphi = np.array([r["delta_phi"] for r in rows])
     pth = np.array([r["p_threshold"] for r in rows])
@@ -179,12 +180,12 @@ def test_criterion_6_laser_formula_suite():
 
 def test_criterion_7_regime_boundary_grid():
     spec = GridSpec(
-        x_axis="lambda1", x_start=197.2, x_stop=199.9, x_steps=41,
-        y_axis="delta_phi", y_start=0.0, y_stop=2.0 * math.pi, y_steps=41,
+        Axis("lambda1", 197.2, 199.9, 41),
+        Axis("delta_phi", 0.0, 2.0 * math.pi, 41),
         outputs=("f1", "f2", "branch"),
     )
     rows = run_grid(boundary_set(), spec)
-    xs, ys = spec.x_values(), spec.y_values()
+    xs, ys = spec.x.values(), spec.y.values()
     f1 = np.full((41, 41), np.nan)
     f2 = np.full((41, 41), np.nan)
     tms = np.zeros((41, 41), dtype=bool)

@@ -15,6 +15,7 @@ import pytest
 import sqom
 from sqom import cli
 from sqom.cli import build_parser, main
+from sqom.sweep import SWEEPABLE_AXES
 
 from conftest import CONFIGS, boundary_set, laser_set, rows_to_csv
 
@@ -77,6 +78,21 @@ def test_unstable_config_exit_1(tmp_path, capsys):
     path.write_text(json.dumps(bad))
     assert main(["verify", "--config", str(path), "--random", "1"]) == 1
     assert "Stage1Unstable" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    # JSON reads 1e400 as inf: a number, refused only when the point is validated
+    (json.dumps(dict(LASER_PARAMS, delta1="INF")).replace('"INF"', "1e400"),
+     "delta1 must be finite, got inf"),
+    (json.dumps([LASER_PARAMS]), "config root must be a JSON object, got list"),
+])
+def test_verify_refuses_a_config_that_is_no_point(text, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["verify", "--config", str(path), "--random", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
 
 
 def test_config_error_names_the_first_bad_key_under_any_hash_seed(tmp_path):
@@ -153,6 +169,32 @@ def test_grid_axis_pair_delta_phi_and_phi_d1_exits_1(x_axis, y_axis, laser_confi
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.err == "error: grid axes delta_phi and phi_d1 both move phi_d1; choose one\n"
+    assert captured.out == ""
+
+
+UNKNOWN_FAULT = f"unknown axis 'bogus'; choose one of {', '.join(SWEEPABLE_AXES)}"
+SPAN_FAULT = "the g0 axis from 2.0 to inf: its endpoints and their span must be finite"
+
+
+@pytest.mark.parametrize("x_axis, x_steps, y_axis, y_to, message", [
+    # one fault each
+    ("delta_phi", "2", "bogus", "3", UNKNOWN_FAULT),
+    ("delta_phi", "1", "g0", "3", "steps must be >= 2, got 1"),
+    ("delta_phi", "2", "g0", "inf", SPAN_FAULT),
+    ("g0", "2", "g0", "3", "grid axes must differ, both are 'g0'"),
+    # the x axis is checked whole (name, span, steps) before the y axis,
+    ("delta_phi", "1", "bogus", "3", "steps must be >= 2, got 1"),
+    # and both axes before the rules of the pair
+    ("g0", "2", "g0", "inf", SPAN_FAULT),
+])
+def test_grid_axis_faults_are_reported_x_then_y_then_the_pair(
+        x_axis, x_steps, y_axis, y_to, message, laser_config, capsys):
+    argv = ["grid", "--config", laser_config,
+            "--x-axis", x_axis, "--x-from", "0", "--x-to", "1", "--x-steps", x_steps,
+            "--y-axis", y_axis, "--y-from", "2", "--y-to", y_to, "--y-steps", "2"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
     assert captured.out == ""
 
 

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sqom import extract_contours
+from sqom import contours, extract_contours
 from sqom.contours import _chain
+from sqom.errors import ConfigError
 
 
 def test_constant_grid_has_no_contours():
@@ -96,6 +97,24 @@ def test_repeated_level_rejected(levels):
 def test_nonfinite_level_rejected():
     with pytest.raises(ValueError):
         extract_contours(np.arange(4.0), np.arange(3.0), np.zeros((3, 4)), [math.inf])
+
+
+# rows (0,0), (1,0), (0,1), (0,1): every index of each axis has a row and the
+# rows cover 4 cells of a 2x2 grid, but cell (1,1) has none
+MISSING_CELL = ("x_index,y_index,lambda1,delta_phi,f1\n"
+                "0,0,0.0,0.0,1.0\n1,0,1.0,0.0,2.0\n0,1,0.0,1.0,3.0\n0,1,0.0,1.0,3.0\n")
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+def test_both_readers_refuse_a_grid_file_missing_a_cell(quoted, tmp_path):
+    """A missing cell would read NaN, like a failed point: the numpy reader
+    (plain file) and the csv reader (a quoted cell) both refuse it."""
+    text = MISSING_CELL.replace("1.0\n", '"1.0"\n', 1) if quoted else MISSING_CELL
+    assert (contours._loadtxt_columns(text, [0, 1, 2, 3, 4]) is None) == quoted
+    path = tmp_path / "grid.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="does not cover the full index range"):
+        contours.read_grid_file(str(path), None)
 
 
 @pytest.mark.parametrize("level, want", [

@@ -12,6 +12,7 @@ from sqom.params import load_config
 from sqom.sweep import (
     COLUMNS,
     LASER_SWEEP_OUTPUTS,
+    Axis,
     GridSpec,
     SweepSpec,
     grid_csv_rows,
@@ -72,7 +73,7 @@ def test_sweep_blocks_write_the_whole_table(n, outputs, config, blocks, tmp_path
     start, stop = _lambda2_axis(n)
     argv = ["sweep", "--config", config, "--axis", "lambda2", "--from", start, "--to", stop,
             "--steps", str(n)]
-    spec = SweepSpec("lambda2", float(start), float(stop), n)
+    spec = SweepSpec(Axis("lambda2", float(start), float(stop), n))
     if outputs is not None:
         argv += ["--outputs", ",".join(outputs)]
         spec = dataclasses.replace(spec, outputs=outputs)
@@ -104,8 +105,8 @@ def test_grid_blocks_write_the_whole_table(shape, outputs, config, blocks, tmp_p
     ], tmp_path)
     assert len(calls) == math.ceil(nx * ny / GRID_BLOCK)
     params, opts = load_config(config)
-    spec = GridSpec("delta_phi", 0.0, 2.0 * math.pi, nx, "lambda2", float(start), float(stop),
-                    ny, outputs)
+    spec = GridSpec(Axis("delta_phi", 0.0, 2.0 * math.pi, nx),
+                    Axis("lambda2", float(start), float(stop), ny), outputs)
     assert got == rows_to_csv(grid_csv_rows(run_grid(params, spec, opts), spec))
 
 
@@ -118,7 +119,7 @@ def test_laser_sweep_blocks_write_the_whole_table(n, axis, config, blocks, tmp_p
                     "--to", stop, "--steps", str(n)], tmp_path)
     assert len(calls) == math.ceil(n / BLOCK)
     params, opts = load_config(config)
-    spec = SweepSpec(axis, float(start), float(stop), n, LASER_SWEEP_OUTPUTS)
+    spec = SweepSpec(Axis(axis, float(start), float(stop), n), LASER_SWEEP_OUTPUTS)
     assert got == rows_to_csv(laser_rows(run_sweep(params, spec, opts), spec))
 
 
@@ -161,8 +162,8 @@ def test_a_laser_sweep_block_peaks_as_a_full_sweep_block(config):
     params, opts = load_config(config)
 
     def peak(outputs) -> int:
-        spec = SweepSpec("delta_phi", 0.0, 2.0 * math.pi, 20_000, outputs)
-        rows = next(row_blocks(spec.steps, outputs))
+        spec = SweepSpec(Axis("delta_phi", 0.0, 2.0 * math.pi, 20_000), outputs)
+        rows = next(row_blocks(spec.axis.steps, outputs))
         tracemalloc.start()
         try:
             run_sweep(params, spec, opts, rows)

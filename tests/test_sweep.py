@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sqom import (
+    Axis,
     GridSpec,
     PhysicalParams,
     PipelineOptions,
@@ -47,15 +48,15 @@ from conftest import (
 
 def test_spec_validation():
     with pytest.raises(ValueError, match="axis"):
-        SweepSpec(axis="lamda1", start=0.0, stop=1.0, steps=5)
+        SweepSpec(Axis("lamda1", 0.0, 1.0, 5))
     with pytest.raises(ValueError, match="steps"):
-        SweepSpec(axis="lambda1", start=0.0, stop=1.0, steps=1)
+        SweepSpec(Axis("lambda1", 0.0, 1.0, 1))
     with pytest.raises(ValueError, match="output"):
-        SweepSpec(axis="lambda1", start=0.0, stop=1.0, steps=5, outputs=("nope",))
+        SweepSpec(Axis("lambda1", 0.0, 1.0, 5), outputs=("nope",))
     with pytest.raises(ValueError, match="differ"):
         GridSpec(
-            x_axis="lambda1", x_start=0.0, x_stop=1.0, x_steps=3,
-            y_axis="lambda1", y_start=0.0, y_stop=1.0, y_steps=3,
+            Axis("lambda1", 0.0, 1.0, 3),
+            Axis("lambda1", 0.0, 1.0, 3),
         )
 
 
@@ -64,13 +65,11 @@ def test_spec_validation():
 ])
 def test_spec_refuses_a_non_finite_axis(start, stop):
     with pytest.raises(ValueError, match="must be finite"):
-        SweepSpec(axis="delta1", start=start, stop=stop, steps=3)
+        SweepSpec(Axis("delta1", start, stop, 3))
     with pytest.raises(ValueError, match="must be finite"):
-        GridSpec(x_axis="delta1", x_start=start, x_stop=stop, x_steps=3,
-                 y_axis="delta_phi", y_start=0.0, y_stop=1.0, y_steps=3)
+        GridSpec(Axis("delta1", start, stop, 3), Axis("delta_phi", 0.0, 1.0, 3))
     with pytest.raises(ValueError, match="must be finite"):
-        GridSpec(x_axis="delta_phi", x_start=0.0, x_stop=1.0, x_steps=3,
-                 y_axis="delta1", y_start=start, y_stop=stop, y_steps=3)
+        GridSpec(Axis("delta_phi", 0.0, 1.0, 3), Axis("delta1", start, stop, 3))
 
 
 def test_delta_phi_axis_moves_phi_d1_only():
@@ -83,9 +82,9 @@ def test_delta_phi_axis_moves_phi_d1_only():
 
 
 def test_sweep_rows_match_single_point_analysis():
-    spec = SweepSpec(axis="delta_phi", start=0.0, stop=2.0 * math.pi, steps=7)
+    spec = SweepSpec(Axis("delta_phi", 0.0, 2.0 * math.pi, 7))
     rows = run_sweep(laser_set(), spec)
-    for value, row in zip(spec.values(), rows):
+    for value, row in zip(spec.axis.values(), rows):
         point = analyze(apply_axis(laser_set(), "delta_phi", float(value)))
         for key in COLUMNS:
             a, b = row[key], point[key]
@@ -99,7 +98,7 @@ def test_sweep_rows_match_single_point_analysis():
 
 def test_sweep_error_rows_do_not_abort():
     # lambda2 sweep crosses the stage-1 stability boundary at 50
-    spec = SweepSpec(axis="lambda2", start=49.0, stop=51.0, steps=9)
+    spec = SweepSpec(Axis("lambda2", 49.0, 51.0, 9))
     rows = run_sweep(laser_set(), spec)
     errors = [r["error"] for r in rows]
     assert "Stage1Unstable" in errors
@@ -115,11 +114,11 @@ def test_sweep_error_rows_do_not_abort():
     ("lambda2", 51.0, 49.0),  # Stage1Unstable down to lambda2 = 50
 ])
 def test_rows_after_failed_leading_points_equal_single_points(axis, start, stop):
-    spec = SweepSpec(axis=axis, start=start, stop=stop, steps=9)
+    spec = SweepSpec(Axis(axis, start, stop, 9))
     rows = run_sweep(laser_set(), spec)
     assert rows["error"][0] != "" and rows["error"][-1] == ""
     lines = rows_to_csv(rows, list(COLUMNS)).splitlines()[1:]
-    for value, line in zip(spec.values(), lines):
+    for value, line in zip(spec.axis.values(), lines):
         row = evaluate_point(apply_axis(laser_set(), axis, float(value)))
         assert line == rows_to_csv([row], list(COLUMNS)).splitlines()[1], value
 
@@ -127,7 +126,7 @@ def test_rows_after_failed_leading_points_equal_single_points(axis, start, stop)
 def test_tms_refusal_is_per_point_sentinel():
     # the moderate-drive set loses the TMS stage near delta_phi = 0, where
     # |J'| = 2*j_hop*|lam2| exceeds omega_s1 + omega_s2
-    spec = SweepSpec(axis="delta_phi", start=0.0, stop=2.0 * math.pi, steps=13)
+    spec = SweepSpec(Axis("delta_phi", 0.0, 2.0 * math.pi, 13))
     rows = run_sweep(laser_set(), spec)
     refused = [r for r in rows if r["tms_error"] == "TmsUnstable"]
     valid = [r for r in rows if r["tms_error"] == ""]
@@ -140,8 +139,8 @@ def test_tms_refusal_is_per_point_sentinel():
 
 def test_grid_sentinel_region():
     spec = GridSpec(
-        x_axis="lambda1", x_start=195.0, x_stop=205.0, x_steps=6,
-        y_axis="delta_phi", y_start=0.0, y_stop=2.0 * math.pi, y_steps=5,
+        Axis("lambda1", 195.0, 205.0, 6),
+        Axis("delta_phi", 0.0, 2.0 * math.pi, 5),
         outputs=("f1", "f2", "branch"),
     )
     rows = run_grid(boundary_set(), spec)
@@ -164,17 +163,15 @@ def _grid_header(spec: GridSpec) -> list[str]:
 
 
 def test_outputs_subset_and_column_order():
-    spec = SweepSpec(
-        axis="delta_phi", start=0.0, stop=1.0, steps=3, outputs=("f1", "branch")
-    )
+    spec = SweepSpec(Axis("delta_phi", 0.0, 1.0, 3), outputs=("f1", "branch"))
     assert _sweep_header(spec) == ["delta_phi", "f1", "branch"]
     assert _sweep_header(dataclasses.replace(spec, outputs=())) == ["delta_phi"]
     # the outputs' order, not the schema's; the raw axis leads
     assert _sweep_header(dataclasses.replace(spec, outputs=("branch", "delta_phi", "f1"))) == [
         "delta_phi", "branch", "f1"]
     gspec = GridSpec(
-        x_axis="lambda1", x_start=1.0, x_stop=2.0, x_steps=2,
-        y_axis="delta_phi", y_start=0.0, y_stop=1.0, y_steps=2,
+        Axis("lambda1", 1.0, 2.0, 2),
+        Axis("delta_phi", 0.0, 1.0, 2),
         outputs=("f2", "f1"),
     )
     assert _grid_header(gspec) == ["x_index", "y_index", "lambda1", "delta_phi", "f2", "f1"]
@@ -183,14 +180,14 @@ def test_outputs_subset_and_column_order():
 
 
 def test_axis_column_not_duplicated():
-    spec = SweepSpec(axis="delta_phi", start=0.0, stop=1.0, steps=3)
+    spec = SweepSpec(Axis("delta_phi", 0.0, 1.0, 3))
     cols = _sweep_header(spec)
     assert cols.count("delta_phi") == 1
     assert cols[0] == "delta_phi"
 
 
 def test_csv_determinism():
-    spec = SweepSpec(axis="delta_phi", start=0.0, stop=2.0 * math.pi, steps=21)
+    spec = SweepSpec(Axis("delta_phi", 0.0, 2.0 * math.pi, 21))
     a = rows_to_csv(sweep_csv_rows(run_sweep(laser_set(), spec), spec))
     b = rows_to_csv(sweep_csv_rows(run_sweep(laser_set(), spec), spec))
     assert a == b
@@ -200,7 +197,7 @@ def test_csv_determinism():
 
 
 def test_csv_17_significant_digits():
-    spec = SweepSpec(axis="delta_phi", start=0.0, stop=1.0, steps=2, outputs=("f1",))
+    spec = SweepSpec(Axis("delta_phi", 0.0, 1.0, 2), outputs=("f1",))
     text = rows_to_csv(sweep_csv_rows(run_sweep(laser_set(), spec), spec))
     value = text.splitlines()[2].split(",")[1]
     assert float(value) == evaluate_point(apply_axis(laser_set(), "delta_phi", 1.0))["f1"]
@@ -300,7 +297,7 @@ def test_table_csv_formats_a_repeated_column_once(monkeypatch):
     on a laser-set delta_phi sweep the `laser_` copies of the beam-splitter
     columns, and the all-False flag and all-'' error columns, take an earlier
     column's text."""
-    spec = SweepSpec(axis="delta_phi", start=0.0, stop=2.0 * math.pi, steps=300)
+    spec = SweepSpec(Axis("delta_phi", 0.0, 2.0 * math.pi, 300))
     table = sweep_csv_rows(run_sweep(laser_set(), spec), spec)
 
     def key(values):
@@ -358,7 +355,7 @@ def test_table_csv_allocation_peak_does_not_grow_with_width():
 
 
 def test_laser_projection_columns():
-    spec = SweepSpec(axis="delta_phi", start=0.0, stop=2.0 * math.pi, steps=5)
+    spec = SweepSpec(Axis("delta_phi", 0.0, 2.0 * math.pi, 5))
     rows = laser_rows(run_sweep(laser_set(), spec), spec)
     assert list(rows[0].keys()) == [
         "delta_phi", "w1", "w2", "detuning", "gp12_abs", "gain", "n_b",
@@ -372,7 +369,7 @@ def test_intermediate_rows_fill_both_branches():
     # while |J'| is far below omega_s1+omega_s2, so both branches evaluate
     rows = run_sweep(
         strong_drive_set(),
-        SweepSpec(axis="delta_phi", start=0.0, stop=0.2, steps=3),
+        SweepSpec(Axis("delta_phi", 0.0, 0.2, 3)),
     )
     for row in rows:
         assert row["branch"] == "intermediate"
@@ -576,7 +573,7 @@ _SUBSETS = st.lists(st.sampled_from(COLUMNS), unique=True)
 @given(case=st.sampled_from(_FAILING_RANGES), steps=st.integers(2, 9), outputs=_SUBSETS)
 def test_narrow_sweep_is_a_projection_of_the_full_sweep(case, steps, outputs):
     params, axis, start, stop = case
-    spec = SweepSpec(axis=axis, start=start, stop=stop, steps=steps)
+    spec = SweepSpec(Axis(axis, start, stop, steps))
     full = run_sweep(params, spec)
     narrow = run_sweep(params, dataclasses.replace(spec, outputs=tuple(outputs)))
     _assert_projection(narrow, full, outputs, ["axis_value"])
@@ -588,8 +585,8 @@ def test_narrow_grid_is_a_projection_of_the_full_grid(x_steps, y_steps, outputs)
     # lambda1 crosses |delta1|/2 = 200 (Stage1Unstable), and the boundary
     # set loses its TMS stage over part of the phase range
     spec = GridSpec(
-        x_axis="lambda1", x_start=196.0, x_stop=201.0, x_steps=x_steps,
-        y_axis="delta_phi", y_start=0.0, y_stop=2.0 * math.pi, y_steps=y_steps,
+        Axis("lambda1", 196.0, 201.0, x_steps),
+        Axis("delta_phi", 0.0, 2.0 * math.pi, y_steps),
         outputs=COLUMNS,
     )
     full = run_grid(boundary_set(), spec)
@@ -601,12 +598,8 @@ def test_narrow_grid_is_a_projection_of_the_full_grid(x_steps, y_steps, outputs)
 def test_grid_axis_delta_phi_is_set_after_phi_d2(phase_is_x):
     """Each row of a (phi_d2, delta_phi) grid, in either order, is the point
     with that phi_d2 and phi_d1 = phi_d2 + delta_phi."""
-    phase, diff = ("phi_d2", 0.5, 1.0, 2), ("delta_phi", 2.0, 3.0, 2)
-    (x_axis, x_start, x_stop, x_steps), (y_axis, y_start, y_stop, y_steps) = (
-        (phase, diff) if phase_is_x else (diff, phase)
-    )
-    spec = GridSpec(x_axis, x_start, x_stop, x_steps, y_axis, y_start, y_stop, y_steps,
-                    outputs=COLUMNS)
+    phase, diff = Axis("phi_d2", 0.5, 1.0, 2), Axis("delta_phi", 2.0, 3.0, 2)
+    spec = GridSpec(*((phase, diff) if phase_is_x else (diff, phase)), outputs=COLUMNS)
     table = run_grid(laser_set(), spec)
     phi_d2, dphi = (
         (table["x_value"], table["y_value"]) if phase_is_x
@@ -624,11 +617,11 @@ def test_grid_axis_delta_phi_is_set_after_phi_d2(phase_is_x):
 def test_grid_axis_pair_delta_phi_and_phi_d1_is_refused(x_axis, y_axis):
     # both move phi_d1: the second axis would overwrite the first
     with pytest.raises(ValueError, match="delta_phi and phi_d1 both move phi_d1"):
-        GridSpec(x_axis, 0.0, 1.0, 2, y_axis, 2.0, 3.0, 2)
+        GridSpec(Axis(x_axis, 0.0, 1.0, 2), Axis(y_axis, 2.0, 3.0, 2))
 
 
 def test_narrow_table_has_no_unrequested_column():
-    spec = SweepSpec(axis="delta_phi", start=0.0, stop=1.0, steps=3, outputs=("f1",))
+    spec = SweepSpec(Axis("delta_phi", 0.0, 1.0, 3), outputs=("f1",))
     rows = run_sweep(laser_set(), spec)
     assert list(rows[0]) == ["f1", "error", "axis_value"]
     with pytest.raises(KeyError):
@@ -664,7 +657,7 @@ def stage_calls(monkeypatch):
 ])
 def test_only_the_needed_stages_run(stage_calls, outputs, expected):
     # None: the spec's default, every column
-    spec = SweepSpec(axis="delta_phi", start=0.0, stop=2.0 * math.pi, steps=7)
+    spec = SweepSpec(Axis("delta_phi", 0.0, 2.0 * math.pi, 7))
     if outputs is not None:
         spec = dataclasses.replace(spec, outputs=outputs)
     run_sweep(laser_set(), spec)
@@ -681,8 +674,8 @@ def test_the_phase_fold_runs_only_for_the_delta_phi_column(outputs, calls, monke
     fold = sweep.canonical_delta_phi
     monkeypatch.setattr(sweep, "canonical_delta_phi", lambda *a: folds.append(1) or fold(*a))
     spec = GridSpec(
-        x_axis="lambda1", x_start=197.2, x_stop=199.9, x_steps=4,
-        y_axis="delta_phi", y_start=0.0, y_stop=2.0 * math.pi, y_steps=4, outputs=COLUMNS,
+        Axis("lambda1", 197.2, 199.9, 4),
+        Axis("delta_phi", 0.0, 2.0 * math.pi, 4), outputs=COLUMNS,
     )
     full = run_grid(boundary_set(), spec)
     folds.clear()
@@ -710,10 +703,10 @@ def _assert_kind_dtypes(columns):
     slice(3, 3),  # no row
 ])
 def test_a_slice_of_rows_is_that_slice_of_the_whole_table(rows):
-    sweep_spec = SweepSpec(axis="lambda2", start=49.0, stop=51.0, steps=12)
+    sweep_spec = SweepSpec(Axis("lambda2", 49.0, 51.0, 12))
     grid_spec = GridSpec(
-        x_axis="delta_phi", x_start=0.0, x_stop=2.0 * math.pi, x_steps=3,
-        y_axis="lambda2", y_start=49.0, y_stop=51.0, y_steps=4, outputs=COLUMNS,
+        Axis("delta_phi", 0.0, 2.0 * math.pi, 3),
+        Axis("lambda2", 49.0, 51.0, 4), outputs=COLUMNS,
     )
     for run, spec in ((run_sweep, sweep_spec), (run_grid, grid_spec)):
         whole, part = run(laser_set(), spec), run(laser_set(), spec, rows=rows)
@@ -753,7 +746,7 @@ def _assert_flag_cells(row, flags):
 ])
 def test_a_flag_cell_is_a_python_bool_or_none(axis, start, stop, steps):
     flags = [name for name, kind in COLUMN_SCHEMA if kind == "bool"]
-    spec = SweepSpec(axis=axis, start=start, stop=stop, steps=steps)
+    spec = SweepSpec(Axis(axis, start, stop, steps))
     for rows in (slice(1, 5), slice(None)):  # every point valid, then a blank in each case
         table = run_sweep(laser_set(), spec, rows=rows)
         for i, row in enumerate(table):
@@ -782,21 +775,20 @@ def test_axis_values_of_some_rows_are_those_rows_of_linspace(start, stop, steps,
     rows = slice(-1, None) if data is None else data.draw(st.slices(steps))
     index = np.arange(steps)[rows]
     want = np.linspace(start, stop, steps)
-    sweep = SweepSpec(axis="delta1", start=start, stop=stop, steps=steps)
-    grid = GridSpec(x_axis="delta1", x_start=start, x_stop=stop, x_steps=steps,
-                    y_axis="delta2", y_start=stop, y_stop=start, y_steps=steps)
-    assert sweep.values(index).tobytes() == want[rows].tobytes()
-    assert grid.x_values(index).tobytes() == want[rows].tobytes()
-    assert grid.y_values(index).tobytes() == np.linspace(stop, start, steps)[rows].tobytes()
-    assert sweep.values().tobytes() == want.tobytes()
+    sweep = SweepSpec(Axis("delta1", start, stop, steps))
+    grid = GridSpec(Axis("delta1", start, stop, steps), Axis("delta2", stop, start, steps))
+    assert sweep.axis.values(index).tobytes() == want[rows].tobytes()
+    assert grid.x.values(index).tobytes() == want[rows].tobytes()
+    assert grid.y.values(index).tobytes() == np.linspace(stop, start, steps)[rows].tobytes()
+    assert sweep.axis.values().tobytes() == want.tobytes()
     if data is None:
-        assert sweep.values(index).tolist() == [stop]
+        assert sweep.axis.values(index).tolist() == [stop]
 
 
 def test_regime_map_grid_runs_no_branch(stage_calls):
     spec = GridSpec(
-        x_axis="lambda1", x_start=197.2, x_stop=199.9, x_steps=4,
-        y_axis="delta_phi", y_start=0.0, y_stop=2.0 * math.pi, y_steps=4,
+        Axis("lambda1", 197.2, 199.9, 4),
+        Axis("delta_phi", 0.0, 2.0 * math.pi, 4),
     )
     assert spec.outputs == ("f1", "f2", "branch")
     run_grid(boundary_set(), spec)
@@ -912,8 +904,8 @@ def test_table_row_is_the_tolist_of_each_column():
     and bits: float64 cells with -0.0 and NaN payloads, int64 grid indices,
     and str, bool and None cells of the object columns; negative i too."""
     # lambda2 past 50 is Stage1Unstable: blank '' and None cells in the object columns
-    spec = GridSpec(x_axis="delta_phi", x_start=0.0, x_stop=2.0 * math.pi, x_steps=3,
-                    y_axis="lambda2", y_start=49.0, y_stop=51.0, y_steps=4, outputs=COLUMNS)
+    spec = GridSpec(Axis("delta_phi", 0.0, 2.0 * math.pi, 3),
+                    Axis("lambda2", 49.0, 51.0, 4), outputs=COLUMNS)
     table = run_grid(laser_set(), spec)
     payloads = np.array([0x7FF8000000000001, -0x7FF4000000000000, 0], dtype=np.int64)
     table["signed"] = np.resize(np.concatenate((payloads.view(float), [-0.0, 0.0])), len(table))
@@ -936,7 +928,7 @@ def test_outputs_as_a_list_give_the_table_of_the_tuple():
     from sqom import sweep
 
     outputs = ["laser_error", "tms_g1", "f1", "tms_resonance", "branch"]
-    spec = SweepSpec(axis="delta_phi", start=0.0, stop=2.0 * math.pi, steps=5)
+    spec = SweepSpec(Axis("delta_phi", 0.0, 2.0 * math.pi, 5))
     as_list = run_sweep(laser_set(), dataclasses.replace(spec, outputs=outputs))
     as_tuple = run_sweep(laser_set(), dataclasses.replace(spec, outputs=tuple(outputs)))
     assert _csv_and_dtypes(as_list) == _csv_and_dtypes(as_tuple)
@@ -949,7 +941,7 @@ def test_outputs_as_a_list_give_the_table_of_the_tuple():
 def test_each_output_set_gets_its_own_columns_and_stages(stage_calls):
     """Output sets evaluated one after another in one process, the regime map
     among them, each return their own columns and run only their stages."""
-    spec = SweepSpec(axis="delta_phi", start=0.0, stop=2.0 * math.pi, steps=5)
+    spec = SweepSpec(Axis("delta_phi", 0.0, 2.0 * math.pi, 5))
     cases = [
         (("tms_g1",), {"tms_couplings": 1, "rwa_validity_tms": 1}),
         (("f1", "f2", "branch"), {}),
