@@ -53,7 +53,7 @@ class PhysicalParams:
         return replace(self, **changes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PipelineOptions:
     """Knobs shared by every evaluation: the regime thresholds on f1 (a config
     may set them), the supermode densities of the laser block and the
@@ -62,7 +62,8 @@ class PipelineOptions:
 
     `n_plus` and `n_minus` may each be a float or an array of one value per
     point of the evaluated batch: the laser block is elementwise, so a point
-    gets the cells it gets when evaluated alone with its own densities."""
+    gets the cells it gets when evaluated alone with its own densities.
+    Options compare and hash by identity, as an array field could not."""
 
     f1_hi: float = 10.0
     f1_lo: float = 0.1

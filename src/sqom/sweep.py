@@ -6,21 +6,22 @@ second-stage branches -> validity -> laser -> oracle) runs at most once on
 those arrays. A stage runs only when a requested column needs it (`NEEDS`; a
 branch runs with its validity report): the `f1,f2,branch` regime map stops
 after `classify`, and the table it returns holds only the requested columns
-plus `error`: a spec's `outputs`, by default every column (COLUMNS) for a
-SweepSpec and the regime map for a GridSpec. A SweepSpec scans one `Axis`
-(a parameter, its endpoints and its step count), a GridSpec two (`x`, `y`),
-each at np.linspace's values. `run_sweep` and `run_grid`
-evaluate the rows they are asked for, all by default; the CLI asks for one
-block of rows at a time (`row_blocks`: at most BLOCK_CELLS cells, of every
-column where a branch runs and of the returned ones otherwise, so 1956 rows
-of any output set with a branch, one block for a regime map of up to 32 768
-points) and writes each block before it evaluates the next, so the stages
-run once per block, not once per sweep, and peak memory does not grow with
-the point count. A command's CSV is the table its projection returns
+plus `error`: a spec's `outputs`, any of COLUMN_SCHEMA's names, by default
+the schema through `error` (COLUMNS) for a SweepSpec and the regime map for
+a GridSpec. A SweepSpec scans one `Axis` (a parameter, its endpoints and its
+step count), a GridSpec two (`x`, `y`), each at np.linspace's values.
+`run_sweep` and `run_grid` evaluate the rows they are asked for, all by
+default; the CLI asks for one block of rows at a time (`row_blocks`: at most
+BLOCK_CELLS cells, of the returned columns or, where a branch runs, of
+COLUMNS if those are more, so 1956 rows of any output set of up to 67
+columns with a branch, one block for a regime map of up to 32 768 points)
+and writes each block before it evaluates the next, so the stages run once
+per block, not once per sweep, and peak memory does not grow with the point
+count. A command's CSV is the table its projection returns
 (`sweep_csv_rows`, `grid_csv_rows`, `laser_rows`), header and all, or an
 `analyze` row.
 `evaluate_point` and `analyze` are the length-1 case of the same evaluator
-with every column (`analyze` adds the oracle's), so a sweep row and a
+with COLUMNS (`analyze` adds ORACLE_COLUMNS), so a sweep row and a
 single-point analysis of the same parameters agree field by field.
 Per-point failures never abort a sweep: the typed error name lands in its
 error column, and a blank cell is NaN in a float64 column and ''/None in a
@@ -104,7 +105,8 @@ SWEEPABLE_AXES = (
 
 _F, _S, _B = "float", "str", "bool"
 
-# (name, kind) in emission order; kind picks the dtype and the blank of failed rows.
+# (name, kind) in emission order; kind picks the dtype and the blank of failed
+# rows. The default row (COLUMNS) ends at `error`; the oracle's is opt-in.
 COLUMN_SCHEMA: tuple[tuple[str, str], ...] = (
     ("delta_phi", _F),
     ("r_d1", _F),
@@ -173,9 +175,19 @@ COLUMN_SCHEMA: tuple[tuple[str, str], ...] = (
     ("laser_p_threshold", _F),
     ("laser_error", _S),
     ("error", _S),
+    ("oracle_nu1", _F),
+    ("oracle_nu2", _F),
+    ("oracle_stable", _B),
+    ("oracle_freq_dev_lo", _F),
+    ("oracle_freq_dev_hi", _F),
+    ("oracle_coeff_defect_tms", _F),
+    ("oracle_coeff_defect_bs", _F),
+    ("oracle_metric_defect", _F),
 )
 
-COLUMNS = tuple(name for name, _ in COLUMN_SCHEMA)
+_KIND = dict(COLUMN_SCHEMA)
+COLUMNS = tuple(_KIND)[: list(_KIND).index("error") + 1]
+ORACLE_COLUMNS = tuple(name for name in _KIND if name.startswith("oracle_"))
 
 def _column_needs(name: str) -> frozenset:
     """The stages column `name` needs beyond validation, read off its prefix.
@@ -197,20 +209,7 @@ def _column_needs(name: str) -> frozenset:
     return frozenset({"stage1"})
 
 
-ORACLE_SCHEMA: tuple[tuple[str, str], ...] = (
-    ("oracle_nu1", _F),
-    ("oracle_nu2", _F),
-    ("oracle_stable", _B),
-    ("oracle_freq_dev_lo", _F),
-    ("oracle_freq_dev_hi", _F),
-    ("oracle_coeff_defect_tms", _F),
-    ("oracle_coeff_defect_bs", _F),
-    ("oracle_metric_defect", _F),
-)
-
-ORACLE_COLUMNS = tuple(name for name, _ in ORACLE_SCHEMA)
-
-NEEDS = {name: _column_needs(name) for name in COLUMNS + ORACLE_COLUMNS}
+NEEDS = {name: _column_needs(name) for name in _KIND}
 
 # Column projection for the laser-focused sweep (fixed external names).
 LASER_SWEEP_COLUMNS = (
@@ -303,7 +302,7 @@ def _check_axis(axis: str):
 
 
 def _check_outputs(outputs):
-    bad = [o for o in outputs if o not in COLUMNS]
+    bad = [o for o in outputs if o not in _KIND]
     if bad:
         raise ValueError(f"unknown output column(s): {', '.join(bad)}")
     repeated = [o for o in dict.fromkeys(outputs) if outputs.count(o) > 1]
@@ -345,9 +344,6 @@ class Table:
         names = list(self.columns)
         for values in zip(*(col.tolist() for col in self.columns.values())):
             yield dict(zip(names, values))
-
-
-_KIND = dict(COLUMN_SCHEMA + ORACLE_SCHEMA)
 
 
 # a failed point's cell: NaN in a float64 column, '' (text) or None (flag) in an object one
@@ -488,9 +484,9 @@ def _plan(outputs: tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
 
 
 # The cells one block of a CLI sweep or grid may hold (`row_blocks`). A
-# block that runs a branch counts the cells of every column, returned or not:
+# block that runs a branch counts at least the cells of every COLUMNS column:
 # its stage temporaries, about 1 kB a point, do not shrink with the columns
-# it returns.
+# it returns. An oracle block's 4x4 stacks cost about 2.6 kB a point more.
 BLOCK_CELLS = 2**17
 # The cells `write_csv` formats at a time. A float64 cell is 8 B in a block,
 # but in flight its text is about 70 B of `str`, a list slot and its share of
@@ -502,10 +498,11 @@ CSV_CHUNK_CELLS = 2**13
 def row_blocks(n: int, outputs) -> Iterator[slice]:
     """The consecutive slices of `n` points that a CLI sweep or grid with
     `outputs` evaluates and writes one at a time: as many rows each as
-    BLOCK_CELLS holds of every column (COLUMNS) where a branch runs, else of
-    the columns `_evaluate` returns."""
+    BLOCK_CELLS holds of the columns `_evaluate` returns or, where a branch
+    runs, of COLUMNS if those are more."""
     returned, _, _, stages = _plan(tuple(outputs))
-    size = max(1, BLOCK_CELLS // len(COLUMNS if stages & {"tms", "bs"} else returned))
+    width = max(len(returned), len(COLUMNS) if stages & {"tms", "bs"} else 0)
+    size = max(1, BLOCK_CELLS // width)
     return (slice(start, min(start + size, n)) for start in range(0, n, size))
 
 
@@ -514,8 +511,8 @@ def _evaluate(params: PhysicalParams, opts: PipelineOptions, outputs) -> dict:
     all points, and only when one of `outputs` needs it (`NEEDS`); the
     oracle is the last stage.
 
-    Returns the `outputs` columns plus `error`, in schema order (COLUMN_SCHEMA,
-    then ORACLE_SCHEMA). A point that fails validation runs on a stand-in, the
+    Returns the `outputs` columns plus `error`, in schema order
+    (COLUMN_SCHEMA). A point that fails validation runs on a stand-in, the
     first valid point's parameters; its cells are then blanked, exactly those
     the error would leave blank in a point-by-point evaluation, and the error
     name lands in its column.

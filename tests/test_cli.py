@@ -426,6 +426,10 @@ HEADERS = {
     "grid": (["grid", *_GRID_AXES], "x_index,y_index,lambda1,delta_phi,f1,f2,branch"),
     "grid_outputs": (["grid", *_GRID_AXES, "--outputs", "laser_gain,f1"],
                      "x_index,y_index,lambda1,delta_phi,laser_gain,f1"),
+    "grid_outputs_oracle": (["grid", *_GRID_AXES, "--outputs", "f1,oracle_stable"],
+                            "x_index,y_index,lambda1,delta_phi,f1,oracle_stable"),
+    "sweep_outputs_oracle": (["sweep", *_SWEEP_AXIS, "--outputs", "oracle_stable,f1"],
+                             "delta_phi,oracle_stable,f1"),
     "grid_outputs_empty": (["grid", *_GRID_AXES, "--outputs", ""],
                            "x_index,y_index,lambda1,delta_phi"),
     "laser_sweep_delta_phi": (["laser-sweep", "--steps", "3"], LASER_HEADER),
@@ -498,6 +502,23 @@ def test_contours_needs_field_when_ambiguous(boundary_config, tmp_path, capsys):
     ])
     assert main(["contours", "--grid", str(grid_path), "--level", "10"]) == 1
     assert "--field" in capsys.readouterr().err
+
+
+def test_contours_takes_no_flag_column_as_its_field(boundary_config, tmp_path, capsys):
+    grid_path = tmp_path / "grid.csv"
+    assert main([
+        "grid", "--config", boundary_config,
+        "--x-axis", "lambda1", "--x-from", "198", "--x-to", "199", "--x-steps", "3",
+        "--y-axis", "delta_phi", "--y-from", "0", "--y-to", "3", "--y-steps", "3",
+        "--outputs", "f1,oracle_stable",
+        "--out", str(grid_path),
+    ]) == 0
+    assert main(["contours", "--grid", str(grid_path), "--level", "10"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) > 1 and all(line.startswith("f1,") for line in lines[1:])
+    args = ["contours", "--grid", str(grid_path), "--field", "oracle_stable", "--level", "0"]
+    assert main(args) == 1
+    assert "--field 'oracle_stable' not among numeric grid columns ['f1']" in capsys.readouterr().err
 
 
 def test_contours_empty_level_note(boundary_config, tmp_path, capsys):

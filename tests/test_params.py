@@ -3,6 +3,7 @@ import json
 import math
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from sqom import (
     ConfigError,
     NegativeParameter,
     NonPositiveParameter,
+    PipelineOptions,
     Stage1Unstable,
     canonical_delta_phi,
     parse_config,
@@ -19,6 +21,11 @@ from sqom import (
 from sqom.params import load_config
 
 from conftest import arr, batch, laser_set, point, strong_drive_set
+
+
+def test_options_with_array_densities_compare_and_hash():
+    opts = PipelineOptions(n_plus=np.array([1.0, 2.0]), n_minus=np.zeros(2))
+    assert opts == opts and opts != PipelineOptions() and hash(opts) == hash(opts)
 
 
 def test_strong_drive_set_is_valid():

@@ -12,6 +12,7 @@ from sqom.params import load_config
 from sqom.sweep import (
     COLUMNS,
     LASER_SWEEP_OUTPUTS,
+    ORACLE_COLUMNS,
     Axis,
     GridSpec,
     SweepSpec,
@@ -41,9 +42,9 @@ def blocks(monkeypatch):
         monkeypatch.setattr(cli, name, lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
 
     def size(rows: int, outputs) -> list:
-        # row_blocks counts every column where a branch runs
+        # row_blocks counts at least every COLUMNS column where a branch runs
         returned, _, _, stages = sweep._plan(tuple(outputs))
-        width = len(COLUMNS if stages & {"tms", "bs"} else returned)
+        width = max(len(returned), len(COLUMNS) if stages & {"tms", "bs"} else 0)
         monkeypatch.setattr(sweep, "BLOCK_CELLS", rows * width)
         return calls
 
@@ -144,21 +145,23 @@ def test_a_sweeps_allocation_peak_does_not_grow_with_its_points(config, blocks, 
 
 def test_a_block_holds_as_many_rows_as_the_stages_it_runs_allow():
     """BLOCK_CELLS // 67 rows wherever a branch runs, however few columns
-    are returned; the regime map, which stops after `classify`, fills the
-    budget with its 4 returned columns."""
+    are returned, and fewer where more are; the regime map, which stops
+    after `classify`, fills the budget with its 4 returned columns."""
     def sizes(n: int, outputs) -> list:
         return [block.stop - block.start for block in row_blocks(n, outputs)]
 
     assert sizes(10_000, COLUMNS) == [1956] * 5 + [220]
     assert sizes(10_000, LASER_SWEEP_OUTPUTS) == [1956] * 5 + [220]
     assert sizes(10_000, ("tms_r", "bs_w1")) == [1956] * 5 + [220]
+    assert sizes(10_000, COLUMNS + ORACLE_COLUMNS) == [1747] * 5 + [1265]
     assert sizes(40_000, ("f1", "f2", "branch")) == [32_768, 7232]
 
 
 def test_a_laser_sweep_block_peaks_as_a_full_sweep_block(config):
     """The stage temporaries of a block, not its returned columns, set its
     allocation peak: a laser-sweep block (13 returned columns, both branches
-    and the laser) peaks within 2x of a full-sweep block."""
+    and the laser) peaks within 2x of a full-sweep block, and an oracle
+    block, whose 4x4 stacks cost about 2.6 kB a point more, within 4x."""
     params, opts = load_config(config)
 
     def peak(outputs) -> int:
@@ -171,6 +174,8 @@ def test_a_laser_sweep_block_peaks_as_a_full_sweep_block(config):
         finally:
             tracemalloc.stop()
 
-    peak(LASER_SWEEP_OUTPUTS)  # imports the stages
-    full, laser = peak(COLUMNS), peak(LASER_SWEEP_OUTPUTS)
+    oracle_block = ("oracle_stable", "laser_p_threshold")
+    peak(oracle_block)  # imports the stages
+    full, laser, oracle = peak(COLUMNS), peak(LASER_SWEEP_OUTPUTS), peak(oracle_block)
     assert laser < 2 * full, (full, laser)
+    assert oracle < 4 * full, (full, oracle)

@@ -28,7 +28,6 @@ from sqom.sweep import (
     COLUMNS,
     LASER_SWEEP_OUTPUTS,
     ORACLE_COLUMNS,
-    ORACLE_SCHEMA,
     Table,
     apply_axis,
     grid_csv_rows,
@@ -114,13 +113,14 @@ def test_sweep_error_rows_do_not_abort():
     ("lambda2", 51.0, 49.0),  # Stage1Unstable down to lambda2 = 50
 ])
 def test_rows_after_failed_leading_points_equal_single_points(axis, start, stop):
-    spec = SweepSpec(Axis(axis, start, stop, 9))
-    rows = run_sweep(laser_set(), spec)
-    assert rows["error"][0] != "" and rows["error"][-1] == ""
-    lines = rows_to_csv(rows, list(COLUMNS)).splitlines()[1:]
-    for value, line in zip(spec.axis.values(), lines):
-        row = evaluate_point(apply_axis(laser_set(), axis, float(value)))
-        assert line == rows_to_csv([row], list(COLUMNS)).splitlines()[1], value
+    for outputs, single in ((COLUMNS, evaluate_point), (COLUMNS + ORACLE_COLUMNS, analyze)):
+        spec = SweepSpec(Axis(axis, start, stop, 9), outputs)
+        rows = run_sweep(laser_set(), spec)
+        assert rows["error"][0] != "" and rows["error"][-1] == ""
+        lines = rows_to_csv(rows, list(outputs)).splitlines()[1:]
+        for value, line in zip(spec.axis.values(), lines):
+            row = single(apply_axis(laser_set(), axis, float(value)))
+            assert line == rows_to_csv([row], list(outputs)).splitlines()[1], (single, value)
 
 
 def test_tms_refusal_is_per_point_sentinel():
@@ -566,14 +566,14 @@ def _assert_projection(narrow, full, outputs, bookkeeping):
             assert column.tolist() == expected.tolist(), name
 
 
-_SUBSETS = st.lists(st.sampled_from(COLUMNS), unique=True)
+_SUBSETS = st.lists(st.sampled_from([name for name, _ in COLUMN_SCHEMA]), unique=True)
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=st.sampled_from(_FAILING_RANGES), steps=st.integers(2, 9), outputs=_SUBSETS)
 def test_narrow_sweep_is_a_projection_of_the_full_sweep(case, steps, outputs):
     params, axis, start, stop = case
-    spec = SweepSpec(Axis(axis, start, stop, steps))
+    spec = SweepSpec(Axis(axis, start, stop, steps), COLUMNS + ORACLE_COLUMNS)
     full = run_sweep(params, spec)
     narrow = run_sweep(params, dataclasses.replace(spec, outputs=tuple(outputs)))
     _assert_projection(narrow, full, outputs, ["axis_value"])
@@ -587,7 +587,7 @@ def test_narrow_grid_is_a_projection_of_the_full_grid(x_steps, y_steps, outputs)
     spec = GridSpec(
         Axis("lambda1", 196.0, 201.0, x_steps),
         Axis("delta_phi", 0.0, 2.0 * math.pi, y_steps),
-        outputs=COLUMNS,
+        outputs=COLUMNS + ORACLE_COLUMNS,
     )
     full = run_grid(boundary_set(), spec)
     narrow = run_grid(boundary_set(), dataclasses.replace(spec, outputs=tuple(outputs)))
@@ -688,7 +688,7 @@ def test_the_phase_fold_runs_only_for_the_delta_phi_column(outputs, calls, monke
 def _assert_kind_dtypes(columns):
     """Each evaluated column has its kind's dtype: float64 for numbers,
     object for text and flags, whatever its batch."""
-    for name, kind in COLUMN_SCHEMA + ORACLE_SCHEMA:
+    for name, kind in COLUMN_SCHEMA:
         if name in columns:
             want = np.float64 if kind == "float" else object
             assert columns[name].dtype == want, name
@@ -745,7 +745,7 @@ def _assert_flag_cells(row, flags):
     ("lambda2", 49.0, 51.0, 12),  # Stage1Unstable from row 6 on
 ])
 def test_a_flag_cell_is_a_python_bool_or_none(axis, start, stop, steps):
-    flags = [name for name, kind in COLUMN_SCHEMA if kind == "bool"]
+    flags = [name for name, kind in COLUMN_SCHEMA if kind == "bool" and name in COLUMNS]
     spec = SweepSpec(Axis(axis, start, stop, steps))
     for rows in (slice(1, 5), slice(None)):  # every point valid, then a blank in each case
         table = run_sweep(laser_set(), spec, rows=rows)
