@@ -132,10 +132,11 @@ def cmd_contours(args) -> int:
     from .contours import contour_table, read_grid_file
 
     xs, ys, values, field = read_grid_file(args.grid, args.field)
-    contour_set = _command("extract_contours")(xs, ys, values, args.level)
-    for level in contour_set.empty_levels():
-        print(f"note: level {level:g} never crosses field {field}", file=sys.stderr)
-    _emit([contour_table(contour_set, field)], args.out)
+    contours = _command("extract_contours")(xs, ys, values, args.level)
+    for level, polylines in contours.items():
+        if not polylines:
+            print(f"note: level {level:g} never crosses field {field}", file=sys.stderr)
+    _emit([contour_table(contours, field)], args.out)
     return 0
 
 

@@ -7,7 +7,8 @@ failures) are skipped entirely, and saddle cells are resolved by the
 cell-centre average. One numpy pass per level gives every cell its case
 index; edge points are computed for the crossing cells only. Segments are
 chained into polylines deterministically (row-major cell order, endpoint
-matching on a rounded key).
+matching on a rounded key). `extract_contours` returns a plain dict, each
+level to its polylines, and `contour_table` writes it as rows.
 
 `read_grid_file` reads back the grid CSV that `sqom grid` writes: numpy's C
 parser, with no Python call per line or per cell, where it reads the file as
@@ -24,28 +25,11 @@ import itertools
 import math
 import re
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 from .sweep import COLUMN_SCHEMA, Table
-
-
-@dataclass(frozen=True)
-class ContourSet:
-    """Per-level polylines in axis coordinates.
-
-    polylines maps each requested level to a list of (N, 2) float arrays of
-    (x, y) vertices. Levels that never cross the field are present with an
-    empty list (informational; nothing to draw).
-    """
-
-    levels: tuple[float, ...]
-    polylines: dict[float, list[np.ndarray]]
-
-    def empty_levels(self) -> tuple[float, ...]:
-        return tuple(lv for lv in self.levels if not self.polylines[lv])
 
 
 # Corner k of cell (i, j) is (i, j), (i+1, j), (i+1, j+1), (i, j+1) for
@@ -132,8 +116,12 @@ def extract_contours(
     y_values: np.ndarray,
     field: np.ndarray,
     levels: list[float],
-) -> ContourSet:
+) -> dict[float, list[np.ndarray]]:
     """Extract equipotential polylines of `field` sampled on a rectilinear grid.
+
+    Returns each level of `levels`, in their order and as the same objects,
+    mapped to its polylines in axis coordinates: a list of (N, 2) float
+    arrays of (x, y) vertices, empty for a level that never crosses the field.
 
     Parameters
     ----------
@@ -178,17 +166,17 @@ def extract_contours(
         cell, segment = np.nonzero(pairs[:, :, 0] >= 0)
         edge = pairs[cell, segment]  # (segment, end): the edge of each endpoint
         result[level] = _chain(ex[cell[:, None], edge].ravel(), ey[cell[:, None], edge].ravel())
-    return ContourSet(levels=tuple(levels), polylines=result)
+    return result
 
 
-def contour_table(contour_set: ContourSet, field: str) -> Table:
+def contour_table(contours: dict[float, list[np.ndarray]], field: str) -> Table:
     """One row per polyline vertex, in the columns field, level, polyline,
     vertex, x, y; polylines are numbered from 0 within each level, vertices
     from 0 within each polyline."""
     lines = [
         (level, number, line)
-        for level in contour_set.levels
-        for number, line in enumerate(contour_set.polylines[level])
+        for level, polylines in contours.items()
+        for number, line in enumerate(polylines)
     ]
     counts = np.array([len(line) for *_, line in lines], dtype=int)
     xy = np.concatenate([line for *_, line in lines]) if lines else np.empty((0, 2))

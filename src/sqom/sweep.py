@@ -106,7 +106,8 @@ SWEEPABLE_AXES = (
 _F, _S, _B = "float", "str", "bool"
 
 # (name, kind) in emission order; kind picks the dtype and the blank of failed
-# rows. The default row (COLUMNS) ends at `error`; the oracle's is opt-in.
+# rows. Three tiers: the default row (COLUMNS) through `error`, `analyze`'s oracle
+# block (ORACLE_COLUMNS) through `oracle_metric_defect`, then opt-in columns.
 COLUMN_SCHEMA: tuple[tuple[str, str], ...] = (
     ("delta_phi", _F),
     ("r_d1", _F),
@@ -187,7 +188,7 @@ COLUMN_SCHEMA: tuple[tuple[str, str], ...] = (
 
 _KIND = dict(COLUMN_SCHEMA)
 COLUMNS = tuple(_KIND)[: list(_KIND).index("error") + 1]
-ORACLE_COLUMNS = tuple(name for name in _KIND if name.startswith("oracle_"))
+ORACLE_COLUMNS = tuple(_KIND)[len(COLUMNS): list(_KIND).index("oracle_metric_defect") + 1]
 
 def _column_needs(name: str) -> frozenset:
     """The stages column `name` needs beyond validation, read off its prefix.
@@ -529,6 +530,7 @@ def _evaluate(params: PhysicalParams, opts: PipelineOptions, outputs) -> dict:
             stand_in = np.where(valid, np.arange(len(valid)), np.argmax(valid))
             params, checked = take(params, stand_in), errors[stand_in]
         with np.errstate(all="ignore"):
+            # never raises (`checked` holds no error); perfbench/tracing.py wraps it as `params`
             vp = validate(params, checked)
             cells = _stage_columns(vp, stage1_transform(vp), stages, opts)
         columns.update({name: cells[name] for name in names})

@@ -196,8 +196,8 @@ def test_criterion_7_regime_boundary_grid():
 
     contours_f1 = extract_contours(xs, ys, f1, [10.0])
     contours_f2 = extract_contours(xs, ys, f2, [0.0])
-    assert contours_f1.polylines[10.0], "f1 = 10 equipotential must exist in this window"
-    assert contours_f2.polylines[0.0], "f2 = 0 boundary must exist in this window"
+    assert contours_f1[10.0], "f1 = 10 equipotential must exist in this window"
+    assert contours_f2[0.0], "f2 = 0 boundary must exist in this window"
 
     violations = 0
     for yi in range(41):

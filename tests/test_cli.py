@@ -15,7 +15,7 @@ import pytest
 import sqom
 from sqom import cli
 from sqom.cli import build_parser, main
-from sqom.sweep import SWEEPABLE_AXES
+from sqom.sweep import COLUMN_SCHEMA, SWEEPABLE_AXES
 
 from conftest import CONFIGS, boundary_set, laser_set, rows_to_csv
 
@@ -455,6 +455,19 @@ def test_each_header_is_the_list_in_sweep(name, laser_config, tmp_path, capsys):
         source = ["--grid", grid]
     assert main([command, *source, *args]) == 0
     assert capsys.readouterr().out.splitlines()[0] == want
+
+
+# the schema's names after the oracle's block: opt-in, named only by --outputs
+_SCHEMA_NAMES = [name for name, _ in COLUMN_SCHEMA]
+OPT_IN = _SCHEMA_NAMES[_SCHEMA_NAMES.index("oracle_metric_defect") + 1:]
+
+
+@pytest.mark.parametrize("name", ["sweep", "grid", "laser_sweep_delta_phi", "analyze"])
+def test_default_header_holds_no_opt_in_column(name, laser_config, capsys):
+    (command, *args), _ = HEADERS[name]
+    assert main([command, "--config", laser_config, *args]) == 0
+    header = capsys.readouterr().out.splitlines()[0].split(",")
+    assert not set(header) & set(OPT_IN), header
 
 
 def test_grid_empty_outputs_writes_head_columns(boundary_config, capsys):

@@ -17,8 +17,8 @@ def test_constant_grid_has_no_contours():
     ys = np.linspace(0.0, 1.0, 9)
     field = np.full((9, 11), 3.0)
     cs = extract_contours(xs, ys, field, [1.0])
-    assert cs.polylines[1.0] == []
-    assert cs.empty_levels() == (1.0,)
+    assert cs[1.0] == []
+    assert [lv for lv, lines in cs.items() if not lines] == [1.0]
 
 
 def test_unit_circle_within_cell_diagonal():
@@ -27,7 +27,7 @@ def test_unit_circle_within_cell_diagonal():
     X, Y = np.meshgrid(xs, ys)
     field = X**2 + Y**2
     cs = extract_contours(xs, ys, field, [1.0])
-    lines = cs.polylines[1.0]
+    lines = cs[1.0]
     assert lines
     cell = math.hypot(xs[1] - xs[0], ys[1] - ys[0])
     verts = np.vstack(lines)
@@ -47,8 +47,8 @@ def test_vertices_inside_bounding_box():
     ys = np.linspace(2.0, 5.0, 15)
     field = rng.normal(size=(15, 20))
     cs = extract_contours(xs, ys, field, [0.0, 0.5])
-    for level in cs.levels:
-        for line in cs.polylines[level]:
+    for level in cs:
+        for line in cs[level]:
             assert np.all(line[:, 0] >= xs[0] - 1e-12)
             assert np.all(line[:, 0] <= xs[-1] + 1e-12)
             assert np.all(line[:, 1] >= ys[0] - 1e-12)
@@ -62,7 +62,7 @@ def test_nan_cells_skipped():
     field = X + Y
     field[2, 2] = np.nan
     cs = extract_contours(xs, ys, field, [0.8])
-    for line in cs.polylines[0.8]:
+    for line in cs[0.8]:
         # no vertex may sit on an edge of a cell touching the NaN sample
         for x, y in line:
             assert not (abs(x - xs[2]) < 0.19 and abs(y - ys[2]) < 0.19)
@@ -73,7 +73,7 @@ def test_open_contour_reaches_boundary():
     ys = np.linspace(0.0, 1.0, 11)
     X, Y = np.meshgrid(xs, ys)
     cs = extract_contours(xs, ys, X, [0.55])
-    lines = cs.polylines[0.55]
+    lines = cs[0.55]
     assert len(lines) == 1
     line = lines[0]
     assert np.allclose(line[:, 0], 0.55, atol=1e-12)  # vertical isoline
@@ -126,7 +126,7 @@ def test_both_readers_refuse_a_grid_file_missing_a_cell(quoted, tmp_path):
 def test_saddle_centre_joins_its_side(level, want):
     cell = np.array([[1.0, -1.0], [-1.0, 1.0]])
     cs = extract_contours(np.arange(2.0), np.arange(2.0), cell, [level])
-    assert [line.tolist() for line in cs.polylines[level]] == want
+    assert [line.tolist() for line in cs[level]] == want
 
 
 def test_endpoints_meet_by_numpy_rounding():
@@ -257,8 +257,8 @@ def test_extract_contours_matches_cell_by_cell_reference(grid):
     xs, ys, field, levels = grid
     got = extract_contours(xs, ys, field, levels)
     want = reference_contours(xs, ys, field, levels)
-    assert got.levels == tuple(levels)
+    assert tuple(got) == tuple(levels)
     for level in levels:
-        assert [_hex(line) for line in got.polylines[level]] == [
+        assert [_hex(line) for line in got[level]] == [
             _hex(line) for line in want[level]
         ]

@@ -197,6 +197,8 @@ def test_cli_output_bytes(name, tmp_path):
 CONTOUR_CASES = {
     "boundary_f1_10": ("grid_boundary_109", ("--field", "f1", "--level", "10"), ""),
     "boundary_f2_0": ("grid_boundary_109", ("--field", "f2", "--level", "0"), ""),
+    # the level as given: boundary_f2_0's lines with a level cell of -0
+    "boundary_f2_negative_zero": ("grid_boundary_109", ("--field", "f2", "--level", "-0"), ""),
     "boundary_f1_two_levels": (
         "grid_boundary_109", ("--field", "f1", "--level", "10", "--level", "2"), "",
     ),
@@ -214,6 +216,8 @@ CONTOUR_DIGESTS = {
     "boundary_f1_10": "054661fe038e1ef2e7d1dc2be41fb6b5281f7d3032df1c2ad8f1378e27a82577",
     "boundary_f1_two_levels": "897df512da13d5a6e838a723c44a2f186409c7a8840e44e70529c1c8d648ff53",
     "boundary_f2_0": "7ee58d71237f3e12f4dea8051afa3c03ee9f448c8032076951fa1a774659a42f",
+    "boundary_f2_negative_zero":
+        "9c72aa84fd6c16afc40e88cf7543e977838012147ed328670e30f88b659e763c",
     "strong_tms_eta": "b4a4a32d77c35a13bbcca990bda0814b93860094ce89c84b0e6dd561e74aefc8",
     "strong_tms_g2": "b46f49f427df90c82a6b435c6b7e6f9c62f83376611f9bc7ee21289ea4ff0481",
 }

@@ -555,6 +555,19 @@ _FAILING_RANGES = [
 ]
 
 
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(_FAILING_RANGES), steps=st.integers(2, 7))
+def test_oracle_sweep_rows_equal_analyze_per_point(case, steps):
+    params, axis, start, stop = case
+    names = list(COLUMNS + ORACLE_COLUMNS)
+    spec = SweepSpec(Axis(axis, start, stop, steps), tuple(names))
+    lines = rows_to_csv(run_sweep(params, spec), names).splitlines()[1:]
+    assert len(lines) == steps
+    for value, line in zip(spec.axis.values(), lines):
+        row = analyze(apply_axis(params, axis, float(value)))
+        assert line == rows_to_csv([row], names).splitlines()[1], value
+
+
 def _assert_projection(narrow, full, outputs, bookkeeping):
     assert set(narrow.columns) == set(outputs) | {"error"} | set(bookkeeping)
     for name, column in narrow.columns.items():
