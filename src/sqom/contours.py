@@ -306,12 +306,13 @@ def _read_grid_csv(path: str, field: str | None):
     if field is None:
         if len(numeric) != 1:
             raise ConfigError(
-                f"grid file has {len(numeric)} candidate value columns "
+                f"grid file {path} has {len(numeric)} candidate value columns "
                 f"({', '.join(numeric)}); pick one with --field"
             )
         field = numeric[0]
     elif field not in numeric:
-        raise ConfigError(f"--field {field!r} not among numeric grid columns {numeric}")
+        raise ConfigError(
+            f"grid file {path}: --field {field!r} not among numeric grid columns {numeric}")
 
     # of a repeated name, the last column counts
     kept = ("x_index", "y_index", x_axis, y_axis, field)

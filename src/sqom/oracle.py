@@ -38,7 +38,8 @@ import numpy as np
 from .elementwise import cabs, cis_neg, cos, cosh, py_max, rmul, sin, sinh
 from .params import PhysicalParams
 # stage1_transform, tms_couplings, bs_couplings: unused here, bound for perfbench/tracing.py
-from .second_stage import BsCouplings, TmsCouplings, bs_couplings, tms_couplings  # noqa: F401
+from .second_stage import BranchCouplings, BsCouplings, TmsCouplings
+from .second_stage import bs_couplings, tms_couplings  # noqa: F401
 from .stage1 import Stage1Result, stage1_transform  # noqa: F401
 
 SIGMA = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
@@ -201,7 +202,7 @@ def coefficient_defect(a: np.ndarray, b: np.ndarray, scale_floor) -> np.ndarray:
 def rwa_error_report(
     p: PhysicalParams,
     s: Stage1Result,
-    couplings: Sequence[TmsCouplings | BsCouplings],
+    couplings: Sequence[BranchCouplings],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Check each branch in `couplings` (their type names the branch) against
     the oracle, all over the points of `p`, given the stage-1 result `s`.
@@ -216,8 +217,7 @@ def rwa_error_report(
 
     Two-mode squeezing moves -f_prime into the scalar part; the beam-splitter
     rotation is number conserving, so its scalar part stays -f_disp. Where
-    the two-mode-squeezing stage is unstable the numbers mean nothing;
-    callers mask those points.
+    the two-mode-squeezing stage is unstable its NaN r makes its defects NaN.
     """
 
     def branch(c):  # map, n12 and scalar part

@@ -2,7 +2,8 @@
 
 The retained coupling between the squeezed modes, with J' = 2 j_hop * lam
 and Phi = arg(J'), is removed by one of two rotations. Both are written with
-a cosine-like c and a sine-like s, and share the frame rows
+a cosine-like c and a sine-like s, and share the frame rows (the fields of
+`BranchCouplings`, which `TmsCouplings` and `BsCouplings` extend)
 
     W_1 = omega_s1 c^2 + omega_s2 s^2 - |J'| s c,
     W_2 = omega_s2 c^2 + omega_s1 s^2 -/+ |J'| s c    (- TMS, + BS),
@@ -59,18 +60,19 @@ rwa_validity_tms = rwa_validity_bs = rwa_validity
 
 
 @dataclass(frozen=True)
-class TmsCouplings:
-    """Effective Hamiltonian coefficients in the doubly-squeezed frame.
+class BranchCouplings:
+    """The frame rows and optomechanical couplings both branches share.
 
-    The Hamiltonian reads (with n_j = A_j^dag A_j, x_b = b^dag + b):
+    With n_j = A_j^dag A_j and x_b = b^dag + b, either branch's Hamiltonian
+    holds
 
         sum_j W_j n_j - sum_j G_j n_j x_b
         + [(g11 A_1^2 + g22 A_2^2 + g12 A_1 A_2) + h.c.] x_b
-        - (gp12 A_1^dag A_2 + h.c.) x_b
-        - (f_disp + f_prime) x_b + c_const + c_prime.
+        -/+ (gp12 A_1^dag A_2 + h.c.) x_b    (- TMS, + BS)
+
+    plus the branch's own scalar terms, with j_prime = J' and phi = arg(J').
     """
 
-    r: float
     phi: float
     j_prime: complex
     w1: float
@@ -81,36 +83,26 @@ class TmsCouplings:
     g22: complex
     g12: complex
     gp12: complex
+
+
+@dataclass(frozen=True)
+class TmsCouplings(BranchCouplings):
+    """The doubly-squeezed frame: rotation r, scalar terms
+    -(f_disp + f_prime) x_b + c_const + c_prime, and eta = g1 / g2."""
+
+    r: float
     f_prime: float
     c_prime: float
     eta: float
 
 
 @dataclass(frozen=True)
-class BsCouplings:
-    """Effective Hamiltonian coefficients in the supermode frame.
-
-    The Hamiltonian reads (n_j = A_j^dag A_j, x_b = b^dag + b):
-
-        sum_j W_j n_j - sum_j G_j n_j x_b
-        + [(g11 A_1^2 + g22 A_2^2 + g12 A_1 A_2) + h.c.] x_b
-        + (gp12 A_1^dag A_2 + h.c.) x_b - f_disp x_b + c_const.
-
-    gp12 hosts the triply-resonant phonon-laser interaction when
-    W_1 - W_2 matches omega_m.
-    """
+class BsCouplings(BranchCouplings):
+    """The supermode frame: mixing angle theta, scalar terms
+    -f_disp x_b + c_const. gp12 hosts the triply-resonant phonon-laser
+    interaction when W_1 - W_2 matches omega_m."""
 
     theta: float
-    phi: float
-    j_prime: complex
-    w1: float
-    w2: float
-    g1: float
-    g2: float
-    g11: complex
-    g22: complex
-    g12: complex
-    gp12: complex
 
 
 def _j_prime(p: PhysicalParams, lam):

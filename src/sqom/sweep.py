@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, TextIO
 
@@ -251,7 +252,11 @@ class Axis:
                 f"the {self.name} axis from {start!r} to {stop!r}: its endpoints and their "
                 "span must be finite"
             )
-        if self.steps < 2:
+        try:
+            steps = operator.index(self.steps)  # a numpy integer passes, 3.0 and "3" do not
+        except TypeError:
+            raise TypeError(f"steps must be an integer, got {self.steps!r}") from None
+        if steps < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
 
     def values(self, index=None) -> np.ndarray:
@@ -444,10 +449,9 @@ def _oracle_columns(vp, s, tms, bs, unstable, on_tms) -> dict:
     """The exact oracle's check of both branches: one photonic form, one
     symplectic solve and one report batch, sharing the stage-1 map. The
     frequency deviations are those of the laser's branch, whose |W| the
-    laser block reads. Blank are the TMS defect where that stage is
-    unstable, the frequency deviations where the laser sits on an unstable
-    TMS frame, and every cell where the exact frequencies cannot be
-    paired."""
+    laser block reads. Every cell is blank where the exact frequencies
+    cannot be paired; an unstable TMS stage's NaN r already blanks its
+    defect, and the deviations where the laser sits on that frame."""
     from . import oracle  # through the module: a wrapper bound there sees the call
 
     freqs = oracle.symplectic_frequencies(oracle.build_photonic_form(vp))
@@ -466,8 +470,6 @@ def _oracle_columns(vp, s, tms, bs, unstable, on_tms) -> dict:
         "oracle_coeff_defect_bs": bs_coeff,
         "oracle_metric_defect": np.where(unstable, bs_metric, worst),
     }
-    _blank_where(cells, unstable, ["oracle_coeff_defect_tms"])
-    _blank_where(cells, on_tms & unstable, ["oracle_freq_dev_lo", "oracle_freq_dev_hi"])
     _blank_where(cells, ~freqs.paired, list(cells))
     return cells
 

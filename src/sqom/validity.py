@@ -13,12 +13,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .elementwise import cabs, div
 from .params import PipelineOptions
 from .regime import TERMS  # the rows of a report
+
+if TYPE_CHECKING:  # second_stage imports this module
+    from .second_stage import BranchCouplings
 
 
 @dataclass(frozen=True)
@@ -49,14 +53,12 @@ class ValidityReport:
 
 
 def rwa_validity(
-    c,
+    c: BranchCouplings,
     omega_m: float = 1.0,
     resonance_floor: float = PipelineOptions.resonance_floor,
 ) -> ValidityReport:
     """Ratios for every interaction term kept or dropped around a branch.
 
-    `c` is the `second_stage` TmsCouplings or BsCouplings of either branch;
-    both share the coupling shape (w1, w2, g1, g2, g11, g22, g12, gp12).
     Radiation-pressure terms G_j A_j^dag A_j (b^dag + b) oscillate only via
     the mechanical sideband, so their scale is omega_m itself. Parametric
     terms G_jk A_j A_k beat at W_j + W_k -/+ omega_m, and the three-mode term

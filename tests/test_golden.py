@@ -333,15 +333,15 @@ READBACK_ERRORS = {
     ),
     "field_ambiguous": (
         _edited(header="x_index,y_index,lam,phase,f1,f2"), (),
-        "error: grid file has 2 candidate value columns (f1, f2); pick one with --field\n",
+        "error: grid file {path} has 2 candidate value columns (f1, f2); pick one with --field\n",
     ),
     "field_not_numeric": (
         _edited(), ("--field", "branch"),
-        "error: --field 'branch' not among numeric grid columns ['f1']\n",
+        "error: grid file {path}: --field 'branch' not among numeric grid columns ['f1']\n",
     ),
     "field_unknown": (
         _edited(), ("--field", "f2"),
-        "error: --field 'f2' not among numeric grid columns ['f1']\n",
+        "error: grid file {path}: --field 'f2' not among numeric grid columns ['f1']\n",
     ),
     # a quoted cell past the csv module's field size limit (131072)
     "oversized_cell": (

@@ -36,6 +36,13 @@ DIGESTS = {
     ("boundary", 0.002): "1392364bdf5634548b9bdbaa32b89c663ad68e50c2c1d8ade721e811977c6a4b",
 }
 
+# each type's fields in the order the digests were taken
+_SHARED = ("phi", "j_prime", "w1", "w2", "g1", "g2", "g11", "g22", "g12", "gp12")
+FIELD_ORDER = {
+    "tms": ("r", *_SHARED, "f_prime", "c_prime", "eta"),
+    "bs": ("theta", *_SHARED),
+}
+
 
 def _hex(value) -> str:
     (x,) = value.tolist()
@@ -46,10 +53,13 @@ def _hex(value) -> str:
 def test_couplings_bits_are_pinned(name, g0):
     vp = validate(batch(SETS[name]().replace(g0=g0)))
     s = stage1_transform(vp)
+    branches = (("tms", tms_couplings(s, vp)), ("bs", bs_couplings(s, vp)))
+    for label, c in branches:  # every field is digested, once
+        assert sorted(FIELD_ORDER[label]) == sorted(f.name for f in fields(c))
     lines = [
-        f"{label}.{f.name}={_hex(getattr(c, f.name))}"
-        for label, c in (("tms", tms_couplings(s, vp)), ("bs", bs_couplings(s, vp)))
-        for f in fields(c)
+        f"{label}.{name}={_hex(getattr(c, name))}"
+        for label, c in branches
+        for name in FIELD_ORDER[label]
     ]
     text = "\n".join(lines)
     assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[name, g0], text

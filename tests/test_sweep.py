@@ -50,6 +50,13 @@ def test_spec_validation():
         SweepSpec(Axis("lamda1", 0.0, 1.0, 5))
     with pytest.raises(ValueError, match="steps"):
         SweepSpec(Axis("lambda1", 0.0, 1.0, 1))
+    # a non-integral count is refused when built, not when the sweep runs
+    for steps in (2.5, 3.0, "3"):
+        with pytest.raises(TypeError, match="steps must be an integer"):
+            Axis("g0", 0.001, 0.002, steps)
+    with pytest.raises(ValueError, match="steps must be >= 2, got 1"):
+        Axis("g0", 0.001, 0.002, np.int64(1))
+    assert Axis("g0", 0.001, 0.002, np.int64(3)).values().tolist() == [0.001, 0.0015, 0.002]
     with pytest.raises(ValueError, match="output"):
         SweepSpec(Axis("lambda1", 0.0, 1.0, 5), outputs=("nope",))
     with pytest.raises(ValueError, match="differ"):
